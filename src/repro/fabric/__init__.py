@@ -16,9 +16,8 @@ in :mod:`repro.fabric.cosim`.
 
 Above the rack, :mod:`repro.fabric.cluster` composes racks into a
 :class:`ClusterFabric` (uplinks + shared spine + hierarchical pools) stepped
-by a :class:`ClusterCoSimulator`; the batched NumPy contention solver and the
-demand-keyed :class:`ContentionCache` that make it scale live in
-:mod:`repro.fabric.solver`.
+by a :class:`ClusterCoSimulator`; the batched NumPy contention solver that
+makes it scale lives in :mod:`repro.fabric.solver`.
 
 Finally, :mod:`repro.fabric.faults` makes the whole stack chaos-testable: a
 deterministic :class:`FaultSchedule` of port-kill / port-degrade /
@@ -73,13 +72,10 @@ from .pool import (
     ReclaimRecord,
 )
 from .solver import (
-    DEFAULT_CACHE_QUANTUM,
     SOLVER_SCALAR,
     SOLVER_VECTORIZED,
     SOLVERS,
-    ContentionCache,
     FixedPointResult,
-    quantize_demands,
     solve_fixed_point,
     validate_solver,
 )
@@ -93,13 +89,10 @@ __all__ = [
     "ClusterFabric",
     "ClusterSolve",
     "ClusterTenantOutcome",
-    "ContentionCache",
     "FixedPointResult",
-    "DEFAULT_CACHE_QUANTUM",
     "SOLVERS",
     "SOLVER_SCALAR",
     "SOLVER_VECTORIZED",
-    "quantize_demands",
     "solve_fixed_point",
     "validate_solver",
     "EpochCheckpoint",

@@ -21,8 +21,9 @@ This is ROADMAP item 1's datacenter layer on top of the single-rack
 Scaling comes from three mechanisms, all testable against their slow
 reference paths: the batched vectorized solver (``solver="scalar"`` falls
 back to per-rack reference solves), the racks' dirty-epoch skip (a rack whose
-demand vector is unchanged is not re-solved at rollover), and per-rack
-contention caches (:meth:`ClusterFabric.enable_solver_cache`).
+demand vector is unchanged is not re-solved at rollover), and each tenant's
+memoized progress rate (the perf model re-runs only when the tenant's phase
+or its epoch background changes).
 
 Spine coupling model
 --------------------
@@ -55,7 +56,6 @@ from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec
 from .faults import BlastRadiusReport, FaultSchedule, TenantImpact
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
 from .solver import (
-    DEFAULT_CACHE_QUANTUM,
     SOLVER_SCALAR,
     SOLVER_VECTORIZED,
     solve_fixed_point,
@@ -173,14 +173,6 @@ class ClusterFabric:
                 f"rack {index} is not part of this {self.n_racks}-rack cluster"
             )
         return self.racks[index]
-
-    def enable_solver_cache(
-        self, maxsize: int = 4096, quantum: float = DEFAULT_CACHE_QUANTUM
-    ) -> None:
-        """Attach a contention cache to every rack topology (see
-        :meth:`~repro.fabric.topology.FabricTopology.enable_solver_cache`)."""
-        for rack in self.racks:
-            rack.enable_solver_cache(maxsize=maxsize, quantum=quantum)
 
     # -- whole-cluster demand resolution ---------------------------------------------
 
@@ -469,9 +461,9 @@ class ClusterCoSimulator:
             )
             for i in range(fabric.n_racks)
         )
-        # One baseline-profile cache for the whole cluster: identical
-        # (workload, local_fraction) tenants cost one engine run regardless
-        # of which rack they land on.
+        # One phase-profile cache for the whole cluster: identical
+        # (workload, local_fraction) tenants cost one set of idle unit-time
+        # evaluations regardless of which rack they land on.
         shared_cache: dict = {}
         for sim in self.rack_sims:
             sim._inc_cache = shared_cache
@@ -958,7 +950,7 @@ class ClusterCoSimulator:
                 and not self.faults_pending()
                 and not any(r > 0.0 for r in self.progress_rates().values())
                 and not any(
-                    s.running and s.migration_debt > 0.0
+                    sim._draining(s)
                     for sim in self.rack_sims
                     for s in sim.tenant_states.values()
                 )

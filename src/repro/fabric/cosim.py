@@ -18,8 +18,9 @@ emergent:
 4. completed tenants return their leases, admitting queued tenants.
 
 Baseline phase runtimes and traffic come from one interference-free
-:class:`~repro.sim.engine.ExecutionEngine` run per tenant, so the co-simulation
-inherits the full cache/prefetch/placement behaviour of the single-node model.
+:class:`~repro.sim.engine.ExecutionEngine` run per unique workload
+(:func:`baseline_run`), so the co-simulation inherits the full
+cache/prefetch/placement behaviour of the single-node model.
 
 Coupling contract (used by :mod:`repro.scheduler.progress`)
 -----------------------------------------------------------
@@ -65,6 +66,7 @@ driven **incrementally** by an external scheduler, one rack per simulator:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -75,6 +77,7 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..sim.engine import ExecutionEngine
 from ..sim.perfmodel import PerformanceModel, PhaseInputs
 from ..sim.platform import Platform
+from ..sim.results import RunResult
 from ..telemetry import TimeSeries, metrics, trace_span
 from ..workloads.base import WorkloadSpec
 from .faults import (
@@ -171,6 +174,48 @@ def uniform_tenants(
     ]
 
 
+#: Most baseline runs :func:`baseline_run` keeps (least recently used go first).
+_BASELINE_MEMO_SIZE = 64
+#: (id(workload), local_fraction, testbed, seed) -> (workload, run result).
+_baselines: OrderedDict = OrderedDict()
+
+
+def baseline_run(
+    workload: WorkloadSpec,
+    local_fraction: float = 0.5,
+    testbed: TestbedConfig = SKYLAKE_EMULATION,
+    seed: int = 0,
+) -> RunResult:
+    """The interference-free engine run of ``workload`` on the pooled platform.
+
+    The one reference measurement behind every fabric baseline: the
+    co-simulator's per-tenant phase profiles and the scheduler's fabric job
+    profiles (:func:`repro.scheduler.progress.fabric_job_profile`).  The run
+    is a pure function of its arguments, so it is memoized per (workload,
+    local fraction, testbed, seed) in a small LRU.  Each entry holds the
+    workload object itself and only that very object (``is``) hits: a key
+    built from ``id()`` alone could hand a new workload the run of a freed
+    one whose id CPython reused.
+    """
+    key = (id(workload), local_fraction, testbed, seed)
+    entry = _baselines.get(key)
+    if entry is not None and entry[0] is workload:
+        _baselines.move_to_end(key)
+        metrics().counter("fabric.profile.cache_hits").inc()
+        return entry[1]
+    metrics().counter("fabric.profile.runs").inc()
+    with trace_span("fabric.profile", workload=workload.name):
+        platform = Platform.pooled(
+            workload.footprint_bytes, local_fraction, testbed=testbed
+        )
+        result = ExecutionEngine(platform, seed=seed).run(workload)
+    _baselines[key] = (workload, result)
+    _baselines.move_to_end(key)
+    if len(_baselines) > _BASELINE_MEMO_SIZE:
+        _baselines.popitem(last=False)
+    return result
+
+
 @dataclass(frozen=True)
 class _PhaseProfile:
     """Interference-free reference behaviour of one phase of one tenant."""
@@ -196,12 +241,16 @@ class _TenantState:
         self.spec = spec
         self.node = node
         self.lease = None
-        self.platform: Optional[Platform] = None
         self.perf: Optional[PerformanceModel] = None
         self.phases: tuple[_PhaseProfile, ...] = ()
         self.baseline_runtime = 0.0
         self.phase_index = 0
         self.phase_elapsed = 0.0  # baseline-seconds completed in the current phase
+        # One-entry progress-rate cache, keyed by the phase profile object and
+        # the frozen background it was evaluated under (see _progress_rate).
+        self.rate_profile: Optional[_PhaseProfile] = None
+        self.rate_background = 0.0
+        self.rate = 0.0
         self.finish_time: Optional[float] = None
         self.background_times: list[float] = []
         self.background_bandwidths: list[float] = []
@@ -641,12 +690,15 @@ class RackCoSimulator:
     # -- baseline profiling ---------------------------------------------------------
 
     def _profile_tenant(self, state: _TenantState, cache: dict) -> None:
-        """Run the tenant once, interference-free, to get its reference phases.
+        """Give the tenant its interference-free reference phases.
 
         Tenants sharing the same workload object and local fraction are
-        behaviourally identical, so their (expensive) baseline engine run is
-        computed once and shared — the common many-identical-tenants sweep
-        profiles O(unique specs) instead of O(tenants).
+        behaviourally identical, so their phase profiles — the baseline
+        engine run (:func:`baseline_run`) plus each phase's idle unit time —
+        are built once per ``cache`` and shared: the common
+        many-identical-tenants sweep profiles O(unique specs) instead of
+        O(tenants).  Like :func:`baseline_run`, an entry hits only for the
+        very workload object it was built from.
         """
         spec = state.spec
         # Contention during the co-simulation is resolved on the tenant's pool
@@ -655,13 +707,11 @@ class RackCoSimulator:
         port_link = self.topology.link_of(state.node)
         state.perf = PerformanceModel(self.testbed, port_link)
         key = (id(spec.workload), spec.local_fraction)
-        if key not in cache:
-            metrics().counter("fabric.profile.runs").inc()
-            with trace_span("fabric.profile", workload=spec.workload.name):
-                platform = Platform.pooled(
-                    spec.workload.footprint_bytes, spec.local_fraction, testbed=self.testbed
-                )
-                result = ExecutionEngine(platform, seed=self.seed).run(spec.workload)
+        entry = cache.get(key)
+        if entry is None or entry[0] is not spec.workload:
+            result = baseline_run(
+                spec.workload, spec.local_fraction, self.testbed, self.seed
+            )
             profiles = []
             for phase_spec, phase in zip(spec.workload.phases, result.phases):
                 profile = _PhaseProfile(
@@ -678,10 +728,8 @@ class RackCoSimulator:
                         profile, unit_time_idle=self._unit_time(state, profile, 0.0)
                     )
                 )
-            cache[key] = (platform, tuple(profiles))
-        else:
-            metrics().counter("fabric.profile.cache_hits").inc()
-        state.platform, state.phases = cache[key]
+            entry = cache[key] = (spec.workload, tuple(profiles))
+        state.phases = entry[1]
         state.baseline_runtime = float(sum(p.runtime for p in state.phases))
 
     def _unit_time(
@@ -704,8 +752,20 @@ class RackCoSimulator:
 
         Normalised against the same model at zero background, so slowdowns are
         exactly 1 on an idle fabric regardless of model details.
+
+        The rate is a pure function of the phase profile and the background,
+        and both change only at phase boundaries and epoch rollovers, so each
+        tenant remembers its last evaluation: the perf model runs (and
+        ``fabric.rates.evaluations`` counts) only when either one changed,
+        not on every rate, horizon and step query.
         """
-        return profile.unit_time_idle / self._unit_time(state, profile, background)
+        if profile is state.rate_profile and background == state.rate_background:
+            return state.rate
+        metrics().counter("fabric.rates.evaluations").inc()
+        state.rate = profile.unit_time_idle / self._unit_time(state, profile, background)
+        state.rate_profile = profile
+        state.rate_background = background
+        return state.rate
 
     # -- main loop ------------------------------------------------------------------
 
@@ -926,7 +986,7 @@ class RackCoSimulator:
                 targets.append(nxt)
             future = [t for t in targets if t > self._inc_clock + 1e-12]
             moving = any(r > 0 for r in self.progress_rates().values()) or any(
-                s.running and s.migration_debt > 0.0 for s in states
+                self._draining(s) for s in states
             )
             if moving:
                 dt = self.horizon()
@@ -1169,14 +1229,7 @@ class RackCoSimulator:
                     rates[name] = 0.0
                     continue
                 if state.running and (
-                    state.migration_debt > 0.0
-                    or (
-                        self._port_scales
-                        and self._port_scales.get(
-                            self.topology.port_of(state.node), 1.0
-                        )
-                        <= 0.0
-                    )
+                    state.migration_debt > 0.0 or self._on_killed_port(state)
                 ):
                     rates[name] = 0.0
                     continue
@@ -1192,7 +1245,9 @@ class RackCoSimulator:
         """Wall seconds the current :meth:`progress_rates` stay exact.
 
         Bounded by the next epoch rollover and by the nearest phase boundary
-        of any running tenant (a new phase runs at a different rate).
+        of any running tenant (a new phase runs at a different rate); with
+        faults active also by the next fault time and by every migration
+        drain that is actually being paid.
         """
         if self._inc_epoch is None:
             raise FabricError(
@@ -1205,8 +1260,10 @@ class RackCoSimulator:
             if nxt is not None:
                 bound = min(bound, max(nxt - self._inc_clock, 1e-12))
             for state in self._inc_states.values():
-                if state.running and state.migration_debt > 0.0:
-                    # The rate flips from 0 back up once the drain finishes.
+                # The rate flips from 0 back up once the drain finishes.  Debt
+                # owed behind a killed port waits for the port restore, which
+                # is a fault time and bounds the horizon already.
+                if self._draining(state):
                     bound = min(bound, max(state.migration_debt, 1e-12))
         for name, rate in self.progress_rates().items():
             state = self._inc_states[name]
@@ -1627,9 +1684,7 @@ class RackCoSimulator:
         debt pays it down first (stalled while its pages drain) and runs with
         whatever remains of the chunk.
         """
-        if self._port_scales and (
-            self._port_scales.get(self.topology.port_of(state.node), 1.0) <= 0.0
-        ):
+        if self._on_killed_port(state):
             self._record_stall(state, chunk)
             return 0.0
         if state.migration_debt > 0.0:
@@ -1640,6 +1695,24 @@ class RackCoSimulator:
             self._record_stall(state, pay)
             return chunk - pay
         return chunk
+
+    def _on_killed_port(self, state: _TenantState) -> bool:
+        """Whether the tenant's pool port is killed (it stalls outright)."""
+        return bool(self._port_scales) and (
+            self._port_scales.get(self.topology.port_of(state.node), 1.0) <= 0.0
+        )
+
+    def _draining(self, state: _TenantState) -> bool:
+        """Whether a running tenant is paying down migration debt right now.
+
+        A tenant behind a killed port owes its debt but pays none of it until
+        the port is restored.
+        """
+        return (
+            state.running
+            and state.migration_debt > 0.0
+            and not self._on_killed_port(state)
+        )
 
     def _impact_of(self, state: _TenantState) -> TenantImpact:
         return TenantImpact(
@@ -1718,7 +1791,7 @@ class RackCoSimulator:
             demands = {
                 s.node: s.current_offered_bandwidth()
                 for s in running
-                if self._port_scales.get(self.topology.port_of(s.node), 1.0) > 0.0
+                if not self._on_killed_port(s)
             }
             solve_key: tuple = (
                 tuple(sorted(demands.items())),

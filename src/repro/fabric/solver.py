@@ -1,18 +1,12 @@
-"""Vectorized fixed-point contention solving and demand-keyed result caching.
+"""Vectorized fixed-point contention solving.
 
 The damped fixed point of :meth:`repro.fabric.topology.FabricTopology.resolve`
 is the hot path of every co-simulation epoch, and at cluster scale it runs
 once per rack per epoch.  This module provides the NumPy implementation that
-makes it scale, plus the supporting machinery the incremental stepper uses:
-
-* :func:`solve_fixed_point` — the Jacobi iteration of the scalar reference
-  path expressed on flat arrays, so one call can resolve one rack *or* a
-  whole cluster's racks batched into a single demand vector (racks are
-  independent because every node belongs to exactly one port).
-* :class:`ContentionCache` — a small LRU of resolved allocations keyed by
-  *quantized* demand vectors, so what-if sweeps and steady-state epochs that
-  re-pose an (almost) identical contention problem skip the iteration
-  entirely.
+makes it scale: :func:`solve_fixed_point` is the Jacobi iteration of the
+scalar reference path expressed on flat arrays, so one call can resolve one
+rack *or* a whole cluster's racks batched into a single demand vector (racks
+are independent because every node belongs to exactly one port).
 
 The math mirrors the scalar reference exactly (same damping, same update
 rule, same Jacobi scheduling of updates): per iteration every node's
@@ -28,24 +22,14 @@ magnitude below the convergence tolerance).  The differential suite in
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
 
 import numpy as np
-
-from ..telemetry import metrics
 
 #: Solver names accepted everywhere a path is selectable.
 SOLVER_SCALAR = "scalar"
 SOLVER_VECTORIZED = "vectorized"
 SOLVERS = (SOLVER_SCALAR, SOLVER_VECTORIZED)
-
-#: Default demand quantum of the contention cache, bytes/s.  One cache cell
-#: is 16 MB/s wide — an order of magnitude above the solver's default
-#: convergence tolerance (1 MB/s), three orders below any bandwidth that
-#: matters on the modelled fabrics.
-DEFAULT_CACHE_QUANTUM = 16e6
 
 #: Adaptive damping backoff: every ``BACKOFF_WINDOW`` iterations the solver
 #: checks whether the residual has at least halved (``BACKOFF_IMPROVEMENT``)
@@ -166,87 +150,6 @@ def solve_fixed_point(
         residual=residual,
         delta=delta,
     )
-
-
-def quantize_demands(
-    demands: Mapping[int, float], quantum: float = DEFAULT_CACHE_QUANTUM
-) -> tuple[tuple[int, int], ...]:
-    """A hashable, order-independent key of a demand map, ``quantum`` coarse.
-
-    Demands within half a quantum of each other map to the same key, which is
-    what lets the cache serve slightly perturbed re-poses of one contention
-    problem.  The quantum must stay well above the solver tolerance for the
-    served result to be within tolerance of a fresh solve.
-    """
-    return tuple(
-        sorted((int(node), int(round(value / quantum))) for node, value in demands.items())
-    )
-
-
-class ContentionCache:
-    """LRU cache of resolved contention states keyed by quantized demands.
-
-    One cache belongs to one fabric wiring (the key deliberately does not
-    include the topology — attach a fresh cache per
-    :class:`~repro.fabric.topology.FabricTopology`).  Hits and misses are
-    counted both locally (:attr:`hits` / :attr:`misses`, for tests) and on
-    the telemetry registry (``fabric.solve.cache_hits`` /
-    ``fabric.solve.cache_misses``).
-    """
-
-    def __init__(
-        self, maxsize: int = 4096, quantum: float = DEFAULT_CACHE_QUANTUM
-    ) -> None:
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        if quantum <= 0:
-            raise ValueError("cache quantum must be positive")
-        self.maxsize = int(maxsize)
-        self.quantum = float(quantum)
-        self.hits = 0
-        self.misses = 0
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def key(
-        self,
-        demands: Mapping[int, float],
-        iterations: int,
-        damping: float,
-        tolerance: float,
-    ) -> tuple:
-        """Cache key: quantized demand vector + the solve parameters."""
-        return (
-            quantize_demands(demands, self.quantum),
-            int(iterations),
-            round(float(damping), 12),
-            float(tolerance),
-        )
-
-    def get(self, key: tuple):
-        """The cached solve for ``key`` (refreshing its LRU slot), else None."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            metrics().counter("fabric.solve.cache_misses").inc()
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        metrics().counter("fabric.solve.cache_hits").inc()
-        return entry
-
-    def put(self, key: tuple, value) -> None:
-        """Store a solve, evicting the least recently used entry when full."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._entries.clear()
 
 
 def validate_solver(name: str) -> str:

@@ -47,10 +47,8 @@ from ..telemetry import metrics, trace_span
 from .solver import (
     BACKOFF_IMPROVEMENT,
     BACKOFF_WINDOW,
-    DEFAULT_CACHE_QUANTUM,
     SOLVER_SCALAR,
     SOLVER_VECTORIZED,
-    ContentionCache,
     solve_fixed_point,
     validate_solver,
 )
@@ -134,7 +132,6 @@ class FabricTopology:
         self.n_ports = int(n_ports)
         self.testbed = testbed
         self.solver = validate_solver(solver)
-        self._cache: ContentionCache | None = None
         port_testbed = (
             testbed
             if port_capacity_scale == 1.0
@@ -189,31 +186,6 @@ class FabricTopology:
             if n != node
         )
 
-    def enable_solver_cache(
-        self, maxsize: int = 4096, quantum: float = DEFAULT_CACHE_QUANTUM
-    ) -> ContentionCache:
-        """Attach (and return) an LRU cache of resolved contention states.
-
-        Subsequent :meth:`resolve` / :meth:`resolve_detailed` calls serve
-        repeat demand vectors — quantized to ``quantum`` bytes/s, so
-        sub-quantum perturbations hit too — without re-running the fixed
-        point.  The cache is keyed on demands and solve parameters only
-        (one cache per topology; never share across differently-wired
-        fabrics).  Call again to replace the cache with a fresh one; call
-        :meth:`disable_solver_cache` to turn it off.
-        """
-        self._cache = ContentionCache(maxsize=maxsize, quantum=quantum)
-        return self._cache
-
-    def disable_solver_cache(self) -> None:
-        """Drop the contention cache; every solve runs the fixed point again."""
-        self._cache = None
-
-    @property
-    def solver_cache(self) -> ContentionCache | None:
-        """The attached contention cache, or None when caching is off."""
-        return self._cache
-
     def resolve(
         self,
         demands: Mapping[int, float],
@@ -261,10 +233,7 @@ class FabricTopology:
         convergence and the final residual; a solve that exhausts its budget
         additionally emits a :class:`FabricConvergenceWarning` and bumps the
         ``fabric.solve.nonconverged`` telemetry counter, so silent
-        non-convergence cannot skew results unnoticed.  When a contention
-        cache is attached (:meth:`enable_solver_cache`), a repeated demand
-        vector returns the cached diagnostics — including the warning, so a
-        cached non-convergence stays as loud as a fresh one.
+        non-convergence cannot skew results unnoticed.
         """
         solver = validate_solver(solver if solver is not None else self.solver)
         if damping is not None and not 0.0 < damping <= 1.0:
@@ -278,14 +247,6 @@ class FabricTopology:
                 default=1,
             )
             damping = 1.0 / max(max_sharing, 1)
-        cache_key = None
-        if self._cache is not None:
-            cache_key = self._cache.key(demands, iterations, damping, tolerance)
-            cached = self._cache.get(cache_key)
-            if cached is not None:
-                metrics().counter("fabric.solve.calls").inc()
-                self._warn_nonconverged(cached, tolerance)
-                return replace(cached, delivered=dict(cached.delivered))
         with trace_span("fabric.solve", nodes=len(demands), solver=solver):
             if solver == SOLVER_SCALAR:
                 delivered, used, converged, max_delta = self._solve_scalar(
@@ -305,8 +266,6 @@ class FabricTopology:
             residual=max_delta,
             damping=damping,
         )
-        if cache_key is not None:
-            self._cache.put(cache_key, diagnostics)
         self._warn_nonconverged(diagnostics, tolerance)
         return diagnostics
 

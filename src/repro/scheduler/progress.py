@@ -53,13 +53,11 @@ from ..config.errors import SchedulingError
 from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..config.units import bytes_to_gb, gb
 from ..fabric.cluster import ClusterCoSimulator, ClusterFabric
-from ..fabric.cosim import RackCoSimulator, TenantSpec
+from ..fabric.cosim import RackCoSimulator, TenantSpec, baseline_run
 from ..fabric.faults import FaultSchedule
 from ..fabric.solver import SOLVER_VECTORIZED
 from ..interconnect.link import RemoteLink
 from ..profiler.level3 import SensitivityCurve
-from ..sim.engine import ExecutionEngine
-from ..sim.platform import Platform
 from ..workloads.base import WorkloadSpec
 from ..workloads.registry import build_workload
 from .cluster import Cluster, Rack
@@ -158,14 +156,12 @@ def fabric_baseline_runtime(
 ) -> float:
     """Interference-free runtime of ``workload`` on the pooled platform.
 
-    This is the same measurement :class:`~repro.fabric.cosim.RackCoSimulator`
-    uses as its per-tenant reference, so job profiles built from it make the
-    static and fabric-coupled models agree exactly on an uncontended fabric.
+    This is the same (memoized) measurement
+    :class:`~repro.fabric.cosim.RackCoSimulator` uses as its per-tenant
+    reference, so job profiles built from it make the static and
+    fabric-coupled models agree exactly on an uncontended fabric.
     """
-    platform = Platform.pooled(
-        workload.footprint_bytes, local_fraction, testbed=testbed
-    )
-    result = ExecutionEngine(platform, seed=seed).run(workload)
+    result = baseline_run(workload, local_fraction, testbed, seed)
     return float(sum(p.runtime for p in result.phases))
 
 
@@ -183,12 +179,11 @@ def fabric_job_profile(
     expressed as a Level of Interference on the pool link, and ``pool_gb``
     from the remote share of the footprint — so static-curve and
     fabric-coupled schedulers price the *same* job stream with their two
-    different interference machineries.
+    different interference machineries.  The engine run is the co-simulator's
+    own baseline (:func:`~repro.fabric.cosim.baseline_run`), so a coupled
+    study pays it once per workload, not once per profile and once per rack.
     """
-    platform = Platform.pooled(
-        workload.footprint_bytes, local_fraction, testbed=testbed
-    )
-    result = ExecutionEngine(platform, seed=seed).run(workload)
+    result = baseline_run(workload, local_fraction, testbed, seed)
     baseline = float(sum(p.runtime for p in result.phases))
     remote_bytes = float(sum(p.remote_bytes for p in result.phases))
     link = RemoteLink(testbed)

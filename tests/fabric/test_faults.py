@@ -12,6 +12,10 @@ import pytest
 from repro.config.errors import FabricError
 from repro.config.units import MiB
 from repro.fabric import (
+    DEFAULT_DRAIN_BYTES_PER_S,
+    ClusterCoSimulator,
+    ClusterFabric,
+    FabricTopology,
     FaultEvent,
     FaultSchedule,
     MemoryPool,
@@ -55,6 +59,41 @@ def kill_schedule(time=0.3, duration=0.2, port=0):
     return FaultSchedule(
         (FaultEvent(time=time, kind="port-kill", port=port, duration=duration),)
     )
+
+
+#: Lease bytes whose give-back drains in 1 ms at the default drain rate.
+SMALL_SHRINK = 4 * MiB
+
+
+def drain_then_kill(duration=None):
+    """t0 starts a 1 ms drain and its port 0 dies in the same instant."""
+    return FaultSchedule(
+        (
+            FaultEvent(time=0.2, kind="lease-shrink", tenant="t0", nbytes=SMALL_SHRINK),
+            FaultEvent(time=0.2, kind="port-kill", port=0, duration=duration),
+        )
+    )
+
+
+def one_tenant_per_port_cluster():
+    sim = ClusterCoSimulator(ClusterFabric(n_racks=1, nodes_per_rack=2, n_ports=2), seed=0)
+    for spec in tenants(2):
+        sim.admit(0, spec)
+    return sim
+
+
+@pytest.fixture()
+def cluster_steps(monkeypatch):
+    """Every ``dt`` passed to :meth:`ClusterCoSimulator.step`, in order."""
+    steps = []
+    step = ClusterCoSimulator.step
+
+    def counting_step(self, dt):
+        steps.append(dt)
+        return step(self, dt)
+
+    monkeypatch.setattr(ClusterCoSimulator, "step", counting_step)
+    return steps
 
 
 class TestFaultEventValidation:
@@ -185,6 +224,74 @@ class TestPortFaults:
         result = sim.run()
         assert result.makespan > clean.makespan
         assert result.blast_radius.total_stall_seconds == 0.0
+
+    def test_debt_behind_killed_port_does_not_pin_the_horizon(self, cluster_steps):
+        """A tenant behind a killed port owes its drain but cannot pay it.
+
+        The port restore is a fault time and bounds the horizon anyway, so
+        the stall must pass in epoch-sized steps, not debt-sized (1 ms) ones.
+        """
+        clean = one_tenant_per_port_cluster()
+        before = {t["name"]: t["runtime_s"] for t in clean.run_to_completion()["tenants"]}
+        kill = 2.0
+        sim = one_tenant_per_port_cluster()
+        sim.inject_faults(drain_then_kill(duration=kill))
+        cluster_steps.clear()
+        after = {t["name"]: t["runtime_s"] for t in sim.run_to_completion()["tenants"]}
+        # One tenant per port: t0 loses exactly the kill window plus its drain.
+        assert after["t0"] == pytest.approx(
+            before["t0"] + kill + SMALL_SHRINK / DEFAULT_DRAIN_BYTES_PER_S, rel=1e-12
+        )
+        assert after["t1"] == before["t1"]
+        assert len(cluster_steps) < 2 * after["t0"] / sim.epoch_seconds
+
+    def test_seeded_kills_during_drains_keep_epoch_sized_steps(
+        self, cluster_steps, monkeypatch
+    ):
+        """Seed 1 kills port 1 while t1 drains a 1 ms give-back.
+
+        The old horizon rule (every owed debt bounds the step) is the oracle:
+        it reaches the same runtimes, only in debt-sized steps.
+        """
+
+        def run():
+            cluster_steps.clear()
+            sim = one_tenant_per_port_cluster()
+            sim.inject_faults(
+                FaultSchedule.seeded(
+                    seed=1, horizon=3.0, n_events=6,
+                    kinds=("port-kill", "lease-shrink"), n_ports=2,
+                    tenants=["t0", "t1"], nbytes=SMALL_SHRINK, mean_duration=1.0,
+                )
+            )
+            summary = sim.run_to_completion()
+            runtimes = {t["name"]: t["runtime_s"] for t in summary["tenants"]}
+            return runtimes, len(cluster_steps), sim.epoch_seconds
+
+        runtimes, steps, epoch = run()
+        monkeypatch.setattr(
+            RackCoSimulator,
+            "_draining",
+            lambda self, state: state.running and state.migration_debt > 0.0,
+        )
+        oracle, oracle_steps, _ = run()
+        assert runtimes == pytest.approx(oracle, rel=1e-12)
+        assert steps < 2 * max(runtimes.values()) / epoch < oracle_steps
+
+    def test_debt_behind_a_port_that_never_returns_is_a_permanent_stall(self):
+        """Debt nobody can pay is no progress: both run loops stop, not spin."""
+        rack = RackCoSimulator(
+            tenants(2), topology=FabricTopology(n_nodes=2, n_ports=2), seed=0
+        )
+        rack.inject_faults(drain_then_kill())
+        finish = {t.name: t.finish_time for t in rack.run().tenants}
+        assert finish["t0"] is None and finish["t1"] is not None
+        cluster = one_tenant_per_port_cluster()
+        cluster.inject_faults(drain_then_kill())
+        summary = cluster.run_to_completion()
+        runtimes = {t["name"]: t["runtime_s"] for t in summary["tenants"]}
+        assert runtimes["t0"] == 0.0 and runtimes["t1"] > 0.0
+        assert summary["faults"]["stalled_tenants"] == ["t0"]
 
     def test_inject_twice_refused(self):
         sim = RackCoSimulator(tenants(1), seed=0)

@@ -2,11 +2,11 @@
 
 The scalar fixed point of :meth:`FabricTopology.resolve_detailed` is the
 ground truth; the vectorized single-rack path, the batched multi-rack path
-(:meth:`ClusterFabric.resolve_all`), the demand-keyed contention cache and
-the incremental stepper's dirty-epoch skip are all *optimisations* of it and
-must stay within solver tolerance of what it computes — including when the
-fixed point does **not** converge, where every path must surface the same
-diagnostics and the same :class:`FabricConvergenceWarning`.
+(:meth:`ClusterFabric.resolve_all`) and the incremental stepper's
+dirty-epoch skip are all *optimisations* of it and must stay within solver
+tolerance of what it computes — including when the fixed point does **not**
+converge, where every path must surface the same diagnostics and the same
+:class:`FabricConvergenceWarning`.
 
 Property-based (hypothesis) where the input space is wide — random demand
 matrices, random tenant churn — with seeded NumPy fallbacks for the
@@ -28,10 +28,8 @@ from hypothesis import strategies as st
 
 from repro.fabric import (
     ClusterFabric,
-    ContentionCache,
     FabricConvergenceWarning,
     FabricTopology,
-    quantize_demands,
     solve_fixed_point,
     validate_solver,
 )
@@ -184,70 +182,6 @@ def test_batched_nonconvergence_warns_once_with_rack_count():
         solve = fabric.resolve_all(demands, iterations=2, solver="vectorized")
     assert not solve.converged
     assert all(not rack.converged for rack in solve.racks)
-
-
-# -- cached path ----------------------------------------------------------------------
-
-
-@given(demands=demand_maps(max_nodes=6))
-def test_cache_hit_matches_fresh_solve(demands):
-    topology = FabricTopology(n_nodes=6, n_ports=2)
-    cache = topology.enable_solver_cache()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FabricConvergenceWarning)
-        fresh = topology.resolve_detailed(demands)
-        again = topology.resolve_detailed(demands)
-    assert cache.hits >= 1
-    assert again.delivered == fresh.delivered
-    assert again.iterations == fresh.iterations
-    assert again.converged == fresh.converged
-
-
-def test_cache_serves_subquantum_perturbations_within_tolerance():
-    topology = FabricTopology(n_nodes=4, n_ports=1)
-    cache = topology.enable_solver_cache()
-    base = {n: 10 * GBs for n in range(4)}
-    first = topology.resolve_detailed(base)
-    # Perturb well below the cache quantum: the cached allocation is served
-    # and must still be within tolerance of a fresh solve of the perturbed
-    # demands (that is the quantum's contract).
-    perturbed = {n: v + cache.quantum / 8 for n, v in base.items()}
-    served = topology.resolve_detailed(perturbed)
-    assert cache.hits == 1
-    assert served.delivered == first.delivered
-    topology.disable_solver_cache()
-    fresh = topology.resolve_detailed(perturbed)
-    assert_delivered_close(served.delivered, fresh.delivered)
-
-
-def test_cache_hit_reemits_nonconvergence_warning():
-    topology = FabricTopology(n_nodes=8, n_ports=1)
-    topology.enable_solver_cache()
-    demands = {n: topology.testbed.remote_bandwidth for n in range(8)}
-    with pytest.warns(FabricConvergenceWarning):
-        topology.resolve_detailed(demands, iterations=2)
-    with pytest.warns(FabricConvergenceWarning):
-        cached = topology.resolve_detailed(demands, iterations=2)
-    assert not cached.converged
-
-
-def test_cache_is_lru_and_bounded():
-    cache = ContentionCache(maxsize=2)
-    keys = [cache.key({0: float(i) * GBs}, 64, 0.5, TOLERANCE) for i in range(3)]
-    cache.put(keys[0], "a")
-    cache.put(keys[1], "b")
-    assert cache.get(keys[0]) == "a"  # refresh 0 -> 1 is now LRU
-    cache.put(keys[2], "c")
-    assert cache.get(keys[1]) is None
-    assert cache.get(keys[0]) == "a"
-    assert len(cache) == 2
-
-
-def test_quantize_demands_is_order_independent():
-    a = quantize_demands({0: 1.0 * GBs, 1: 2.0 * GBs})
-    b = quantize_demands({1: 2.0 * GBs, 0: 1.0 * GBs})
-    assert a == b
-    assert quantize_demands({0: 1.0 * GBs}) != quantize_demands({0: 2.0 * GBs})
 
 
 # -- solve_fixed_point kernel ---------------------------------------------------------
