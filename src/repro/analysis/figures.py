@@ -231,7 +231,6 @@ def figure_fabric_pool_timeline(
     seed: int = 0,
     n_racks: int = 1,
     cluster_pool_bytes: Optional[int] = None,
-    solver: str = "vectorized",
 ) -> dict:
     """Pool-telemetry timeline of a rack co-simulation (fabric extension).
 
@@ -266,9 +265,7 @@ def figure_fabric_pool_timeline(
 
         from ..fabric import ClusterCoSimulator, ClusterFabric
 
-        fabric = ClusterFabric(
-            n_racks=n_racks, nodes_per_rack=n_tenants, n_ports=n_ports, solver=solver
-        )
+        fabric = ClusterFabric(n_racks=n_racks, nodes_per_rack=n_tenants, n_ports=n_ports)
         simulator = ClusterCoSimulator(
             fabric,
             rack_pool_bytes=pool_capacity_bytes,
@@ -321,7 +318,7 @@ def figure_fabric_pool_timeline(
     pool = (
         MemoryPool(pool_capacity_bytes) if pool_capacity_bytes is not None else None
     )
-    topology = FabricTopology(n_nodes=n_tenants, n_ports=n_ports, solver=solver)
+    topology = FabricTopology(n_nodes=n_tenants, n_ports=n_ports)
     result = RackCoSimulator(tenants, pool=pool, topology=topology, seed=seed).run()
     backgrounds = {}
     for outcome in result.finished_tenants:

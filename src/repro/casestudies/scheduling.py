@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..config.units import bytes_to_gb
-from ..fabric.solver import SOLVER_VECTORIZED
 from ..profiler.level3 import Level3Profiler, SensitivityCurve
 from ..scheduler.cluster import Cluster
 from ..scheduler.job import JobProfile
@@ -270,7 +269,6 @@ class CoupledSchedulingStudy:
         epoch_seconds: Optional[float] = None,
         scale: float = 1.0,
         seed: int = 0,
-        solver: str = SOLVER_VECTORIZED,
         cluster_pool_gb: float = 0.0,
         fault_schedule=None,
         overcommit: bool = False,
@@ -285,7 +283,6 @@ class CoupledSchedulingStudy:
         self.epoch_seconds = epoch_seconds
         self.scale = scale
         self.seed = seed
-        self.solver = solver
         self.cluster_pool_gb = cluster_pool_gb
         #: Fault schedule injected into the *coupled* leg only: the static
         #: leg has no fabric to break, which is exactly the comparison the
@@ -355,7 +352,6 @@ class CoupledSchedulingStudy:
             ports_per_rack=self.ports_per_rack,
             epoch_seconds=self.epoch_seconds,
             seed=self.seed,
-            solver=self.solver,
             cluster_pool_gb=self.cluster_pool_gb,
             fault_schedule=self.fault_schedule,
             overcommit=self.overcommit,

@@ -344,7 +344,6 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
             epoch_seconds=args.epoch_seconds,
             scale=args.scale,
             seed=args.seed,
-            solver=args.solver,
             cluster_pool_gb=args.cluster_pool_gb,
             fault_schedule=schedule,
             overcommit=args.overcommit,
@@ -386,7 +385,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
             n_ports=args.ports,
             port_capacity_scale=args.port_capacity_scale,
             uplink_capacity_scale=args.uplink_scale,
-            solver=args.solver,
         )
         simulator = ClusterCoSimulator(
             fabric,
@@ -428,7 +426,6 @@ def cmd_fabric(args: argparse.Namespace) -> int:
         n_nodes=args.tenants,
         n_ports=args.ports,
         port_capacity_scale=args.port_capacity_scale,
-        solver=args.solver,
     )
     simulator = RackCoSimulator(
         tenants,
@@ -613,13 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "co-location with the paper's full submission-time hints",
     )
     p_sched.add_argument(
-        "--solver",
-        choices=("vectorized", "scalar"),
-        default="vectorized",
-        help="contention solver of the coupled fabric (vectorized NumPy or "
-        "the scalar reference path)",
-    )
-    p_sched.add_argument(
         "--cluster-pool-gb",
         type=nonnegative_float,
         default=0.0,
@@ -673,13 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N_RACKS",
         help="co-simulate N_RACKS racks (each with --tenants tenants) through "
         "the cluster fabric instead of a single rack",
-    )
-    p_fabric.add_argument(
-        "--solver",
-        choices=("vectorized", "scalar"),
-        default="vectorized",
-        help="contention solver: batched NumPy fixed point or the scalar "
-        "reference path",
     )
     p_fabric.add_argument(
         "--cluster-pool-gb",

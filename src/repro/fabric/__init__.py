@@ -71,14 +71,7 @@ from .pool import (
     PoolSample,
     ReclaimRecord,
 )
-from .solver import (
-    SOLVER_SCALAR,
-    SOLVER_VECTORIZED,
-    SOLVERS,
-    FixedPointResult,
-    solve_fixed_point,
-    validate_solver,
-)
+from .solver import FixedPointResult, solve_fixed_point
 from .topology import FabricConvergenceWarning, FabricTopology, SolveDiagnostics
 
 __all__ = [
@@ -90,11 +83,7 @@ __all__ = [
     "ClusterSolve",
     "ClusterTenantOutcome",
     "FixedPointResult",
-    "SOLVERS",
-    "SOLVER_SCALAR",
-    "SOLVER_VECTORIZED",
     "solve_fixed_point",
-    "validate_solver",
     "EpochCheckpoint",
     "RackCoSimResult",
     "RackCoSimulator",

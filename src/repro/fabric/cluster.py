@@ -18,12 +18,11 @@ This is ROADMAP item 1's datacenter layer on top of the single-rack
   their progress rates as per-node background offsets
   (:meth:`~repro.fabric.cosim.RackCoSimulator.set_background_offset`).
 
-Scaling comes from three mechanisms, all testable against their slow
-reference paths: the batched vectorized solver (``solver="scalar"`` falls
-back to per-rack reference solves), the racks' dirty-epoch skip (a rack whose
-demand vector is unchanged is not re-solved at rollover), and each tenant's
-memoized progress rate (the perf model re-runs only when the tenant's phase
-or its epoch background changes).
+Scaling comes from three mechanisms, each held to a slow reference path by
+the test suite: one batched vectorized solve for every rack due a rollover,
+the racks' dirty-epoch skip (a rack whose demand vector is unchanged is not
+re-solved at rollover), and each tenant's memoized progress rate (the perf
+model re-runs only when the tenant's phase or its epoch background changes).
 
 Spine coupling model
 --------------------
@@ -55,12 +54,7 @@ from ..telemetry import metrics, trace_span
 from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec
 from .faults import BlastRadiusReport, FaultSchedule, TenantImpact
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
-from .solver import (
-    SOLVER_SCALAR,
-    SOLVER_VECTORIZED,
-    solve_fixed_point,
-    validate_solver,
-)
+from .solver import solve_fixed_point
 from .topology import FabricConvergenceWarning, FabricTopology, SolveDiagnostics
 
 
@@ -70,9 +64,8 @@ class ClusterSolve:
 
     ``racks[i]`` is rack ``i``'s :class:`~repro.fabric.topology.
     SolveDiagnostics`.  The cluster-level fields aggregate: ``iterations`` is
-    the largest per-rack iteration count (scalar path) or the shared global
-    count (vectorized batch), ``converged`` requires every rack to have
-    converged, ``residual`` is the largest per-rack residual.
+    the batch's shared global count, ``converged`` requires every rack to
+    have converged, ``residual`` is the largest per-rack residual.
     """
 
     racks: tuple[SolveDiagnostics, ...]
@@ -104,9 +97,6 @@ class ClusterFabric:
     spine_capacity_scale:
         Multiplier for the shared spine; the default provisions it at half
         the combined uplink capacity (a 2:1 oversubscribed fat tree).
-    solver:
-        Default solver for :meth:`resolve_all` and every rack topology
-        (``"vectorized"`` or ``"scalar"``).
     """
 
     def __init__(
@@ -119,7 +109,6 @@ class ClusterFabric:
         uplink_capacity_scale: float = 4.0,
         spine_capacity_scale: Optional[float] = None,
         queueing: QueueingModel | None = None,
-        solver: str = SOLVER_VECTORIZED,
     ) -> None:
         if n_racks <= 0:
             raise FabricError("a cluster needs at least one rack")
@@ -133,7 +122,6 @@ class ClusterFabric:
         self.nodes_per_rack = int(nodes_per_rack)
         self.n_ports = int(n_ports)
         self.testbed = testbed
-        self.solver = validate_solver(solver)
         self.racks: tuple[FabricTopology, ...] = tuple(
             FabricTopology(
                 n_nodes=nodes_per_rack,
@@ -141,7 +129,6 @@ class ClusterFabric:
                 testbed=testbed,
                 port_capacity_scale=port_capacity_scale,
                 queueing=queueing,
-                solver=solver,
             )
             for _ in range(self.n_racks)
         )
@@ -182,43 +169,24 @@ class ClusterFabric:
         iterations: int = 64,
         damping: Optional[float] = None,
         tolerance: float = 1e6,
-        solver: Optional[str] = None,
     ) -> ClusterSolve:
         """Resolve every rack's port contention in one call.
 
         ``demands[i]`` is rack ``i``'s demand map (rack-local node ->
         offered bytes/s).  Racks are independent sub-problems (each node
-        contends only on its own rack's port), so the vectorized path
-        flattens all racks into one array and runs a single batched
-        fixed-point solve — this is the cluster-scale hot path the
-        ``solver_vectorized`` benchmark group times.  ``solver="scalar"``
-        instead resolves each rack through the reference implementation,
-        giving the differential suite a slow ground truth.
+        contends only on its own rack's port), so all racks flatten into one
+        array and a single batched fixed-point solve — this is the
+        cluster-scale hot path the ``solver_vectorized`` benchmark group
+        times.
 
-        Per-rack :class:`~repro.fabric.topology.SolveDiagnostics` are
-        returned either way.  Batched solves iterate until *every* rack
-        converges, so per-rack iteration counts equal the global count and
-        already-converged racks keep contracting toward the same fixed point
-        (their values stay within solver tolerance of an early-stopped
-        per-rack solve).
+        Batched solves iterate until *every* rack converges, so per-rack
+        iteration counts equal the global count and already-converged racks
+        keep contracting toward the same fixed point (their values stay
+        within solver tolerance of an early-stopped per-rack solve).
         """
         if len(demands) != self.n_racks:
             raise FabricError(
                 f"expected {self.n_racks} demand maps, got {len(demands)}"
-            )
-        solver = validate_solver(solver if solver is not None else self.solver)
-        if solver == SOLVER_SCALAR:
-            diags = tuple(
-                rack.resolve_detailed(
-                    rack_demands, iterations, damping, tolerance, solver=SOLVER_SCALAR
-                )
-                for rack, rack_demands in zip(self.racks, demands)
-            )
-            return ClusterSolve(
-                racks=diags,
-                iterations=max(d.iterations for d in diags),
-                converged=all(d.converged for d in diags),
-                residual=max(d.residual for d in diags),
             )
         return self.resolve_racks(
             range(self.n_racks), demands, iterations, damping, tolerance
@@ -345,7 +313,6 @@ class ClusterFabric:
             "n_racks": self.n_racks,
             "nodes_per_rack": self.nodes_per_rack,
             "n_ports": self.n_ports,
-            "solver": self.solver,
             "uplink_data_capacity_gbs": self.uplinks[0].data_capacity / 1e9,
             "spine_data_capacity_gbs": self.spine.data_capacity / 1e9,
             "rack": self.racks[0].describe(),
@@ -473,12 +440,6 @@ class ClusterCoSimulator:
             else None
         )
         self.seed = int(seed)
-        #: Stepping-path override: None (default) picks the fused batched
-        #: epoch path whenever ``fabric.solver == "vectorized"``; True/False
-        #: force it on/off (the ``cluster_step_batched`` bench uses False to
-        #: time the per-rack reference loop under the same solver kernel).
-        #: Faults always force the per-rack path regardless.
-        self.batched_stepping: Optional[bool] = None
         self._clock = 0.0
         self._epoch: Optional[float] = epoch_seconds
         self._epoch_elapsed = 0.0
@@ -639,108 +600,43 @@ class ClusterCoSimulator:
     def step(self, dt: float) -> dict[str, float]:
         """Advance all racks ``dt`` wall-seconds in one cluster epoch loop.
 
-        Racks step in lockstep chunks bounded by the cluster epoch; at every
-        cluster epoch boundary the inter-rack coupling (uplink/spine
-        backgrounds of spilled tenants) is refreshed from the racks' live
-        demands.  Returns baseline-seconds completed per tenant, merged
-        across racks.
-
-        With ``solver="vectorized"`` (the default) and no fault schedule
-        armed, racks advance through the **fused batched epoch path**: every
-        rack's intra-epoch progress runs through
-        :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen` and all dirty
-        racks' epoch re-solves batch into one
-        :meth:`ClusterFabric.resolve_racks` call at the boundary, instead of
-        ``n_racks`` independent ``RackCoSimulator.step`` calls each running
-        its own solve.  ``solver="scalar"`` keeps the original per-rack loop
-        as the reference path (the ``cluster_step_batched`` bench group and
-        the batched-equivalence tests hold the two together); a cluster with
-        faults armed always uses the per-rack path, whose sub-chunk
-        scheduling lands fault events at their exact times.
+        Racks advance in lockstep chunks through
+        :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`, each chunk
+        cut at the cluster epoch boundary, at every rack's epoch end and at
+        every armed rack's next fault (see
+        :meth:`~repro.fabric.cosim.RackCoSimulator.begin_chunk`).  At the end
+        of every chunk all racks whose epoch is due roll over together, their
+        re-solves batched into one :meth:`ClusterFabric.resolve_racks` call,
+        and at every cluster epoch boundary the inter-rack coupling
+        (uplink/spine backgrounds of spilled tenants) is refreshed from the
+        racks' live demands.  Returns baseline-seconds completed per tenant,
+        merged across racks.
         """
         if dt < 0:
             raise FabricError("cannot step the cluster backwards")
-        registry = metrics()
-        registry.counter("fabric.cluster.step_calls").inc()
+        metrics().counter("fabric.cluster.step_calls").inc()
         done: dict[str, float] = {name: 0.0 for name in self._tenant_rack}
+        end = self._clock + dt
         remaining = float(dt)
         with trace_span("fabric.cluster.step", racks=self.fabric.n_racks):
             while remaining > 1e-15:
-                if self._epoch is None:
-                    # Nothing admitted anywhere: time passes, no work happens.
+                chunk = min([remaining] + [sim.begin_chunk() for sim in self.rack_sims])
+                if self._epoch is not None:
+                    chunk = min(chunk, max(self._epoch - self._epoch_elapsed, 0.0))
+                if chunk > 0:
                     for sim in self.rack_sims:
-                        sim.step(remaining)
-                    self._clock += remaining
-                    return done
-                batched = self._batched_stepping
-                chunk = min(
-                    remaining, max(self._epoch - self._epoch_elapsed, 0.0)
-                )
-                if chunk <= 0:
-                    self._rollover_cluster_epoch()
-                    continue
-                for sim in self.rack_sims:
-                    if batched:
-                        self._step_rack_frozen(sim, chunk, done)
-                    else:
-                        for name, amount in sim.step(chunk).items():
+                        for name, amount in sim.step_frozen(chunk).items():
                             if amount:
                                 done[name] = done.get(name, 0.0) + amount
-                self._clock += chunk
-                self._epoch_elapsed += chunk
-                remaining -= chunk
-                if self._epoch_elapsed >= self._epoch - 1e-12:
-                    self._rollover_cluster_epoch()
+                    self._clock += chunk
+                    if self._epoch is not None:
+                        self._epoch_elapsed += chunk
+                self._roll_over_due()
+                remaining = end - self._clock
         return done
 
-    @property
-    def _batched_stepping(self) -> bool:
-        """Whether the fused batched epoch path is usable right now."""
-        if self.batched_stepping is not None:
-            return bool(self.batched_stepping) and not self._faults_active
-        return self.fabric.solver == SOLVER_VECTORIZED and not self._faults_active
-
-    def _step_rack_frozen(
-        self, sim: RackCoSimulator, chunk: float, done: dict[str, float]
-    ) -> None:
-        """Advance one rack ``chunk`` seconds on the frozen-background path.
-
-        In the common case (rack epochs aligned with the cluster epoch) this
-        is a single :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`
-        call and the rack's rollover happens batched at the cluster boundary.
-        A rack whose epoch phase drifted from the cluster's (a mid-epoch
-        admission or withdrawal forces a rack rollover, restarting its epoch)
-        rolls itself over mid-chunk exactly where :meth:`~repro.fabric.cosim.
-        RackCoSimulator.step` would — those transitional solves run per-rack,
-        and the rack re-enters the batch once its boundary realigns.
-        """
-        remaining = float(chunk)
-        while remaining > 1e-15:
-            if sim._inc_epoch is None:
-                sim.step_frozen(remaining)
-                return
-            sub = min(
-                remaining, max(sim._inc_epoch - sim._inc_epoch_elapsed, 0.0)
-            )
-            if sub <= 0:
-                sim._rollover_epoch()
-                continue
-            for name, amount in sim.step_frozen(sub).items():
-                if amount:
-                    done[name] = done.get(name, 0.0) + amount
-            remaining -= sub
-            if remaining > 1e-15 and sim.epoch_due():
-                sim._rollover_epoch()
-
-    def _rollover_cluster_epoch(self) -> None:
-        metrics().counter("fabric.cluster.epochs").inc()
-        if self._batched_stepping:
-            self._rollover_racks_batched()
-        self._epoch_elapsed = 0.0
-        self._recouple()
-
-    def _rollover_racks_batched(self) -> None:
-        """Roll every due rack's epoch with one batched contention solve.
+    def _roll_over_due(self) -> None:
+        """Roll over every rack whose epoch is due, then the cluster epoch.
 
         Mirrors :meth:`~repro.fabric.cosim.RackCoSimulator._rollover_epoch`
         exactly — same dirty-rack skip keyed on the solve signature, same
@@ -772,6 +668,10 @@ class ClusterCoSimulator:
                 sim._apply_epoch_solve(running, diag.delivered, solve_key)
         for sim, running, demands in due:
             sim._complete_rollover(running, demands)
+        if self._epoch is not None and self._epoch_elapsed >= self._epoch - 1e-12:
+            registry.counter("fabric.cluster.epochs").inc()
+            self._epoch_elapsed = 0.0
+            self._recouple()
 
     def _recouple(self) -> None:
         """Refresh spilled tenants' uplink/spine background offsets.
@@ -997,7 +897,6 @@ class ClusterCoSimulator:
             ),
             "n_racks": self.fabric.n_racks,
             "nodes_per_rack": self.fabric.nodes_per_rack,
-            "solver": self.fabric.solver,
             "epoch_seconds": self._epoch,
             "spilled_tenants": sum(1 for o in outcomes if o.spilled),
             "cluster_pool_gb": (

@@ -57,7 +57,7 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   :meth:`step` sub-chunks at fault times, each applied fault forces an epoch
   rollover (dirtying the solver key), and the damage is summarised by
   :meth:`RackCoSimulator.blast_radius`.  With no faults injected and a
-  non-elastic pool, the fault layer is one boolean check per step chunk and
+  non-elastic pool, the fault layer is two boolean checks per step chunk and
   every output is bit-identical to a fault-free build; rollback across an
   *applied* fault raises (pool/lease state is not checkpointed), while
   rollback with faults merely pending is bit-identical as before.  See
@@ -66,9 +66,10 @@ driven **incrementally** by an external scheduler, one rack per simulator:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +100,7 @@ from .pool import (
     LEASE_QUEUED,
     LEASE_REJECTED,
     LEASE_REVOKED,
+    Lease,
     MemoryPool,
     PoolSample,
 )
@@ -623,7 +625,7 @@ class RackCoSimulator:
     ) -> "RackCoSimulator":
         """An empty co-simulator an external scheduler drives tenant by tenant.
 
-        Unlike the batch constructor there is no up-front tenant list: the
+        Unlike the closed-loop constructor there is no up-front tenant list: the
         caller :meth:`admit`\\ s tenants as its jobs start, :meth:`step`\\ s the
         rack between its own events and :meth:`withdraw`\\ s tenants it
         retires.  ``pool`` defaults to an effectively unbounded pool (the
@@ -676,7 +678,8 @@ class RackCoSimulator:
         self.skip_unchanged_epochs: bool = True
         # Fault layer.  `_faults_active` is the single hot-path guard: while
         # False (no schedule injected, no elastic reclaim ever observed) the
-        # step loop pays one attribute check per chunk and nothing else.
+        # stepping loops pay two attribute checks per chunk (one in
+        # begin_chunk, one in step_frozen) and nothing else.
         self._faults_active = False
         self._fault_schedule: Optional[FaultSchedule] = None
         self._fault_events: tuple[FaultEvent, ...] = ()
@@ -770,130 +773,117 @@ class RackCoSimulator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> RackCoSimResult:
-        """Co-simulate all tenants to completion (or rejection)."""
+        """Co-simulate all tenants to completion (or rejection).
+
+        Drives the incremental API at exact event times: tenant ``i`` is
+        admitted on node ``i`` at its arrival time, a finished tenant returns
+        its lease the moment it finishes (granting queued tenants in that same
+        instant), and scheduled faults fire at their own times.  Whoever is
+        still queued once nothing runs, arrives or fires is rejected.
+        """
+        if self._inc_states:
+            raise FabricError("run() cannot follow incremental admissions")
         with trace_span("fabric.run", tenants=len(self.tenants)):
-            if self._fault_events or self.pool.elastic:
-                return self._run_chaos()
-            return self._run()
-
-    def _run(self) -> RackCoSimResult:
-        states = [_TenantState(spec, node=i) for i, spec in enumerate(self.tenants)]
-        profile_cache: dict = {}
-        for state in states:
-            self._profile_tenant(state, profile_cache)
-
-        epoch_seconds = self._epoch_seconds
-        if epoch_seconds is None:
-            longest = max(s.baseline_runtime for s in states)
-            epoch_seconds = max(longest / 40.0, 1e-6)
-
-        telemetry = RackTelemetry()
-        epochs = metrics().counter("fabric.cosim.epochs")
-        clock = 0.0
-        max_leased = 0
-        for _ in range(self.MAX_EPOCHS):
-            epochs.inc()
-            # Submit arrivals.
-            for state in states:
-                if state.lease is None and state.spec.arrival <= clock:
-                    state.lease = self.pool.request(
-                        state.spec.name, state.spec.lease_bytes, time=clock
-                    )
-            max_leased = max(max_leased, self.pool.leased_bytes)
-
-            running = [s for s in states if s.running]
-            waiting = [
-                s for s in states if s.lease is not None and s.lease.state == LEASE_QUEUED
-            ]
-            if not running:
-                future = [
-                    s.spec.arrival
-                    for s in states
-                    if s.lease is None and s.spec.arrival > clock
+            if self._inc_epoch is None:
+                # ~1/40 of the longest baseline runtime across all tenants
+                # (profiles are cached, so the admissions reuse these runs).
+                longest = 0.0
+                for spec in self.tenants:
+                    probe = _TenantState(spec, node=0)
+                    self._profile_tenant(probe, self._inc_cache)
+                    longest = max(longest, probe.baseline_runtime)
+                self._inc_epoch = max(longest / 40.0, 1e-6)
+            pending = sorted(
+                range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
+            )
+            max_leased = 0
+            for _ in range(self.MAX_EPOCHS):
+                if self._faults_active:
+                    self._apply_due_faults()
+                while (
+                    pending
+                    and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
+                ):
+                    idx = pending.pop(0)
+                    spec = self.tenants[idx]
+                    self.admit(spec, node=idx, time=spec.arrival)
+                max_leased = max(max_leased, self.pool.leased_bytes)
+                states = list(self._inc_states.values())
+                finished = [
+                    s for s in states if s.finished and s.lease.state == LEASE_GRANTED
                 ]
-                if future:
-                    clock = min(future)
-                    continue
-                # Nothing runs and nothing will release capacity: any queued
-                # request can never be admitted.
-                for state in waiting:
-                    self.pool.release(state.lease, time=clock)
-                    state.lease.state = LEASE_REJECTED
-                break
-
-            # Resolve this epoch's emergent interference from all co-runners:
-            # what each tenant experiences as background is what the others
-            # actually *deliver* through the shared port, not what they ask for.
-            demands = {s.node: s.current_offered_bandwidth() for s in running}
-            delivered = self.topology.resolve(demands)
-            backgrounds = {
-                s.node: self.topology.background_for(s.node, delivered) for s in running
-            }
-            for state in running:
-                state.background_times.append(clock)
-                state.background_bandwidths.append(backgrounds[state.node])
-
-            ports_in_use = {self.topology.port_of(s.node) for s in running}
-            telemetry.record(
-                self.pool.sample(clock),
-                utilization=max(
-                    self.topology.port_utilization(p, demands) for p in ports_in_use
-                ),
-                waiting_seconds=max(
-                    self.topology.port_waiting_time(p, demands) for p in ports_in_use
-                ),
-            )
-
-            # Advance every running tenant through the epoch.
-            epoch_end = clock + epoch_seconds
-            for state in running:
-                used = self._advance(state, backgrounds[state.node], epoch_seconds)
-                if used is not None:
-                    state.finish_time = clock + used
-                    self.pool.release(state.lease, time=epoch_end)
-            clock = epoch_end
-        else:
-            raise FabricError(
-                f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
-            )
-
-        makespan = max((s.finish_time for s in states if s.finished), default=0.0)
-        interference = {
-            s.spec.name: DynamicInterference(
-                s.background_times,
-                s.background_bandwidths,
-                link=self.topology.link_of(s.node),
-            )
-            for s in states
-            if s.background_times
-        }
-        outcomes = tuple(
-            TenantOutcome(
-                name=s.spec.name,
-                workload=s.spec.workload.name,
-                node=s.node,
-                arrival=s.spec.arrival,
-                start_time=s.lease.granted_at if s.lease is not None else None,
-                finish_time=s.finish_time,
-                baseline_runtime=s.baseline_runtime,
-                lease_bytes=s.spec.lease_bytes,
-                lease_state=s.lease.state if s.lease is not None else LEASE_REJECTED,
-                mean_background_bandwidth=(
-                    float(np.mean(s.background_bandwidths))
-                    if s.background_bandwidths
-                    else 0.0
-                ),
-            )
-            for s in states
-        )
+                for state in finished:
+                    self.pool.release(state.lease, time=self._inc_clock)
+                if finished:
+                    self._rollover_epoch(force=True)
+                if not pending and states and all(s.finished for s in states):
+                    break
+                targets = [self.tenants[pending[0]].arrival] if pending else []
+                nxt = self._next_fault_time()
+                if nxt is not None:
+                    targets.append(nxt)
+                future = [t for t in targets if t > self._inc_clock + 1e-12]
+                if any(r > 0 for r in self.progress_rates().values()) or any(
+                    self._draining(s) for s in states
+                ):
+                    dt = self.horizon()
+                    if future:
+                        dt = min(dt, min(future) - self._inc_clock)
+                    self.step(dt)
+                elif future:
+                    # Nothing progresses right now; jump to the next arrival
+                    # or fault, whichever changes the world first.
+                    self.step(min(future) - self._inc_clock)
+                else:
+                    # Nothing moves, arrives or fires: whoever is still
+                    # queued can never be admitted.
+                    for state in states:
+                        if state.lease.state == LEASE_QUEUED and not state.finished:
+                            self.pool.release(state.lease, time=self._inc_clock)
+                            state.lease.state = LEASE_REJECTED
+                    break
+            else:
+                raise FabricError(
+                    f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
+                )
+        ordered = [self._inc_states[spec.name] for spec in self.tenants]
         return RackCoSimResult(
-            tenants=outcomes,
-            telemetry=telemetry,
-            makespan=makespan,
+            tenants=tuple(
+                TenantOutcome(
+                    name=s.spec.name,
+                    workload=s.spec.workload.name,
+                    node=s.node,
+                    arrival=s.spec.arrival,
+                    start_time=s.start_time,
+                    finish_time=s.finish_time,
+                    baseline_runtime=s.baseline_runtime,
+                    lease_bytes=s.spec.lease_bytes,
+                    lease_state=s.lease.state,
+                    mean_background_bandwidth=(
+                        float(np.mean(s.background_bandwidths))
+                        if s.background_bandwidths
+                        else 0.0
+                    ),
+                )
+                for s in ordered
+            ),
+            telemetry=self._inc_telemetry,
+            makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
             pool_capacity_bytes=self.pool.capacity_bytes,
             max_leased_bytes=max_leased,
-            epoch_seconds=epoch_seconds,
-            _interference=interference,
+            epoch_seconds=self._inc_epoch,
+            _interference={
+                s.spec.name: DynamicInterference(
+                    s.background_times,
+                    s.background_bandwidths,
+                    link=self.topology.link_of(s.node),
+                )
+                for s in ordered
+                if s.background_times
+            },
+            blast_radius=(
+                self.blast_radius() if self._fault_events or self.pool.elastic else None
+            ),
         )
 
     def _advance(
@@ -922,139 +912,6 @@ class RackCoSimulator:
         if state.phase_index >= len(state.phases):
             return used
         return None
-
-    def _run_chaos(self) -> RackCoSimResult:
-        """Closed-loop run for faulted or elastic scenarios.
-
-        Drives the incremental API (admit / step / fault application) instead
-        of the fixed-stride epoch loop in :meth:`_run`: faults need
-        exact-time sub-chunking and lease retries that loop cannot express.
-        :meth:`run` switches here automatically whenever a fault schedule was
-        injected or the pool is elastic, so the fault-free non-elastic batch
-        path stays untouched.
-        """
-        if self._inc_states:
-            raise FabricError("run() cannot follow incremental admissions")
-        if self._inc_epoch is None:
-            # Match the batch loop's default epoch: ~1/40 of the longest
-            # baseline runtime across all tenants (profiles are cached, so
-            # the admissions below reuse these runs).
-            longest = 0.0
-            for spec in self.tenants:
-                probe = _TenantState(spec, node=0)
-                self._profile_tenant(probe, self._inc_cache)
-                longest = max(longest, probe.baseline_runtime)
-            self._inc_epoch = max(longest / 40.0, 1e-6)
-        pending = sorted(
-            range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
-        )
-        released: set = set()
-        max_leased = 0
-        for _ in range(self.MAX_EPOCHS):
-            if self._faults_active:
-                self._apply_due_faults()
-            # Admit due arrivals (tenant i runs on node i, as in the batch loop).
-            while (
-                pending
-                and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
-            ):
-                idx = pending.pop(0)
-                self.admit(self.tenants[idx], node=idx)
-            max_leased = max(max_leased, self.pool.leased_bytes)
-            # Return leases of tenants that finished, admitting queued ones.
-            freed = False
-            for state in self._inc_states.values():
-                if (
-                    state.finished
-                    and state.spec.name not in released
-                    and state.lease is not None
-                    and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED)
-                ):
-                    self.pool.release(state.lease, time=self._inc_clock)
-                    released.add(state.spec.name)
-                    freed = True
-            if freed:
-                self._rollover_epoch(force=True)
-            states = list(self._inc_states.values())
-            if not pending and states and all(s.finished for s in states):
-                break
-            targets = []
-            if pending:
-                targets.append(self.tenants[pending[0]].arrival)
-            nxt = self._next_fault_time()
-            if nxt is not None:
-                targets.append(nxt)
-            future = [t for t in targets if t > self._inc_clock + 1e-12]
-            moving = any(r > 0 for r in self.progress_rates().values()) or any(
-                self._draining(s) for s in states
-            )
-            if moving:
-                dt = self.horizon()
-                if future:
-                    dt = min(dt, min(future) - self._inc_clock)
-                self.step(dt)
-                continue
-            if future:
-                # Nothing progresses right now; jump to the next arrival or
-                # fault, whichever changes the world first.
-                self.step(min(future) - self._inc_clock)
-                continue
-            # Nothing moves, nothing arrives, no fault will fire: whoever is
-            # still queued can never be admitted.
-            for state in states:
-                if (
-                    state.lease is not None
-                    and state.lease.state == LEASE_QUEUED
-                    and not state.finished
-                ):
-                    self.pool.release(state.lease, time=self._inc_clock)
-                    state.lease.state = LEASE_REJECTED
-            break
-        else:
-            raise FabricError(
-                f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
-            )
-
-        ordered = [self._inc_states[spec.name] for spec in self.tenants]
-        makespan = max((s.finish_time for s in ordered if s.finished), default=0.0)
-        interference = {
-            s.spec.name: DynamicInterference(
-                s.background_times,
-                s.background_bandwidths,
-                link=self.topology.link_of(s.node),
-            )
-            for s in ordered
-            if s.background_times
-        }
-        outcomes = tuple(
-            TenantOutcome(
-                name=s.spec.name,
-                workload=s.spec.workload.name,
-                node=s.node,
-                arrival=s.spec.arrival,
-                start_time=s.start_time,
-                finish_time=s.finish_time,
-                baseline_runtime=s.baseline_runtime,
-                lease_bytes=s.spec.lease_bytes,
-                lease_state=s.lease.state if s.lease is not None else LEASE_REJECTED,
-                mean_background_bandwidth=(
-                    float(np.mean(s.background_bandwidths))
-                    if s.background_bandwidths
-                    else 0.0
-                ),
-            )
-            for s in ordered
-        )
-        return RackCoSimResult(
-            tenants=outcomes,
-            telemetry=self._inc_telemetry,
-            makespan=makespan,
-            pool_capacity_bytes=self.pool.capacity_bytes,
-            max_leased_bytes=max_leased,
-            epoch_seconds=self._inc_epoch,
-            _interference=interference,
-            blast_radius=self.blast_radius(),
-        )
 
     # -- incremental (scheduler-driven) API -------------------------------------------
     #
@@ -1286,97 +1143,60 @@ class RackCoSimulator:
         the step get their ``finish_time`` set and stop demanding bandwidth;
         their leases stay held until :meth:`withdraw`.  Returns the baseline
         seconds each tenant completed during the step.
+
+        The step is a loop over :meth:`step_frozen` chunks, each cut at the
+        next epoch end or fault time (see :meth:`begin_chunk`).
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
-        registry = metrics()
-        registry.counter("fabric.cosim.step_calls").inc()
-        registry.counter("fabric.cosim.stepped_seconds").inc(dt)
         done = {name: 0.0 for name in self._inc_states}
+        end = self._inc_clock + dt
         remaining = float(dt)
         while remaining > 1e-15:
-            if self._faults_active:
-                self._apply_due_faults()
-            if self._inc_epoch is None:
-                # Nothing was ever admitted: time passes, no work happens —
-                # but scheduled faults still fire at their exact times.
-                if self._faults_active:
-                    nxt = self._next_fault_time()
-                    if nxt is not None and nxt <= self._inc_clock + remaining:
-                        advance = max(nxt - self._inc_clock, 0.0)
-                        self._inc_clock += advance
-                        remaining -= advance
-                        self._apply_due_faults()
-                        continue
-                self._inc_clock += remaining
-                return done
-            chunk = min(remaining, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
-            if self._faults_active:
-                # Sub-chunk at the next fault time so events land exactly.
-                nxt = self._next_fault_time()
-                if nxt is not None:
-                    chunk = min(chunk, max(nxt - self._inc_clock, 0.0))
-            if chunk <= 0:
+            chunk = min(remaining, self.begin_chunk())
+            if chunk > 0:
+                for name, amount in self.step_frozen(chunk).items():
+                    done[name] += amount
+            if self.epoch_due():
                 self._rollover_epoch()
-                continue
-            if self._faults_active:
-                for state in [s for s in self._inc_states.values() if s.running]:
-                    avail = self._fault_chunk_available(state, chunk)
-                    if avail <= 0.0:
-                        continue
-                    before = state.completed_baseline_seconds
-                    used = self._advance(
-                        state, self._inc_backgrounds.get(state.node, 0.0), avail
-                    )
-                    done[state.spec.name] += state.completed_baseline_seconds - before
-                    if used is not None and state.finish_time is None:
-                        state.finish_time = self._inc_clock + (chunk - avail) + used
-                for state in self._inc_states.values():
-                    # Between revocation and re-grant (the lease is REVOKED or
-                    # back in the queue) the tenant makes no progress: all of
-                    # that wall time is fault-induced stall.
-                    if (
-                        not state.finished
-                        and not state.running
-                        and state.revoked_at is not None
-                        and state.readmit_latency is None
-                    ):
-                        self._record_stall(state, chunk)
-            else:
-                for state in [s for s in self._inc_states.values() if s.running]:
-                    before = state.completed_baseline_seconds
-                    used = self._advance(
-                        state, self._inc_backgrounds.get(state.node, 0.0), chunk
-                    )
-                    done[state.spec.name] += state.completed_baseline_seconds - before
-                    if used is not None and state.finish_time is None:
-                        state.finish_time = self._inc_clock + used
-            self._inc_clock += chunk
-            self._inc_epoch_elapsed += chunk
-            remaining -= chunk
-            if self._inc_epoch_elapsed >= self._inc_epoch - 1e-12:
-                self._rollover_epoch()
+            remaining = end - self._inc_clock
         return done
+
+    def begin_chunk(self) -> float:
+        """Apply the faults that are due; return the longest chunk
+        :meth:`step_frozen` may take now.
+
+        That is the wall time to this rack's epoch end or its next fault,
+        whichever comes first: 0 when a rollover is due, infinite for a rack
+        with no epoch length yet and no fault pending.  Both stepping loops —
+        :meth:`step` and :meth:`ClusterCoSimulator.step
+        <repro.fabric.cluster.ClusterCoSimulator.step>` — cut their chunks
+        here, so faults land at their exact times.
+        """
+        bound = math.inf
+        if self._faults_active:
+            self._apply_due_faults()
+            nxt = self._next_fault_time()
+            if nxt is not None:
+                bound = max(nxt - self._inc_clock, 0.0)
+        if self._inc_epoch is not None:
+            bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
+        return bound
 
     def step_frozen(self, dt: float) -> dict[str, float]:
         """Advance ``dt`` wall-seconds under the current frozen backgrounds.
 
-        The fused inner kernel of the cluster's batched epoch path: exactly
-        the fault-free body of :meth:`step` for one intra-epoch chunk, with
-        the epoch rollover lifted out — the caller (a
-        :class:`~repro.fabric.cluster.ClusterCoSimulator`) rolls all racks
-        over centrally so their re-solves batch into one vectorized call.
-        ``dt`` must therefore not cross this rack's epoch boundary, and the
-        fault layer must be disarmed (a faulted rack needs the sub-chunk
-        fault scheduling of :meth:`step`).
+        The one place tenants advance.  ``dt`` must not cross this rack's
+        epoch end or next fault time (:meth:`begin_chunk` bounds it); the
+        caller rolls the epoch over once it is due, which lets a
+        :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
+        re-solve into one vectorized call.  A tenant on a killed port stalls
+        for the whole chunk, one owing migration debt pays it down first, and
+        a revoked tenant waiting for its lease stalls too.  Returns the
+        baseline seconds each tenant completed.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
-        if self._faults_active:
-            raise FabricError(
-                "step_frozen cannot run with the fault layer armed; "
-                "use step() for faulted racks"
-            )
         registry = metrics()
         registry.counter("fabric.cosim.step_calls").inc()
         registry.counter("fabric.cosim.stepped_seconds").inc(dt)
@@ -1392,14 +1212,30 @@ class RackCoSimulator:
                 "step_frozen cannot cross an epoch boundary; roll the epoch "
                 "over first"
             )
+        faulted = self._faults_active
         for state in [s for s in self._inc_states.values() if s.running]:
+            avail = self._fault_chunk_available(state, dt) if faulted else dt
+            if avail <= 0.0:
+                continue
             before = state.completed_baseline_seconds
             used = self._advance(
-                state, self._inc_backgrounds.get(state.node, 0.0), dt
+                state, self._inc_backgrounds.get(state.node, 0.0), avail
             )
             done[state.spec.name] += state.completed_baseline_seconds - before
             if used is not None and state.finish_time is None:
-                state.finish_time = self._inc_clock + used
+                state.finish_time = self._inc_clock + (dt - avail) + used
+        if faulted:
+            for state in self._inc_states.values():
+                # Between revocation and re-grant (the lease is REVOKED or
+                # back in the queue) the tenant makes no progress: all of
+                # that wall time is fault-induced stall.
+                if (
+                    state.revoked_at is not None
+                    and state.readmit_latency is None
+                    and not state.finished
+                    and not state.running
+                ):
+                    self._record_stall(state, dt)
         self._inc_clock += dt
         self._inc_epoch_elapsed += dt
         return done
@@ -1500,8 +1336,8 @@ class RackCoSimulator:
     #
     # The failure model these methods implement is documented in
     # ``docs/failure_model.md``.  Everything is inert until a schedule is
-    # injected (or the pool reclaims an elastic lease): the step loop then
-    # pays exactly one boolean check per chunk.
+    # injected (or the pool reclaims an elastic lease): the stepping loops
+    # then pay two boolean checks per chunk.
 
     def inject_faults(
         self,
@@ -1757,8 +1593,6 @@ class RackCoSimulator:
         """
         registry = metrics()
         registry.counter("fabric.cosim.epoch_rollovers").inc()
-        if self._faults_active:
-            self._retry_revoked()
         running, demands, solve_key = self._epoch_demands()
         if (
             not force
@@ -1781,8 +1615,11 @@ class RackCoSimulator:
         split out so :class:`~repro.fabric.cluster.ClusterCoSimulator` can
         collect every rack's demands, batch the dirty ones through one
         vectorized solve, and finish each rack with the exact same
-        bookkeeping as a self-driven rollover.
+        bookkeeping as a self-driven rollover.  With the fault layer armed,
+        revoked tenants re-request their leases first.
         """
+        if self._faults_active:
+            self._retry_revoked()
         running = [s for s in self._inc_states.values() if s.running]
         if self._port_scales:
             # Tenants on killed ports demand nothing (they are stalled), and

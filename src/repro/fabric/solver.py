@@ -2,22 +2,21 @@
 
 The damped fixed point of :meth:`repro.fabric.topology.FabricTopology.resolve`
 is the hot path of every co-simulation epoch, and at cluster scale it runs
-once per rack per epoch.  This module provides the NumPy implementation that
-makes it scale: :func:`solve_fixed_point` is the Jacobi iteration of the
-scalar reference path expressed on flat arrays, so one call can resolve one
-rack *or* a whole cluster's racks batched into a single demand vector (racks
-are independent because every node belongs to exactly one port).
+once per rack per epoch.  :func:`solve_fixed_point` is its one
+implementation: a Jacobi iteration on flat arrays, so one call can resolve
+one rack *or* a whole cluster's racks batched into a single demand vector
+(racks are independent because every node belongs to exactly one port).
 
-The math mirrors the scalar reference exactly (same damping, same update
-rule, same Jacobi scheduling of updates): per iteration every node's
-available share is the port's data capacity minus what its co-runners
-currently *deliver* (never below ``min_share`` of the capacity, never above
-the per-node link), and the node moves a ``damping`` fraction of the way to
-``min(offered, available)``.  The only numerical difference is that per-port
-background sums are computed as ``port_total - own`` instead of an explicit
-sum over co-runners, which differs by float rounding only (orders of
-magnitude below the convergence tolerance).  The differential suite in
-``tests/fabric/test_solver_equivalence.py`` holds the two paths together.
+Per iteration every node's available share is the port's data capacity
+minus what its co-runners currently *deliver* (never below ``min_share`` of
+the capacity, never above the per-node link), and the node moves a
+``damping`` fraction of the way to ``min(offered, available)``.  A
+pure-Python reference of the same iteration, node by node, lives in the test
+suite (``tests/fabric/oracles.py``); it differs only in computing per-port
+background sums as an explicit sum over co-runners instead of
+``port_total - own`` (float rounding, orders of magnitude below the
+convergence tolerance), and ``tests/fabric/test_solver_equivalence.py``
+holds the two together.
 """
 
 from __future__ import annotations
@@ -26,20 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Solver names accepted everywhere a path is selectable.
-SOLVER_SCALAR = "scalar"
-SOLVER_VECTORIZED = "vectorized"
-SOLVERS = (SOLVER_SCALAR, SOLVER_VECTORIZED)
-
 #: Adaptive damping backoff: every ``BACKOFF_WINDOW`` iterations the solver
 #: checks whether the residual has at least halved (``BACKOFF_IMPROVEMENT``)
 #: since the previous window boundary.  A stalled residual means the
 #: iteration is contracting too slowly (typically every node clamped to the
 #: min-share floor, where the update is a pure geometric decay at rate
 #: ``1 - damping``), so the solver halves the *retained* fraction —
-#: ``damping ← 1 − (1 − damping) / 2`` — and continues.  Both the scalar
-#: reference and this vectorized kernel apply the identical rule, keeping
-#: the differential equivalence suite meaningful.
+#: ``damping ← 1 − (1 − damping) / 2`` — and continues.  The scalar
+#: reference in the test suite applies the identical rule, keeping the
+#: differential equivalence suite meaningful.
 BACKOFF_WINDOW = 8
 BACKOFF_IMPROVEMENT = 0.5
 
@@ -151,9 +145,3 @@ def solve_fixed_point(
         delta=delta,
     )
 
-
-def validate_solver(name: str) -> str:
-    """Normalise and validate a solver name (raises ValueError otherwise)."""
-    if name not in SOLVERS:
-        raise ValueError(f"unknown solver {name!r}; known: {SOLVERS}")
-    return name

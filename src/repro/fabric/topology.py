@@ -44,14 +44,7 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..interconnect.link import LinkShare, RemoteLink
 from ..interconnect.queueing import QueueingModel
 from ..telemetry import metrics, trace_span
-from .solver import (
-    BACKOFF_IMPROVEMENT,
-    BACKOFF_WINDOW,
-    SOLVER_SCALAR,
-    SOLVER_VECTORIZED,
-    solve_fixed_point,
-    validate_solver,
-)
+from .solver import solve_fixed_point
 
 
 class FabricConvergenceWarning(RuntimeWarning):
@@ -104,13 +97,6 @@ class FabricTopology:
         port — a real pool port is often provisioned wider than one node link.
     queueing:
         Contention model shared by all ports (defaults to the link's M/M/1).
-    solver:
-        Default fixed-point implementation for :meth:`resolve` /
-        :meth:`resolve_detailed`: ``"vectorized"`` (NumPy, the default) or
-        ``"scalar"`` (the original pure-Python reference).  Both compute the
-        same damped fixed point; they differ only in float-rounding of the
-        per-port background sums, orders of magnitude below the solve
-        tolerance.  A per-call ``solver=`` argument overrides this.
     """
 
     def __init__(
@@ -120,7 +106,6 @@ class FabricTopology:
         testbed: TestbedConfig = SKYLAKE_EMULATION,
         port_capacity_scale: float = 1.0,
         queueing: QueueingModel | None = None,
-        solver: str = SOLVER_VECTORIZED,
     ) -> None:
         if n_nodes <= 0:
             raise FabricError("a fabric needs at least one node")
@@ -131,7 +116,6 @@ class FabricTopology:
         self.n_nodes = int(n_nodes)
         self.n_ports = int(n_ports)
         self.testbed = testbed
-        self.solver = validate_solver(solver)
         port_testbed = (
             testbed
             if port_capacity_scale == 1.0
@@ -192,7 +176,6 @@ class FabricTopology:
         iterations: int = 64,
         damping: float | None = None,
         tolerance: float = 1e6,
-        solver: str | None = None,
     ) -> dict[int, float]:
         """Delivered bandwidth per node under mutual port contention, bytes/s.
 
@@ -200,9 +183,7 @@ class FabricTopology:
         only want the allocation; the full convergence diagnostics (and the
         non-convergence warning) live there.
         """
-        return self.resolve_detailed(
-            demands, iterations, damping, tolerance, solver
-        ).delivered
+        return self.resolve_detailed(demands, iterations, damping, tolerance).delivered
 
     def resolve_detailed(
         self,
@@ -210,7 +191,6 @@ class FabricTopology:
         iterations: int = 64,
         damping: float | None = None,
         tolerance: float = 1e6,
-        solver: str | None = None,
     ) -> SolveDiagnostics:
         """Resolve port contention and report what the solver did.
 
@@ -235,7 +215,6 @@ class FabricTopology:
         ``fabric.solve.nonconverged`` telemetry counter, so silent
         non-convergence cannot skew results unnoticed.
         """
-        solver = validate_solver(solver if solver is not None else self.solver)
         if damping is not None and not 0.0 < damping <= 1.0:
             raise FabricError("damping must be in (0, 1]")
         if damping is None:
@@ -247,104 +226,34 @@ class FabricTopology:
                 default=1,
             )
             damping = 1.0 / max(max_sharing, 1)
-        with trace_span("fabric.solve", nodes=len(demands), solver=solver):
-            if solver == SOLVER_SCALAR:
-                delivered, used, converged, max_delta = self._solve_scalar(
-                    demands, iterations, damping, tolerance
-                )
-            else:
-                delivered, used, converged, max_delta = self._solve_vectorized(
-                    demands, iterations, damping, tolerance
-                )
+        nodes = list(demands)
+        # All ports of one topology are built identically, so port capacity
+        # and node bandwidth are scalars here; ClusterFabric batches racks
+        # through the same kernel with per-entry arrays.
+        link = self.ports[0]
+        with trace_span("fabric.solve", nodes=len(demands)):
+            result = solve_fixed_point(
+                np.array([self._node_demand(n, demands) for n in nodes]),
+                np.array([self.port_of(n) for n in nodes], dtype=np.intp),
+                capacity=link.data_capacity,
+                node_bandwidth=link.node_bandwidth,
+                min_share=RemoteLink.MIN_SHARE,
+                damping=damping,
+                iterations=iterations,
+                tolerance=tolerance,
+            )
         registry = metrics()
         registry.counter("fabric.solve.calls").inc()
-        registry.histogram("fabric.solve.iterations").observe(used)
+        registry.histogram("fabric.solve.iterations").observe(result.iterations)
         diagnostics = SolveDiagnostics(
-            delivered=delivered,
-            iterations=used,
-            converged=converged,
-            residual=max_delta,
+            delivered={n: float(v) for n, v in zip(nodes, result.delivered)},
+            iterations=result.iterations,
+            converged=result.converged,
+            residual=result.residual,
             damping=damping,
         )
         self._warn_nonconverged(diagnostics, tolerance)
         return diagnostics
-
-    def _solve_scalar(
-        self,
-        demands: Mapping[int, float],
-        iterations: int,
-        damping: float,
-        tolerance: float,
-    ) -> tuple[dict[int, float], int, bool, float]:
-        """The pure-Python fixed point — the reference implementation the
-        differential test suite checks the vectorized path against.  Applies
-        the same adaptive damping backoff as
-        :func:`repro.fabric.solver.solve_fixed_point` (the two rules must
-        never drift, or the equivalence suite loses its meaning)."""
-        delivered = {n: self._node_demand(n, demands) for n in demands}
-        max_delta = 0.0
-        converged = False
-        used = 0
-        window_residual: float | None = None
-        for _ in range(max(int(iterations), 1)):
-            used += 1
-            max_delta = 0.0
-            updated: dict[int, float] = {}
-            for node in delivered:
-                offered = self._node_demand(node, demands)
-                background = sum(
-                    delivered[other]
-                    for other in self.nodes_on_port(self.port_of(node))
-                    if other != node and other in delivered
-                )
-                share = self.link_of(node).share(offered, background)
-                target = min(offered, share.available_bandwidth)
-                new_value = delivered[node] + damping * (target - delivered[node])
-                max_delta = max(max_delta, abs(new_value - delivered[node]))
-                updated[node] = new_value
-            delivered = updated
-            if max_delta < tolerance:
-                converged = True
-                break
-            if used % BACKOFF_WINDOW == 0:
-                if (
-                    window_residual is not None
-                    and max_delta > BACKOFF_IMPROVEMENT * window_residual
-                ):
-                    damping = 1.0 - 0.5 * (1.0 - damping)
-                window_residual = max_delta
-        return delivered, used, converged, max_delta
-
-    def _solve_vectorized(
-        self,
-        demands: Mapping[int, float],
-        iterations: int,
-        damping: float,
-        tolerance: float,
-    ) -> tuple[dict[int, float], int, bool, float]:
-        """The NumPy fixed point: same update rule on flat arrays.
-
-        All ports of one topology are built identically, so port capacity and
-        node bandwidth are scalars here; :func:`solve_fixed_point` also takes
-        per-entry arrays, which is how :class:`~repro.fabric.cluster.
-        ClusterFabric` batches heterogeneous racks through the same kernel.
-        """
-        nodes = list(demands)
-        port_index = np.array([self.port_of(n) for n in nodes], dtype=np.intp)
-        offered = np.array([self._node_demand(n, demands) for n in nodes])
-        link = self.ports[0]
-        result = solve_fixed_point(
-            offered,
-            port_index,
-            capacity=link.data_capacity,
-            node_bandwidth=link.node_bandwidth,
-            min_share=RemoteLink.MIN_SHARE,
-            damping=damping,
-            iterations=iterations,
-            tolerance=tolerance,
-        )
-        delivered = {n: float(v) for n, v in zip(nodes, result.delivered)}
-        return delivered, result.iterations, result.converged, result.residual
 
     def _warn_nonconverged(
         self, diagnostics: SolveDiagnostics, tolerance: float

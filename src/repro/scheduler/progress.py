@@ -55,7 +55,6 @@ from ..config.units import bytes_to_gb, gb
 from ..fabric.cluster import ClusterCoSimulator, ClusterFabric
 from ..fabric.cosim import RackCoSimulator, TenantSpec, baseline_run
 from ..fabric.faults import FaultSchedule
-from ..fabric.solver import SOLVER_VECTORIZED
 from ..interconnect.link import RemoteLink
 from ..profiler.level3 import SensitivityCurve
 from ..workloads.base import WorkloadSpec
@@ -235,9 +234,6 @@ class FabricCoupledProgress:
         job's baseline runtime and shared by every rack).
     testbed / seed:
         Platform description and engine seed for the per-tenant baselines.
-    solver:
-        Contention solver of every rack topology (``"vectorized"`` default,
-        ``"scalar"`` for the reference path).
     cluster_pool_gb:
         Capacity of the cluster-level spill pool (0 disables spilling, the
         historical per-rack-only behaviour).
@@ -271,7 +267,6 @@ class FabricCoupledProgress:
         epoch_seconds: Optional[float] = None,
         testbed: TestbedConfig = SKYLAKE_EMULATION,
         seed: int = 0,
-        solver: str = SOLVER_VECTORIZED,
         cluster_pool_gb: float = 0.0,
         uplink_capacity_scale: float = 4.0,
         spine_capacity_scale: Optional[float] = None,
@@ -290,7 +285,6 @@ class FabricCoupledProgress:
         self.epoch_seconds = epoch_seconds
         self.testbed = testbed
         self.seed = int(seed)
-        self.solver = solver
         self.cluster_pool_gb = float(cluster_pool_gb)
         self.uplink_capacity_scale = float(uplink_capacity_scale)
         self.spine_capacity_scale = spine_capacity_scale
@@ -393,7 +387,6 @@ class FabricCoupledProgress:
                 port_capacity_scale=self.port_capacity_scale,
                 uplink_capacity_scale=self.uplink_capacity_scale,
                 spine_capacity_scale=self.spine_capacity_scale,
-                solver=self.solver,
             )
             # Mirror each rack's pool capacity (GB -> bytes, with a rounding
             # slack so per-job GB->byte rounding can never queue a lease the

@@ -207,6 +207,16 @@ class ScheduleOutcome:
         return grouped
 
 
+#: Shortest interval one event may advance the clock, seconds.
+MIN_EVENT_STEP = 1e-9
+#: Consecutive idle events before a run counts as stuck.  An event is idle
+#: when it starts and finishes no job and either advances the clock by no
+#: more than :data:`MIN_EVENT_STEP` or leaves every running job at rate zero
+#: with no arrival ahead.  A run may take any number of events as long as
+#: they make progress.
+MAX_IDLE_EVENTS = 10_000
+
+
 class ClusterSimulator:
     """Event-driven simulation of job placement on a pooled-memory cluster.
 
@@ -269,14 +279,12 @@ class ClusterSimulator:
         remaining_work = {j.job_id: j.profile.baseline_runtime for j in jobs}
         self.progress.bind(self.cluster)
         clock = 0.0
-        guard = 0
+        idle_events = 0
 
         while pending or self.cluster.running_jobs:
-            guard += 1
-            if guard > 100000:  # pragma: no cover - defensive
-                raise SchedulingError("scheduling simulation did not terminate")
             events.inc()
             # Start every pending job the policy can place now.
+            n_pending = len(pending)
             progressed = True
             while progressed:
                 progressed = False
@@ -322,7 +330,7 @@ class ClusterSimulator:
                 next_event = min(next_event, model_horizon)
             if not np.isfinite(next_event):  # pragma: no cover - defensive
                 raise SchedulingError("no progress possible: all rates are zero")
-            next_event = max(next_event, 1e-9)
+            next_event = max(next_event, MIN_EVENT_STEP)
 
             # Advance every running job by the elapsed interval.
             self.progress.advance(next_event)
@@ -331,6 +339,7 @@ class ClusterSimulator:
             clock += next_event
 
             # Retire finished jobs.
+            retired = 0
             for job in list(self.cluster.running_jobs):
                 if remaining_work[job.job_id] <= 1e-6:
                     job.finish_time = clock
@@ -338,5 +347,19 @@ class ClusterSimulator:
                     rack.release(job)
                     self.progress.job_finished(job, rack, clock)
                     finished.inc()
+                    retired += 1
+
+            stalled = not finish_horizons and not future_arrivals
+            if retired or len(pending) < n_pending or (next_event > MIN_EVENT_STEP and not stalled):
+                idle_events = 0
+            else:
+                idle_events += 1
+                if idle_events > MAX_IDLE_EVENTS:
+                    raise SchedulingError(
+                        f"scheduling simulation made no progress in {MAX_IDLE_EVENTS} "
+                        f"events: none started or finished a job, and each either "
+                        f"advanced the clock by only {MIN_EVENT_STEP} s or left every "
+                        f"running job at rate zero (at t={clock:.6g} s)"
+                    )
 
         return ScheduleOutcome(policy=self.policy.name, jobs=tuple(jobs), makespan=clock)

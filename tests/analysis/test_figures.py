@@ -202,14 +202,3 @@ def test_figure_fabric_pool_timeline_three_racks_spills():
         assert tenant["runtime_s"] is not None
         assert tenant["slowdown"] >= 1.0
 
-
-def test_figure_fabric_pool_timeline_solver_equivalence():
-    """The figure is solver-independent (scalar vs vectorized)."""
-    kwargs = dict(n_tenants=2, workload="Hypre", n_racks=3)
-    vec = figures.figure_fabric_pool_timeline(solver="vectorized", **kwargs)
-    sca = figures.figure_fabric_pool_timeline(solver="scalar", **kwargs)
-    assert vec["summary"]["makespan"] == pytest.approx(
-        sca["summary"]["makespan"], rel=1e-3
-    )
-    assert vec["summary"]["solver"] == "vectorized"
-    assert sca["summary"]["solver"] == "scalar"

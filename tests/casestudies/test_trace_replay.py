@@ -86,6 +86,13 @@ class TestTraceReplayStudy:
         assert summary["makespan_s"] > 0
         assert summary["peak_pool_demand_gb"] > 0
 
+    def test_fixture_replay_outcome_is_pinned(self):
+        """Golden outcome of the fixture, a guard for event-loop changes."""
+        summary = TraceReplayStudy(n_racks=4, nodes_per_rack=16, seed=0).run(FIXTURE).summary()
+        assert summary["jobs_finished"] == 251
+        assert summary["makespan_s"] == 39176.0
+        assert summary["mean_wait_s"] == pytest.approx(976.9960159362549, rel=1e-12)
+
     def test_deterministic_in_seed(self):
         lines = list(synthesize_sacct_lines(40, seed=5))
         a = TraceReplayStudy(seed=3).run(lines).summary()

@@ -89,19 +89,6 @@ class TestDeterminism:
             summaries.append(sim.run_to_completion())
         assert summaries[0] == summaries[1]
 
-    def test_solver_choice_does_not_change_outcomes(self, xsbench_spec):
-        """Scalar and vectorized clusters agree on who finishes when (within
-        solver tolerance the trajectories coincide on this small cluster)."""
-        finishes = {}
-        for solver in ("scalar", "vectorized"):
-            sim = spread_tenants(build_cluster(solver=solver), xsbench_spec)
-            summary = sim.run_to_completion()
-            finishes[solver] = {
-                t["name"]: pytest.approx(t["runtime_s"], rel=1e-3)
-                for t in summary["tenants"]
-            }
-        assert finishes["scalar"] == finishes["vectorized"]
-
 
 class TestCheckpoint:
     def test_rollback_replays_bit_identically(self, xsbench_spec):
@@ -232,8 +219,6 @@ class TestValidationAndSummary:
             ClusterFabric(n_racks=0, nodes_per_rack=4)
         with pytest.raises(FabricError, match="uplink_capacity_scale"):
             ClusterFabric(n_racks=2, nodes_per_rack=4, uplink_capacity_scale=0.5)
-        with pytest.raises(ValueError, match="unknown solver"):
-            ClusterFabric(n_racks=2, nodes_per_rack=4, solver="simd")
 
     def test_simulator_rejects_bad_pool_vector(self):
         fabric = ClusterFabric(n_racks=3, nodes_per_rack=4)
@@ -244,7 +229,6 @@ class TestValidationAndSummary:
         sim = spread_tenants(build_cluster(n_racks=2), xsbench_spec)
         summary = sim.run_to_completion()
         assert summary["n_racks"] == 2
-        assert summary["solver"] == "vectorized"
         assert summary["makespan"] > 0
         assert summary["mean_slowdown"] >= 1.0
         assert len(summary["tenants"]) == 4

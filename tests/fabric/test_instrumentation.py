@@ -139,7 +139,7 @@ class TestRackTelemetryAdapter:
         assert len(result.telemetry) > 0
         assert len(result.telemetry.times) == len(result.telemetry.leased_bytes)
         registry = telemetry.registry()
-        assert registry.counter("fabric.cosim.epochs").value > 0
+        assert registry.counter("fabric.cosim.epoch_rollovers").value > 0
         assert registry.counter("fabric.solve.calls").value > 0
         assert "fabric.pool.leased_bytes" in registry
         assert registry.histogram("fabric.port.utilization").count > 0

@@ -1,12 +1,12 @@
-"""Differential suite holding the fast solver paths to the scalar reference.
+"""Differential suite holding the NumPy solver to the scalar reference.
 
-The scalar fixed point of :meth:`FabricTopology.resolve_detailed` is the
-ground truth; the vectorized single-rack path, the batched multi-rack path
-(:meth:`ClusterFabric.resolve_all`) and the incremental stepper's
-dirty-epoch skip are all *optimisations* of it and must stay within solver
-tolerance of what it computes — including when the fixed point does **not**
-converge, where every path must surface the same diagnostics and the same
-:class:`FabricConvergenceWarning`.
+The pure-Python fixed point (``oracles.solve_scalar``) is the ground truth;
+the single-rack solve (:meth:`FabricTopology.resolve_detailed`), the batched
+multi-rack solve (:meth:`ClusterFabric.resolve_all`) and the incremental
+stepper's dirty-epoch skip are all *optimisations* of it and must stay within
+solver tolerance of what it computes — including when the fixed point does
+**not** converge, where both must report the same diagnostics (and the
+library path a :class:`FabricConvergenceWarning`).
 
 Property-based (hypothesis) where the input space is wide — random demand
 matrices, random tenant churn — with seeded NumPy fallbacks for the
@@ -26,12 +26,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import solve_scalar
 from repro.fabric import (
     ClusterFabric,
     FabricConvergenceWarning,
     FabricTopology,
     solve_fixed_point,
-    validate_solver,
 )
 
 #: Solver convergence tolerance used throughout, bytes/s.
@@ -68,8 +68,8 @@ def test_vectorized_matches_scalar_single_rack(demands, n_ports):
     topology = FabricTopology(n_nodes=len(demands), n_ports=min(n_ports, len(demands)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FabricConvergenceWarning)
-        scalar = topology.resolve_detailed(demands, solver="scalar")
-        vector = topology.resolve_detailed(demands, solver="vectorized")
+        scalar = solve_scalar(topology, demands)
+        vector = topology.resolve_detailed(demands)
     assert_delivered_close(scalar.delivered, vector.delivered)
     assert scalar.converged == vector.converged
     assert scalar.damping == vector.damping
@@ -81,10 +81,10 @@ def test_both_solvers_bound_delivery_by_demand(demands):
     """Neither path may deliver more than a node offered (after link clipping)."""
     topology = FabricTopology(n_nodes=len(demands), n_ports=1)
     limit = topology.testbed.remote_bandwidth
-    for solver in ("scalar", "vectorized"):
+    for solve in (solve_scalar, FabricTopology.resolve_detailed):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FabricConvergenceWarning)
-            diag = topology.resolve_detailed(demands, solver=solver)
+            diag = solve(topology, demands)
         for node, delivered in diag.delivered.items():
             assert 0.0 <= delivered <= min(demands[node], limit) + TOLERANCE
 
@@ -93,8 +93,8 @@ def test_both_solvers_bound_delivery_by_demand(demands):
 def test_both_solvers_deliver_in_full_when_undersubscribed(demand):
     """A lone, small demand is delivered as offered by both paths."""
     topology = FabricTopology(n_nodes=4, n_ports=4)
-    for solver in ("scalar", "vectorized"):
-        diag = topology.resolve_detailed({0: demand}, solver=solver)
+    for solve in (solve_scalar, FabricTopology.resolve_detailed):
+        diag = solve(topology, {0: demand})
         assert diag.converged
         assert abs(diag.delivered[0] - demand) <= TOLERANCE
 
@@ -118,10 +118,10 @@ def test_batched_matches_scalar_per_rack(racks):
     demands = [dict(enumerate(values)) for values in racks]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FabricConvergenceWarning)
-        scalar = fabric.resolve_all(demands, solver="scalar")
-        batched = fabric.resolve_all(demands, solver="vectorized")
-    assert len(scalar.racks) == len(batched.racks) == len(racks)
-    for ref, fast in zip(scalar.racks, batched.racks):
+        scalar = [solve_scalar(rack, d) for rack, d in zip(fabric.racks, demands)]
+        batched = fabric.resolve_all(demands)
+    assert len(scalar) == len(batched.racks) == len(racks)
+    for ref, fast in zip(scalar, batched.racks):
         assert_delivered_close(ref.delivered, fast.delivered)
         # A batched solve keeps iterating converged racks; every rack that
         # converged alone must still be converged in the batch.
@@ -133,12 +133,12 @@ def test_batched_empty_racks_keep_their_slot():
     """Racks with no demand still get a (trivial) diagnostics entry."""
     fabric = ClusterFabric(n_racks=3, nodes_per_rack=4)
     demands = [{0: 10 * GBs}, {}, {1: 5 * GBs, 2: 5 * GBs}]
-    solve = fabric.resolve_all(demands, solver="vectorized")
+    solve = fabric.resolve_all(demands)
     assert len(solve.racks) == 3
     assert solve.racks[1].delivered == {}
     assert solve.racks[1].converged
-    reference = fabric.resolve_all(demands, solver="scalar")
-    for ref, fast in zip(reference.racks, solve.racks):
+    reference = [solve_scalar(rack, d) for rack, d in zip(fabric.racks, demands)]
+    for ref, fast in zip(reference, solve.racks):
         assert_delivered_close(ref.delivered, fast.delivered)
 
 
@@ -147,10 +147,16 @@ def test_batched_empty_racks_keep_their_slot():
 
 @pytest.mark.parametrize("solver", ["scalar", "vectorized"])
 def test_nonconvergence_surfaces_warning_and_diagnostics(solver):
+    """Both report an exhausted budget; only the library path warns."""
     topology = FabricTopology(n_nodes=8, n_ports=1)
     demands = {n: topology.testbed.remote_bandwidth for n in range(8)}
-    with pytest.warns(FabricConvergenceWarning):
-        diag = topology.resolve_detailed(demands, iterations=2, solver=solver)
+    if solver == "scalar":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FabricConvergenceWarning)
+            diag = solve_scalar(topology, demands, iterations=2)
+    else:
+        with pytest.warns(FabricConvergenceWarning):
+            diag = topology.resolve_detailed(demands, iterations=2)
     assert not diag.converged
     assert diag.iterations == 2
     assert diag.residual > TOLERANCE
@@ -159,13 +165,12 @@ def test_nonconvergence_surfaces_warning_and_diagnostics(solver):
 def test_nonconvergence_diagnostics_agree_across_solvers():
     topology = FabricTopology(n_nodes=8, n_ports=1)
     demands = {n: topology.testbed.remote_bandwidth for n in range(8)}
-    diags = {}
-    for solver in ("scalar", "vectorized"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FabricConvergenceWarning)
-            diags[solver] = topology.resolve_detailed(
-                demands, iterations=2, solver=solver
-            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FabricConvergenceWarning)
+        diags = {
+            "scalar": solve_scalar(topology, demands, iterations=2),
+            "vectorized": topology.resolve_detailed(demands, iterations=2),
+        }
     assert diags["scalar"].iterations == diags["vectorized"].iterations
     assert diags["scalar"].converged == diags["vectorized"].converged
     assert_delivered_close(diags["scalar"].delivered, diags["vectorized"].delivered)
@@ -179,7 +184,7 @@ def test_batched_nonconvergence_warns_once_with_rack_count():
     bandwidth = fabric.testbed.remote_bandwidth
     demands = [{n: bandwidth for n in range(8)} for _ in range(3)]
     with pytest.warns(FabricConvergenceWarning, match="3 rack"):
-        solve = fabric.resolve_all(demands, iterations=2, solver="vectorized")
+        solve = fabric.resolve_all(demands, iterations=2)
     assert not solve.converged
     assert all(not rack.converged for rack in solve.racks)
 
@@ -200,12 +205,6 @@ def test_solve_fixed_point_empty_input():
     )
     assert result.converged
     assert result.delivered.size == 0
-
-
-def test_validate_solver_rejects_unknown_names():
-    assert validate_solver("scalar") == "scalar"
-    with pytest.raises(ValueError, match="unknown solver"):
-        validate_solver("simd")
 
 
 # -- incremental stepper: dirty-epoch skip equivalence --------------------------------
@@ -265,8 +264,8 @@ def test_vectorized_matches_scalar_high_budget(demands):
     topology = FabricTopology(n_nodes=len(demands), n_ports=2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FabricConvergenceWarning)
-        scalar = topology.resolve_detailed(demands, solver="scalar")
-        vector = topology.resolve_detailed(demands, solver="vectorized")
+        scalar = solve_scalar(topology, demands)
+        vector = topology.resolve_detailed(demands)
     assert_delivered_close(scalar.delivered, vector.delivered)
     assert scalar.converged == vector.converged
 
@@ -284,12 +283,12 @@ def test_hundred_rack_sweep_equivalence_and_speedup():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FabricConvergenceWarning)
         start = time.perf_counter()
-        scalar = fabric.resolve_all(demands, solver="scalar")
+        scalar = [solve_scalar(rack, d) for rack, d in zip(fabric.racks, demands)]
         scalar_wall = time.perf_counter() - start
         start = time.perf_counter()
-        batched = fabric.resolve_all(demands, solver="vectorized")
+        batched = fabric.resolve_all(demands)
         vector_wall = time.perf_counter() - start
-    for ref, fast in zip(scalar.racks, batched.racks):
+    for ref, fast in zip(scalar, batched.racks):
         assert_delivered_close(ref.delivered, fast.delivered)
     assert scalar_wall / vector_wall >= 5.0, (
         f"vectorized sweep only {scalar_wall / vector_wall:.1f}x faster"

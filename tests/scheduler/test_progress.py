@@ -194,6 +194,19 @@ class TestFabricCoupledProgress:
         assert second.start_time >= late_arrival
         assert second.slowdown == pytest.approx(1.0, rel=1e-6)
 
+    def test_a_port_that_never_returns_raises(self, spec, profile):
+        """Zero rates for good: each event spans an epoch, yet the run stops."""
+        from repro.fabric import FaultEvent, FaultSchedule
+
+        kill = FaultSchedule((FaultEvent(time=0.1, kind="port-kill", port=0),))
+        cluster = Cluster.build(n_racks=1, nodes_per_rack=1, pool_capacity_gb=64.0)
+        simulator = ClusterSimulator(
+            cluster, RandomPlacement(), seed=0,
+            progress=coupled_progress(spec, fault_schedule=kill),
+        )
+        with pytest.raises(SchedulingError, match="no progress"):
+            simulator.run([profile])
+
     def test_unresolvable_workload_raises(self):
         profile = JobProfile(workload="no-such-app", baseline_runtime=10.0, pool_gb=1.0)
         cluster = Cluster.build(n_racks=1, nodes_per_rack=1, pool_capacity_gb=64.0)
@@ -275,6 +288,32 @@ class TestCoupledSchedulingStudy:
         assert result.max_finish_time_shift > 0
         summary = result.summary()
         assert {"static", "fabric_coupled", "makespan_delta"} <= set(summary)
+
+    def test_no_rollover_left_pending_after_a_cluster_step(self, monkeypatch):
+        """Staggered admissions restart their racks' epochs off the cluster
+        epoch.  A rollover left pending at a step's end would cap the rack's
+        horizon at 1e-12, and the scheduler would spend a whole event on a
+        1e-9 s step that does no work just to trigger it."""
+        from repro.casestudies.scheduling import CoupledSchedulingStudy
+        from repro.fabric import ClusterCoSimulator
+        from repro.workloads.registry import build_workload
+
+        steps = []
+        step = ClusterCoSimulator.step
+
+        def checked_step(self, dt):
+            done = step(self, dt)
+            steps.append((dt, [i for i, rack in enumerate(self.rack_sims) if rack.epoch_due()]))
+            return done
+
+        monkeypatch.setattr(ClusterCoSimulator, "step", checked_step)
+        study = CoupledSchedulingStudy(
+            n_racks=2, nodes_per_rack=2, policy="cluster-fabric", cluster_pool_gb=64.0, seed=1
+        )
+        study.run(specs=[build_workload("HPL"), build_workload("XSBench")], copies=2, stagger=3.0)
+        assert len(steps) > 50
+        assert [s for s in steps if s[1]] == []
+        assert [dt for dt, _ in steps if dt <= 1e-9] == []
 
 
 class TestUnitsConvention:

@@ -8,7 +8,8 @@ from repro.profiler.level3 import SensitivityCurve
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.job import JobProfile
 from repro.scheduler.policies import InterferenceAwarePlacement, RandomPlacement
-from repro.scheduler.simulator import ClusterSimulator, CoLocationStudy
+from repro.scheduler.progress import StaticCurveProgress
+from repro.scheduler.simulator import MAX_IDLE_EVENTS, ClusterSimulator, CoLocationStudy
 
 
 def curve(loss_at_50=0.2, baseline=120.0, name="app"):
@@ -135,3 +136,59 @@ class TestClusterSimulator:
             simulator.run([])
         with pytest.raises(SchedulingError):
             simulator.run(self._profiles(), arrivals=[0.0])
+
+
+class FixedHorizonProgress(StaticCurveProgress):
+    """Static rates, valid for ``step`` seconds at a time.
+
+    ``rate`` overrides the rates for the first ``stall_events`` events, or for
+    every event when ``stall_events`` is ``None``.
+    """
+
+    def __init__(self, step, rate=None, stall_events=None):
+        super().__init__()
+        self.step, self.rate, self.stall_events, self.events = step, rate, stall_events, 0
+
+    def rates(self, clock):
+        rates = super().rates(clock)
+        stalled = self.stall_events is None or self.events < self.stall_events
+        return dict.fromkeys(rates, self.rate) if self.rate is not None and stalled else rates
+
+    def horizon(self, clock):
+        self.events += 1
+        return self.step
+
+
+class TestTermination:
+    def run_one_job(self, progress, runtime):
+        cluster = Cluster.build(n_racks=1, nodes_per_rack=1, pool_capacity_gb=500.0)
+        profile = JobProfile(workload="solo", baseline_runtime=runtime)
+        return ClusterSimulator(cluster, RandomPlacement(), progress=progress).run([profile])
+
+    def test_a_long_run_of_short_events_finishes(self):
+        """150,000 events that each make progress: no fixed ceiling applies."""
+        progress = FixedHorizonProgress(step=1e-3)
+        outcome = self.run_one_job(progress, runtime=150.0)
+        assert progress.events >= 149_999
+        assert outcome.jobs[0].finish_time == pytest.approx(150.0, rel=1e-6)
+
+    def test_a_stuck_progress_model_raises_early(self):
+        """Zero rates and a vanishing horizon: only minimum steps, forever."""
+        progress = FixedHorizonProgress(step=1e-12, rate=0.0)
+        with pytest.raises(SchedulingError, match="no progress"):
+            self.run_one_job(progress, runtime=1.0)
+        # The first event starts the job; every later one is idle.
+        assert progress.events == 1 + MAX_IDLE_EVENTS + 1
+
+    def test_a_stall_with_long_horizons_raises(self):
+        """Zero rates forever: each event spans a full horizon but is still idle."""
+        progress = FixedHorizonProgress(step=1.0, rate=0.0)
+        with pytest.raises(SchedulingError, match="no progress"):
+            self.run_one_job(progress, runtime=1.0)
+        assert progress.events == 1 + MAX_IDLE_EVENTS + 1
+
+    def test_a_stall_that_clears_before_the_limit_finishes(self):
+        """Zero rates for fewer than MAX_IDLE_EVENTS events, then progress."""
+        progress = FixedHorizonProgress(step=1.0, rate=0.0, stall_events=MAX_IDLE_EVENTS // 2)
+        outcome = self.run_one_job(progress, runtime=1.0)
+        assert outcome.jobs[0].finish_time == pytest.approx(MAX_IDLE_EVENTS // 2 + 1.0)

@@ -21,7 +21,7 @@ def test_telemetry_flag_prints_report(capsys):
     assert main(["--telemetry"] + FABRIC_ARGS) == 0
     out = capsys.readouterr().out
     assert "telemetry report" in out
-    assert "fabric.cosim.epochs" in out
+    assert "fabric.cosim.epoch_rollovers" in out
     assert "fabric.run" in out
     assert not telemetry.enabled()  # switched back off afterwards
 
@@ -32,7 +32,7 @@ def test_trace_out_writes_readable_dump(tmp_path, capsys):
     with open(trace, "r", encoding="utf-8") as fh:
         dump = telemetry.read_jsonl(fh)
     assert dump.meta["schema"] == telemetry.TELEMETRY_SCHEMA
-    assert dump.registry.counter("fabric.cosim.epochs").value > 0
+    assert dump.registry.counter("fabric.cosim.epoch_rollovers").value > 0
     assert dump.registry.counter("fabric.solve.calls").value > 0
     assert any(s.name == "fabric.run" for s in dump.tracer.spans)
     # Solver spans nest under the run span.
@@ -46,13 +46,15 @@ def test_report_subcommand_reproduces_headlines(tmp_path, capsys):
     trace = tmp_path / "run.jsonl"
     assert main(["--trace-out", str(trace)] + FABRIC_ARGS) == 0
     with open(trace, "r", encoding="utf-8") as fh:
-        epochs = telemetry.read_jsonl(fh).registry.counter("fabric.cosim.epochs").value
+        rollovers = telemetry.read_jsonl(fh).registry.counter(
+            "fabric.cosim.epoch_rollovers"
+        ).value
     capsys.readouterr()  # drop the run's own output
 
     assert main(["telemetry", "report", str(trace)]) == 0
     out = capsys.readouterr().out
     assert "telemetry report" in out
-    assert f"fabric.cosim.epochs = {int(epochs)}" in out
+    assert f"fabric.cosim.epoch_rollovers = {int(rollovers)}" in out
     assert "fabric.run" in out
 
 

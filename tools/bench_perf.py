@@ -12,17 +12,14 @@ and the overhead of the telemetry layer itself:
    synthetic job stream (static progress, no fabric coupling), run once
    with telemetry disabled and once enabled so both overheads are recorded;
 4. ``solver_vectorized`` — the 100-rack contention sweep through
-   :meth:`ClusterFabric.resolve_all`, scalar reference vs batched NumPy
-   (the recorded speedup is the acceptance number of the vectorized path);
+   :meth:`ClusterFabric.resolve_all`, one batched NumPy solve;
 5. ``cluster_fabric`` — epoch stepping of the whole-cluster
    :class:`ClusterCoSimulator` with tenants in every rack;
 6. ``fault_injection`` — the fault layer's disabled-path cost on the epoch
    loop (its ``extra.disabled_overhead_pct`` is the < 2% acceptance bound
    of ``docs/failure_model.md``) plus a seeded chaos scenario;
-7. ``cluster_step_batched`` — cluster epoch stepping at 100 racks through
-   the fused batched rollover path vs the per-rack reference loop (the
-   recorded ``extra.speedup_vs_per_rack`` is the acceptance number of the
-   batched path);
+7. ``cluster_step_batched`` — cluster epoch stepping at 100 racks with
+   every rack re-solved each epoch, all in one batched rollover;
 8. ``sweep_sharded`` — a repeated-query parameter sweep executed through
    :class:`repro.parallel.SweepRunner` at 8 workers vs a naive serial loop
    over the same query stream (``extra.speedup_vs_serial`` is the
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import sys
@@ -84,12 +82,11 @@ from repro.telemetry.benchjson import (  # noqa: E402
 )
 from repro.workloads.registry import build_workload  # noqa: E402
 
-#: Solver rack wirings: (label, nodes, ports).
-SOLVER_CONFIGS = (("small", 4, 1), ("medium", 16, 2), ("large", 64, 4))
+#: Rack wirings of the ``fabric_solver`` group: (label, nodes, ports).
+RACK_WIRINGS = (("small", 4, 1), ("medium", 16, 2), ("large", 64, 4))
 
-#: The 100-rack sweep of the ``solver_vectorized`` group — the acceptance
-#: configuration of the batched solver (identical in quick and full runs so
-#: the recorded speedup is always measured at the same scale).
+#: The 100-rack sweep of the ``solver_vectorized`` group (identical in quick
+#: and full runs so the two document kinds compare on it).
 SWEEP_RACKS = 100
 SWEEP_NODES = 16
 SWEEP_PORTS = 2
@@ -117,7 +114,7 @@ def bench_fabric_solver(quick: bool) -> list[dict]:
 
     repeats = 10 if quick else 50
     rows = []
-    for label, n_nodes, n_ports in SOLVER_CONFIGS:
+    for label, n_nodes, n_ports in RACK_WIRINGS:
         topology = FabricTopology(n_nodes=n_nodes, n_ports=n_ports)
         demands = {n: topology.testbed.remote_bandwidth for n in range(n_nodes)}
         # Full-link demand on every node deliberately includes oversubscribed
@@ -176,18 +173,16 @@ def bench_rack_cosim_step(quick: bool) -> dict:
     }
 
 
-def bench_solver_vectorized(quick: bool) -> list[dict]:
-    """Scalar vs batched-NumPy cluster contention solving, 100-rack sweep.
+def bench_solver_vectorized(quick: bool) -> dict:
+    """Batched-NumPy cluster contention solving, 100-rack sweep.
 
-    Every node demands its full link (the oversubscribed worst case), and the
-    same demand matrices are resolved through both solver paths.  The
-    vectorized row's ``extra.speedup_vs_scalar`` is the acceptance number:
-    it must stay >= 5.
+    Every node demands its full link (the oversubscribed worst case), and
+    all racks' demand maps are resolved in one :meth:`ClusterFabric.resolve_all`
+    call.
     """
     from repro.fabric.topology import FabricConvergenceWarning
 
-    scalar_repeats = 3 if quick else 10
-    vector_repeats = 10 if quick else 30
+    repeats = 10 if quick else 30
     fabric = ClusterFabric(
         n_racks=SWEEP_RACKS, nodes_per_rack=SWEEP_NODES, n_ports=SWEEP_PORTS
     )
@@ -195,48 +190,25 @@ def bench_solver_vectorized(quick: bool) -> list[dict]:
     demands = [
         {n: bandwidth for n in range(SWEEP_NODES)} for _ in range(SWEEP_RACKS)
     ]
-    config = {
-        "n_racks": SWEEP_RACKS,
-        "nodes_per_rack": SWEEP_NODES,
-        "n_ports": SWEEP_PORTS,
-    }
-    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FabricConvergenceWarning)
-        solve = fabric.resolve_all(demands, solver="vectorized")
-        timings = {
-            solver: _timeit(
-                lambda solver=solver: fabric.resolve_all(demands, solver=solver),
-                repeats,
-            )
-            for solver, repeats in (
-                ("scalar", scalar_repeats),
-                ("vectorized", vector_repeats),
-            )
-        }
-    speedup = (
-        timings["scalar"]["min_s"] / timings["vectorized"]["min_s"]
-        if timings["vectorized"]["min_s"] > 0
-        else 0.0
-    )
-    for solver in ("scalar", "vectorized"):
-        extra = {
+        solve = fabric.resolve_all(demands)
+        timing = _timeit(lambda: fabric.resolve_all(demands), repeats)
+    return {
+        "name": "solver_vectorized.vectorized",
+        "group": "solver_vectorized",
+        "config": {
+            "n_racks": SWEEP_RACKS,
+            "nodes_per_rack": SWEEP_NODES,
+            "n_ports": SWEEP_PORTS,
+        },
+        **timing,
+        "extra": {
             "iterations": solve.iterations,
             "converged": solve.converged,
             "residual_bytes_s": solve.residual,
-        }
-        if solver == "vectorized":
-            extra["speedup_vs_scalar"] = speedup
-        rows.append(
-            {
-                "name": f"solver_vectorized.{solver}",
-                "group": "solver_vectorized",
-                "config": {**config, "solver": solver},
-                **timings[solver],
-                "extra": extra,
-            }
-        )
-    return rows
+        },
+    }
 
 
 def bench_cluster_fabric(quick: bool) -> dict:
@@ -296,8 +268,8 @@ def bench_fault_injection(quick: bool) -> list[dict]:
     """Cost of the fault layer: disabled-path overhead + a seeded chaos run.
 
     * ``fault_injection.disabled_check`` — with no faults injected the fault
-      layer's hot-path cost is one ``_faults_active`` boolean check per step
-      chunk.  The row times the same epoch loop as ``rack_cosim_step`` with
+      layer's hot-path cost is two ``_faults_active`` boolean checks per step
+      chunk (``begin_chunk`` and ``step_frozen``).  The row times the same epoch loop as ``rack_cosim_step`` with
       the layer disarmed, measures the per-check cost standalone, and records
       ``extra.disabled_overhead_pct`` = checks x cost / wall time — the
       < 2% acceptance bound of ``docs/failure_model.md``.
@@ -329,7 +301,8 @@ def bench_fault_injection(quick: bool) -> list[dict]:
             armed = True
     check_ns = (time.perf_counter() - start) / loops * 1e9
     assert not armed
-    disabled_overhead_pct = steps * check_ns / (step_wall * 1e9) * 100.0
+    checks = 2 * steps
+    disabled_overhead_pct = checks * check_ns / (step_wall * 1e9) * 100.0
 
     rows = [
         {
@@ -347,7 +320,7 @@ def bench_fault_injection(quick: bool) -> list[dict]:
             "throughput_per_s": steps / step_wall if step_wall > 0 else 0.0,
             "extra": {
                 "check_ns": check_ns,
-                "checks_per_run": steps,
+                "checks_per_run": checks,
                 "disabled_overhead_pct": disabled_overhead_pct,
             },
         }
@@ -396,85 +369,61 @@ def bench_fault_injection(quick: bool) -> list[dict]:
 
 
 #: The 100-rack wiring of the ``cluster_step_batched`` group — dense enough
-#: that the per-rack Python loop, not the shared tenant models, dominates
-#: (identical in quick and full runs so the recorded speedup is always
-#: measured at the same scale).
+#: that the per-rack Python work, not the shared tenant models, dominates
+#: (identical in quick and full runs so the per-step time is always measured
+#: at the same scale).
 BATCHED_RACKS = 100
 BATCHED_NODES = 8
 BATCHED_TENANTS = 8
 
 
-def _batched_cluster(solver: str, batched: bool) -> ClusterCoSimulator:
-    fabric = ClusterFabric(
-        n_racks=BATCHED_RACKS, nodes_per_rack=BATCHED_NODES, n_ports=1, solver=solver
+def bench_cluster_step_batched(quick: bool) -> dict:
+    """Cluster epoch stepping at 100 racks, 800 tenants, one epoch per step.
+
+    Epoch skipping is disabled, so every step pays a full cross-rack
+    contention re-solve: all racks advance under frozen backgrounds and
+    their rollovers fold into one vectorized ``resolve_racks`` call.  The
+    stepping path this replaced (each rack stepping and solving alone) was
+    about 2.8x slower per step under the same solver; see
+    ``docs/benchmarks.md``.
+    """
+    steps = 6 if quick else 30
+    sim = ClusterCoSimulator(
+        ClusterFabric(n_racks=BATCHED_RACKS, nodes_per_rack=BATCHED_NODES, n_ports=1),
+        seed=0,
     )
-    sim = ClusterCoSimulator(fabric, seed=0)
-    sim.batched_stepping = batched
     spec = build_workload("Hypre", 4.0)
     tenants = uniform_tenants(spec, BATCHED_TENANTS, local_fraction=0.5)
     for rack in range(BATCHED_RACKS):
         for tenant in tenants:
             sim.admit(rack, replace(tenant, name=f"rack{rack}-{tenant.name}"))
-    # Time the rollover machinery itself, not the skip fast path: every epoch
-    # re-solves all 100 racks, which is the worst case the batched path fuses.
+    # Time the rollover machinery itself, not the skip fast path.
     for rack_sim in sim.rack_sims:
         rack_sim.skip_unchanged_epochs = False
-    return sim
-
-
-def bench_cluster_step_batched(quick: bool) -> list[dict]:
-    """Fused batched cluster epoch stepping vs the per-rack reference loop.
-
-    Both paths step the identical 100-rack, 800-tenant cluster one epoch per
-    step with epoch skipping disabled, so every step pays a full cross-rack
-    contention re-solve.  The per-rack row drives the scalar reference
-    solver through N independent ``RackCoSimulator.step`` calls; the batched
-    row advances all racks under frozen backgrounds and folds the rollovers
-    into one vectorized ``resolve_racks`` call.  ``extra.speedup_vs_per_rack``
-    on the batched row is the acceptance number: it must stay >= 2.
-    """
-    steps = 6 if quick else 30
-    config = {
-        "n_racks": BATCHED_RACKS,
-        "nodes_per_rack": BATCHED_NODES,
-        "n_ports": 1,
-        "n_tenants_per_rack": BATCHED_TENANTS,
-        "workload": "Hypre",
-        "scale": 4.0,
-        "skip_unchanged_epochs": False,
+    epoch = sim.epoch_seconds
+    sim.step(epoch)  # untimed first step, as in bench_cluster_fabric
+    start = time.perf_counter()
+    for _ in range(steps):
+        sim.step(epoch)
+    wall = time.perf_counter() - start
+    return {
+        "name": "cluster_step_batched.batched",
+        "group": "cluster_step_batched",
+        "config": {
+            "n_racks": BATCHED_RACKS,
+            "nodes_per_rack": BATCHED_NODES,
+            "n_ports": 1,
+            "n_tenants_per_rack": BATCHED_TENANTS,
+            "workload": "Hypre",
+            "scale": 4.0,
+            "skip_unchanged_epochs": False,
+        },
+        "repeats": steps,
+        "mean_s": wall / steps,
+        "min_s": wall / steps,
+        "throughput_per_s": steps / wall if wall > 0 else 0.0,
+        "extra": {"wall_s": wall, "steps": steps, "simulated_s": steps * epoch},
     }
-    rows = []
-    walls = {}
-    for label, solver, batched in (
-        ("per_rack", "scalar", False),
-        ("batched", "vectorized", True),
-    ):
-        sim = _batched_cluster(solver, batched)
-        epoch = sim.epoch_seconds
-        sim.step(epoch)  # untimed first step, as in bench_cluster_fabric
-        start = time.perf_counter()
-        for _ in range(steps):
-            sim.step(epoch)
-        wall = time.perf_counter() - start
-        walls[label] = wall
-        extra = {"wall_s": wall, "steps": steps, "simulated_s": steps * epoch}
-        if label == "batched":
-            extra["speedup_vs_per_rack"] = (
-                walls["per_rack"] / wall if wall > 0 else 0.0
-            )
-        rows.append(
-            {
-                "name": f"cluster_step_batched.{label}",
-                "group": "cluster_step_batched",
-                "config": {**config, "solver": solver, "batched_stepping": batched},
-                "repeats": steps,
-                "mean_s": wall / steps,
-                "min_s": wall / steps,
-                "throughput_per_s": steps / wall if wall > 0 else 0.0,
-                "extra": extra,
-            }
-        )
-    return rows
 
 
 #: The ``sweep_sharded`` query stream: 4 unique rack co-simulation configs,
@@ -735,10 +684,10 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks.append(bench_rack_cosim_step(quick))
     cluster_bench, overhead = bench_cluster_events(quick)
     benchmarks.append(cluster_bench)
-    benchmarks.extend(bench_solver_vectorized(quick))
+    benchmarks.append(bench_solver_vectorized(quick))
     benchmarks.append(bench_cluster_fabric(quick))
     benchmarks.extend(bench_fault_injection(quick))
-    benchmarks.extend(bench_cluster_step_batched(quick))
+    benchmarks.append(bench_cluster_step_batched(quick))
     benchmarks.extend(bench_sweep_sharded(quick))
     benchmarks.append(bench_trace_ingest(quick))
     return {
@@ -747,6 +696,7 @@ def run_benchmarks(quick: bool) -> dict:
         "created_unix": time.time(),
         "quick": quick,
         "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "benchmarks": benchmarks,
         "telemetry_overhead": overhead,
     }
@@ -803,15 +753,9 @@ def main(argv=None) -> int:
     events_per_s = next(
         b["throughput_per_s"] for b in data["benchmarks"] if b["group"] == "cluster_events"
     )
-    speedup = next(
-        b["extra"]["speedup_vs_scalar"]
-        for b in data["benchmarks"]
-        if b["name"] == "solver_vectorized.vectorized"
-    )
     overhead = data["telemetry_overhead"]
     print(f"wrote {args.out}")
     print(f"  cluster events/s: {events_per_s:.0f}")
-    print(f"  vectorized solver speedup (100 racks): {speedup:.1f}x")
     print(f"  telemetry overhead: disabled {overhead['disabled_overhead_pct']:.3f}% "
           f"enabled {overhead['enabled_overhead_pct']:.1f}%")
     fault_pct = next(
@@ -820,12 +764,6 @@ def main(argv=None) -> int:
         if b["name"] == "fault_injection.disabled_check"
     )
     print(f"  fault layer disabled overhead: {fault_pct:.3f}%")
-    batched_speedup = next(
-        b["extra"]["speedup_vs_per_rack"]
-        for b in data["benchmarks"]
-        if b["name"] == "cluster_step_batched.batched"
-    )
-    print(f"  batched cluster stepping speedup (100 racks): {batched_speedup:.1f}x")
     sweep_speedup = next(
         b["extra"]["speedup_vs_serial"]
         for b in data["benchmarks"]
