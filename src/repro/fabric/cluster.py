@@ -40,7 +40,6 @@ as the intra-rack one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -51,32 +50,10 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..interconnect.link import RemoteLink
 from ..interconnect.queueing import QueueingModel
 from ..telemetry import metrics, trace_span
-from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec
-from .faults import BlastRadiusReport, FaultSchedule, TenantImpact
+from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec, roll_over
+from .faults import BlastRadiusReport, FaultSchedule
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
-from .solver import solve_fixed_point
-from .topology import FabricConvergenceWarning, FabricTopology, SolveDiagnostics
-
-
-@dataclass(frozen=True)
-class ClusterSolve:
-    """One whole-cluster contention resolution.
-
-    ``racks[i]`` is rack ``i``'s :class:`~repro.fabric.topology.
-    SolveDiagnostics`.  The cluster-level fields aggregate: ``iterations`` is
-    the batch's shared global count, ``converged`` requires every rack to
-    have converged, ``residual`` is the largest per-rack residual.
-    """
-
-    racks: tuple[SolveDiagnostics, ...]
-    iterations: int
-    converged: bool
-    residual: float
-
-    @property
-    def delivered(self) -> tuple[dict[int, float], ...]:
-        """Per-rack delivered-bandwidth maps (rack-local node -> bytes/s)."""
-        return tuple(diag.delivered for diag in self.racks)
+from .topology import ClusterSolve, FabricTopology, solve_racks
 
 
 class ClusterFabric:
@@ -173,21 +150,10 @@ class ClusterFabric:
         """Resolve every rack's port contention in one call.
 
         ``demands[i]`` is rack ``i``'s demand map (rack-local node ->
-        offered bytes/s).  Racks are independent sub-problems (each node
-        contends only on its own rack's port), so all racks flatten into one
-        array and a single batched fixed-point solve — this is the
-        cluster-scale hot path the ``solver_vectorized`` benchmark group
-        times.
-
-        Batched solves iterate until *every* rack converges, so per-rack
-        iteration counts equal the global count and already-converged racks
-        keep contracting toward the same fixed point (their values stay
-        within solver tolerance of an early-stopped per-rack solve).
+        offered bytes/s).  All racks go through one batched fixed-point solve
+        (:meth:`resolve_racks`) — this is the cluster-scale hot path the
+        ``solver_vectorized`` benchmark group times.
         """
-        if len(demands) != self.n_racks:
-            raise FabricError(
-                f"expected {self.n_racks} demand maps, got {len(demands)}"
-            )
         return self.resolve_racks(
             range(self.n_racks), demands, iterations, damping, tolerance
         )
@@ -204,108 +170,12 @@ class ClusterFabric:
 
         ``demands[i]`` belongs to rack ``indices[i]``; the returned
         :class:`ClusterSolve` carries diagnostics in the same order.  This is
+        :func:`~repro.fabric.topology.solve_racks` on those racks' topologies,
         the kernel behind both :meth:`resolve_all` (all racks) and the
-        cluster stepper's batched epoch rollover (dirty racks only).
+        cluster stepper's batched epoch rollover (the racks due a re-solve).
         """
-        if len(demands) != len(indices):
-            raise FabricError(
-                f"expected {len(indices)} demand maps, got {len(demands)}"
-            )
-        if damping is not None and not 0.0 < damping <= 1.0:
-            raise FabricError("damping must be in (0, 1]")
-        nodes_per_rack: list[list[int]] = []
-        offered: list[float] = []
-        port_index: list[int] = []
-        capacity: list[float] = []
-        node_bandwidth: list[float] = []
-        damping_arr: list[float] = []
-        rack_dampings: list[float] = []
-        slices: list[tuple[int, int]] = []
-        port_offset = 0
-        for index, rack_demands in zip(indices, demands):
-            rack = self.rack(index)
-            nodes = list(rack_demands)
-            rack_damping = damping
-            if rack_damping is None:
-                max_sharing = max(
-                    (
-                        sum(
-                            1
-                            for other in rack_demands
-                            if rack.port_of(other) == rack.port_of(node)
-                        )
-                        for node in rack_demands
-                    ),
-                    default=1,
-                )
-                rack_damping = 1.0 / max(max_sharing, 1)
-            start = len(offered)
-            for node in nodes:
-                port_index.append(port_offset + rack.port_of(node))
-                offered.append(rack._node_demand(node, rack_demands))
-                capacity.append(rack.ports[0].data_capacity)
-                node_bandwidth.append(rack.ports[0].node_bandwidth)
-                damping_arr.append(rack_damping)
-            nodes_per_rack.append(nodes)
-            rack_dampings.append(rack_damping)
-            slices.append((start, len(offered)))
-            port_offset += rack.n_ports
-        registry = metrics()
-        registry.counter("fabric.cluster.solve.calls").inc()
-        with trace_span(
-            "fabric.cluster.solve", racks=len(slices), nodes=len(offered)
-        ):
-            result = solve_fixed_point(
-                np.asarray(offered),
-                np.asarray(port_index, dtype=np.intp),
-                capacity=np.asarray(capacity),
-                node_bandwidth=np.asarray(node_bandwidth),
-                min_share=RemoteLink.MIN_SHARE,
-                damping=np.asarray(damping_arr),
-                iterations=iterations,
-                tolerance=tolerance,
-            )
-        registry.histogram("fabric.cluster.solve.iterations").observe(
-            result.iterations
-        )
-        diags = []
-        nonconverged = 0
-        for (start, stop), nodes, rack_damping in zip(
-            slices, nodes_per_rack, rack_dampings
-        ):
-            rack_delta = result.delta[start:stop]
-            rack_residual = float(rack_delta.max()) if stop > start else 0.0
-            rack_converged = result.converged or rack_residual < tolerance
-            if not rack_converged:
-                nonconverged += 1
-            diags.append(
-                SolveDiagnostics(
-                    delivered={
-                        n: float(v)
-                        for n, v in zip(nodes, result.delivered[start:stop])
-                    },
-                    iterations=result.iterations,
-                    converged=rack_converged,
-                    residual=rack_residual,
-                    damping=rack_damping,
-                )
-            )
-        if nonconverged:
-            registry.counter("fabric.solve.nonconverged").inc(nonconverged)
-            warnings.warn(
-                f"cluster contention solve did not converge on {nonconverged} "
-                f"rack(s) within {result.iterations} iterations (worst residual "
-                f"{result.residual:.3g} bytes/s, tolerance {tolerance:.3g}); "
-                f"results reflect the last iterate",
-                FabricConvergenceWarning,
-                stacklevel=3,
-            )
-        return ClusterSolve(
-            racks=tuple(diags),
-            iterations=result.iterations,
-            converged=result.converged,
-            residual=result.residual,
-        )
+        racks = [self.rack(index) for index in indices]
+        return solve_racks(racks, demands, iterations, damping, tolerance)
 
     def describe(self) -> dict:
         """Summary of the cluster wiring."""
@@ -447,9 +317,6 @@ class ClusterCoSimulator:
         self._spilled: dict[str, object] = {}  # tenant name -> cluster-pool Lease
         self._offset_nodes: set[tuple[int, int]] = set()
         self._fault_schedule: Optional[FaultSchedule] = None
-        #: Impacts of withdrawn tenants, so :meth:`blast_radius` stays
-        #: complete after run_to_completion() retires everyone.
-        self._fault_impacts: list[TenantImpact] = []
 
     # -- fault injection --------------------------------------------------------------
 
@@ -475,15 +342,18 @@ class ClusterCoSimulator:
         return any(sim.faults_pending() for sim in self.rack_sims)
 
     def blast_radius(self) -> BlastRadiusReport:
-        """Cluster-wide damage assessment: live tenants plus withdrawn ones."""
-        impacts = {impact.name: impact for impact in self._fault_impacts}
-        for sim in self.rack_sims:
-            for name, state in sim.tenant_states.items():
-                impacts[name] = sim._impact_of(state)
+        """Cluster-wide damage assessment: every rack's report merged (live
+        tenants plus withdrawn ones)."""
+        reports = [sim.blast_radius() for sim in self.rack_sims]
         return BlastRadiusReport(
-            faults_injected=sum(sim._faults_applied for sim in self.rack_sims),
-            revocations=sum(i.revocations for i in impacts.values()),
-            tenants=tuple(impacts[name] for name in sorted(impacts)),
+            faults_injected=sum(report.faults_injected for report in reports),
+            revocations=sum(report.revocations for report in reports),
+            tenants=tuple(
+                sorted(
+                    (impact for report in reports for impact in report.tenants),
+                    key=lambda impact: impact.name,
+                )
+            ),
         )
 
     @property
@@ -583,8 +453,6 @@ class ClusterCoSimulator:
         if time is not None and time > self._clock:
             self.step(time - self._clock)
         state = sim.tenant_states.get(name)
-        if state is not None and sim._faults_active:
-            self._fault_impacts.append(sim._impact_of(state))
         sim.withdraw(name)
         del self._tenant_rack[name]
         lease = self._spilled.pop(name, None)
@@ -605,12 +473,12 @@ class ClusterCoSimulator:
         cut at the cluster epoch boundary, at every rack's epoch end and at
         every armed rack's next fault (see
         :meth:`~repro.fabric.cosim.RackCoSimulator.begin_chunk`).  At the end
-        of every chunk all racks whose epoch is due roll over together, their
-        re-solves batched into one :meth:`ClusterFabric.resolve_racks` call,
-        and at every cluster epoch boundary the inter-rack coupling
-        (uplink/spine backgrounds of spilled tenants) is refreshed from the
-        racks' live demands.  Returns baseline-seconds completed per tenant,
-        merged across racks.
+        of every chunk all racks whose epoch is due roll over together
+        (:func:`~repro.fabric.cosim.roll_over`), their re-solves batched into
+        one :meth:`ClusterFabric.resolve_racks` call, and at every cluster
+        epoch boundary the inter-rack coupling (uplink/spine backgrounds of
+        spilled tenants) is refreshed from the racks' live demands.  Returns
+        baseline-seconds completed per tenant, merged across racks.
         """
         if dt < 0:
             raise FabricError("cannot step the cluster backwards")
@@ -631,47 +499,22 @@ class ClusterCoSimulator:
                     self._clock += chunk
                     if self._epoch is not None:
                         self._epoch_elapsed += chunk
-                self._roll_over_due()
+                roll_over(self.rack_sims, self._resolve_racks)
+                if self._epoch is not None and (
+                    self._epoch_elapsed >= self._epoch - 1e-12
+                ):
+                    metrics().counter("fabric.cluster.epochs").inc()
+                    self._epoch_elapsed = 0.0
+                    self._recouple()
                 remaining = end - self._clock
         return done
 
-    def _roll_over_due(self) -> None:
-        """Roll over every rack whose epoch is due, then the cluster epoch.
-
-        Mirrors :meth:`~repro.fabric.cosim.RackCoSimulator._rollover_epoch`
-        exactly — same dirty-rack skip keyed on the solve signature, same
-        telemetry counters, same history bookkeeping — except that the dirty
-        racks' fixed-point solves run as one vectorized batch instead of one
-        solve per rack.
-        """
-        registry = metrics()
-        dirty: list[tuple[RackCoSimulator, list, tuple]] = []
-        dirty_indices: list[int] = []
-        dirty_demands: list[dict[int, float]] = []
-        due: list[tuple[RackCoSimulator, list, dict[int, float]]] = []
-        for index, sim in enumerate(self.rack_sims):
-            if not sim.epoch_due():
-                continue
-            registry.counter("fabric.cosim.epoch_rollovers").inc()
-            running, demands, solve_key = sim._epoch_demands()
-            if sim.skip_unchanged_epochs and solve_key == sim._inc_solve_key:
-                registry.counter("fabric.cosim.epoch_skips").inc()
-            else:
-                registry.counter("fabric.cosim.epoch_resolves").inc()
-                dirty.append((sim, running, solve_key))
-                dirty_indices.append(index)
-                dirty_demands.append(demands)
-            due.append((sim, running, demands))
-        if dirty:
-            solve = self.fabric.resolve_racks(dirty_indices, dirty_demands)
-            for (sim, running, solve_key), diag in zip(dirty, solve.racks):
-                sim._apply_epoch_solve(running, diag.delivered, solve_key)
-        for sim, running, demands in due:
-            sim._complete_rollover(running, demands)
-        if self._epoch is not None and self._epoch_elapsed >= self._epoch - 1e-12:
-            registry.counter("fabric.cluster.epochs").inc()
-            self._epoch_elapsed = 0.0
-            self._recouple()
+    def _resolve_racks(
+        self, indices: Sequence[int], demands: Sequence[Mapping[int, float]]
+    ) -> tuple[dict[int, float], ...]:
+        """:func:`~repro.fabric.cosim.roll_over`'s solve for the due racks:
+        one batched :meth:`ClusterFabric.resolve_racks` call."""
+        return self.fabric.resolve_racks(indices, demands).delivered
 
     def _recouple(self) -> None:
         """Refresh spilled tenants' uplink/spine background offsets.
@@ -770,6 +613,27 @@ class ClusterCoSimulator:
 
     # -- closed-loop convenience --------------------------------------------------------
 
+    def _outcome(self, name: str, rack: int) -> ClusterTenantOutcome:
+        """Final statistics of an admitted tenant, finished or not."""
+        state = self.rack_sims[rack].tenant_states.get(name)
+        lease = state.lease if state is not None else None
+        finished = state is not None and state.finished
+        if finished:
+            lease_state = LEASE_GRANTED
+        else:
+            lease_state = lease.state if lease is not None else LEASE_REJECTED
+        return ClusterTenantOutcome(
+            name=name,
+            rack=rack,
+            node=state.node if state is not None else -1,
+            spilled=name in self._spilled,
+            lease_state=lease_state,
+            start_time=lease.granted_at if finished and lease is not None else None,
+            finish_time=state.finish_time if finished else None,
+            baseline_runtime=state.baseline_runtime if state is not None else 0.0,
+            wait_time=lease.wait_time if finished and lease is not None else 0.0,
+        )
+
     def run_to_completion(self) -> dict:
         """Step until every admitted tenant finishes (or can never run).
 
@@ -791,62 +655,14 @@ class ClusterCoSimulator:
                 elif state.running:
                     running += 1
             for name in finished:
-                rack = self._tenant_rack[name]
-                state = self.rack_sims[rack].tenant_states[name]
-                outcomes.append(
-                    ClusterTenantOutcome(
-                        name=name,
-                        rack=rack,
-                        node=state.node,
-                        spilled=name in self._spilled,
-                        lease_state=LEASE_GRANTED,
-                        start_time=(
-                            state.lease.granted_at
-                            if state.lease is not None
-                            else None
-                        ),
-                        finish_time=state.finish_time,
-                        baseline_runtime=state.baseline_runtime,
-                        wait_time=(
-                            state.lease.wait_time
-                            if state.lease is not None
-                            else 0.0
-                        ),
-                    )
-                )
+                outcomes.append(self._outcome(name, self._tenant_rack[name]))
                 self.withdraw(name)
             if not self._tenant_rack:
                 break
-            if running == 0 and not finished:
-                # Everything left is queued behind capacity nothing will
-                # release: record and stop rather than spinning.
-                for name, rack in list(self._tenant_rack.items()):
-                    state = self.rack_sims[rack].tenant_states.get(name)
-                    outcomes.append(
-                        ClusterTenantOutcome(
-                            name=name,
-                            rack=rack,
-                            node=state.node if state is not None else -1,
-                            spilled=name in self._spilled,
-                            lease_state=(
-                                state.lease.state
-                                if state is not None and state.lease is not None
-                                else LEASE_REJECTED
-                            ),
-                            start_time=None,
-                            finish_time=None,
-                            baseline_runtime=(
-                                state.baseline_runtime if state is not None else 0.0
-                            ),
-                        )
-                    )
-                    self.withdraw(name)
-                break
             if finished:
                 continue
-            if (
-                running
-                and self._faults_active
+            if running == 0 or (
+                self._faults_active
                 and not self.faults_pending()
                 and not any(r > 0.0 for r in self.progress_rates().values())
                 and not any(
@@ -855,28 +671,12 @@ class ClusterCoSimulator:
                     for s in sim.tenant_states.values()
                 )
             ):
-                # Fault-stalled forever — e.g. a killed port that is never
-                # restored: record the survivors as unfinished and stop.
+                # Everything left is queued behind capacity nothing will
+                # release, or fault-stalled forever (e.g. a killed port that
+                # is never restored): record it as unfinished and stop
+                # rather than spinning.
                 for name, rack in list(self._tenant_rack.items()):
-                    state = self.rack_sims[rack].tenant_states.get(name)
-                    outcomes.append(
-                        ClusterTenantOutcome(
-                            name=name,
-                            rack=rack,
-                            node=state.node if state is not None else -1,
-                            spilled=name in self._spilled,
-                            lease_state=(
-                                state.lease.state
-                                if state is not None and state.lease is not None
-                                else LEASE_REJECTED
-                            ),
-                            start_time=None,
-                            finish_time=None,
-                            baseline_runtime=(
-                                state.baseline_runtime if state is not None else 0.0
-                            ),
-                        )
-                    )
+                    outcomes.append(self._outcome(name, rack))
                     self.withdraw(name)
                 break
             self.step(self.horizon())

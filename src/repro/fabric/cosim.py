@@ -69,7 +69,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -668,14 +668,8 @@ class RackCoSimulator:
         self._inc_offsets: dict[int, float] = {}
         #: Signature of the epoch state the current backgrounds were resolved
         #: for — when the next rollover poses the identical problem, the
-        #: fixed-point solve is skipped (see :attr:`skip_unchanged_epochs`).
+        #: fixed-point solve is skipped (see :func:`roll_over`).
         self._inc_solve_key: Optional[tuple] = None
-        #: Incremental stepping: skip the contention re-solve at epoch
-        #: rollovers whose demand vector is unchanged.  Observable behaviour
-        #: is identical either way (the skipped solve would reproduce the
-        #: frozen backgrounds); set to False to force a fresh solve every
-        #: epoch, e.g. in differential tests.
-        self.skip_unchanged_epochs: bool = True
         # Fault layer.  `_faults_active` is the single hot-path guard: while
         # False (no schedule injected, no elastic reclaim ever observed) the
         # stepping loops pay two attribute checks per chunk (one in
@@ -689,6 +683,8 @@ class RackCoSimulator:
         #: Residual capacity per degraded port (killed = 0.0); absent = healthy.
         self._port_scales: dict[int, float] = {}
         self._drain_bytes_per_s = DEFAULT_DRAIN_BYTES_PER_S
+        #: Fault impacts of withdrawn tenants, so :meth:`blast_radius` keeps them.
+        self._withdrawn_impacts: dict[str, TenantImpact] = {}
 
     # -- baseline profiling ---------------------------------------------------------
 
@@ -815,7 +811,7 @@ class RackCoSimulator:
                 for state in finished:
                     self.pool.release(state.lease, time=self._inc_clock)
                 if finished:
-                    self._rollover_epoch(force=True)
+                    roll_over((self,), self._solve_alone, force=True)
                 if not pending and states and all(s.finished for s in states):
                     break
                 targets = [self.tenants[pending[0]].arrival] if pending else []
@@ -978,7 +974,7 @@ class RackCoSimulator:
             # An overcommitting pool may have shrunk co-tenants to fit the
             # newcomer; charge those reclaims before re-resolving the epoch.
             self._consume_pool_reclaims()
-        self._rollover_epoch(force=True)
+        roll_over((self,), self._solve_alone, force=True)
         return state.lease
 
     def withdraw(self, name: str, time: Optional[float] = None) -> None:
@@ -986,7 +982,8 @@ class RackCoSimulator:
 
         Releasing the lease admits queued co-tenants in FIFO order; the epoch
         is rolled over so the departed tenant's demand stops interfering in
-        the same instant.
+        the same instant.  With the fault layer active the tenant's fault
+        impact stays in :meth:`blast_radius`.
         """
         if name not in self._inc_states:
             raise FabricError(f"no admitted tenant named {name!r}")
@@ -994,9 +991,11 @@ class RackCoSimulator:
             self.step(time - self._inc_clock)
         metrics().counter("fabric.cosim.withdrawn").inc()
         state = self._inc_states.pop(name)
+        if self._faults_active:
+            self._withdrawn_impacts[name] = self._impact_of(state)
         if state.lease is not None and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED):
             self.pool.release(state.lease, time=self._inc_clock)
-        self._rollover_epoch(force=True)
+        roll_over((self,), self._solve_alone, force=True)
 
     def set_background_offset(self, node: int, bandwidth: float) -> None:
         """Impose extra background bandwidth on ``node`` from outside the rack.
@@ -1157,8 +1156,7 @@ class RackCoSimulator:
             if chunk > 0:
                 for name, amount in self.step_frozen(chunk).items():
                     done[name] += amount
-            if self.epoch_due():
-                self._rollover_epoch()
+            roll_over((self,), self._solve_alone)
             remaining = end - self._inc_clock
         return done
 
@@ -1188,12 +1186,12 @@ class RackCoSimulator:
 
         The one place tenants advance.  ``dt`` must not cross this rack's
         epoch end or next fault time (:meth:`begin_chunk` bounds it); the
-        caller rolls the epoch over once it is due, which lets a
-        :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
-        re-solve into one vectorized call.  A tenant on a killed port stalls
-        for the whole chunk, one owing migration debt pays it down first, and
-        a revoked tenant waiting for its lease stalls too.  Returns the
-        baseline seconds each tenant completed.
+        caller rolls the epoch over once it is due (:func:`roll_over`), which
+        lets a :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every
+        rack's re-solve into one vectorized call.  A tenant on a killed port
+        stalls for the whole chunk, one owing migration debt pays it down
+        first, and a revoked tenant waiting for its lease stalls too.
+        Returns the baseline seconds each tenant completed.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
@@ -1438,7 +1436,7 @@ class RackCoSimulator:
         elif kind == FAULT_POOL_CAPACITY_LOSS:
             self.pool.lose_capacity(int(event.nbytes), time=self._inc_clock)
         self._consume_pool_reclaims()
-        self._rollover_epoch(force=True)
+        roll_over((self,), self._solve_alone, force=True)
 
     def _consume_pool_reclaims(self) -> None:
         """Charge pool-side reclaims (shrink / revoke) to their tenants.
@@ -1561,12 +1559,15 @@ class RackCoSimulator:
         )
 
     def blast_radius(self) -> BlastRadiusReport:
-        """Damage assessment of the fault layer so far (deterministic)."""
-        states = sorted(self._inc_states.items())
+        """Damage assessment of the fault layer so far (deterministic), live
+        tenants plus withdrawn ones."""
+        impacts = dict(self._withdrawn_impacts)
+        for name, state in self._inc_states.items():
+            impacts[name] = self._impact_of(state)
         return BlastRadiusReport(
             faults_injected=self._faults_applied,
-            revocations=sum(s.revocations for _, s in states),
-            tenants=tuple(self._impact_of(s) for _, s in states),
+            revocations=sum(i.revocations for i in impacts.values()),
+            tenants=tuple(impacts[name] for name in sorted(impacts)),
         )
 
     def _state_of(self, name: str) -> _TenantState:
@@ -1575,47 +1576,19 @@ class RackCoSimulator:
         except KeyError as exc:
             raise FabricError(f"no admitted tenant named {name!r}") from exc
 
-    def _rollover_epoch(self, force: bool = False) -> None:
-        """Close the current epoch: re-resolve backgrounds, restart the epoch.
-
-        Called at every epoch boundary and on every tenant admission or
-        withdrawal, so the frozen backgrounds always reflect the live tenant
-        mix and their current phases.
-
-        When :attr:`skip_unchanged_epochs` is on and neither the demand
-        vector nor the external offsets changed since the last resolved
-        epoch, the fixed-point solve is skipped — it would reproduce the
-        backgrounds already frozen — while history and telemetry are still
-        recorded exactly as on the resolve path, so trajectories are
-        bit-identical with skipping on or off.  ``force`` (admission,
-        withdrawal, rollback) always re-solves: those events change pool or
-        lease state the demand signature alone cannot see.
-        """
-        registry = metrics()
-        registry.counter("fabric.cosim.epoch_rollovers").inc()
-        running, demands, solve_key = self._epoch_demands()
-        if (
-            not force
-            and self.skip_unchanged_epochs
-            and solve_key == self._inc_solve_key
-        ):
-            registry.counter("fabric.cosim.epoch_skips").inc()
-        else:
-            registry.counter("fabric.cosim.epoch_resolves").inc()
-            delivered = self.topology.resolve(demands) if demands else {}
-            self._apply_epoch_solve(running, delivered, solve_key)
-        self._complete_rollover(running, demands)
+    def _solve_alone(
+        self, indices: Sequence[int], demands: Sequence[Mapping[int, float]]
+    ) -> list[Mapping[int, float]]:
+        """:func:`roll_over`'s solve for this rack on its own: one
+        :meth:`FabricTopology.resolve` call, none when nothing runs."""
+        return [self.topology.resolve(demands[0]) if demands[0] else {}]
 
     def _epoch_demands(
         self,
     ) -> tuple[list[_TenantState], dict[int, float], tuple]:
         """The running tenants, their demand vector and its solve signature.
 
-        The first of the three pieces :meth:`_rollover_epoch` is made of;
-        split out so :class:`~repro.fabric.cluster.ClusterCoSimulator` can
-        collect every rack's demands, batch the dirty ones through one
-        vectorized solve, and finish each rack with the exact same
-        bookkeeping as a self-driven rollover.  With the fault layer armed,
+        The first step of :func:`roll_over`.  With the fault layer armed,
         revoked tenants re-request their leases first.
         """
         if self._faults_active:
@@ -1696,3 +1669,45 @@ class RackCoSimulator:
                     self.topology.port_waiting_time(p, demands) for p in ports
                 ),
             )
+
+
+def roll_over(
+    racks: Sequence[RackCoSimulator],
+    solve: Callable[[list[int], list[dict[int, float]]], Sequence[Mapping[int, float]]],
+    force: bool = False,
+) -> None:
+    """Roll the epoch over on every rack that is due (every rack with ``force``).
+
+    The fabric's one epoch rollover: a standalone rack rolls itself over as a
+    batch of one, a :class:`~repro.fabric.cluster.ClusterCoSimulator` rolls
+    all its due racks over together.  Each rolled rack collects its running
+    tenants' demands.  When neither they, the external offsets nor the port
+    health changed since the rack's last solve, the solve is skipped — it
+    would reproduce the backgrounds already frozen.  Every other rolled rack
+    is re-solved in one ``solve(indices, demands)`` call, which returns the
+    delivered maps of ``racks[i]`` for each ``i`` in ``indices``, in order.
+    Then every rolled rack restarts its epoch and records background history
+    and telemetry exactly as a re-solved one would.  ``force`` (admission,
+    withdrawal, applied fault, released lease) always re-solves: those
+    events change pool or lease state the demand signature cannot see.
+    """
+    registry = metrics()
+    rolled: list[tuple[RackCoSimulator, list[_TenantState], dict[int, float]]] = []
+    dirty: list[tuple[int, RackCoSimulator, list[_TenantState], dict, tuple]] = []
+    for index, rack in enumerate(racks):
+        if not (force or rack.epoch_due()):
+            continue
+        registry.counter("fabric.cosim.epoch_rollovers").inc()
+        running, demands, solve_key = rack._epoch_demands()
+        rolled.append((rack, running, demands))
+        if force or solve_key != rack._inc_solve_key:
+            registry.counter("fabric.cosim.epoch_resolves").inc()
+            dirty.append((index, rack, running, demands, solve_key))
+        else:
+            registry.counter("fabric.cosim.epoch_skips").inc()
+    if dirty:
+        solved = solve([entry[0] for entry in dirty], [entry[3] for entry in dirty])
+        for (_, rack, running, _, solve_key), delivered in zip(dirty, solved):
+            rack._apply_epoch_solve(running, delivered, solve_key)
+    for rack, running, demands in rolled:
+        rack._complete_rollover(running, demands)

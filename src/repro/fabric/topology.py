@@ -34,8 +34,9 @@ lifted the very next resolve is indistinguishable from a never-faulted one
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -199,77 +200,11 @@ class FabricTopology:
         stops eating capacity it cannot use), so the allocation is resolved
         with a damped fixed point.  Symmetric overload converges to a fair
         share of the port's data capacity, which is how real coherent fabrics
-        behave under saturation.
-
-        A node's update direction couples to the sum of its co-runners'
-        values, so the iteration map has a slope of about ``-(k - 1)`` for
-        ``k`` nodes sharing a port; the default damping of ``1/k`` cancels
-        that slope and makes the iteration contract for any sharing degree
-        (an explicit ``damping`` overrides it).  ``tolerance`` is the
-        convergence threshold in bytes/s (1 MB/s by default — far below any
-        bandwidth that matters here).
-
-        The returned :class:`SolveDiagnostics` records iterations used,
-        convergence and the final residual; a solve that exhausts its budget
-        additionally emits a :class:`FabricConvergenceWarning` and bumps the
-        ``fabric.solve.nonconverged`` telemetry counter, so silent
-        non-convergence cannot skew results unnoticed.
+        behave under saturation.  This is :func:`solve_racks` on a batch of
+        one rack; see there for the damping rule, the tolerance and the
+        non-convergence warning.
         """
-        if damping is not None and not 0.0 < damping <= 1.0:
-            raise FabricError("damping must be in (0, 1]")
-        if damping is None:
-            max_sharing = max(
-                (
-                    sum(1 for other in demands if self.port_of(other) == self.port_of(node))
-                    for node in demands
-                ),
-                default=1,
-            )
-            damping = 1.0 / max(max_sharing, 1)
-        nodes = list(demands)
-        # All ports of one topology are built identically, so port capacity
-        # and node bandwidth are scalars here; ClusterFabric batches racks
-        # through the same kernel with per-entry arrays.
-        link = self.ports[0]
-        with trace_span("fabric.solve", nodes=len(demands)):
-            result = solve_fixed_point(
-                np.array([self._node_demand(n, demands) for n in nodes]),
-                np.array([self.port_of(n) for n in nodes], dtype=np.intp),
-                capacity=link.data_capacity,
-                node_bandwidth=link.node_bandwidth,
-                min_share=RemoteLink.MIN_SHARE,
-                damping=damping,
-                iterations=iterations,
-                tolerance=tolerance,
-            )
-        registry = metrics()
-        registry.counter("fabric.solve.calls").inc()
-        registry.histogram("fabric.solve.iterations").observe(result.iterations)
-        diagnostics = SolveDiagnostics(
-            delivered={n: float(v) for n, v in zip(nodes, result.delivered)},
-            iterations=result.iterations,
-            converged=result.converged,
-            residual=result.residual,
-            damping=damping,
-        )
-        self._warn_nonconverged(diagnostics, tolerance)
-        return diagnostics
-
-    def _warn_nonconverged(
-        self, diagnostics: SolveDiagnostics, tolerance: float
-    ) -> None:
-        """Emit the non-convergence warning + counter for a finished solve."""
-        if diagnostics.converged:
-            return
-        metrics().counter("fabric.solve.nonconverged").inc()
-        warnings.warn(
-            f"fixed-point contention solve did not converge within "
-            f"{diagnostics.iterations} iterations (residual "
-            f"{diagnostics.residual:.3g} bytes/s, tolerance {tolerance:.3g}); "
-            f"results reflect the last iterate",
-            FabricConvergenceWarning,
-            stacklevel=3,
-        )
+        return solve_racks((self,), (demands,), iterations, damping, tolerance).racks[0]
 
     def share_for(self, node: int, demands: Mapping[int, float]) -> LinkShare:
         """Resolve port contention from one node's perspective.
@@ -301,3 +236,127 @@ class FabricTopology:
             "port_data_capacity_gbs": self.ports[0].data_capacity / 1e9,
             "port_map": {node: self.port_of(node) for node in range(self.n_nodes)},
         }
+
+
+@dataclass(frozen=True)
+class ClusterSolve:
+    """One batched contention resolution across racks.
+
+    ``racks[i]`` is rack ``i``'s :class:`SolveDiagnostics`.  The batch-level
+    fields aggregate: ``iterations`` is the batch's shared global count,
+    ``converged`` requires every rack to have converged, ``residual`` is the
+    largest per-rack residual.
+    """
+
+    racks: tuple[SolveDiagnostics, ...]
+    iterations: int
+    converged: bool
+    residual: float
+
+    @property
+    def delivered(self) -> tuple[dict[int, float], ...]:
+        """Per-rack delivered-bandwidth maps (rack-local node -> bytes/s)."""
+        return tuple(diag.delivered for diag in self.racks)
+
+
+def solve_racks(
+    racks: Sequence[FabricTopology],
+    demands: Sequence[Mapping[int, float]],
+    iterations: int = 64,
+    damping: float | None = None,
+    tolerance: float = 1e6,
+) -> ClusterSolve:
+    """Resolve several racks' port contention in one batched fixed-point solve.
+
+    ``demands[i]`` is ``racks[i]``'s demand map (rack-local node -> offered
+    bytes/s).  Racks are independent sub-problems (each node contends only on
+    its own rack's ports), so all racks flatten into one array and a single
+    :func:`~repro.fabric.solver.solve_fixed_point` call.  Both
+    :meth:`FabricTopology.resolve_detailed` (one rack) and
+    :meth:`ClusterFabric.resolve_racks <repro.fabric.cluster.ClusterFabric.
+    resolve_racks>` (many) are this function.
+
+    A node's update direction couples to the sum of its co-runners' values,
+    so the iteration map has a slope of about ``-(k - 1)`` for ``k`` nodes
+    sharing a port; each rack's default damping of ``1/k`` for its largest
+    sharing degree cancels that slope and makes the iteration contract (an
+    explicit ``damping`` overrides it for every rack).  ``tolerance`` is the
+    convergence threshold in bytes/s (1 MB/s by default — far below any
+    bandwidth that matters here).
+
+    The batch iterates until *every* rack converges, so each rack reports the
+    batch's iteration count and already-converged racks keep contracting
+    toward the same fixed point (their values stay within solver tolerance of
+    an early-stopped solve of their own).  A batch in which some rack
+    exhausts the budget emits one :class:`FabricConvergenceWarning` and adds
+    the number of such racks to the ``fabric.solve.nonconverged`` counter,
+    so silent non-convergence cannot skew results unnoticed.
+    """
+    if len(demands) != len(racks):
+        raise FabricError(f"expected {len(racks)} demand maps, got {len(demands)}")
+    if damping is not None and not 0.0 < damping <= 1.0:
+        raise FabricError("damping must be in (0, 1]")
+    offered: list[float] = []
+    port_index: list[int] = []
+    capacity: list[float] = []
+    node_bandwidth: list[float] = []
+    damping_arr: list[float] = []
+    rack_dampings: list[float] = []
+    slices: list[tuple[int, int]] = []
+    port_offset = 0
+    for rack, rack_demands in zip(racks, demands):
+        ports = [rack.port_of(node) for node in rack_demands]
+        max_sharing = max(Counter(ports).values(), default=1)
+        rack_damping = damping if damping is not None else 1.0 / max_sharing
+        start = len(offered)
+        offered.extend(rack._node_demand(node, rack_demands) for node in rack_demands)
+        port_index.extend(port_offset + port for port in ports)
+        # All ports of one rack are built identically.
+        capacity.extend([rack.ports[0].data_capacity] * len(ports))
+        node_bandwidth.extend([rack.ports[0].node_bandwidth] * len(ports))
+        damping_arr.extend([rack_damping] * len(ports))
+        rack_dampings.append(rack_damping)
+        slices.append((start, len(offered)))
+        port_offset += rack.n_ports
+    with trace_span("fabric.solve", racks=len(racks), nodes=len(offered)):
+        result = solve_fixed_point(
+            np.asarray(offered),
+            np.asarray(port_index, dtype=np.intp),
+            capacity=np.asarray(capacity),
+            node_bandwidth=np.asarray(node_bandwidth),
+            min_share=RemoteLink.MIN_SHARE,
+            damping=np.asarray(damping_arr),
+            iterations=iterations,
+            tolerance=tolerance,
+        )
+    registry = metrics()
+    registry.counter("fabric.solve.calls").inc()
+    registry.histogram("fabric.solve.iterations").observe(result.iterations)
+    diagnostics = []
+    for rack_demands, rack_damping, (start, stop) in zip(demands, rack_dampings, slices):
+        residual = float(result.delta[start:stop].max()) if stop > start else 0.0
+        diagnostics.append(
+            SolveDiagnostics(
+                delivered=dict(zip(rack_demands, result.delivered[start:stop].tolist())),
+                iterations=result.iterations,
+                converged=result.converged or residual < tolerance,
+                residual=residual,
+                damping=rack_damping,
+            )
+        )
+    nonconverged = sum(1 for diag in diagnostics if not diag.converged)
+    if nonconverged:
+        registry.counter("fabric.solve.nonconverged").inc(nonconverged)
+        warnings.warn(
+            f"contention solve did not converge on {nonconverged} rack(s) within "
+            f"{result.iterations} iterations (worst residual {result.residual:.3g} "
+            f"bytes/s, tolerance {tolerance:.3g}); results reflect the last iterate",
+            FabricConvergenceWarning,
+            stacklevel=3,
+        )
+    return ClusterSolve(
+        racks=tuple(diagnostics),
+        iterations=result.iterations,
+        converged=result.converged,
+        residual=result.residual,
+    )

@@ -8,6 +8,8 @@ paths it used to ship next to them live on here, as differential oracles:
 * :func:`lockstep` — a cluster stepper that advances every rack through its
   own :meth:`RackCoSimulator.step`, so each rack rolls its epochs over and
   resolves them alone (through :func:`solve_scalar` unless told otherwise);
+* :func:`resolve_every_rollover` — racks that re-solve at every epoch
+  rollover instead of skipping a solve whose inputs did not change;
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
   arrivals and grants queued leases only at epoch boundaries.
 """
@@ -91,17 +93,20 @@ def lockstep(cluster, scalar: bool = True):
     Racks advance in chunks bounded by the cluster epoch only; each rack
     sub-chunks at its own epoch ends and fault times and rolls itself over
     with a solve of its own.  With ``scalar`` those solves go through
-    :func:`solve_scalar`.  Call it before the first admission (admissions
-    solve too).  Returns ``cluster``.
+    :func:`solve_scalar`, and ``cluster.scalar_solves`` counts them, so a
+    test can prove the oracle did not quietly run the library's solver.
+    Call it before the first admission (admissions solve too).  Returns
+    ``cluster``.
     """
     if scalar:
+        cluster.scalar_solves = 0
+
+        def resolve(topology, demands, *args, **kwargs):
+            cluster.scalar_solves += 1
+            return solve_scalar(topology, demands, *args, **kwargs).delivered
+
         for topology in cluster.fabric.racks:
-            topology.resolve = types.MethodType(
-                lambda self, demands, *args, **kwargs: solve_scalar(
-                    self, demands, *args, **kwargs
-                ).delivered,
-                topology,
-            )
+            topology.resolve = types.MethodType(resolve, topology)
     cluster.step = types.MethodType(_lockstep_step, cluster)
     return cluster
 
@@ -127,6 +132,26 @@ def _lockstep_step(self, dt: float) -> dict[str, float]:
             self._epoch_elapsed = 0.0
             self._recouple()
     return done
+
+
+def resolve_every_rollover(racks):
+    """Make every epoch rollover of ``racks`` re-solve the contention.
+
+    The library skips a rollover's solve when the rack's demands, external
+    offsets and port health are unchanged since its last solve.  Here each
+    rack forgets that signature whenever a rollover collects its demands, so
+    nothing can match and every rollover re-solves — the behaviour the skip
+    must be indistinguishable from.  Works on standalone racks and on a
+    cluster's ``rack_sims`` alike.  Returns ``racks``.
+    """
+    for rack in racks:
+
+        def collect(rack=rack, collect=rack._epoch_demands):
+            rack._inc_solve_key = None
+            return collect()
+
+        rack._epoch_demands = collect
+    return racks
 
 
 def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:

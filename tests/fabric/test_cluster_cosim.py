@@ -9,7 +9,8 @@ Three properties the scheduler integration depends on:
   survives the rollback).
 * **Dirty-rack tracking** — the epoch-skip optimisation only ever skips
   racks whose solver inputs did not change; any membership or offset change
-  forces a re-solve, so trajectories with the skip on and off are identical.
+  forces a re-solve, so trajectories are identical to those of racks that
+  re-solve at every rollover (``oracles.resolve_every_rollover``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import resolve_every_rollover
 from repro import telemetry
 from repro.config.errors import FabricError
 from repro.fabric import ClusterCoSimulator, ClusterFabric, uniform_tenants
@@ -149,17 +151,28 @@ class TestDirtyRackTracking:
             assert rate >= rates_before[tenant] - 1e-12
 
     def test_skip_on_off_trajectories_identical(self, xsbench_spec):
-        runs = []
-        for skip in (True, False):
-            sim = spread_tenants(build_cluster(seed=5), xsbench_spec)
-            for rack_sim in sim.rack_sims:
-                rack_sim.skip_unchanged_epochs = skip
-            samples = trajectory(sim, steps=4)
-            name = sim.tenant_names[0]
-            sim.withdraw(name)
-            samples += trajectory(sim, steps=4)
-            runs.append(samples)
+        """The batched rollover's skip vs racks that re-solve every rollover."""
+        runs, skips = [], []
+        for reference in (False, True):
+            telemetry.enable(reset=True)
+            try:
+                sim = build_cluster(seed=5)
+                if reference:
+                    resolve_every_rollover(sim.rack_sims)
+                spread_tenants(sim, xsbench_spec)
+                samples = trajectory(sim, steps=4)
+                name = sim.tenant_names[0]
+                sim.withdraw(name)
+                samples += trajectory(sim, steps=4)
+                runs.append(samples)
+                registry = telemetry.registry()
+                skips.append(registry.counter("fabric.cosim.epoch_skips").value)
+            finally:
+                telemetry.disable()
+                telemetry.registry().reset()
+                telemetry.tracer().reset()
         assert runs[0] == runs[1]
+        assert skips[1] == 0 < skips[0]
 
 
 class TestSpill:

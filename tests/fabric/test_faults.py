@@ -320,6 +320,23 @@ class TestRevokeAndShrinkAccounting:
         # The pool's reclaim log was drained exactly once.
         assert sim.pool.consume_reclaims() == ()
 
+    def test_withdrawn_tenant_stays_in_the_blast_radius(self):
+        sim = RackCoSimulator.incremental(n_nodes=2, seed=0)
+        sim.inject_faults(
+            FaultSchedule((FaultEvent(time=1.0, kind="lease-revoke", tenant="t1"),))
+        )
+        for spec in tenants(2):
+            sim.admit(spec)
+        sim.step(1.5)
+        before = sim.blast_radius()
+        sim.withdraw("t1", time=2.0)
+        after = sim.blast_radius()
+        assert before.revocations == after.revocations == 1
+        assert after.faults_injected == 1
+        assert [t.name for t in after.tenants] == ["t0", "t1"]
+        assert after.tenants[1].revocations == 1
+        assert after.tenants[1].stall_seconds >= before.tenants[1].stall_seconds > 0
+
     def test_revoked_tenant_keeps_original_start_time(self):
         sim = RackCoSimulator(tenants(2), seed=0)
         sim.inject_faults(

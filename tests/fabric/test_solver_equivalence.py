@@ -3,10 +3,11 @@
 The pure-Python fixed point (``oracles.solve_scalar``) is the ground truth;
 the single-rack solve (:meth:`FabricTopology.resolve_detailed`), the batched
 multi-rack solve (:meth:`ClusterFabric.resolve_all`) and the incremental
-stepper's dirty-epoch skip are all *optimisations* of it and must stay within
-solver tolerance of what it computes — including when the fixed point does
-**not** converge, where both must report the same diagnostics (and the
-library path a :class:`FabricConvergenceWarning`).
+stepper's dirty-epoch skip (held to ``oracles.resolve_every_rollover``) are
+all *optimisations* of it and must stay within solver tolerance of what it
+computes — including when the fixed point does **not** converge, where both
+must report the same diagnostics (and the library path a
+:class:`FabricConvergenceWarning`).
 
 Property-based (hypothesis) where the input space is wide — random demand
 matrices, random tenant churn — with seeded NumPy fallbacks for the
@@ -26,7 +27,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import solve_scalar
+from oracles import resolve_every_rollover, solve_scalar
+from repro import telemetry
 from repro.fabric import (
     ClusterFabric,
     FabricConvergenceWarning,
@@ -210,19 +212,11 @@ def test_solve_fixed_point_empty_input():
 # -- incremental stepper: dirty-epoch skip equivalence --------------------------------
 
 
-def _trajectory(sim, steps, dt):
-    """(clock, sorted rates) samples of ``steps`` fixed-size steps."""
-    out = []
-    for _ in range(steps):
-        sim.step(dt)
-        out.append((sim.clock, tuple(sorted(sim.progress_rates().items()))))
-    return out
-
-
 @settings(max_examples=10)
 @given(seed=st.integers(min_value=0, max_value=2**16), churn=st.integers(0, 3))
 def test_incremental_skip_equivalence_under_churn(seed, churn, xsbench_spec):
-    """Same admissions/withdrawals, skip on vs off: bit-identical trajectories."""
+    """Same admissions/withdrawals, the library's skip vs a rack that re-solves
+    every rollover: bit-identical trajectories."""
     from dataclasses import replace
 
     from repro.fabric import RackCoSimulator, uniform_tenants
@@ -232,28 +226,34 @@ def test_incremental_skip_equivalence_under_churn(seed, churn, xsbench_spec):
     plan = []  # (step index, action)
     for i in range(churn):
         plan.append((int(rng.integers(0, 8)), i))
-    sims = []
-    for skip in (True, False):
-        sim = RackCoSimulator.incremental(n_nodes=4, seed=0)
-        sim.skip_unchanged_epochs = skip
-        for tenant in tenants:
-            sim.admit(replace(tenant, arrival=0.0))
-        sims.append(sim)
-    dt = sims[0].baseline_runtime_of(tenants[0].name) / 40
-    trajectories = []
-    for sim in sims:
-        withdrawn = set()
-        samples = []
-        for step in range(8):
-            for when, which in plan:
-                name = tenants[which % len(tenants)].name
-                if when == step and name not in withdrawn and name in sim.tenant_states:
-                    sim.withdraw(name)
-                    withdrawn.add(name)
-            sim.step(dt)
-            samples.append((sim.clock, tuple(sorted(sim.progress_rates().items()))))
-        trajectories.append(samples)
+    trajectories, skips = [], []
+    for reference in (False, True):
+        telemetry.enable(reset=True)
+        try:
+            sim = RackCoSimulator.incremental(n_nodes=4, seed=0)
+            if reference:
+                resolve_every_rollover([sim])
+            for tenant in tenants:
+                sim.admit(replace(tenant, arrival=0.0))
+            dt = sim.baseline_runtime_of(tenants[0].name) / 40
+            withdrawn = set()
+            samples = []
+            for step in range(8):
+                for when, which in plan:
+                    name = tenants[which % len(tenants)].name
+                    if when == step and name not in withdrawn and name in sim.tenant_states:
+                        sim.withdraw(name)
+                        withdrawn.add(name)
+                sim.step(dt)
+                samples.append((sim.clock, tuple(sorted(sim.progress_rates().items()))))
+            trajectories.append(samples)
+            skips.append(telemetry.registry().counter("fabric.cosim.epoch_skips").value)
+        finally:
+            telemetry.disable()
+            telemetry.registry().reset()
+            telemetry.tracer().reset()
     assert trajectories[0] == trajectories[1]
+    assert skips[1] == 0 < skips[0]
 
 
 @pytest.mark.slow
