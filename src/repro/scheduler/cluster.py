@@ -39,12 +39,21 @@ class Node:
 
 @dataclass
 class Rack:
-    """A rack: nodes plus one shared memory pool."""
+    """A rack: nodes plus one shared memory pool.
+
+    ``free_node_count`` is kept by :meth:`place` and :meth:`release`, so
+    capacity checks cost O(1) instead of a scan over the nodes.  Occupy and
+    vacate nodes only through those two methods.
+    """
 
     rack_id: int
     nodes: list[Node]
     pool_capacity_gb: float
     pool_used_gb: float = 0.0
+    free_node_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.free_node_count = sum(1 for n in self.nodes if not n.busy)
 
     @property
     def free_nodes(self) -> list[Node]:
@@ -77,22 +86,32 @@ class Rack:
 
     def can_host(self, job: Job) -> bool:
         """Whether the rack has a free node and enough pool capacity for ``job``."""
-        return bool(self.free_nodes) and job.profile.pool_gb <= self.pool_free_gb
+        return self.free_node_count > 0 and job.profile.pool_gb <= self.pool_free_gb
 
     def place(self, job: Job, node: Optional[Node] = None) -> Node:
-        """Place a job on a node of this rack and reserve its pool share."""
+        """Place a job on a node of this rack and reserve its pool share.
+
+        ``node`` defaults to the first free node.  A node of another rack or a
+        busy node raises :class:`SchedulingError` and changes nothing.
+        """
         if not self.can_host(job):
             raise SchedulingError(
                 f"rack {self.rack_id} cannot host job {job.job_id}"
             )
-        target = node if node is not None else self.free_nodes[0]
-        if target.busy:
-            raise SchedulingError(f"node {target.node_id} is busy")
-        target.running = job
-        job.assigned_node = target.node_id
+        if node is None:
+            node = next(n for n in self.nodes if not n.busy)
+        elif not any(n is node for n in self.nodes):
+            raise SchedulingError(
+                f"node {node.node_id} is not in rack {self.rack_id}"
+            )
+        elif node.busy:
+            raise SchedulingError(f"node {node.node_id} is busy")
+        node.running = job
+        job.assigned_node = node.node_id
         job.assigned_rack = self.rack_id
         self.pool_used_gb += job.profile.pool_gb
-        return target
+        self.free_node_count -= 1
+        return node
 
     def release(self, job: Job) -> None:
         """Remove a finished job from its node and release its pool share."""
@@ -100,6 +119,7 @@ class Rack:
             if node.running is not None and node.running.job_id == job.job_id:
                 node.running = None
                 self.pool_used_gb = max(self.pool_used_gb - job.profile.pool_gb, 0.0)
+                self.free_node_count += 1
                 return
         raise SchedulingError(f"job {job.job_id} is not running in rack {self.rack_id}")
 
@@ -139,7 +159,7 @@ class Cluster:
     @property
     def free_nodes(self) -> int:
         """Number of idle nodes."""
-        return sum(len(r.free_nodes) for r in self.racks)
+        return sum(r.free_node_count for r in self.racks)
 
     @property
     def running_jobs(self) -> list[Job]:
@@ -158,3 +178,18 @@ class Cluster:
     def candidate_racks(self, job: Job) -> list[Rack]:
         """Racks that could host ``job`` right now."""
         return [rack for rack in self.racks if rack.can_host(job)]
+
+    def placement_headroom_gb(self) -> Optional[float]:
+        """Largest pool headroom among racks with a free node.
+
+        None when every node is busy.  Some rack can host a job exactly when
+        its ``pool_gb`` is at most this value, i.e. when
+        :meth:`candidate_racks` is non-empty.
+        """
+        headroom = None
+        for rack in self.racks:
+            if rack.free_node_count > 0:
+                free = rack.pool_free_gb
+                if headroom is None or free > headroom:
+                    headroom = free
+        return headroom

@@ -34,7 +34,17 @@ from .job import Job
 
 
 class PlacementPolicy(Protocol):
-    """Chooses the rack a job should be placed in (None = leave it queued)."""
+    """Chooses the rack a job should be placed in (None = leave it queued).
+
+    Contract with :class:`~repro.scheduler.simulator.ClusterSimulator`: the
+    simulator offers a queued job only while some rack can host it, i.e.
+    while ``cluster.candidate_racks(job)`` is non-empty.  A policy must
+    therefore return None when there are no candidates *before* any random
+    draw or other side effect, so that skipping those calls changes nothing.
+    Every built-in policy does.  A job the policy declines is offered again
+    in the next placement pass: after a pass that placed a job, or at the
+    next event.
+    """
 
     name: str
 

@@ -118,26 +118,39 @@ class StaticCurveProgress:
     sum (clipped at 100%) is looked up in the job's measured sensitivity
     curve.  This is exactly the behaviour :class:`ClusterSimulator` had before
     progress models existed, preserved as the default.
+
+    A job's rate depends only on who else runs in its rack, so the rates are
+    cached per rack: :meth:`job_started` and :meth:`job_finished` drop their
+    rack's entry and :meth:`rates` prices only the racks without one.
     """
 
     name: str = "static-curve"
     cluster: Optional[Cluster] = field(default=None, repr=False)
+    _rack_rates: Dict[int, Dict[int, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def bind(self, cluster: Cluster) -> None:
         self.cluster = cluster
+        self._rack_rates = {}
 
     def job_started(self, job: Job, rack: Rack, clock: float) -> None:
-        pass
+        self._rack_rates.pop(rack.rack_id, None)
 
     def job_finished(self, job: Job, rack: Rack, clock: float) -> None:
-        pass
+        self._rack_rates.pop(rack.rack_id, None)
 
     def rates(self, clock: float) -> Dict[int, float]:
         if self.cluster is None:
             raise SchedulingError("progress model is not bound to a cluster")
         rates: Dict[int, float] = {}
-        for job in self.cluster.running_jobs:
-            rates[job.job_id] = static_rate(job, self.cluster.rack_of(job))
+        for rack in self.cluster.racks:
+            rack_rates = self._rack_rates.get(rack.rack_id)
+            if rack_rates is None:
+                rack_rates = self._rack_rates[rack.rack_id] = {
+                    job.job_id: static_rate(job, rack) for job in rack.running_jobs
+                }
+            rates.update(rack_rates)
         return rates
 
     def horizon(self, clock: float) -> Optional[float]:

@@ -259,107 +259,145 @@ class ClusterSimulator:
         """
         if not profiles:
             raise SchedulingError("need at least one job")
-        arrivals = list(arrivals) if arrivals is not None else [0.0] * len(profiles)
+        arrivals = [float(t) for t in arrivals] if arrivals is not None else [0.0] * len(profiles)
         if len(arrivals) != len(profiles):
             raise SchedulingError("arrivals must match the number of jobs")
+        if any(np.isnan(arrivals)):
+            raise SchedulingError("arrival times must be numbers, not NaN")
         with trace_span("scheduler.run", jobs=len(profiles), policy=self.policy.name):
             return self._run(profiles, arrivals)
 
     def _run(self, profiles: Sequence[JobProfile], arrivals: list[float]) -> ScheduleOutcome:
         registry = metrics()
-        events = registry.counter("scheduler.events")
-        started = registry.counter("scheduler.jobs.started")
-        finished = registry.counter("scheduler.jobs.finished")
         rng = np.random.default_rng(self.seed)
         jobs = [
             Job(job_id=i, profile=p, submit_time=float(t))
             for i, (p, t) in enumerate(zip(profiles, arrivals))
         ]
-        pending = sorted(jobs, key=lambda j: j.submit_time)
+        # Jobs in submit order; ``order[cursor:]`` have not arrived yet and
+        # ``queue`` holds the arrived jobs still waiting, in submit order.
+        order = sorted(jobs, key=lambda j: j.submit_time)
+        cursor = 0
+        queue: list[Job] = []
         remaining_work = {j.job_id: j.profile.baseline_runtime for j in jobs}
         self.progress.bind(self.cluster)
         clock = 0.0
         idle_events = 0
+        # Counted locally, published once when the run ends (see finally).
+        n_events = n_started = n_finished = 0
+        offers = declined = no_node = no_pool = 0
 
-        while pending or self.cluster.running_jobs:
-            events.inc()
-            # Start every pending job the policy can place now.
-            n_pending = len(pending)
-            progressed = True
-            while progressed:
-                progressed = False
-                for job in list(pending):
-                    if job.submit_time > clock:
-                        continue
-                    rack = self.policy.choose_rack(self.cluster, job, rng)
-                    if rack is None:
-                        continue
-                    rack.place(job)
-                    job.start_time = clock
-                    pending.remove(job)
-                    self.progress.job_started(job, rack, clock)
-                    started.inc()
-                    progressed = True
+        try:
+            while queue or cursor < len(order) or self.cluster.running_jobs:
+                n_events += 1
+                while cursor < len(order) and order[cursor].submit_time <= clock:
+                    queue.append(order[cursor])
+                    cursor += 1
 
-            running = self.cluster.running_jobs
-            if not running:
-                # Jump to the next arrival.
-                future = [j.submit_time for j in pending if j.submit_time > clock]
-                if not future:
-                    break
-                self.progress.advance(min(future) - clock)
-                clock = min(future)
-                continue
+                # Offer each queued job, in submit order, to the policy when
+                # some rack can host it; repeat while a pass places a job.
+                started_before = n_started
+                headroom = self.cluster.placement_headroom_gb()
+                if headroom is None:
+                    no_node += len(queue)
+                placed = True
+                while placed and headroom is not None:
+                    placed = False
+                    i = 0
+                    while i < len(queue):
+                        if headroom is None:
+                            no_node += len(queue) - i
+                            break
+                        job = queue[i]
+                        # The negation of Rack.can_host's test: a NaN never fits.
+                        if not job.profile.pool_gb <= headroom:
+                            no_pool += 1
+                            i += 1
+                            continue
+                        offers += 1
+                        rack = self.policy.choose_rack(self.cluster, job, rng)
+                        if rack is None:
+                            declined += 1
+                            i += 1
+                            continue
+                        rack.place(job)
+                        del queue[i]
+                        job.start_time = clock
+                        self.progress.job_started(job, rack, clock)
+                        n_started += 1
+                        placed = True
+                        headroom = self.cluster.placement_headroom_gb()
 
-            # Progress rates under the current mix.
-            rates = self.progress.rates(clock)
+                next_arrival = order[cursor].submit_time if cursor < len(order) else None
+                running = self.cluster.running_jobs
+                if not running:
+                    # Jump to the next arrival.
+                    if next_arrival is None:
+                        break
+                    self.progress.advance(next_arrival - clock)
+                    clock = next_arrival
+                    continue
 
-            # Time until the first running job finishes, the next job arrives,
-            # or the progress model's rates expire (epoch / phase boundary).
-            finish_horizons = [
-                remaining_work[j.job_id] / rates[j.job_id]
-                for j in running
-                if rates[j.job_id] > 0
-            ]
-            next_event = min(finish_horizons) if finish_horizons else float("inf")
-            future_arrivals = [j.submit_time - clock for j in pending if j.submit_time > clock]
-            if future_arrivals:
-                next_event = min(next_event, min(future_arrivals))
-            model_horizon = self.progress.horizon(clock)
-            if model_horizon is not None:
-                next_event = min(next_event, model_horizon)
-            if not np.isfinite(next_event):  # pragma: no cover - defensive
-                raise SchedulingError("no progress possible: all rates are zero")
-            next_event = max(next_event, MIN_EVENT_STEP)
+                # Progress rates under the current mix.
+                rates = self.progress.rates(clock)
 
-            # Advance every running job by the elapsed interval.
-            self.progress.advance(next_event)
-            for job in running:
-                remaining_work[job.job_id] -= rates[job.job_id] * next_event
-            clock += next_event
+                # Time until the first running job finishes, the next job
+                # arrives, or the progress model's rates expire (epoch / phase
+                # boundary).
+                finish_horizons = [
+                    remaining_work[j.job_id] / rates[j.job_id]
+                    for j in running
+                    if rates[j.job_id] > 0
+                ]
+                next_event = min(finish_horizons) if finish_horizons else float("inf")
+                if next_arrival is not None:
+                    # Rounding is monotone, so this is the least ``a - clock``.
+                    next_event = min(next_event, next_arrival - clock)
+                model_horizon = self.progress.horizon(clock)
+                if model_horizon is not None:
+                    next_event = min(next_event, model_horizon)
+                if not np.isfinite(next_event):  # pragma: no cover - defensive
+                    raise SchedulingError("no progress possible: all rates are zero")
+                next_event = max(next_event, MIN_EVENT_STEP)
 
-            # Retire finished jobs.
-            retired = 0
-            for job in list(self.cluster.running_jobs):
-                if remaining_work[job.job_id] <= 1e-6:
-                    job.finish_time = clock
-                    rack = self.cluster.rack_of(job)
-                    rack.release(job)
-                    self.progress.job_finished(job, rack, clock)
-                    finished.inc()
-                    retired += 1
+                # Advance every running job by the elapsed interval.
+                self.progress.advance(next_event)
+                for job in running:
+                    remaining_work[job.job_id] -= rates[job.job_id] * next_event
+                clock += next_event
 
-            stalled = not finish_horizons and not future_arrivals
-            if retired or len(pending) < n_pending or (next_event > MIN_EVENT_STEP and not stalled):
-                idle_events = 0
-            else:
-                idle_events += 1
-                if idle_events > MAX_IDLE_EVENTS:
-                    raise SchedulingError(
-                        f"scheduling simulation made no progress in {MAX_IDLE_EVENTS} "
-                        f"events: none started or finished a job, and each either "
-                        f"advanced the clock by only {MIN_EVENT_STEP} s or left every "
-                        f"running job at rate zero (at t={clock:.6g} s)"
-                    )
+                # Retire finished jobs.
+                retired = 0
+                for job in running:
+                    if remaining_work[job.job_id] <= 1e-6:
+                        job.finish_time = clock
+                        rack = self.cluster.rack_of(job)
+                        rack.release(job)
+                        self.progress.job_finished(job, rack, clock)
+                        n_finished += 1
+                        retired += 1
+
+                stalled = not finish_horizons and next_arrival is None
+                if retired or n_started > started_before or (
+                    next_event > MIN_EVENT_STEP and not stalled
+                ):
+                    idle_events = 0
+                else:
+                    idle_events += 1
+                    if idle_events > MAX_IDLE_EVENTS:
+                        raise SchedulingError(
+                            f"scheduling simulation made no progress in {MAX_IDLE_EVENTS} "
+                            f"events: none started or finished a job, and each either "
+                            f"advanced the clock by only {MIN_EVENT_STEP} s or left every "
+                            f"running job at rate zero (at t={clock:.6g} s)"
+                        )
+        finally:
+            registry.counter("scheduler.events").inc(n_events)
+            registry.counter("scheduler.jobs.started").inc(n_started)
+            registry.counter("scheduler.jobs.finished").inc(n_finished)
+            registry.counter("scheduler.placement.offers").inc(offers)
+            registry.counter("scheduler.placement.declined").inc(declined)
+            registry.counter("scheduler.placement.no_free_node").inc(no_node)
+            registry.counter("scheduler.placement.no_pool_headroom").inc(no_pool)
 
         return ScheduleOutcome(policy=self.policy.name, jobs=tuple(jobs), makespan=clock)

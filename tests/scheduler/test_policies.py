@@ -8,6 +8,7 @@ from repro.profiler.level3 import SensitivityCurve
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.job import Job, JobProfile
 from repro.scheduler.policies import (
+    POLICIES,
     InterferenceAwarePlacement,
     LeastLoadedPlacement,
     PoolAwarePlacement,
@@ -41,6 +42,25 @@ def test_random_placement_returns_none_when_full(rng):
     cluster = Cluster.build(n_racks=1, nodes_per_rack=1)
     cluster.racks[0].place(Job(0, insensitive_profile()))
     assert RandomPlacement().choose_rack(cluster, Job(1, insensitive_profile()), rng) is None
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+@pytest.mark.parametrize("blocked_by", ["node", "pool"])
+def test_every_policy_declines_without_candidates_before_drawing(name, blocked_by):
+    """The simulator skips offers with no candidate rack; that is only safe
+    because every built-in policy returns None before touching its RNG."""
+    cluster = Cluster.build(n_racks=2, nodes_per_rack=1, pool_capacity_gb=20.0)
+    if blocked_by == "node":
+        for i, rack in enumerate(cluster.racks):
+            rack.place(Job(i, insensitive_profile()))
+        job = Job(9, insensitive_profile())
+    else:
+        job = Job(9, JobProfile(workload="big", baseline_runtime=10.0, pool_gb=50.0))
+    assert cluster.candidate_racks(job) == []
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert make_policy(name).choose_rack(cluster, job, rng) is None
+    assert rng.bit_generator.state == state
 
 
 def test_least_loaded_prefers_quieter_rack(cluster, rng):

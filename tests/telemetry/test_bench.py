@@ -1,12 +1,14 @@
 """Tests for the bench JSON schema and the perf harness (regression gate)."""
 
 import copy
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from repro import telemetry
 from repro.telemetry.benchjson import (
     BENCH_SCHEMA,
     BENCH_SCHEMA_VERSION,
@@ -15,6 +17,17 @@ from repro.telemetry.benchjson import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _bench_perf():
+    """``tools/bench_perf.py`` loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_perf", REPO_ROOT / "tools" / "bench_perf.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 #: A minimal document satisfying every schema rule.
 VALID_DOC = {
@@ -96,6 +109,59 @@ class TestCommittedDocument:
         overhead = data["telemetry_overhead"]
         # The acceptance bound the instrumentation must keep honouring.
         assert overhead["disabled_overhead_pct"] < 2.0
+
+
+class TestHookCount:
+    """``hook_calls`` counts the telemetry hooks a run executes."""
+
+    def test_count_equals_hook_invocations(self):
+        bench = _bench_perf()
+        originals = [vars(owner)[name] for owner, name in bench.HOOK_METHODS]
+
+        def run():
+            with telemetry.isolated(True) as registry:
+                counter = telemetry.metrics().counter("c")
+                counter.inc()
+                counter.inc(41)
+                telemetry.metrics().gauge("g").set(2.0)
+                telemetry.metrics().histogram("h").observe(1.0)
+                telemetry.metrics().timeseries("t", ["x"]).append(0.0, x=1.0)
+                with telemetry.trace_span("outer"):
+                    with telemetry.trace_span("inner"):
+                        pass
+            return registry
+
+        registry, hooks = bench.count_hook_calls(run)
+        assert hooks == 7
+        # Calls, not counter values.
+        assert registry.counter("c").value == 42
+        assert [vars(owner)[name] for owner, name in bench.HOOK_METHODS] == originals
+
+    def test_disabled_instruments_are_not_hooks_that_record(self):
+        bench = _bench_perf()
+
+        def run():
+            with telemetry.isolated(False):
+                telemetry.metrics().counter("c").inc()
+                with telemetry.trace_span("s"):
+                    pass
+
+        assert bench.count_hook_calls(run)[1] == 0
+
+    def test_scheduler_publishes_its_counters_once_per_run(self):
+        """One span and seven counter increments, whatever the job count."""
+        bench = _bench_perf()
+        for n_jobs in (12, 120):
+            profiles, arrivals = bench._synthetic_jobs(n_jobs)
+
+            def run():
+                with telemetry.isolated(True) as registry:
+                    bench._run_cluster(2, 4, profiles, arrivals)
+                return registry
+
+            registry, hooks = bench.count_hook_calls(run)
+            assert registry.counter("scheduler.jobs.finished").value == n_jobs
+            assert hooks == 8
 
 
 class TestHarnessQuickRun:

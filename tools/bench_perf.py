@@ -11,6 +11,8 @@ and the overhead of the telemetry layer itself:
 3. ``cluster_events`` — :class:`ClusterSimulator` event throughput on a
    synthetic job stream (static progress, no fabric coupling), run once
    with telemetry disabled and once enabled so both overheads are recorded;
+   full runs add the same stream at 4,000 and 40,000 jobs
+   (``cluster_events.jobs4000`` / ``.jobs40000``) as a scaling series;
 4. ``solver_vectorized`` — the 100-rack contention sweep through
    :meth:`ClusterFabric.resolve_all`, one batched NumPy solve;
 5. ``cluster_fabric`` — epoch stepping of the whole-cluster
@@ -52,6 +54,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -595,15 +598,65 @@ def _run_cluster(n_racks: int, nodes_per_rack: int, profiles, arrivals):
     return simulator.run(profiles, arrivals)
 
 
+def _cluster_events_config(n_racks: int, nodes_per_rack: int, n_jobs: int) -> dict:
+    return {
+        "n_racks": n_racks,
+        "nodes_per_rack": nodes_per_rack,
+        "n_jobs": n_jobs,
+        "policy": "random",
+        "progress": "static-curve",
+    }
+
+
+#: Instrument methods every recording telemetry hook ends in.
+HOOK_METHODS = (
+    (telemetry.Counter, "inc"),
+    (telemetry.Gauge, "set"),
+    (telemetry.Histogram, "observe"),
+    (telemetry.TimeSeries, "append"),
+    (telemetry.Tracer, "span"),
+)
+
+
+def count_hook_calls(fn):
+    """``(fn(), hooks)``: how many telemetry hooks ``fn`` executes.
+
+    Every :data:`HOOK_METHODS` entry is wrapped for the duration of the call,
+    so ``hooks`` counts the recording calls the run actually makes (with
+    telemetry enabled), independent of the values they add.
+    """
+    calls = [0]
+    saved = []
+
+    def counting(method):
+        @functools.wraps(method)
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    try:
+        for owner, name in HOOK_METHODS:
+            method = vars(owner)[name]
+            saved.append((owner, name, method))
+            setattr(owner, name, counting(method))
+        result = fn()
+    finally:
+        for owner, name, method in saved:
+            setattr(owner, name, method)
+    return result, calls[0]
+
+
 def bench_cluster_events(quick: bool) -> tuple[dict, dict]:
     """Event throughput of the scheduler loop + telemetry overhead on it.
 
     Runs the same deterministic job stream three ways: telemetry disabled
     (timed twice, best-of for the recorded number), and telemetry enabled
-    (to count events/spans and measure the enabled-mode cost).  The
-    disabled-mode overhead is the measured no-op hook cost times the hook
-    call count, as a fraction of the disabled wall time — the number the
-    acceptance bound (< 2%) refers to.
+    (to count events and hook calls and measure the enabled-mode cost).
+    The disabled-mode overhead is the measured no-op hook cost times the
+    number of hooks the enabled run executed, as a fraction of the disabled
+    wall time — the number the acceptance bound (< 2%) refers to.
     """
     n_racks, nodes_per_rack = (2, 4) if quick else (4, 8)
     n_jobs = 120 if quick else 400
@@ -619,16 +672,11 @@ def bench_cluster_events(quick: bool) -> tuple[dict, dict]:
 
     telemetry.enable(reset=True)
     start = time.perf_counter()
-    _run_cluster(n_racks, nodes_per_rack, profiles, arrivals)
-    enabled_wall = time.perf_counter() - start
-    registry = telemetry.registry()
-    events = int(registry.counter("scheduler.events").value)
-    hook_calls = (
-        events
-        + int(registry.counter("scheduler.jobs.started").value)
-        + int(registry.counter("scheduler.jobs.finished").value)
-        + len(telemetry.tracer().spans)
+    _, hook_calls = count_hook_calls(
+        lambda: _run_cluster(n_racks, nodes_per_rack, profiles, arrivals)
     )
+    enabled_wall = time.perf_counter() - start
+    events = int(telemetry.registry().counter("scheduler.events").value)
     telemetry.disable()
 
     # Cost of one disabled-mode hook: the flag check + no-op instrument.
@@ -648,13 +696,7 @@ def bench_cluster_events(quick: bool) -> tuple[dict, dict]:
     bench = {
         "name": "cluster_events",
         "group": "cluster_events",
-        "config": {
-            "n_racks": n_racks,
-            "nodes_per_rack": nodes_per_rack,
-            "n_jobs": n_jobs,
-            "policy": "random",
-            "progress": "static-curve",
-        },
+        "config": _cluster_events_config(n_racks, nodes_per_rack, n_jobs),
         "repeats": 2,
         "mean_s": statistics.fmean(disabled_walls),
         "min_s": disabled_wall,
@@ -678,6 +720,51 @@ def bench_cluster_events(quick: bool) -> tuple[dict, dict]:
     return bench, overhead
 
 
+#: Job counts of the full-run-only scaling rows of ``cluster_events`` (same
+#: stream and 4x8-node cluster as the main row).  400,000 jobs would take
+#: about 20 s per repeat on a 2-core host, so the series stops at 40,000.
+SCALING_JOBS = (4_000, 40_000)
+
+
+def bench_cluster_events_scaling(quick: bool) -> list[dict]:
+    """``cluster_events`` at 10x and 100x the jobs (full runs only).
+
+    Each run records into a private registry for its event count; since the
+    scheduler publishes its counters once per run, that costs a few hook
+    calls per run, not per event.
+    """
+    if quick:
+        return []
+    rows = []
+    for n_jobs in SCALING_JOBS:
+        profiles, arrivals = _synthetic_jobs(n_jobs)
+        runs = []
+
+        def run():
+            with telemetry.isolated(True) as registry:
+                outcome = _run_cluster(4, 8, profiles, arrivals)
+            runs.append((outcome, int(registry.counter("scheduler.events").value)))
+
+        timing = _timeit(run, repeats=2)
+        outcome, events = runs[-1]
+        events_per_s = events / timing["min_s"] if timing["min_s"] > 0 else 0.0
+        rows.append(
+            {
+                "name": f"cluster_events.jobs{n_jobs}",
+                "group": "cluster_events",
+                "config": _cluster_events_config(4, 8, n_jobs),
+                **timing,
+                "throughput_per_s": events_per_s,
+                "extra": {
+                    "events": events,
+                    "makespan_s": outcome.makespan,
+                    "events_per_s": events_per_s,
+                },
+            }
+        )
+    return rows
+
+
 def run_benchmarks(quick: bool) -> dict:
     """The full schema-versioned bench document."""
     telemetry.disable()
@@ -686,6 +773,7 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks.append(bench_rack_cosim_step(quick))
     cluster_bench, overhead = bench_cluster_events(quick)
     benchmarks.append(cluster_bench)
+    benchmarks.extend(bench_cluster_events_scaling(quick))
     benchmarks.append(bench_solver_vectorized(quick))
     benchmarks.append(bench_cluster_fabric(quick))
     benchmarks.extend(bench_fault_injection(quick))
