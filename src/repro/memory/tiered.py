@@ -241,10 +241,16 @@ class TieredMemory:
 
     # -- queries -----------------------------------------------------------------
 
+    def _pages(self, obj: MemoryObject) -> slice:
+        """The page-table slice backing ``obj`` (every object owns one contiguous range)."""
+        if not obj.registered:
+            raise AllocationError(f"object {obj.name!r} is not registered")
+        self._grow_page_table()
+        return slice(obj.first_page, obj.first_page + obj.n_pages)
+
     def placement_of(self, obj: MemoryObject) -> np.ndarray:
         """Tier index of each page of ``obj`` (UNPLACED for untouched pages)."""
-        self._grow_page_table()
-        return self._page_tier[obj.page_range()].copy()
+        return self._page_tier[self._pages(obj)].copy()
 
     def page_tiers(self) -> np.ndarray:
         """Tier index of every page in the address space."""
@@ -263,11 +269,11 @@ class TieredMemory:
 
     def object_tier_bytes(self, obj: MemoryObject) -> dict[str, int]:
         """Bytes of ``obj`` resident in each tier, keyed by tier name."""
-        placement = self.placement_of(obj)
-        result = {}
-        for tier, usage in enumerate(self._usage):
-            result[usage.name] = int((placement == tier).sum()) * self.page_bytes
-        return result
+        placement = self._page_tier[self._pages(obj)]
+        return {
+            usage.name: int(np.count_nonzero(placement == tier)) * self.page_bytes
+            for tier, usage in enumerate(self._usage)
+        }
 
     def resident_bytes(self, tier: int) -> int:
         """Application bytes resident in ``tier`` (excludes reserved waste)."""

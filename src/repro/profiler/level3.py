@@ -80,12 +80,10 @@ class InterferenceReport:
     phase_interference_coefficients: tuple[tuple[str, float], ...]
     remote_bandwidth_demand: float
     link_traffic_bytes: float
-
-    @property
-    def induced_loi(self) -> float:
-        """Average LoI this application's own traffic generates on the link."""
-        # The IC and the LoI are two views of the same injected traffic.
-        return self.sensitivity.loi_levels[0] if not self.remote_bandwidth_demand else 0.0
+    #: Average LoI this application's own traffic generates on the link: the
+    #: LoI of ``remote_bandwidth_demand``, as the fabric's job profiles
+    #: measure it (:func:`~repro.scheduler.progress.fabric_job_profile`).
+    induced_loi: float
 
 
 class Level3Profiler:
@@ -106,23 +104,29 @@ class Level3Profiler:
         loi_levels: Sequence[float] = DEFAULT_LOI_LEVELS,
     ) -> SensitivityCurve:
         """Runtime of ``spec`` under each injected LoI on ``platform``."""
+        return self._sweep(spec, platform, loi_levels)[0]
+
+    def _sweep(
+        self, spec: WorkloadSpec, platform: Platform, loi_levels: Sequence[float]
+    ) -> tuple[SensitivityCurve, RunResult]:
+        """The sensitivity curve and its LoI-0 (interference-free) run."""
         if platform.tier_config is None:
             raise ProfilerError("Level-3 profiling requires a pooled platform")
         levels = tuple(float(l) for l in loi_levels)
         if not levels or levels[0] != 0.0:
             levels = (0.0,) + tuple(l for l in levels if l != 0.0)
         engine = ExecutionEngine(platform, seed=self.seed)
-        runtimes = []
-        for loi in levels:
-            interference = ConstantInterference(loi) if loi > 0 else None
-            run = engine.run(spec, interference=interference)
-            runtimes.append(run.total_runtime)
-        return SensitivityCurve(
+        runs = [
+            engine.run(spec, interference=ConstantInterference(loi) if loi > 0 else None)
+            for loi in levels
+        ]
+        curve = SensitivityCurve(
             workload=spec.name,
             config_label=platform.label,
             loi_levels=levels,
-            runtimes=tuple(runtimes),
+            runtimes=tuple(run.total_runtime for run in runs),
         )
+        return curve, runs[0]
 
     def sensitivity_across_configs(
         self,
@@ -140,13 +144,18 @@ class Level3Profiler:
     # -- interference coefficient -------------------------------------------------------
 
     def interference_coefficient(
-        self, spec: WorkloadSpec, platform: Platform, lbench: Optional[LBench] = None
+        self,
+        spec: WorkloadSpec,
+        platform: Platform,
+        lbench: Optional[LBench] = None,
+        loi_levels: Sequence[float] = DEFAULT_LOI_LEVELS,
     ) -> InterferenceReport:
-        """IC of ``spec``: slowdown of the LBench probe co-running with it."""
-        if platform.tier_config is None:
-            raise ProfilerError("Level-3 profiling requires a pooled platform")
-        engine = ExecutionEngine(platform, seed=self.seed)
-        run = engine.run(spec)
+        """IC of ``spec``: slowdown of the LBench probe co-running with it.
+
+        The report also carries the sensitivity curve over ``loi_levels``;
+        the IC is read from that sweep's interference-free LoI-0 run.
+        """
+        sensitivity, run = self._sweep(spec, platform, loi_levels)
         probe = lbench if lbench is not None else LBench(platform.testbed, platform.link)
 
         phase_ics = []
@@ -157,15 +166,16 @@ class Level3Profiler:
             phase_ics.append((phase.name, ic))
             weighted_ic += ic * phase.runtime / total_time
 
-        sensitivity = self.sensitivity(spec, platform)
+        remote_bandwidth_demand = run.total_remote_bytes / total_time
         return InterferenceReport(
             workload=spec.name,
             config_label=platform.label,
             sensitivity=sensitivity,
             interference_coefficient=weighted_ic,
             phase_interference_coefficients=tuple(phase_ics),
-            remote_bandwidth_demand=run.total_remote_bytes / total_time,
+            remote_bandwidth_demand=remote_bandwidth_demand,
             link_traffic_bytes=run.counters[events.UPI_TRAFFIC_BYTES],
+            induced_loi=platform.link.loi(remote_bandwidth_demand),
         )
 
     def interference_coefficients(

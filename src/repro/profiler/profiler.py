@@ -163,20 +163,9 @@ class MultiLevelProfiler:
         """Interference sensitivity and interference coefficient on a pooled system."""
         if platform is None:
             platform = Platform.pooled(spec.footprint_bytes, local_fraction)
-        profiler = Level3Profiler(seed=self.seed)
-        report = profiler.interference_coefficient(spec, platform)
-        if tuple(loi_levels) != Level3Profiler.DEFAULT_LOI_LEVELS:
-            sensitivity = profiler.sensitivity(spec, platform, loi_levels)
-            report = InterferenceReport(
-                workload=report.workload,
-                config_label=report.config_label,
-                sensitivity=sensitivity,
-                interference_coefficient=report.interference_coefficient,
-                phase_interference_coefficients=report.phase_interference_coefficients,
-                remote_bandwidth_demand=report.remote_bandwidth_demand,
-                link_traffic_bytes=report.link_traffic_bytes,
-            )
-        return report
+        return Level3Profiler(seed=self.seed).interference_coefficient(
+            spec, platform, loi_levels=loi_levels
+        )
 
     def level3_sensitivity(
         self,

@@ -26,9 +26,10 @@ from ..config.errors import ConfigurationError
 from ..memory.objects import MemoryObject
 from ..memory.tiered import TieredMemory
 from ..sim.engine import ExecutionEngine
-from ..sim.interference import InterferenceSource
-from ..sim.results import PhaseResult, TimeBreakdown
-from ..workloads.base import PhaseSpec
+from ..sim.interference import InterferenceSource, NoInterference
+from ..sim.results import PhaseResult, RunResult, TimeBreakdown
+from ..telemetry import metrics, trace_span
+from ..workloads.base import PhaseSpec, WorkloadSpec
 from ..cache import events
 from ..cache.events import CounterSet
 from ..sim.perfmodel import PhaseInputs
@@ -90,6 +91,12 @@ class MigratingExecutionEngine(ExecutionEngine):
     the hotness observed in epoch *k* drives the promotions applied before
     epoch *k+1*, and every promotion/demotion charges copy time.  Statistics
     of the last run are available as :attr:`last_migration_stats`.
+
+    Pages move between epochs and the epoch count follows from the priced
+    runtime, so no interference-free plan can describe such a run: the
+    engine keeps its own phase loop, with one live random stream per run,
+    and shares only the base engine's placement, tier-split and pricing
+    helpers.
     """
 
     def __init__(self, platform, policy: MigrationPolicy | None = None, seed: int = 0) -> None:
@@ -103,24 +110,51 @@ class MigratingExecutionEngine(ExecutionEngine):
 
     # -- hooks -------------------------------------------------------------------------
 
-    def run(self, spec, prefetch_enabled=None, interference=None, reserved_local_bytes=0):
+    def run(
+        self,
+        spec: WorkloadSpec,
+        prefetch_enabled: bool | None = None,
+        interference: InterferenceSource | None = None,
+        reserved_local_bytes: int = 0,
+    ) -> RunResult:
         self._promoted = 0
         self._demoted = 0
         self._migration_seconds = 0.0
         self._epochs = 0
-        result = super().run(
-            spec,
-            prefetch_enabled=prefetch_enabled,
-            interference=interference,
-            reserved_local_bytes=reserved_local_bytes,
-        )
+        interference = interference if interference is not None else NoInterference()
+        rng = np.random.default_rng(self.seed)
+        registry = metrics()
+        registry.counter("engine.runs").inc()
+        registry.counter("engine.phases").inc(len(spec.phases))
+
+        with trace_span("engine.run", workload=spec.name):
+            memory, objects = self._build_memory(spec, reserved_local_bytes)
+            prefetch = self._prefetch_flag(prefetch_enabled)
+            phase_results: list[PhaseResult] = []
+            clock = 0.0
+            for index, phase in enumerate(spec.phases):
+                if index == 1:
+                    self._apply_post_init_changes(spec, memory, objects)
+                result = self._run_phase(
+                    phase, memory, objects, rng, prefetch, interference, clock
+                )
+                phase_results.append(result)
+                clock += result.runtime
+
         self.last_migration_stats = MigrationStats(
             promoted_pages=self._promoted,
             demoted_pages=self._demoted,
             migration_seconds=self._migration_seconds,
             epochs=self._epochs,
         )
-        return result
+        return self._result(
+            spec,
+            phase_results,
+            self._placements(memory, objects),
+            memory.remote_capacity_ratio(),
+            prefetch,
+            interference,
+        )
 
     # -- hot-page accounting --------------------------------------------------------------
 
@@ -209,8 +243,23 @@ class MigratingExecutionEngine(ExecutionEngine):
 
     # -- phase execution in epochs -----------------------------------------------------------
 
-    def _run_phase(self, spec, phase, memory, objects, rng, prefetch, interference, clock):
-        baseline = super()._run_phase(spec, phase, memory, objects, rng, prefetch, interference, clock)
+    def _run_phase(
+        self,
+        phase: PhaseSpec,
+        memory: TieredMemory,
+        objects: dict[str, MemoryObject],
+        rng: np.random.Generator,
+        prefetch: bool,
+        interference: InterferenceSource,
+        clock: float,
+    ) -> PhaseResult:
+        baseline = self._price_phase(
+            phase,
+            self._tier_traffic(phase, memory, objects, rng),
+            self._phase_stream_fraction(phase, objects),
+            prefetch,
+            interference.background_bandwidth(self.platform.link, clock),
+        )
         n_epochs = max(int(np.ceil(baseline.runtime / self.policy.epoch_seconds)), 1)
         if n_epochs <= 1 or len(memory.usage) < 2:
             self._epochs += n_epochs

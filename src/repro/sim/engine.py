@@ -16,10 +16,21 @@ testbed".  It
 Dynamic (late) allocations and objects freed after initialisation are applied
 between the first and second phase, which is what the BFS case study of
 Section 7.1 manipulates.
+
+A run has two passes.  The *plan* covers steps 1 and 2 and each phase's tier
+split and stream fraction.  It does not depend on the prefetch switch or on
+the interference, and it is the run's only consumer of random numbers.  It is
+a pure function of the workload, the tier geometry, the reserved local
+bytes, the seed and the testbed, and is memoized per that key.  The
+*pricing* pass then turns each planned phase into a runtime and counters for
+this run's prefetch switch and background traffic.  The profiler's prefetch
+on/off pair and its LoI sweep therefore place memory once and price the
+plan several times.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,7 +40,7 @@ from ..cache import events
 from ..cache.events import CounterSet
 from ..config.errors import ConfigurationError, WorkloadError
 from ..memory.objects import AddressSpace, MemoryObject
-from ..memory.tiered import TieredMemory
+from ..memory.tiered import UNPLACED, TieredMemory
 from ..telemetry import metrics, trace_span
 from ..trace.access import PageAccessProfile
 from ..workloads.base import PhaseSpec, WorkloadSpec
@@ -85,6 +96,54 @@ class TierTraffic:
         return float(sum(self.per_tier))
 
 
+def _tier_weights(
+    placement: np.ndarray, weights: np.ndarray, n_tiers: int
+) -> list[tuple[int, float]]:
+    """(tier, summed page weight) for each tier holding some of an object's pages.
+
+    Pages that were freed (UNPLACED) no longer generate traffic: their share
+    comes last and goes to the local tier, as a freed-and-reused region's
+    would.  Under first-touch, local or remote placement the tier index never
+    decreases along an object's pages, so each tier's pages are one slice.
+    A slice sum adds the same weights in the same order as the masked sum,
+    hence gives the same bits, without gathering them.  Other placements
+    (interleaving) select each tier's weights with a mask.
+    """
+    if (placement[1:] >= placement[:-1]).all():
+        edges = np.searchsorted(
+            placement, np.arange(UNPLACED, n_tiers + 1, dtype=placement.dtype)
+        ).tolist()
+        parts = [(tier, weights[edges[tier + 1] : edges[tier + 2]]) for tier in range(n_tiers)]
+        parts.append((0, weights[edges[0] : edges[1]]))
+    else:
+        parts = [(tier, weights[placement == tier]) for tier in range(n_tiers)]
+        parts.append((0, weights[placement == UNPLACED]))
+    return [(tier, float(part.sum())) for tier, part in parts if len(part)]
+
+
+@dataclass(frozen=True)
+class _PhasePlan:
+    """One phase before it is priced: where its traffic goes and how it streams."""
+
+    traffic: TierTraffic
+    stream_fraction: float
+
+
+@dataclass(frozen=True)
+class _RunPlan:
+    """The interference-free half of a run (see the module docstring)."""
+
+    phases: tuple[_PhasePlan, ...]
+    placements: tuple[ObjectPlacementResult, ...]
+    remote_capacity_ratio: float
+
+
+#: Most plans :meth:`ExecutionEngine._plan` keeps (least recently used go first).
+_PLAN_MEMO_SIZE = 64
+#: (id(spec), tier config, reserved local bytes, seed, testbed) -> (spec, plan).
+_plans: OrderedDict = OrderedDict()
+
+
 class ExecutionEngine:
     """Runs :class:`~repro.workloads.base.WorkloadSpec` objects on a :class:`Platform`."""
 
@@ -117,52 +176,32 @@ class ExecutionEngine:
             what first-touch placement can use.
         """
         interference = interference if interference is not None else NoInterference()
-        rng = np.random.default_rng(self.seed)
         registry = metrics()
         registry.counter("engine.runs").inc()
         registry.counter("engine.phases").inc(len(spec.phases))
 
         with trace_span("engine.run", workload=spec.name):
-            space, memory, objects = self._build_memory(spec, reserved_local_bytes)
-            prefetch = (
-                self.platform.testbed.prefetcher.enabled
-                if prefetch_enabled is None
-                else bool(prefetch_enabled)
-            )
-
+            plan = self._plan(spec, reserved_local_bytes)
+            prefetch = self._prefetch_flag(prefetch_enabled)
             phase_results: list[PhaseResult] = []
             clock = 0.0
-            for index, phase in enumerate(spec.phases):
-                if index == 1:
-                    self._apply_post_init_changes(spec, memory, objects)
-                result = self._run_phase(
-                    spec, phase, memory, objects, rng, prefetch, interference, clock
+            for phase, planned in zip(spec.phases, plan.phases):
+                result = self._price_phase(
+                    phase,
+                    planned.traffic,
+                    planned.stream_fraction,
+                    prefetch,
+                    interference.background_bandwidth(self.platform.link, clock),
                 )
                 phase_results.append(result)
                 clock += result.runtime
-
-        placements = tuple(
-            ObjectPlacementResult(
-                name=obj.name,
-                size_bytes=obj.size_bytes,
-                bytes_per_tier=tuple(
-                    memory.object_tier_bytes(obj)[usage.name] for usage in memory.usage
-                ),
-                placement_policy=obj.placement,
-            )
-            for obj in objects.values()
-        )
-        return RunResult(
-            workload=spec.name,
-            input_label=spec.input_label,
-            scale=spec.scale,
-            config_label=self.platform.label,
-            phases=tuple(phase_results),
-            placements=placements,
-            remote_capacity_ratio=memory.remote_capacity_ratio(),
-            footprint_bytes=spec.footprint_bytes,
-            prefetch_enabled=prefetch,
-            interference_loi=interference.mean_loi(),
+        return self._result(
+            spec,
+            phase_results,
+            plan.placements,
+            plan.remote_capacity_ratio,
+            prefetch,
+            interference,
         )
 
     def access_profile(self, spec: WorkloadSpec, phases: Optional[Sequence[str]] = None) -> PageAccessProfile:
@@ -170,7 +209,10 @@ class ExecutionEngine:
 
         The profile is placement-independent: it reflects how the workload
         spreads its traffic over its own footprint, which is what the
-        bandwidth-capacity scaling curve visualises.
+        bandwidth-capacity scaling curve visualises.  Every object owns one
+        contiguous page range, so its counts are added by slice into one
+        dense array over the address space; a page is in the profile when
+        some traffic targeted its object, even with a zero weight.
         """
         rng = np.random.default_rng(self.seed)
         space = AddressSpace(
@@ -179,7 +221,8 @@ class ExecutionEngine:
         )
         objects = {o.name: o for o in space.register_all(spec.fresh_objects())}
         selected = set(phases) if phases is not None else None
-        profile = PageAccessProfile(np.empty(0, dtype=np.int64), np.empty(0))
+        counts = np.zeros(space.total_pages, dtype=np.float64)
+        touched = np.zeros(space.total_pages, dtype=bool)
         for phase in spec.phases:
             if selected is not None and phase.name not in selected:
                 continue
@@ -191,9 +234,10 @@ class ExecutionEngine:
                 if traffic_lines <= 0 or obj.n_pages == 0:
                     continue
                 weights = obj.pattern.page_weights(obj.n_pages, rng)
-                counts = weights * traffic_lines
-                profile = profile.merged(PageAccessProfile(obj.page_range(), counts))
-        return profile
+                pages = slice(obj.first_page, obj.first_page + obj.n_pages)
+                counts[pages] += weights * traffic_lines
+                touched[pages] = True
+        return PageAccessProfile(np.flatnonzero(touched), counts[touched])
 
     def l2_timeline(
         self,
@@ -223,11 +267,50 @@ class ExecutionEngine:
             return np.empty(0), np.empty(0)
         return np.concatenate(times), np.concatenate(lines)
 
-    # -- internals -----------------------------------------------------------------------
+    # -- planning ------------------------------------------------------------------------
+
+    def _plan(self, spec: WorkloadSpec, reserved_local_bytes: int) -> _RunPlan:
+        """Place ``spec``'s memory and split each phase's traffic over the tiers.
+
+        Memoized in a small LRU.  Like
+        :func:`~repro.fabric.cosim.baseline_run`, each entry holds the
+        workload object itself and only that very object (``is``) hits: a
+        key built from ``id()`` alone could hand a new workload the plan of a
+        freed one whose id CPython reused.
+        """
+        tier_config = self.platform.tier_config_for(spec.footprint_bytes)
+        key = (id(spec), tier_config, reserved_local_bytes, self.seed, self.platform.testbed)
+        entry = _plans.get(key)
+        if entry is not None and entry[0] is spec:
+            _plans.move_to_end(key)
+            return entry[1]
+        metrics().counter("engine.plans").inc()
+        rng = np.random.default_rng(self.seed)
+        memory, objects = self._build_memory(spec, reserved_local_bytes)
+        phases = []
+        for index, phase in enumerate(spec.phases):
+            if index == 1:
+                self._apply_post_init_changes(spec, memory, objects)
+            phases.append(
+                _PhasePlan(
+                    traffic=self._tier_traffic(phase, memory, objects, rng),
+                    stream_fraction=self._phase_stream_fraction(phase, objects),
+                )
+            )
+        plan = _RunPlan(
+            phases=tuple(phases),
+            placements=self._placements(memory, objects),
+            remote_capacity_ratio=memory.remote_capacity_ratio(),
+        )
+        _plans[key] = (spec, plan)
+        _plans.move_to_end(key)
+        if len(_plans) > _PLAN_MEMO_SIZE:
+            _plans.popitem(last=False)
+        return plan
 
     def _build_memory(
         self, spec: WorkloadSpec, reserved_local_bytes: int
-    ) -> tuple[AddressSpace, TieredMemory, dict[str, MemoryObject]]:
+    ) -> tuple[TieredMemory, dict[str, MemoryObject]]:
         space = AddressSpace(
             page_bytes=self.platform.testbed.page_bytes,
             line_bytes=self.platform.testbed.cacheline_bytes,
@@ -241,7 +324,7 @@ class ExecutionEngine:
         # First-touch everything that exists before the compute phases, in
         # program allocation order.
         memory.touch_in_order([o for o in fresh if o.name not in late])
-        return space, memory, objects
+        return memory, objects
 
     def _apply_post_init_changes(
         self,
@@ -272,16 +355,8 @@ class ExecutionEngine:
                 continue
             placement = memory.placement_of(obj)
             weights = obj.pattern.page_weights(obj.n_pages, rng)
-            for tier in range(n_tiers):
-                mask = placement == tier
-                if mask.any():
-                    per_tier[tier] += traffic * float(weights[mask].sum())
-            # Pages that were freed (UNPLACED) no longer generate traffic —
-            # attribute their share to the local tier, as a freed-and-reused
-            # region would be.
-            unplaced = placement < 0
-            if unplaced.any():
-                per_tier[0] += traffic * float(weights[unplaced].sum())
+            for tier, weight in _tier_weights(placement, weights, n_tiers):
+                per_tier[tier] += traffic * weight
         return TierTraffic(
             per_tier=tuple(per_tier),
             pooled=tuple(t.pooled for t in memory.config.tiers),
@@ -297,19 +372,41 @@ class ExecutionEngine:
             total += fraction * objects[name].pattern.stream_fraction
         return float(np.clip(total, 0.0, 1.0))
 
-    def _run_phase(
+    @staticmethod
+    def _placements(
+        memory: TieredMemory, objects: dict[str, MemoryObject]
+    ) -> tuple[ObjectPlacementResult, ...]:
+        """Where each object's pages live now, in bytes per tier."""
+        usage = memory.usage
+        placements = []
+        for obj in objects.values():
+            tier_bytes = memory.object_tier_bytes(obj)
+            placements.append(
+                ObjectPlacementResult(
+                    name=obj.name,
+                    size_bytes=obj.size_bytes,
+                    bytes_per_tier=tuple(tier_bytes[u.name] for u in usage),
+                    placement_policy=obj.placement,
+                )
+            )
+        return tuple(placements)
+
+    # -- pricing -------------------------------------------------------------------------
+
+    def _prefetch_flag(self, prefetch_enabled: Optional[bool]) -> bool:
+        if prefetch_enabled is None:
+            return self.platform.testbed.prefetcher.enabled
+        return bool(prefetch_enabled)
+
+    def _price_phase(
         self,
-        spec: WorkloadSpec,
         phase: PhaseSpec,
-        memory: TieredMemory,
-        objects: dict[str, MemoryObject],
-        rng: np.random.Generator,
+        traffic: TierTraffic,
+        stream_fraction: float,
         prefetch: bool,
-        interference: InterferenceSource,
-        clock: float,
+        background_bw: float,
     ) -> PhaseResult:
-        traffic = self._tier_traffic(phase, memory, objects, rng)
-        stream_fraction = self._phase_stream_fraction(phase, objects)
+        """Runtime and counters of one planned phase under ``background_bw``."""
         cache_stats = self.platform.cache_model.stats_from_fraction(
             demand_dram_bytes=phase.dram_bytes,
             stream_fraction=stream_fraction,
@@ -320,10 +417,8 @@ class ExecutionEngine:
         line_bytes = self.platform.testbed.cacheline_bytes
         extra_bytes = cache_stats.useless_prefetch_lines * line_bytes
         total_demand = max(traffic.total, 1e-12)
-        local_share = traffic.local / total_demand
         remote_share = traffic.remote / total_demand
 
-        background_bw = interference.background_bandwidth(self.platform.link, clock)
         # Useless prefetch traffic is charged to the traffic counters but not
         # to the runtime: hardware prefetchers throttle under bandwidth
         # pressure, so the wasted fetches mostly consume otherwise-idle
@@ -367,4 +462,26 @@ class ExecutionEngine:
             breakdown=breakdown,
             link_utilization=utilization,
             background_bandwidth=background_bw,
+        )
+
+    def _result(
+        self,
+        spec: WorkloadSpec,
+        phases: Sequence[PhaseResult],
+        placements: tuple[ObjectPlacementResult, ...],
+        remote_capacity_ratio: float,
+        prefetch: bool,
+        interference: InterferenceSource,
+    ) -> RunResult:
+        return RunResult(
+            workload=spec.name,
+            input_label=spec.input_label,
+            scale=spec.scale,
+            config_label=self.platform.label,
+            phases=tuple(phases),
+            placements=placements,
+            remote_capacity_ratio=remote_capacity_ratio,
+            footprint_bytes=spec.footprint_bytes,
+            prefetch_enabled=prefetch,
+            interference_loi=interference.mean_loi(),
         )

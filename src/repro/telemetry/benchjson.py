@@ -7,11 +7,11 @@ PR, and CI's perf-smoke job validates every freshly emitted document against
 PRs, and diffs it against the committed baseline with :func:`compare_bench`
 so a perf regression fails the job instead of silently entering the record.
 
-Document shape (version 5)::
+Document shape (version 6)::
 
     {
       "schema": "repro.bench.cosim",
-      "version": 4,
+      "version": 6,
       "created_unix": 1754524800.0,
       "quick": false,
       "python": "3.12.3",
@@ -42,7 +42,10 @@ serial loop — and ``cluster_step_batched`` — the fused batched cluster
 epoch path versus the per-rack reference loop at 100 racks.  Version 5
 added ``trace_ingest`` — streaming :func:`repro.data.slurm.read_sacct`
 throughput on a synthetic ``sacct`` dump (``extra.rows_per_s`` is the
-recorded ingestion rate).  Older documents remain readable (each version
+recorded ingestion rate).  Version 6 added ``engine_profile_levels`` — the
+paper's three profiling levels through the execution engine, with the
+engine runs, plans and ``page_weights`` draws counted in ``extra``.  Older
+documents remain readable (each version
 must only cover its own groups), so the committed trajectory stays
 comparable across schema bumps.
 
@@ -55,7 +58,7 @@ from __future__ import annotations
 from typing import Mapping
 
 BENCH_SCHEMA = "repro.bench.cosim"
-BENCH_SCHEMA_VERSION = 5
+BENCH_SCHEMA_VERSION = 6
 
 #: Groups a valid document must cover, per schema version (the acceptance
 #: surface of the harness).
@@ -63,14 +66,16 @@ REQUIRED_GROUPS_V1 = ("fabric_solver", "rack_cosim_step", "cluster_events")
 REQUIRED_GROUPS_V2 = REQUIRED_GROUPS_V1 + ("cluster_fabric", "solver_vectorized")
 REQUIRED_GROUPS_V3 = REQUIRED_GROUPS_V2 + ("fault_injection",)
 REQUIRED_GROUPS_V4 = REQUIRED_GROUPS_V3 + ("sweep_sharded", "cluster_step_batched")
-REQUIRED_GROUPS = REQUIRED_GROUPS_V4 + ("trace_ingest",)
+REQUIRED_GROUPS_V5 = REQUIRED_GROUPS_V4 + ("trace_ingest",)
+REQUIRED_GROUPS = REQUIRED_GROUPS_V5 + ("engine_profile_levels",)
 
 REQUIRED_GROUPS_BY_VERSION = {
     1: REQUIRED_GROUPS_V1,
     2: REQUIRED_GROUPS_V2,
     3: REQUIRED_GROUPS_V3,
     4: REQUIRED_GROUPS_V4,
-    5: REQUIRED_GROUPS,
+    5: REQUIRED_GROUPS_V5,
+    6: REQUIRED_GROUPS,
 }
 
 #: Schema versions :func:`validate_bench` accepts — derived from the group

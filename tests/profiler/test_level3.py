@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import telemetry
 from repro.config.errors import ProfilerError
 from repro.profiler.level3 import Level3Profiler, SensitivityCurve
+from repro.profiler.profiler import MultiLevelProfiler
+from repro.scheduler.progress import fabric_job_profile
 from repro.sim.platform import Platform
 from repro.workloads import build_workload
 
@@ -77,3 +80,30 @@ class TestInterferenceCoefficient:
     def test_requires_pooled_platform(self, profiler, hypre_spec):
         with pytest.raises(ProfilerError):
             profiler.interference_coefficient(hypre_spec, Platform.local_only())
+
+    @pytest.mark.parametrize("name", ["HPL", "XSBench", "BFS"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_induced_loi_is_the_fabric_profile_loi(self, name, seed):
+        spec = build_workload(name)
+        report = MultiLevelProfiler(seed=seed).level3(spec, local_fraction=0.5)
+        assert report.induced_loi > 0.0
+        assert report.induced_loi == fabric_job_profile(spec, 0.5, seed=seed).induced_loi
+
+    def test_ic_reads_the_loi_zero_run_of_its_own_sweep(self, hypre_spec, hypre_platform):
+        profiler = Level3Profiler(seed=0)
+        with telemetry.isolated(True) as registry:
+            report = profiler.interference_coefficient(hypre_spec, hypre_platform)
+        assert registry.counter("engine.runs").value == len(Level3Profiler.DEFAULT_LOI_LEVELS)
+        assert report.sensitivity == profiler.sensitivity(hypre_spec, hypre_platform)
+
+    def test_custom_levels_run_only_those_levels(self, hypre_spec):
+        profiler = MultiLevelProfiler(seed=0)
+        with telemetry.isolated(True) as registry:
+            custom = profiler.level3(hypre_spec, loi_levels=(0, 25, 50))
+        assert registry.counter("engine.runs").value == 3
+        default = profiler.level3(hypre_spec)
+        assert custom.sensitivity.loi_levels == (0.0, 25.0, 50.0)
+        assert custom.sensitivity.runtimes[0] == default.sensitivity.runtimes[0]
+        assert custom.interference_coefficient == default.interference_coefficient
+        assert custom.phase_interference_coefficients == default.phase_interference_coefficients
+        assert custom.link_traffic_bytes == default.link_traffic_bytes

@@ -192,6 +192,13 @@ class TestSchemaVersions:
         assert any("cluster_step_batched" in e for e in errors)
         assert validate_bench(document(self._rows(REQUIRED_GROUPS))) == []
 
+    def test_v6_document_requires_engine_profile_group(self):
+        from repro.telemetry.benchjson import REQUIRED_GROUPS_V5
+
+        errors = validate_bench(document(self._rows(REQUIRED_GROUPS_V5)))
+        assert any("engine_profile_levels" in e for e in errors)
+        assert validate_bench(document(self._rows(REQUIRED_GROUPS_V5), version=5)) == []
+
     def test_v3_document_requires_fault_injection_group(self):
         errors = validate_bench(document(self._rows(REQUIRED_GROUPS_V2), version=3))
         assert any("fault_injection" in e for e in errors)

@@ -28,7 +28,11 @@ and the overhead of the telemetry layer itself:
    acceptance number of the sweep engine);
 9. ``trace_ingest`` — streaming ``sacct`` trace ingestion through
    :func:`repro.data.slurm.read_sacct` on a synthetic dump
-   (``extra.rows_per_s`` is the recorded ingestion rate).
+   (``extra.rows_per_s`` is the recorded ingestion rate);
+10. ``engine_profile_levels`` — the paper's three-level methodology through
+    :class:`repro.sim.ExecutionEngine` on HPL and XSBench (full runs add a
+    row with all six applications); ``extra`` counts the engine runs, the
+    plans (placements) and the ``page_weights`` draws behind them.
 
 The emitted JSON validates against
 :mod:`repro.telemetry.benchjson` (``--check FILE`` re-validates any existing
@@ -38,10 +42,10 @@ committed baseline document, exiting non-zero when a benchmark with an
 identical config regressed past the threshold.  ``--quick`` shrinks repeat
 counts and problem sizes for CI smoke runs — but keeps the configs of the
 ``fabric_solver``, ``solver_vectorized`` and ``cluster_fabric`` groups
-identical to a full run, so exactly those groups stay comparable across
-quick and full documents.  The committed ``BENCH_cosim.json`` at the
-repository root is a full run — one recorded point of the perf trajectory
-per PR.
+identical to a full run (and so does ``engine_profile_levels``'s HPL +
+XSBench row), so exactly those groups stay comparable across quick and full
+documents.  The committed ``BENCH_cosim.json`` at the repository root is a
+full run — one recorded point of the perf trajectory per PR.
 
 Usage::
 
@@ -573,6 +577,109 @@ def bench_trace_ingest(quick: bool) -> dict:
     }
 
 
+#: Application sets of the ``engine_profile_levels`` rows.  Quick runs keep
+#: only the first, whose config is identical in quick and full documents.
+PROFILE_APP_SETS = (
+    ("HPL", "XSBench"),
+    ("HPL", "Hypre", "NekRS", "BFS", "SuperLU", "XSBench"),
+)
+PROFILE_SEED = 1
+#: Level 2's capacity splits (local share of the footprint); level 3 runs at 50%.
+PROFILE_SPLITS = (0.75, 0.50, 0.25)
+
+
+def count_page_weight_draws(fn):
+    """``(fn(), draws)``: how many ``page_weights`` draws ``fn`` makes.
+
+    Every access pattern's ``page_weights`` is wrapped for the duration of
+    the call.  A draw nested in another (a gather pattern drawing its skewed
+    part from a Zipf pattern) counts once, with its outer call.
+    """
+    from repro.trace import patterns
+
+    draws = [0]
+    depth = [0]
+    saved = []
+
+    def counting(method):
+        @functools.wraps(method)
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                draws[0] += 1
+            depth[0] += 1
+            try:
+                return method(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    try:
+        for cls in vars(patterns).values():
+            if isinstance(cls, type) and "page_weights" in vars(cls):
+                method = vars(cls)["page_weights"]
+                saved.append((cls, method))
+                setattr(cls, "page_weights", counting(method))
+        result = fn()
+    finally:
+        for cls, method in saved:
+            setattr(cls, "page_weights", method)
+    return result, draws[0]
+
+
+def bench_engine_profile_levels(quick: bool) -> list[dict]:
+    """The paper's three profiling levels through the execution engine.
+
+    Per application: level 1 on a local-only system (prefetch on and off,
+    plus the access profile behind the scaling curve), level 2 at the
+    75/50/25% capacity splits, and level 3 (the IC and the six-point LoI
+    sweep) at the 50% split.  Every repeat builds fresh workload objects, so
+    no repeat prices a plan memoized by an earlier one.  One extra untimed
+    run counts the work into ``extra``: ``engine_runs``, ``engine_plans``
+    (placements, one per workload and tier geometry) and
+    ``page_weight_draws``.
+    """
+    from repro.profiler.profiler import MultiLevelProfiler
+
+    repeats = 3 if quick else 5
+    rows = []
+    for apps in PROFILE_APP_SETS[:1] if quick else PROFILE_APP_SETS:
+
+        def methodology(apps=apps):
+            profiler = MultiLevelProfiler(seed=PROFILE_SEED)
+            for name in apps:
+                spec = build_workload(name)
+                profiler.level1(spec)
+                profiler.level2_sweep(spec, PROFILE_SPLITS)
+                profiler.level3(spec, local_fraction=0.5)
+
+        with telemetry.isolated(True) as registry:
+            _, draws = count_page_weight_draws(methodology)
+        runs = int(registry.counter("engine.runs").value)
+        timing = _timeit(methodology, repeats)
+        label = "six_apps" if len(apps) == 6 else "_".join(a.lower() for a in apps)
+        rows.append(
+            {
+                "name": f"engine_profile_levels.{label}",
+                "group": "engine_profile_levels",
+                "config": {
+                    "apps": list(apps),
+                    "seed": PROFILE_SEED,
+                    "splits": list(PROFILE_SPLITS),
+                    "level3_local_fraction": 0.5,
+                },
+                **timing,
+                "extra": {
+                    "engine_runs": runs,
+                    "engine_plans": int(registry.counter("engine.plans").value),
+                    "page_weight_draws": draws,
+                    "runs_per_s": runs / timing["min_s"] if timing["min_s"] > 0 else 0.0,
+                },
+            }
+        )
+    return rows
+
+
 def _synthetic_jobs(n_jobs: int) -> tuple[list[JobProfile], list[float]]:
     """A deterministic job stream exercising placement, waiting and retiring."""
     profiles = []
@@ -780,6 +887,7 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks.append(bench_cluster_step_batched(quick))
     benchmarks.extend(bench_sweep_sharded(quick))
     benchmarks.append(bench_trace_ingest(quick))
+    benchmarks.extend(bench_engine_profile_levels(quick))
     return {
         "schema": BENCH_SCHEMA,
         "version": BENCH_SCHEMA_VERSION,
@@ -866,6 +974,12 @@ def main(argv=None) -> int:
         if b["name"] == "trace_ingest.synthetic"
     )
     print(f"  sacct trace ingestion: {rows_per_s:.0f} rows/s")
+    profile = next(
+        b for b in data["benchmarks"] if b["name"] == "engine_profile_levels.hpl_xsbench"
+    )
+    print(f"  profiling levels 1-3 (HPL, XSBench): {profile['min_s']:.3f} s, "
+          f"{profile['extra']['engine_runs']} engine runs on "
+          f"{profile['extra']['engine_plans']} plans")
 
     if args.compare is not None:
         with open(args.compare, "r", encoding="utf-8") as fh:
