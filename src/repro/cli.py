@@ -400,19 +400,12 @@ def cmd_fabric(args: argparse.Namespace) -> int:
         )
         if schedule is not None:
             simulator.inject_faults(schedule, drain_bytes_per_s=drain)
-        # Admissions must happen in arrival order (an admission at time t
-        # steps the whole cluster to t first).
-        admissions = sorted(
-            (
-                (tenant.arrival, rack, replace(tenant, name=f"rack{rack}-{tenant.name}"))
-                for rack in range(args.cluster)
-                for tenant in tenants
-            ),
-            key=lambda item: item[0],
-        )
-        for arrival, rack, tenant in admissions:
-            simulator.admit(rack, tenant, time=arrival)
-        _emit(simulator.run_to_completion(), args.json)
+        arrivals = [
+            (rack, replace(tenant, name=f"rack{rack}-{tenant.name}"))
+            for rack in range(args.cluster)
+            for tenant in tenants
+        ]
+        _emit(simulator.run_to_completion(arrivals), args.json)
         return 0
     if args.pool_gb is not None:
         pool = MemoryPool(int(gib(args.pool_gb)), elastic=args.overcommit)

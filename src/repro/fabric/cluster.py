@@ -40,6 +40,7 @@ as the intra-rack one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -252,9 +253,9 @@ class ClusterCoSimulator:
         tenant's baseline runtime and propagates the same value to all
         racks, keeping their rollovers aligned.
     seed:
-        Engine seed shared by all racks; per-tenant baseline profiles are
-        cached once across the whole cluster, so admitting the same workload
-        to many racks costs one engine run, not ``n_racks``.
+        Engine seed shared by all racks; baseline runs are memoized per
+        workload (:func:`~repro.fabric.cosim.baseline_run`), so admitting the
+        same workload to many racks costs one engine run, not ``n_racks``.
     overcommit:
         Make every rack pool *elastic*: a lease request that does not fit is
         granted anyway by shrinking running co-tenants toward their floors,
@@ -298,12 +299,6 @@ class ClusterCoSimulator:
             )
             for i in range(fabric.n_racks)
         )
-        # One phase-profile cache for the whole cluster: identical
-        # (workload, local_fraction) tenants cost one set of idle unit-time
-        # evaluations regardless of which rack they land on.
-        shared_cache: dict = {}
-        for sim in self.rack_sims:
-            sim._inc_cache = shared_cache
         self.cluster_pool = (
             MemoryPool(cluster_pool_bytes, name="cluster-pool")
             if cluster_pool_bytes
@@ -634,16 +629,26 @@ class ClusterCoSimulator:
             wait_time=lease.wait_time if finished and lease is not None else 0.0,
         )
 
-    def run_to_completion(self) -> dict:
-        """Step until every admitted tenant finishes (or can never run).
+    def run_to_completion(
+        self, arrivals: Sequence[tuple[int, TenantSpec]] = ()
+    ) -> dict:
+        """Step until every tenant finishes (or can never run).
 
-        Finished tenants are withdrawn automatically (releasing rack- or
-        cluster-pool capacity, which admits queued tenants).  Returns a
-        summary dict with per-tenant outcomes — the closed-loop driver
-        behind the ``fabric --cluster`` CLI and the cluster bench group.
+        ``arrivals`` are ``(rack, spec)`` admissions still to come: each is
+        admitted at its exact ``spec.arrival``, as :meth:`RackCoSimulator.run
+        <repro.fabric.cosim.RackCoSimulator.run>` admits its tenants, and no
+        step crosses the next one.  Finished tenants are withdrawn the moment
+        they finish (releasing rack- or cluster-pool capacity, which admits
+        queued tenants).  Returns a summary dict with per-tenant outcomes —
+        the closed loop behind the ``fabric --cluster`` CLI and the cluster
+        bench group.
         """
+        pending = sorted(arrivals, key=lambda item: item[1].arrival)
         outcomes: list[ClusterTenantOutcome] = []
         for _ in range(self.MAX_EPOCHS):
+            while pending and pending[0][1].arrival <= self._clock + 1e-12:
+                rack, spec = pending.pop(0)
+                self.admit(rack, spec, time=spec.arrival)
             finished: list[str] = []
             running = 0
             for name, rack in self._tenant_rack.items():
@@ -657,11 +662,11 @@ class ClusterCoSimulator:
             for name in finished:
                 outcomes.append(self._outcome(name, self._tenant_rack[name]))
                 self.withdraw(name)
-            if not self._tenant_rack:
+            if not self._tenant_rack and not pending:
                 break
             if finished:
                 continue
-            if running == 0 or (
+            stuck = running == 0 or (
                 self._faults_active
                 and not self.faults_pending()
                 and not any(r > 0.0 for r in self.progress_rates().values())
@@ -670,7 +675,8 @@ class ClusterCoSimulator:
                     for sim in self.rack_sims
                     for s in sim.tenant_states.values()
                 )
-            ):
+            )
+            if stuck and not pending:
                 # Everything left is queued behind capacity nothing will
                 # release, or fault-stalled forever (e.g. a killed port that
                 # is never restored): record it as unfinished and stop
@@ -679,7 +685,9 @@ class ClusterCoSimulator:
                     outcomes.append(self._outcome(name, rack))
                     self.withdraw(name)
                 break
-            self.step(self.horizon())
+            # Step to the next rate change, never past the next arrival.
+            dt = pending[0][1].arrival - self._clock if pending else math.inf
+            self.step(dt if stuck else min(self.horizon(), dt))
         else:
             raise FabricError(
                 f"cluster co-simulation did not terminate within "

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -78,7 +78,7 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..sim.engine import ExecutionEngine
 from ..sim.perfmodel import PerformanceModel, PhaseInputs
 from ..sim.platform import Platform
-from ..sim.results import RunResult
+from ..sim.results import PhaseResult, RunResult
 from ..telemetry import TimeSeries, metrics, trace_span
 from ..workloads.base import WorkloadSpec
 from .faults import (
@@ -191,10 +191,12 @@ def baseline_run(
     """The interference-free engine run of ``workload`` on the pooled platform.
 
     The one reference measurement behind every fabric baseline: the
-    co-simulator's per-tenant phase profiles and the scheduler's fabric job
-    profiles (:func:`repro.scheduler.progress.fabric_job_profile`).  The run
-    is a pure function of its arguments, so it is memoized per (workload,
-    local fraction, testbed, seed) in a small LRU.  Each entry holds the
+    co-simulator's tenants and placement probes read its phases directly,
+    and the scheduler's fabric job profiles
+    (:func:`repro.scheduler.progress.fabric_job_profile`) its totals.  The
+    run is a pure function of its arguments, so it is memoized per
+    (workload, local fraction, testbed, seed) in a small LRU; without it
+    every placement probe would price a fresh run.  Each entry holds the
     workload object itself and only that very object (``is``) hits: a key
     built from ``id()`` alone could hand a new workload the run of a freed
     one whose id CPython reused.
@@ -218,39 +220,33 @@ def baseline_run(
     return result
 
 
-@dataclass(frozen=True)
-class _PhaseProfile:
-    """Interference-free reference behaviour of one phase of one tenant."""
-
-    runtime: float
-    flops: float
-    local_bytes: float
-    remote_bytes: float
-    coverage: float
-    mlp: float
-    unit_time_idle: float
-
-    @property
-    def offered_bandwidth(self) -> float:
-        """Pool bandwidth the phase demands when running at full speed, bytes/s."""
-        return self.remote_bytes / max(self.runtime, 1e-12)
-
-
 class _TenantState:
-    """Mutable progress bookkeeping of one tenant during the co-simulation."""
+    """Mutable progress bookkeeping of one tenant during the co-simulation.
 
-    def __init__(self, spec: TenantSpec, node: int) -> None:
+    ``baseline`` is the tenant's interference-free engine run
+    (:func:`baseline_run`); its phases are shared with every tenant of the
+    same workload and local fraction.  ``perf`` prices the tenant's phases on
+    its pool port, which may be provisioned differently from the node's own
+    link.
+    """
+
+    def __init__(
+        self, spec: TenantSpec, node: int, perf: PerformanceModel, baseline: RunResult
+    ) -> None:
         self.spec = spec
         self.node = node
         self.lease = None
-        self.perf: Optional[PerformanceModel] = None
-        self.phases: tuple[_PhaseProfile, ...] = ()
-        self.baseline_runtime = 0.0
+        self.perf = perf
+        self.phases: tuple[PhaseResult, ...] = baseline.phases
+        self.baseline_runtime = baseline.total_runtime
+        self.unit_time_idle = tuple(
+            self.unit_time(index, 0.0) for index in range(len(self.phases))
+        )
         self.phase_index = 0
         self.phase_elapsed = 0.0  # baseline-seconds completed in the current phase
-        # One-entry progress-rate cache, keyed by the phase profile object and
-        # the frozen background it was evaluated under (see _progress_rate).
-        self.rate_profile: Optional[_PhaseProfile] = None
+        # One-entry progress-rate cache, keyed by the phase index and the
+        # frozen background it was evaluated under (see _progress_rate).
+        self.rate_phase = -1
         self.rate_background = 0.0
         self.rate = 0.0
         self.finish_time: Optional[float] = None
@@ -286,10 +282,24 @@ class _TenantState:
             and not self.finished
         )
 
+    def unit_time(self, index: int, background: float) -> float:
+        """Wall time for one baseline-second of phase ``index`` under ``background``."""
+        phase = self.phases[index]
+        runtime = max(phase.runtime, 1e-12)
+        inputs = PhaseInputs(
+            flops=phase.flops / runtime,
+            local_demand_bytes=phase.local_bytes / runtime,
+            remote_demand_bytes=phase.remote_bytes / runtime,
+            prefetch_coverage=phase.prefetch_coverage,
+            mlp=self.spec.workload.phases[index].mlp,
+            background_bandwidth=background,
+        )
+        return max(self.perf.phase_time(inputs).runtime, 1e-12)
+
     def current_offered_bandwidth(self) -> float:
         if self.phase_index >= len(self.phases):
             return 0.0
-        return self.phases[self.phase_index].offered_bandwidth
+        return self.phases[self.phase_index].remote_bandwidth_demand
 
     @property
     def completed_baseline_seconds(self) -> float:
@@ -658,7 +668,6 @@ class RackCoSimulator:
     def _init_incremental(self) -> None:
         """Reset the state behind the incremental (scheduler-driven) API."""
         self._inc_states: dict[str, _TenantState] = {}
-        self._inc_cache: dict = {}
         self._inc_clock = 0.0
         self._inc_epoch_elapsed = 0.0
         self._inc_epoch: Optional[float] = self._epoch_seconds
@@ -688,81 +697,33 @@ class RackCoSimulator:
 
     # -- baseline profiling ---------------------------------------------------------
 
-    def _profile_tenant(self, state: _TenantState, cache: dict) -> None:
-        """Give the tenant its interference-free reference phases.
+    def _baseline(self, spec: TenantSpec) -> RunResult:
+        """The tenant's interference-free engine run (:func:`baseline_run`)."""
+        return baseline_run(spec.workload, spec.local_fraction, self.testbed, self.seed)
 
-        Tenants sharing the same workload object and local fraction are
-        behaviourally identical, so their phase profiles — the baseline
-        engine run (:func:`baseline_run`) plus each phase's idle unit time —
-        are built once per ``cache`` and shared: the common
-        many-identical-tenants sweep profiles O(unique specs) instead of
-        O(tenants).  Like :func:`baseline_run`, an entry hits only for the
-        very workload object it was built from.
-        """
-        spec = state.spec
-        # Contention during the co-simulation is resolved on the tenant's pool
-        # port, which may be provisioned differently from the node's own link.
-        # All ports are built identically, so the cached profile is port-safe.
-        port_link = self.topology.link_of(state.node)
-        state.perf = PerformanceModel(self.testbed, port_link)
-        key = (id(spec.workload), spec.local_fraction)
-        entry = cache.get(key)
-        if entry is None or entry[0] is not spec.workload:
-            result = baseline_run(
-                spec.workload, spec.local_fraction, self.testbed, self.seed
-            )
-            profiles = []
-            for phase_spec, phase in zip(spec.workload.phases, result.phases):
-                profile = _PhaseProfile(
-                    runtime=phase.runtime,
-                    flops=phase.flops,
-                    local_bytes=phase.local_bytes,
-                    remote_bytes=phase.remote_bytes,
-                    coverage=phase.prefetch_coverage,
-                    mlp=phase_spec.mlp,
-                    unit_time_idle=1.0,
-                )
-                profiles.append(
-                    replace(
-                        profile, unit_time_idle=self._unit_time(state, profile, 0.0)
-                    )
-                )
-            entry = cache[key] = (spec.workload, tuple(profiles))
-        state.phases = entry[1]
-        state.baseline_runtime = float(sum(p.runtime for p in state.phases))
+    def _new_tenant(self, spec: TenantSpec, node: int) -> _TenantState:
+        """``spec`` on ``node``, priced on the node's pool port."""
+        perf = PerformanceModel(self.testbed, self.topology.link_of(node))
+        return _TenantState(spec, node, perf, self._baseline(spec))
 
-    def _unit_time(
-        self, state: _TenantState, profile: _PhaseProfile, background: float
-    ) -> float:
-        """Wall time for one baseline-second of a phase under ``background``."""
-        runtime = max(profile.runtime, 1e-12)
-        inputs = PhaseInputs(
-            flops=profile.flops / runtime,
-            local_demand_bytes=profile.local_bytes / runtime,
-            remote_demand_bytes=profile.remote_bytes / runtime,
-            prefetch_coverage=profile.coverage,
-            mlp=profile.mlp,
-            background_bandwidth=background,
-        )
-        return max(state.perf.phase_time(inputs).runtime, 1e-12)
-
-    def _progress_rate(self, state: _TenantState, profile: _PhaseProfile, background: float) -> float:
-        """Baseline-seconds of phase progress per wall-clock second.
+    def _progress_rate(self, state: _TenantState, background: float) -> float:
+        """Baseline-seconds of progress per wall-clock second in the current phase.
 
         Normalised against the same model at zero background, so slowdowns are
         exactly 1 on an idle fabric regardless of model details.
 
-        The rate is a pure function of the phase profile and the background,
-        and both change only at phase boundaries and epoch rollovers, so each
-        tenant remembers its last evaluation: the perf model runs (and
+        The rate is a pure function of the phase and the background, and both
+        change only at phase boundaries and epoch rollovers, so each tenant
+        remembers its last evaluation: the perf model runs (and
         ``fabric.rates.evaluations`` counts) only when either one changed,
         not on every rate, horizon and step query.
         """
-        if profile is state.rate_profile and background == state.rate_background:
+        index = state.phase_index
+        if index == state.rate_phase and background == state.rate_background:
             return state.rate
         metrics().counter("fabric.rates.evaluations").inc()
-        state.rate = profile.unit_time_idle / self._unit_time(state, profile, background)
-        state.rate_profile = profile
+        state.rate = state.unit_time_idle[index] / state.unit_time(index, background)
+        state.rate_phase = index
         state.rate_background = background
         return state.rate
 
@@ -782,13 +743,9 @@ class RackCoSimulator:
         with trace_span("fabric.run", tenants=len(self.tenants)):
             if self._inc_epoch is None:
                 # ~1/40 of the longest baseline runtime across all tenants
-                # (profiles are cached, so the admissions reuse these runs).
-                longest = 0.0
-                for spec in self.tenants:
-                    probe = _TenantState(spec, node=0)
-                    self._profile_tenant(probe, self._inc_cache)
-                    longest = max(longest, probe.baseline_runtime)
-                self._inc_epoch = max(longest / 40.0, 1e-6)
+                # (baseline runs are memoized, so the admissions reuse them).
+                runtimes = [self._baseline(spec).total_runtime for spec in self.tenants]
+                self._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
             pending = sorted(
                 range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
             )
@@ -894,9 +851,8 @@ class RackCoSimulator:
         """
         used = 0.0
         while used < dt and state.phase_index < len(state.phases):
-            profile = state.phases[state.phase_index]
-            rate = self._progress_rate(state, profile, background)
-            baseline_remaining = profile.runtime - state.phase_elapsed
+            rate = self._progress_rate(state, background)
+            baseline_remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
             wall_needed = baseline_remaining / rate
             if wall_needed <= (dt - used) + 1e-12:
                 used += wall_needed
@@ -936,7 +892,7 @@ class RackCoSimulator:
     ) -> "Lease":
         """Admit one tenant into the running co-simulation.
 
-        Profiles the tenant interference-free (cached per workload/fraction),
+        Profiles the tenant interference-free (:func:`baseline_run`),
         requests its pool lease and rolls the epoch over so the new tenant's
         demand is part of the resolved backgrounds immediately.  ``node`` is
         the rack-local node index (first free node when omitted); ``time``
@@ -964,8 +920,7 @@ class RackCoSimulator:
             if time > self._inc_clock:
                 self.step(time - self._inc_clock)
         metrics().counter("fabric.cosim.admitted").inc()
-        state = _TenantState(spec, node=node)
-        self._profile_tenant(state, self._inc_cache)
+        state = self._new_tenant(spec, node)
         if self._inc_epoch is None:
             self._inc_epoch = max(state.baseline_runtime / 40.0, 1e-6)
         state.lease = self.pool.request(spec.name, spec.lease_bytes, time=self._inc_clock)
@@ -1049,13 +1004,12 @@ class RackCoSimulator:
     def peak_offered_bandwidth(self, spec: TenantSpec) -> float:
         """Pool bandwidth of a tenant's hungriest phase, bytes/s.
 
-        Profiles the workload on demand (cached), without admitting it — used
-        by placement policies to project what a prospective tenant would add
-        to a pool port.
+        Reads the tenant's baseline run (:func:`baseline_run`) without
+        admitting it — used by placement policies to project what a
+        prospective tenant would add to a pool port.
         """
-        probe = _TenantState(spec, node=0)
-        self._profile_tenant(probe, self._inc_cache)
-        return max((p.offered_bandwidth for p in probe.phases), default=0.0)
+        phases = self._baseline(spec).phases
+        return max((p.remote_bandwidth_demand for p in phases), default=0.0)
 
     def current_demands(self) -> dict[int, float]:
         """Offered pool bandwidth per node of the currently running tenants."""
@@ -1091,9 +1045,8 @@ class RackCoSimulator:
                     continue
             if not state.running or state.phase_index >= len(state.phases):
                 continue
-            profile = state.phases[state.phase_index]
             rates[name] = self._progress_rate(
-                state, profile, self._inc_backgrounds.get(state.node, 0.0)
+                state, self._inc_backgrounds.get(state.node, 0.0)
             )
         return rates
 
@@ -1122,13 +1075,10 @@ class RackCoSimulator:
                 if self._draining(state):
                     bound = min(bound, max(state.migration_debt, 1e-12))
         for name, rate in self.progress_rates().items():
-            state = self._inc_states[name]
-            if state.phase_index >= len(state.phases):
-                continue
-            profile = state.phases[state.phase_index]
-            remaining = max(profile.runtime - state.phase_elapsed, 0.0)
-            if rate > 0:
-                bound = min(bound, remaining / rate)
+            if rate > 0:  # a positive rate belongs to a tenant inside a phase
+                state = self._inc_states[name]
+                remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
+                bound = min(bound, max(remaining, 0.0) / rate)
         return max(bound, 1e-12)
 
     def step(self, dt: float) -> dict[str, float]:

@@ -23,7 +23,6 @@ from .progress import (
     FabricCoupledProgress,
     ProgressModel,
     StaticCurveProgress,
-    fabric_baseline_runtime,
     fabric_job_profile,
     make_progress_model,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "FabricCoupledProgress",
     "ProgressModel",
     "StaticCurveProgress",
-    "fabric_baseline_runtime",
     "fabric_job_profile",
     "make_progress_model",
     "ClusterSimulator",

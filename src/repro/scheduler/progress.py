@@ -160,23 +160,6 @@ class StaticCurveProgress:
         pass
 
 
-def fabric_baseline_runtime(
-    workload: WorkloadSpec,
-    local_fraction: float = 0.5,
-    testbed: TestbedConfig = SKYLAKE_EMULATION,
-    seed: int = 0,
-) -> float:
-    """Interference-free runtime of ``workload`` on the pooled platform.
-
-    This is the same (memoized) measurement
-    :class:`~repro.fabric.cosim.RackCoSimulator` uses as its per-tenant
-    reference, so job profiles built from it make the static and
-    fabric-coupled models agree exactly on an uncontended fabric.
-    """
-    result = baseline_run(workload, local_fraction, testbed, seed)
-    return float(sum(p.runtime for p in result.phases))
-
-
 def fabric_job_profile(
     workload: WorkloadSpec,
     local_fraction: float = 0.5,
@@ -196,10 +179,9 @@ def fabric_job_profile(
     study pays it once per workload, not once per profile and once per rack.
     """
     result = baseline_run(workload, local_fraction, testbed, seed)
-    baseline = float(sum(p.runtime for p in result.phases))
-    remote_bytes = float(sum(p.remote_bytes for p in result.phases))
+    baseline = result.total_runtime
     link = RemoteLink(testbed)
-    induced = link.loi(remote_bytes / baseline) if baseline > 0 else 0.0
+    induced = link.loi(result.total_remote_bytes / baseline) if baseline > 0 else 0.0
     return JobProfile(
         workload=workload.name,
         baseline_runtime=baseline,
@@ -224,9 +206,9 @@ class FabricCoupledProgress:
 
     All racks' incremental co-simulators are stepped together by one
     :class:`~repro.fabric.cluster.ClusterCoSimulator`, so rack epochs stay
-    aligned, per-tenant baselines are cached cluster-wide, and (when a
-    cluster pool is provisioned) jobs that do not fit their rack's pool spill
-    into it and feel uplink/spine contention.
+    aligned, every tenant's baseline is its workload's one memoized engine
+    run, and (when a cluster pool is provisioned) jobs that do not fit their
+    rack's pool spill into it and feel uplink/spine contention.
 
     Parameters
     ----------
@@ -467,7 +449,7 @@ class FabricCoupledProgress:
             if n not in {s.node for s in sim.tenant_states.values()}
         ]
         probe_node = free[0] if free else 0
-        spec = self._tenant_spec(job, arrival=0.0, probe=True)
+        spec = self._tenant_spec(job, arrival=0.0)
         demands[probe_node] = demands.get(probe_node, 0.0) + sim.peak_offered_bandwidth(spec)
         return max(
             sim.topology.port_utilization(port, demands)
@@ -491,19 +473,18 @@ class FabricCoupledProgress:
         self.workloads[profile.workload] = spec
         return spec
 
-    def _tenant_spec(self, job: Job, arrival: float, probe: bool = False) -> TenantSpec:
+    def _tenant_spec(self, job: Job, arrival: float) -> TenantSpec:
         workload = self._workload_of(job.profile)
         pool_bytes = int(round(gb(job.profile.pool_gb)))
         local_fraction = self.local_fraction
         if workload.footprint_bytes > 0 and pool_bytes > 0:
             derived = 1.0 - pool_bytes / workload.footprint_bytes
             # Snap tiny GB->byte rounding noise back to the configured split so
-            # profile caching (keyed on the fraction) stays effective.
+            # the baseline memo (keyed on the fraction) stays effective.
             if abs(derived - self.local_fraction) > 1e-6:
                 local_fraction = min(max(derived, 1e-9), 1.0)
-        name = f"probe-{job.job_id}" if probe else f"job-{job.job_id}"
         return TenantSpec(
-            name=name,
+            name=f"job-{job.job_id}",
             workload=workload,
             local_fraction=local_fraction,
             arrival=max(arrival, 0.0),

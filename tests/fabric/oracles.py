@@ -11,18 +11,25 @@ paths it used to ship next to them live on here, as differential oracles:
 * :func:`resolve_every_rollover` — racks that re-solve at every epoch
   rollover instead of skipping a solve whose inputs did not change;
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
-  arrivals and grants queued leases only at epoch boundaries.
+  arrivals and grants queued leases only at epoch boundaries;
+* :class:`PhaseProfile`, :func:`profile_tenant` and :func:`unit_time` — a
+  tenant's reference phases as a cached copy of the baseline run, each phase
+  carrying its idle unit time priced once per cache, where the library reads
+  :func:`~repro.fabric.cosim.baseline_run`'s phases directly;
+  :func:`use_phase_profiles` runs the co-simulator on them.
 """
 
 from __future__ import annotations
 
 import types
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 from repro.fabric import SolveDiagnostics
-from repro.fabric.cosim import RackCoSimulator, _TenantState
+from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run
 from repro.fabric.pool import LEASE_QUEUED, LEASE_REJECTED
 from repro.fabric.solver import BACKOFF_IMPROVEMENT, BACKOFF_WINDOW
+from repro.sim.perfmodel import PerformanceModel, PhaseInputs
 
 
 def solve_scalar(
@@ -163,10 +170,7 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
     queued tenant starts at the next boundary.  Returns ``({name: (start,
     finish)}, epochs recorded)``; only fault-free, non-elastic runs.
     """
-    states = [_TenantState(spec, node=i) for i, spec in enumerate(sim.tenants)]
-    cache: dict = {}
-    for state in states:
-        sim._profile_tenant(state, cache)
+    states = [sim._new_tenant(spec, i) for i, spec in enumerate(sim.tenants)]
     epoch = sim._epoch_seconds
     if epoch is None:
         epoch = max(max(s.baseline_runtime for s in states) / 40.0, 1e-6)
@@ -209,3 +213,110 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
         for s in states
     }
     return times, epochs
+
+
+@dataclass(frozen=True)
+class PhaseProfile:
+    """Interference-free reference behaviour of one phase of one tenant."""
+
+    runtime: float
+    flops: float
+    local_bytes: float
+    remote_bytes: float
+    coverage: float
+    mlp: float
+    unit_time_idle: float
+
+    @property
+    def offered_bandwidth(self) -> float:
+        """Pool bandwidth the phase demands when running at full speed, bytes/s."""
+        return self.remote_bytes / max(self.runtime, 1e-12)
+
+
+def profile_tenant(sim: RackCoSimulator, state, cache: dict) -> None:
+    """Give ``state`` its phase profiles, built once per ``cache``.
+
+    ``state`` needs only ``spec`` and ``node``; this sets its ``perf``,
+    ``phases`` and ``baseline_runtime``.  Tenants sharing the same workload
+    object and local fraction share one entry, whose idle unit times were
+    priced on the port link of the first tenant that built it.  An entry hits
+    only for the very workload object it was built from.
+    """
+    spec = state.spec
+    state.perf = PerformanceModel(sim.testbed, sim.topology.link_of(state.node))
+    key = (id(spec.workload), spec.local_fraction)
+    entry = cache.get(key)
+    if entry is None or entry[0] is not spec.workload:
+        result = baseline_run(spec.workload, spec.local_fraction, sim.testbed, sim.seed)
+        profiles = []
+        for phase_spec, phase in zip(spec.workload.phases, result.phases):
+            profile = PhaseProfile(
+                runtime=phase.runtime,
+                flops=phase.flops,
+                local_bytes=phase.local_bytes,
+                remote_bytes=phase.remote_bytes,
+                coverage=phase.prefetch_coverage,
+                mlp=phase_spec.mlp,
+                unit_time_idle=1.0,
+            )
+            profiles.append(
+                replace(profile, unit_time_idle=unit_time(state, profile, 0.0))
+            )
+        entry = cache[key] = (spec.workload, tuple(profiles))
+    state.phases = entry[1]
+    state.baseline_runtime = float(sum(p.runtime for p in state.phases))
+
+
+def unit_time(state, profile: PhaseProfile, background: float) -> float:
+    """Wall time for one baseline-second of a phase under ``background``."""
+    runtime = max(profile.runtime, 1e-12)
+    inputs = PhaseInputs(
+        flops=profile.flops / runtime,
+        local_demand_bytes=profile.local_bytes / runtime,
+        remote_demand_bytes=profile.remote_bytes / runtime,
+        prefetch_coverage=profile.coverage,
+        mlp=profile.mlp,
+        background_bandwidth=background,
+    )
+    return max(state.perf.phase_time(inputs).runtime, 1e-12)
+
+
+def progress_rate(state, profile: PhaseProfile, background: float) -> float:
+    """A phase's progress rate under ``background``, priced afresh."""
+    return profile.unit_time_idle / unit_time(state, profile, background)
+
+
+def use_phase_profiles(monkeypatch) -> None:
+    """Run every co-simulator on phase profiles until the test ends.
+
+    Each new tenant's phases are replaced by profiles from its simulator's
+    own cache (a cluster's racks have identical ports, so sharing one across
+    them priced the same bits), and the idle unit times the tenant priced
+    itself go unused.  Rates are priced afresh on every query.
+    """
+    new_tenant = RackCoSimulator._new_tenant
+
+    def _new_tenant(self, spec, node):
+        state = new_tenant(self, spec, node)
+        profile_tenant(self, state, self.__dict__.setdefault("_oracle_profiles", {}))
+        return state
+
+    def _progress_rate(self, state, background):
+        return progress_rate(state, state.phases[state.phase_index], background)
+
+    def peak_offered_bandwidth(self, spec):
+        probe = types.SimpleNamespace(spec=spec, node=0)
+        profile_tenant(self, probe, self.__dict__.setdefault("_oracle_profiles", {}))
+        return max((p.offered_bandwidth for p in probe.phases), default=0.0)
+
+    def current_offered_bandwidth(self):
+        if self.phase_index >= len(self.phases):
+            return 0.0
+        return self.phases[self.phase_index].offered_bandwidth
+
+    monkeypatch.setattr(RackCoSimulator, "_new_tenant", _new_tenant)
+    monkeypatch.setattr(RackCoSimulator, "_progress_rate", _progress_rate)
+    monkeypatch.setattr(RackCoSimulator, "peak_offered_bandwidth", peak_offered_bandwidth)
+    monkeypatch.setattr(
+        _TenantState, "current_offered_bandwidth", current_offered_bandwidth
+    )

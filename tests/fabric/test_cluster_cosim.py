@@ -11,6 +11,9 @@ Three properties the scheduler integration depends on:
   racks whose solver inputs did not change; any membership or offset change
   forces a re-solve, so trajectories are identical to those of racks that
   re-solve at every rollover (``oracles.resolve_every_rollover``).
+
+The cluster's closed loop is held to the rack's own: a 1-rack cluster run to
+completion agrees with :meth:`RackCoSimulator.run` on every tenant.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ import pytest
 from oracles import resolve_every_rollover
 from repro import telemetry
 from repro.config.errors import FabricError
-from repro.fabric import ClusterCoSimulator, ClusterFabric, uniform_tenants
+from repro.fabric import (
+    ClusterCoSimulator,
+    ClusterFabric,
+    MemoryPool,
+    RackCoSimulator,
+    TenantSpec,
+    uniform_tenants,
+)
+from repro.fabric.cosim import baseline_run
+from repro.workloads import build_workload
 
 GiB = 1024**3
 
@@ -250,3 +262,74 @@ class TestValidationAndSummary:
             assert tenant["slowdown"] >= 1.0
         # Everything finished, so the cluster is empty again.
         assert sim.tenant_names == ()
+
+
+class TestClosedLoopMatchesTheRack:
+    """``run_to_completion(arrivals)`` admits each tenant at its arrival and
+    frees its lease the moment it finishes, exactly as the rack's ``run()``."""
+
+    @pytest.mark.parametrize(
+        "mix, leases_fit, spacing",
+        [
+            (("XSBench",) * 3, 1, 0.6),
+            (("BFS",) * 3, 1, 0.6),
+            (("HPL",) * 3, 1, 0.6),
+            (("XSBench", "BFS", "HPL", "XSBench"), 1, 0.6),
+            (("HPL", "XSBench", "BFS", "HPL", "BFS"), 2, 0.3),
+        ],
+    )
+    def test_one_rack_cluster_agrees_with_rack_run(self, mix, leases_fit, spacing):
+        specs = {name: build_workload(name) for name in set(mix)}
+        # Arrivals a fraction of a baseline apart: tenants queue for the
+        # pool, and some finish before a later one arrives.
+        stagger = spacing * max(
+            baseline_run(spec).total_runtime for spec in specs.values()
+        )
+        tenants = [
+            TenantSpec(name=f"{name}-{i}", workload=specs[name], arrival=i * stagger)
+            for i, name in enumerate(mix)
+        ]
+        capacity = sum(sorted(t.lease_bytes for t in tenants)[-leases_fit:])
+        epoch = stagger / 25.0
+        rack = RackCoSimulator(
+            tenants, pool=MemoryPool(capacity), epoch_seconds=epoch
+        ).run()
+        cluster = ClusterCoSimulator(
+            ClusterFabric(n_racks=1, nodes_per_rack=len(tenants)),
+            rack_pool_bytes=capacity,
+            epoch_seconds=epoch,
+        )
+        summary = cluster.run_to_completion([(0, spec) for spec in tenants])
+        got = {t["name"]: t for t in summary["tenants"]}
+        assert sorted(got) == sorted(t.name for t in tenants)
+        assert any(outcome.wait_time > 0 for outcome in rack.tenants)
+        for outcome in rack.tenants:
+            # The rack releases a finished tenant's lease; the cluster
+            # reports the lease its finished tenant held.
+            assert outcome.lease_state == "released"
+            assert got[outcome.name]["lease_state"] == "granted"
+            assert got[outcome.name]["wait_s"] == pytest.approx(
+                outcome.wait_time, rel=1e-12, abs=1e-12
+            )
+            assert got[outcome.name]["runtime_s"] == pytest.approx(
+                outcome.runtime, rel=1e-12
+            )
+        assert summary["makespan"] == pytest.approx(rack.makespan, rel=1e-12)
+
+    def test_arrivals_after_an_idle_gap_and_a_rejection(self):
+        spec = build_workload("XSBench")
+        gap = 2.0 * baseline_run(spec).total_runtime
+        small = TenantSpec(name="small", workload=spec, pool_bytes=GiB)
+        huge = TenantSpec(name="huge", workload=spec, arrival=1.0, pool_bytes=4 * GiB)
+        late = TenantSpec(name="late", workload=spec, arrival=gap, pool_bytes=GiB)
+        sim = ClusterCoSimulator(
+            ClusterFabric(n_racks=2, nodes_per_rack=2), rack_pool_bytes=2 * GiB
+        )
+        summary = sim.run_to_completion([(1, late), (0, small), (0, huge)])
+        got = {t["name"]: t for t in summary["tenants"]}
+        assert got["huge"]["lease_state"] == "rejected"
+        assert got["late"]["lease_state"] == "granted"
+        assert got["late"]["wait_s"] == 0.0
+        assert summary["makespan"] == pytest.approx(
+            gap + baseline_run(spec).total_runtime, rel=1e-9
+        )

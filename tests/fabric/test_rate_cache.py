@@ -1,21 +1,28 @@
 """The memoized progress rate and baseline runs change no simulated number.
 
 :meth:`RackCoSimulator._progress_rate` remembers, per tenant, the rate of its
-last (phase profile, frozen background) pair, and :func:`baseline_run`
-memoizes the interference-free engine run per (workload, local fraction,
-testbed, seed).  Both store pure functions of their keys, so this suite
-holds them to bit-identity against an uncached oracle, pins how much work
-they save (so a change that defeats either cache fails here, not only in the
-benchmark), and checks that a workload-keyed entry only ever serves the very
-workload object it was built from.
+last (phase, frozen background) pair, and :func:`baseline_run` memoizes the
+interference-free engine run per (workload, local fraction, testbed, seed).
+Both store pure functions of their keys, so this suite holds them to
+bit-identity against an uncached oracle, pins how much work they save (so a
+change that defeats either cache fails here, not only in the benchmark), and
+checks that a workload-keyed entry only ever serves the very workload object
+it was built from.  Every number the tenants derive from the baseline run's
+phases is held to the bits of the cached phase-profile derivation in
+``oracles.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from repro import telemetry
 from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config import SKYLAKE_EMULATION
@@ -23,7 +30,9 @@ from repro.config.units import GiB
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
+    FabricTopology,
     FaultSchedule,
+    MemoryPool,
     RackCoSimulator,
     TenantSpec,
 )
@@ -31,14 +40,18 @@ from repro.fabric import cosim
 from repro.fabric.cosim import baseline_run
 from repro.scheduler import ClusterSimulator, FabricCoupledProgress, make_policy
 from repro.sim.perfmodel import PerformanceModel
-from repro.workloads import build_workload
+from repro.workloads import build_workload, workload_names
 
 APPS = ("HPL", "XSBench", "Hypre")
 
+#: One workload object per application, so the baseline memo serves repeats.
+WORKLOADS = {name: build_workload(name) for name in workload_names()}
 
-def uncached_progress_rate(self, state, profile, background):
-    """The progress-rate formula evaluated afresh on every query (oracle)."""
-    return profile.unit_time_idle / self._unit_time(state, profile, background)
+
+def uncached_progress_rate(self, state, background):
+    """The progress-rate formula with both unit times priced afresh (oracle)."""
+    index = state.phase_index
+    return state.unit_time(index, 0.0) / state.unit_time(index, background)
 
 
 def coupled_leg():
@@ -157,6 +170,35 @@ class TestWorkSaved:
         evaluations = telemetry_on.counter("fabric.rates.evaluations").value
         assert 0 < evaluations < len(calls) <= 100
 
+    @pytest.mark.parametrize(
+        "scenario, expected",
+        [
+            # 3 baseline runs x 2 phases (6), 6 admitted jobs pricing the idle
+            # unit time of their 2 phases (12), 22 rate evaluations: 40.
+            (coupled_leg, 40),
+            # 4 baseline runs x 2 phases (8), 4 admitted tenants x 2 phases
+            # (8), 12 rate evaluations: 28.
+            (chaos_cluster, 28),
+        ],
+    )
+    def test_exact_perf_model_calls(self, scenario, expected, telemetry_on, monkeypatch):
+        """Pricing per probe or per step, not per admitted phase, fails here."""
+        calls = []
+        phase_time = PerformanceModel.phase_time
+
+        def counting(self, inputs):
+            calls.append(inputs)
+            return phase_time(self, inputs)
+
+        monkeypatch.setattr(PerformanceModel, "phase_time", counting)
+        monkeypatch.setattr(cosim, "_baselines", OrderedDict())
+        scenario()
+        phases = 2  # every workload in both scenarios has two phases
+        baseline = phases * telemetry_on.counter("engine.runs").value
+        admitted = phases * telemetry_on.counter("fabric.cosim.admitted").value
+        evaluations = telemetry_on.counter("fabric.rates.evaluations").value
+        assert len(calls) == baseline + admitted + evaluations == expected
+
 
 class TestWorkloadIdentity:
     """A workload-keyed entry serves only the object it was built from."""
@@ -171,16 +213,6 @@ class TestWorkloadIdentity:
         assert result.workload == "XSBench"
         assert baseline_run(fresh) is result
 
-    def test_profile_cache_ignores_a_colliding_id(self):
-        impostor, fresh = build_workload("HPL"), build_workload("XSBench")
-        sim = RackCoSimulator.incremental(n_nodes=2)
-        sim.admit(TenantSpec(name="impostor", workload=impostor, local_fraction=0.5))
-        sim._inc_cache[(id(fresh), 0.5)] = sim._inc_cache[(id(impostor), 0.5)]
-        sim.admit(TenantSpec(name="fresh", workload=fresh, local_fraction=0.5))
-        expected = sum(p.runtime for p in baseline_run(fresh).phases)
-        assert sim.baseline_runtime_of("fresh") == expected
-        assert sim.baseline_runtime_of("fresh") != sim.baseline_runtime_of("impostor")
-
     def test_memo_is_bounded(self, monkeypatch):
         memo = OrderedDict(
             (("planted", i), (None, None)) for i in range(cosim._BASELINE_MEMO_SIZE)
@@ -191,3 +223,80 @@ class TestWorkloadIdentity:
         assert len(memo) == cosim._BASELINE_MEMO_SIZE
         assert ("planted", 0) not in memo  # least recently used goes first
         assert baseline_run(spec) is result
+
+
+def rack_run():
+    """A staggered four-application rack on a tight two-port pool: outcomes."""
+    names = ("Hypre", "HPL", "BFS", "XSBench")
+    tenants = [
+        TenantSpec(
+            name=f"{name}-{i}", workload=WORKLOADS[name], local_fraction=0.5,
+            arrival=2.0 * i,
+        )
+        for i, name in enumerate(names)
+    ]
+    leases = [spec.lease_bytes for spec in tenants]
+    result = RackCoSimulator(
+        tenants,
+        pool=MemoryPool(max(int(0.6 * sum(leases)), max(leases))),
+        topology=FabricTopology(n_nodes=4, n_ports=2, port_capacity_scale=2.0),
+        seed=1,
+    ).run()
+    return [
+        (t.name, t.start_time, t.finish_time, t.lease_state, t.baseline_runtime,
+         t.mean_background_bandwidth)
+        for t in result.tenants
+    ]
+
+
+class TestPhasesMatchTheProfileOracle:
+    """Tenants reading the baseline run's phases get the bits of the cached
+    phase-profile copies in ``oracles.py``."""
+
+    @given(
+        app=st.sampled_from(sorted(WORKLOADS)),
+        local_fraction=st.sampled_from((0.25, 0.5, 0.75, 1.0)) | st.floats(0.25, 1.0),
+        scale=st.sampled_from((1.0, 2.0, 4.0)),  # FabricTopology needs >= 1
+        seed=st.integers(0, 3),
+        backgrounds=st.lists(
+            st.just(0.0) | st.floats(0.0, 100e9), min_size=1, max_size=4
+        ),
+    )
+    def test_phase_numbers_match(self, app, local_fraction, scale, seed, backgrounds):
+        spec = TenantSpec(name="t", workload=WORKLOADS[app], local_fraction=local_fraction)
+        sim = RackCoSimulator.incremental(
+            n_nodes=2,
+            topology=FabricTopology(n_nodes=2, port_capacity_scale=scale),
+            seed=seed,
+        )
+        cache: dict = {}  # one oracle entry, built on node 0, serves node 1 too
+        for node, name in enumerate(("t", "twin")):
+            sim.admit(replace(spec, name=name), node=node)
+            state = sim.tenant_states[name]
+            oracle = SimpleNamespace(spec=state.spec, node=node)
+            oracles.profile_tenant(sim, oracle, cache)
+            assert sim.baseline_runtime_of(name) == oracle.baseline_runtime
+            assert sim.peak_offered_bandwidth(spec) == max(
+                p.offered_bandwidth for p in oracle.phases
+            )
+            for index, profile in enumerate(oracle.phases):
+                state.phase_index = index
+                assert state.current_offered_bandwidth() == profile.offered_bandwidth
+                assert state.unit_time_idle[index] == profile.unit_time_idle
+                for background in backgrounds:
+                    assert sim._progress_rate(state, background) == (
+                        oracles.progress_rate(oracle, profile, background)
+                    )
+        assert len(cache) == 1
+        assert baseline_run(spec.workload, local_fraction, seed=seed).total_runtime == (
+            oracle.baseline_runtime
+        )
+
+    @pytest.mark.parametrize("scenario", [rack_run, coupled_leg, chaos_cluster])
+    def test_same_finish_times_as_under_the_oracle(self, scenario, monkeypatch):
+        expected = scenario()
+        oracles.use_phase_profiles(monkeypatch)
+        sim = RackCoSimulator.incremental(n_nodes=1)
+        sim.admit(TenantSpec(name="probe", workload=WORKLOADS["HPL"]))
+        assert isinstance(sim.tenant_states["probe"].phases[0], oracles.PhaseProfile)
+        assert scenario() == expected

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config.errors import SchedulingError
 from repro.config.units import MiB
+from repro.fabric.cosim import baseline_run
 from repro.memory.objects import MemoryObject
 from repro.scheduler import (
     Cluster,
@@ -14,7 +15,6 @@ from repro.scheduler import (
     LeastLoadedPlacement,
     RandomPlacement,
     StaticCurveProgress,
-    fabric_baseline_runtime,
     fabric_job_profile,
     make_progress_model,
 )
@@ -183,7 +183,7 @@ class TestFabricCoupledProgress:
     def test_arrivals_resync_fabric_clocks(self, spec, profile):
         """A job arriving after an idle gap is coupled at the right time."""
         cluster = Cluster.build(n_racks=1, nodes_per_rack=2, pool_capacity_gb=64.0)
-        baseline = fabric_baseline_runtime(spec, local_fraction=0.5)
+        baseline = baseline_run(spec, local_fraction=0.5).total_runtime
         late_arrival = baseline * 2.0
         outcome = ClusterSimulator(
             cluster, RandomPlacement(), seed=0, progress=coupled_progress(spec)

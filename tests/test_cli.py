@@ -114,6 +114,24 @@ def test_fabric_command_with_timeline_and_capped_pool(capsys):
     assert waits[-1] > 0
 
 
+def test_fabric_cluster_admits_tenants_at_their_arrival(capsys):
+    """A 1-rack cluster frees a finished tenant's lease before the next
+    arrival, as the rack does: same waits, same makespan."""
+    argv = [
+        "--json", "fabric", "--tenants", "3", "--workload", "XSBench",
+        "--stagger", "20", "--pool-gb", "1.862645149230957",
+        "--epoch-seconds", "0.8333",
+    ]
+    assert main(argv) == 0
+    rack = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cluster", "1"]) == 0
+    cluster = json.loads(capsys.readouterr().out)
+    assert round(rack["makespan"], 2) == round(cluster["makespan"], 2) == 100.0
+    assert [round(t["wait_s"], 2) for t in cluster["tenants"]] == [
+        round(t["wait_s"], 2) for t in rack["tenants"]
+    ] == [0.0, 13.33, 26.67]
+
+
 class TestNumericFlagHardening:
     """Malformed numeric flags fail with an argparse diagnostic, never a
     traceback (the repro.data.slurm error style, applied CLI-wide)."""
