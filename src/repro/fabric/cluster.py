@@ -21,8 +21,9 @@ This is ROADMAP item 1's datacenter layer on top of the single-rack
 Scaling comes from three mechanisms, each held to a slow reference path by
 the test suite: one batched vectorized solve for every rack due a rollover,
 the racks' dirty-epoch skip (a rack whose demand vector is unchanged is not
-re-solved at rollover), and each tenant's memoized progress rate (the perf
-model re-runs only when the tenant's phase or its epoch background changes).
+re-solved at rollover, and its epoch end is no step boundary), and each
+tenant's memoized progress rate (the perf model re-runs only when the
+tenant's phase or its epoch background changes).
 
 Spine coupling model
 --------------------
@@ -465,10 +466,11 @@ class ClusterCoSimulator:
 
         Racks advance in lockstep chunks through
         :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`, each chunk
-        cut at the cluster epoch boundary, at every rack's epoch end and at
-        every armed rack's next fault (see
-        :meth:`~repro.fabric.cosim.RackCoSimulator.begin_chunk`).  At the end
-        of every chunk all racks whose epoch is due roll over together
+        cut at the cluster epoch boundary, at every armed rack's next fault,
+        at every dirty rack's epoch end and at every clean rack's next rate
+        change (see :meth:`~repro.fabric.cosim.RackCoSimulator.begin_chunk`);
+        a clean rack records the skipped rollovers it crosses in place.  At
+        the end of every chunk all racks whose epoch is due roll over together
         (:func:`~repro.fabric.cosim.roll_over`), their re-solves batched into
         one :meth:`ClusterFabric.resolve_racks` call, and at every cluster
         epoch boundary the inter-rack coupling (uplink/spine backgrounds of
@@ -569,19 +571,24 @@ class ClusterCoSimulator:
     def horizon(self) -> float:
         """Wall seconds the current rates stay exact, cluster-wide.
 
-        Bounded by the next cluster recoupling and every busy rack's own
-        :meth:`~repro.fabric.cosim.RackCoSimulator.horizon`.
+        Bounded by every busy rack's own
+        :meth:`~repro.fabric.cosim.RackCoSimulator.horizon` (its next rate
+        change, or the next rollover that re-solves) and by the next cluster
+        recoupling, unless that recoupling has nothing to do: with no
+        spilled tenant and no stale offset it moves no rate.  With neither,
+        the next cluster epoch end is the bound.
         """
         if self._epoch is None:
             raise FabricError(
                 "the cluster has no epoch length yet: pass epoch_seconds or "
                 "admit a tenant first"
             )
-        bound = max(self._epoch - self._epoch_elapsed, 1e-12)
+        epoch_end = max(self._epoch - self._epoch_elapsed, 1e-12)
+        bound = epoch_end if self._spilled or self._offset_nodes else math.inf
         for sim in self.rack_sims:
             if any(state.running for state in sim.tenant_states.values()):
                 bound = min(bound, sim.horizon())
-        return max(bound, 1e-12)
+        return epoch_end if bound == math.inf else max(bound, 1e-12)
 
     # -- checkpoint / rollover ---------------------------------------------------------
 
@@ -669,12 +676,7 @@ class ClusterCoSimulator:
             stuck = running == 0 or (
                 self._faults_active
                 and not self.faults_pending()
-                and not any(r > 0.0 for r in self.progress_rates().values())
-                and not any(
-                    sim._draining(s)
-                    for sim in self.rack_sims
-                    for s in sim.tenant_states.values()
-                )
+                and not any(sim.progressing() for sim in self.rack_sims)
             )
             if stuck and not pending:
                 # Everything left is queued behind capacity nothing will

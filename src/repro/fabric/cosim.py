@@ -39,7 +39,9 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   withdrawal.  Between rollovers backgrounds are frozen, so per-phase progress
   rates are piecewise constant and an external event loop can do exact linear
   completion-time bookkeeping as long as it never steps past
-  :meth:`RackCoSimulator.horizon` in one go.
+  :meth:`RackCoSimulator.horizon` in one go.  A rollover that would skip its
+  solve changes no rate, so the horizon runs past it and the rollover is
+  recorded in place, at its own time.
 * **Tenant ↔ job mapping.**  The scheduler maps each running job onto one
   :class:`TenantSpec` (one tenant per occupied node); it calls
   :meth:`RackCoSimulator.admit` when the job starts and
@@ -69,6 +71,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -239,6 +242,12 @@ class _TenantState:
         self.perf = perf
         self.phases: tuple[PhaseResult, ...] = baseline.phases
         self.baseline_runtime = baseline.total_runtime
+        #: Baseline seconds of the phases before phase ``i``, for every ``i``
+        #: up to ``len(phases)`` (summed the way the sums always were, so
+        #: the bits match on every Python version).
+        self.phases_before = tuple(
+            sum(p.runtime for p in self.phases[:i]) for i in range(len(self.phases) + 1)
+        )
         self.unit_time_idle = tuple(
             self.unit_time(index, 0.0) for index in range(len(self.phases))
         )
@@ -304,10 +313,7 @@ class _TenantState:
     @property
     def completed_baseline_seconds(self) -> float:
         """Baseline seconds of work completed so far (phases done + partial)."""
-        return (
-            sum(p.runtime for p in self.phases[: self.phase_index])
-            + self.phase_elapsed
-        )
+        return self.phases_before[self.phase_index] + self.phase_elapsed
 
 
 @dataclass(frozen=True)
@@ -409,13 +415,27 @@ class RackTelemetry:
     def record(
         self, sample: PoolSample, utilization: float, waiting_seconds: float
     ) -> None:
+        """Record one epoch sample; one at the latest row's instant replaces it."""
+        self._append(sample, utilization, waiting_seconds / 1e-9)
+
+    def repeat(self, sample: PoolSample) -> None:
+        """Record ``sample`` with the port load of the latest row.
+
+        A rollover that skips its solve resolves the very demands the latest
+        row was computed from, so it would compute the same load again.
+        """
+        self._append(sample, self.max_port_utilization[-1], self.max_port_waiting_ns[-1])
+
+    def _append(self, sample: PoolSample, utilization: float, waiting_ns: float) -> None:
+        if self.times and self.times[-1] >= sample.time - 1e-12:
+            self.drop_last()
         self._timeline.append(
             sample.time,
             leased_bytes=sample.leased_bytes,
             queue_depth=sample.queue_depth,
             active_tenants=sample.active_leases,
             max_port_utilization=utilization,
-            max_port_waiting_ns=waiting_seconds / 1e-9,
+            max_port_waiting_ns=waiting_ns,
         )
         registry = metrics()
         registry.gauge("fabric.pool.leased_bytes").set(sample.leased_bytes)
@@ -563,6 +583,9 @@ class EpochCheckpoint:
     #: only once the fault layer is active so fault-free checkpoints are
     #: unchanged.
     fault_tenants: tuple = ()
+    #: Whether the next rollover would skip its solve, so a replay from the
+    #: checkpoint cuts its chunks exactly where the original steps did.
+    clean: bool = False
 
 
 class RackCoSimulator:
@@ -679,6 +702,12 @@ class RackCoSimulator:
         #: for — when the next rollover poses the identical problem, the
         #: fixed-point solve is skipped (see :func:`roll_over`).
         self._inc_solve_key: Optional[tuple] = None
+        #: True while a rollover now would skip its solve: its demand
+        #: signature still equals ``_inc_solve_key`` and no revoked tenant
+        #: waits for its lease.  Every rollover sets it; whatever changes a
+        #: signature input outside a rollover clears it.  A clean rack's
+        #: epoch ends are not step boundaries (see :meth:`begin_chunk`).
+        self._inc_clean = False
         # Fault layer.  `_faults_active` is the single hot-path guard: while
         # False (no schedule injected, no elastic reclaim ever observed) the
         # stepping loops pay two attribute checks per chunk (one in
@@ -776,9 +805,7 @@ class RackCoSimulator:
                 if nxt is not None:
                     targets.append(nxt)
                 future = [t for t in targets if t > self._inc_clock + 1e-12]
-                if any(r > 0 for r in self.progress_rates().values()) or any(
-                    self._draining(s) for s in states
-                ):
+                if self.progressing():
                     dt = self.horizon()
                     if future:
                         dt = min(dt, min(future) - self._inc_clock)
@@ -883,9 +910,10 @@ class RackCoSimulator:
         return self._inc_telemetry
 
     @property
-    def tenant_states(self) -> dict:
-        """Live per-tenant state, keyed by tenant name (read-only use)."""
-        return dict(self._inc_states)
+    def tenant_states(self) -> Mapping[str, _TenantState]:
+        """Live per-tenant state, keyed by tenant name: a read-only view that
+        follows later admissions and withdrawals."""
+        return MappingProxyType(self._inc_states)
 
     def admit(
         self, spec: TenantSpec, node: Optional[int] = None, time: Optional[float] = None
@@ -978,6 +1006,7 @@ class RackCoSimulator:
         delta = float(bandwidth) - old
         if delta == 0.0:
             return
+        self._inc_clean = False
         if node in self._inc_backgrounds:
             self._inc_backgrounds[node] += delta
             for state in self._inc_states.values():
@@ -1053,33 +1082,67 @@ class RackCoSimulator:
     def horizon(self) -> float:
         """Wall seconds the current :meth:`progress_rates` stay exact.
 
-        Bounded by the next epoch rollover and by the nearest phase boundary
-        of any running tenant (a new phase runs at a different rate); with
-        faults active also by the next fault time and by every migration
-        drain that is actually being paid.
+        Bounded by the next rollover that re-solves and by the nearest phase
+        boundary of any running tenant (a new phase runs at a different
+        rate); with faults active also by the next fault time and by every
+        migration drain that is actually being paid.  The epoch end bounds
+        it only while the rack is dirty: a rollover that would skip its
+        solve changes no rate.  When no rate will ever change on its own,
+        the epoch end is the bound anyway, so no caller steps forever.
         """
         if self._inc_epoch is None:
             raise FabricError(
                 "the co-simulation has no epoch length yet: pass epoch_seconds "
                 "or admit a tenant first"
             )
-        bound = max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12)
-        if self._faults_active:
+        bound = self._rate_change()[0]
+        if not self._inc_clean or bound == math.inf:
+            bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12))
+        return max(bound, 1e-12)
+
+    def progressing(self) -> bool:
+        """Whether some running tenant advances now: it has a positive
+        progress rate or is paying a migration drain."""
+        return self._rate_change()[1]
+
+    def _rate_change(self) -> tuple[float, bool]:
+        """Wall seconds to the next rate change this rack makes on its own,
+        and whether any running tenant advances meanwhile.
+
+        The one walk behind :meth:`horizon`, :meth:`progressing` and a clean
+        rack's :meth:`begin_chunk`.  The next rate change is the nearest of
+        the next fault, every drain being paid and every progressing
+        tenant's phase end (infinite when there is none).  It reads the
+        same tenants :meth:`progress_rates` prices, so it evaluates no rate
+        that call would not.
+        """
+        bound = math.inf
+        moving = False
+        faulted = self._faults_active
+        if faulted:
             nxt = self._next_fault_time()
             if nxt is not None:
-                bound = min(bound, max(nxt - self._inc_clock, 1e-12))
-            for state in self._inc_states.values():
-                # The rate flips from 0 back up once the drain finishes.  Debt
-                # owed behind a killed port waits for the port restore, which
-                # is a fault time and bounds the horizon already.
+                bound = max(nxt - self._inc_clock, 1e-12)
+        for state in self._inc_states.values():
+            if not state.running or state.phase_index >= len(state.phases):
+                continue
+            if faulted:
                 if self._draining(state):
+                    # The rate flips from 0 back up once the drain finishes.
                     bound = min(bound, max(state.migration_debt, 1e-12))
-        for name, rate in self.progress_rates().items():
-            if rate > 0:  # a positive rate belongs to a tenant inside a phase
-                state = self._inc_states[name]
+                    moving = True
+                    continue
+                if state.migration_debt > 0.0 or self._on_killed_port(state):
+                    # Stalled; debt owed behind a killed port waits for the
+                    # port restore, which is a fault time and bounds the
+                    # walk already.
+                    continue
+            rate = self._progress_rate(state, self._inc_backgrounds.get(state.node, 0.0))
+            if rate > 0:
                 remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
                 bound = min(bound, max(remaining, 0.0) / rate)
-        return max(bound, 1e-12)
+                moving = True
+        return bound, moving
 
     def step(self, dt: float) -> dict[str, float]:
         """Advance the co-simulation ``dt`` wall-seconds.
@@ -1094,7 +1157,8 @@ class RackCoSimulator:
         seconds each tenant completed during the step.
 
         The step is a loop over :meth:`step_frozen` chunks, each cut at the
-        next epoch end or fault time (see :meth:`begin_chunk`).
+        next rate change, at a fault time or, while the rack is dirty, at
+        its epoch end (see :meth:`begin_chunk`).
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
@@ -1114,10 +1178,14 @@ class RackCoSimulator:
         """Apply the faults that are due; return the longest chunk
         :meth:`step_frozen` may take now.
 
-        That is the wall time to this rack's epoch end or its next fault,
-        whichever comes first: 0 when a rollover is due, infinite for a rack
-        with no epoch length yet and no fault pending.  Both stepping loops —
-        :meth:`step` and :meth:`ClusterCoSimulator.step
+        A dirty rack's chunk ends at its epoch end or its next fault,
+        whichever comes first: 0 when a rollover is due.  A clean rack's
+        rollovers would skip their solve, so its chunk runs to its next rate
+        change (:meth:`_rate_change`: a fault, a drain end or a phase end)
+        and :meth:`step_frozen` records the rollovers it crosses in place.
+        Infinite for a rack with no epoch length yet and no fault pending.
+        Both stepping loops — :meth:`step` and
+        :meth:`ClusterCoSimulator.step
         <repro.fabric.cluster.ClusterCoSimulator.step>` — cut their chunks
         here, so faults land at their exact times.
         """
@@ -1128,6 +1196,8 @@ class RackCoSimulator:
             if nxt is not None:
                 bound = max(nxt - self._inc_clock, 0.0)
         if self._inc_epoch is not None:
+            if self._inc_clean:
+                return max(self._rate_change()[0], 1e-12)
             bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
         return bound
 
@@ -1135,13 +1205,16 @@ class RackCoSimulator:
         """Advance ``dt`` wall-seconds under the current frozen backgrounds.
 
         The one place tenants advance.  ``dt`` must not cross this rack's
-        epoch end or next fault time (:meth:`begin_chunk` bounds it); the
-        caller rolls the epoch over once it is due (:func:`roll_over`), which
-        lets a :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every
-        rack's re-solve into one vectorized call.  A tenant on a killed port
-        stalls for the whole chunk, one owing migration debt pays it down
-        first, and a revoked tenant waiting for its lease stalls too.
-        Returns the baseline seconds each tenant completed.
+        next fault time, nor its epoch end while the rack is dirty
+        (:meth:`begin_chunk` bounds it).  Epoch ends a clean rack crosses
+        are recorded in place as the skipped rollovers they are; the caller
+        rolls the epoch over once it is due at the chunk's end
+        (:func:`roll_over`), which lets a
+        :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
+        re-solve into one vectorized call.  A tenant on a killed port stalls
+        for the whole chunk, one owing migration debt pays it down first,
+        and a revoked tenant waiting for its lease stalls too.  Returns the
+        baseline seconds each tenant completed.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
@@ -1155,21 +1228,31 @@ class RackCoSimulator:
             # Nothing was ever admitted: time passes, no work happens.
             self._inc_clock += dt
             return done
-        if dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
-            raise FabricError(
-                "step_frozen cannot cross an epoch boundary; roll the epoch "
-                "over first"
-            )
+        running = [s for s in self._inc_states.values() if s.running]
+        left = max(self._inc_epoch - self._inc_epoch_elapsed, 0.0)
+        if dt > left + 1e-12:
+            if not self._inc_clean:
+                raise FabricError(
+                    "step_frozen cannot cross the epoch end of a rack whose "
+                    "rollover would re-solve; roll the epoch over first"
+                )
+            elapsed = self._skip_rollovers(running, left, dt)
+        else:
+            elapsed = self._inc_epoch_elapsed + dt
         faulted = self._faults_active
-        for state in [s for s in self._inc_states.values() if s.running]:
+        for state in running:
             avail = self._fault_chunk_available(state, dt) if faulted else dt
             if avail <= 0.0:
                 continue
+            index = state.phase_index
             before = state.completed_baseline_seconds
             used = self._advance(
                 state, self._inc_backgrounds.get(state.node, 0.0), avail
             )
             done[state.spec.name] += state.completed_baseline_seconds - before
+            if state.phase_index != index:
+                # A new phase offers a new demand, a finish none at all.
+                self._inc_clean = False
             if used is not None and state.finish_time is None:
                 state.finish_time = self._inc_clock + (dt - avail) + used
         if faulted:
@@ -1185,8 +1268,35 @@ class RackCoSimulator:
                 ):
                     self._record_stall(state, dt)
         self._inc_clock += dt
-        self._inc_epoch_elapsed += dt
+        self._inc_epoch_elapsed = elapsed
         return done
+
+    def _skip_rollovers(
+        self, running: list[_TenantState], left: float, dt: float
+    ) -> float:
+        """Record the rollovers a clean rack's chunk of ``dt`` crosses.
+
+        Each is the skipped rollover :func:`roll_over` would have made at
+        that epoch end: it is counted, and it records background history
+        and a telemetry sample for the tenants running at the chunk's start,
+        whose rates cannot change before the chunk ends.  The first falls
+        ``left`` seconds in, each later one an epoch after the previous;
+        one within 1e-12 s of the chunk's end is left to the caller's
+        :func:`roll_over`, which sees the tenants after the chunk.  Returns
+        the epoch's elapsed time at the chunk's end.
+        """
+        end = self._inc_clock + dt
+        time = self._inc_clock + left
+        crossed = 1
+        self._record_rollover(running, time)
+        while time + self._inc_epoch < end - 1e-12:
+            time += self._inc_epoch
+            crossed += 1
+            self._record_rollover(running, time)
+        registry = metrics()
+        registry.counter("fabric.cosim.epoch_rollovers").inc(crossed)
+        registry.counter("fabric.cosim.epoch_skips").inc(crossed)
+        return end - time
 
     def epoch_due(self) -> bool:
         """Whether the current epoch has fully elapsed (a rollover is due)."""
@@ -1210,6 +1320,7 @@ class RackCoSimulator:
             histories=tuple((name, len(s.background_times)) for name, s in ordered),
             offsets=tuple(sorted(self._inc_offsets.items())),
             solve_key=self._inc_solve_key,
+            clean=self._inc_clean,
             fault_epoch=self._fault_mutations,
             fault_tenants=(
                 tuple(
@@ -1257,6 +1368,7 @@ class RackCoSimulator:
         self._inc_backgrounds = dict(checkpoint.backgrounds)
         self._inc_offsets = dict(checkpoint.offsets)
         self._inc_solve_key = checkpoint.solve_key
+        self._inc_clean = checkpoint.clean
         for name, phase_index, phase_elapsed, finish_time in checkpoint.tenants:
             state = self._inc_states[name]
             state.phase_index = phase_index
@@ -1400,6 +1512,7 @@ class RackCoSimulator:
         if not records:
             return
         self._faults_active = True
+        self._inc_clean = False
         registry = metrics()
         for record in records:
             state = self._inc_states.get(record.tenant)
@@ -1593,32 +1706,53 @@ class RackCoSimulator:
     def _complete_rollover(
         self, running: list[_TenantState], demands: Mapping[int, float]
     ) -> None:
-        """Restart the epoch and record background history + telemetry."""
+        """Restart the epoch, record background history + telemetry and
+        settle whether the next rollover would skip its solve."""
         self._inc_epoch_elapsed = 0.0
+        load = None
+        if running:
+            ports = {self.topology.port_of(s.node) for s in running}
+            load = (
+                max(self.topology.port_utilization(p, demands) for p in ports),
+                max(self.topology.port_waiting_time(p, demands) for p in ports),
+            )
+        self._record_rollover(running, self._inc_clock, load)
+        # The signature was just taken, so only a revoked tenant that
+        # _retry_revoked would act on can make the next rollover re-solve.
+        self._inc_clean = not (
+            self._faults_active
+            and any(
+                (s.revoked_at is not None and s.readmit_latency is None)
+                or (s.lease.state == LEASE_REVOKED and not s.finished)
+                for s in self._inc_states.values()
+            )
+        )
+
+    def _record_rollover(
+        self,
+        running: list[_TenantState],
+        time: float,
+        load: Optional[tuple[float, float]] = None,
+    ) -> None:
+        """Background history and a telemetry sample of a rollover at ``time``.
+
+        ``load`` is the (port utilization, waiting seconds) pair of the
+        rolled demands; None repeats the latest sample's, which a skipped
+        rollover of a clean rack would compute again.
+        """
         for state in running:
             background = self._inc_backgrounds[state.node]
-            if (
-                state.background_times
-                and state.background_times[-1] >= self._inc_clock - 1e-12
-            ):
+            if state.background_times and state.background_times[-1] >= time - 1e-12:
                 state.background_bandwidths[-1] = background
             else:
-                state.background_times.append(self._inc_clock)
+                state.background_times.append(time)
                 state.background_bandwidths.append(background)
         if running:
-            telemetry = self._inc_telemetry
-            if telemetry.times and telemetry.times[-1] >= self._inc_clock - 1e-12:
-                telemetry.drop_last()
-            ports = {self.topology.port_of(s.node) for s in running}
-            telemetry.record(
-                self.pool.sample(self._inc_clock),
-                utilization=max(
-                    self.topology.port_utilization(p, demands) for p in ports
-                ),
-                waiting_seconds=max(
-                    self.topology.port_waiting_time(p, demands) for p in ports
-                ),
-            )
+            sample = self.pool.sample(time)
+            if load is None:
+                self._inc_telemetry.repeat(sample)
+            else:
+                self._inc_telemetry.record(sample, *load)
 
 
 def roll_over(

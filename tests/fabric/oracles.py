@@ -10,6 +10,9 @@ paths it used to ship next to them live on here, as differential oracles:
   resolves them alone (through :func:`solve_scalar` unless told otherwise);
 * :func:`resolve_every_rollover` — racks that re-solve at every epoch
   rollover instead of skipping a solve whose inputs did not change;
+* :func:`epoch_stepping` — racks that stop at every epoch end, clean or
+  dirty, where the library runs a clean rack's chunk to its next rate change
+  and records the skipped rollovers it crosses in place;
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
   arrivals and grants queued leases only at epoch boundaries;
 * :class:`PhaseProfile`, :func:`profile_tenant` and :func:`unit_time` — a
@@ -21,15 +24,18 @@ paths it used to ship next to them live on here, as differential oracles:
 
 from __future__ import annotations
 
+import math
 import types
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
-from repro.fabric import SolveDiagnostics
+from repro.config.errors import FabricError
+from repro.fabric import ClusterCoSimulator, SolveDiagnostics
 from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run
-from repro.fabric.pool import LEASE_QUEUED, LEASE_REJECTED
+from repro.fabric.pool import LEASE_QUEUED, LEASE_REJECTED, LEASE_REVOKED
 from repro.fabric.solver import BACKOFF_IMPROVEMENT, BACKOFF_WINDOW
 from repro.sim.perfmodel import PerformanceModel, PhaseInputs
+from repro.telemetry import metrics
 
 
 def solve_scalar(
@@ -145,11 +151,14 @@ def resolve_every_rollover(racks):
     """Make every epoch rollover of ``racks`` re-solve the contention.
 
     The library skips a rollover's solve when the rack's demands, external
-    offsets and port health are unchanged since its last solve.  Here each
-    rack forgets that signature whenever a rollover collects its demands, so
-    nothing can match and every rollover re-solves — the behaviour the skip
-    must be indistinguishable from.  Works on standalone racks and on a
-    cluster's ``rack_sims`` alike.  Returns ``racks``.
+    offsets and port health are unchanged since its last solve, and a rack
+    in that state (clean) does not even stop at its epoch ends: it records
+    the skipped rollovers in place.  Here each rack forgets that signature
+    whenever a rollover collects its demands, so nothing can match, and
+    stays dirty after every rollover, so every epoch end is a stop and
+    every rollover re-solves — the behaviour the skip must be
+    indistinguishable from.  Works on standalone racks and on a cluster's
+    ``rack_sims`` alike.  Returns ``racks``.
     """
     for rack in racks:
 
@@ -157,8 +166,127 @@ def resolve_every_rollover(racks):
             rack._inc_solve_key = None
             return collect()
 
+        def complete(running, demands, rack=rack, complete=rack._complete_rollover):
+            complete(running, demands)
+            rack._inc_clean = False
+
         rack._epoch_demands = collect
+        rack._complete_rollover = complete
     return racks
+
+
+def epoch_stepping(monkeypatch) -> None:
+    """Step every co-simulator from epoch end to epoch end until the test ends.
+
+    Every rack's chunk ends at its epoch end (or next fault), its horizon at
+    the epoch end too, and :meth:`RackCoSimulator.step_frozen` refuses to
+    cross one, so every rollover — skipped or not — happens in
+    :func:`~repro.fabric.cosim.roll_over` at a step boundary.  A cluster's
+    horizon always ends at the next cluster epoch end.  Same simulated
+    numbers as the library up to float accumulation, in more steps.
+    """
+    monkeypatch.setattr(RackCoSimulator, "begin_chunk", _epoch_begin_chunk)
+    monkeypatch.setattr(RackCoSimulator, "horizon", _epoch_horizon)
+    monkeypatch.setattr(RackCoSimulator, "step_frozen", _epoch_step_frozen)
+    monkeypatch.setattr(ClusterCoSimulator, "horizon", _epoch_cluster_horizon)
+
+
+def _epoch_begin_chunk(self) -> float:
+    bound = math.inf
+    if self._faults_active:
+        self._apply_due_faults()
+        nxt = self._next_fault_time()
+        if nxt is not None:
+            bound = max(nxt - self._inc_clock, 0.0)
+    if self._inc_epoch is not None:
+        bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
+    return bound
+
+
+def _epoch_horizon(self) -> float:
+    if self._inc_epoch is None:
+        raise FabricError("the co-simulation has no epoch length yet")
+    bound = max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12)
+    if self._faults_active:
+        nxt = self._next_fault_time()
+        if nxt is not None:
+            bound = min(bound, max(nxt - self._inc_clock, 1e-12))
+        for state in self._inc_states.values():
+            if self._draining(state):
+                bound = min(bound, max(state.migration_debt, 1e-12))
+    for name, rate in self.progress_rates().items():
+        if rate > 0:
+            state = self._inc_states[name]
+            remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
+            bound = min(bound, max(remaining, 0.0) / rate)
+    return max(bound, 1e-12)
+
+
+def _epoch_step_frozen(self, dt: float) -> dict[str, float]:
+    if dt < 0:
+        raise FabricError("cannot step the co-simulation backwards")
+    registry = metrics()
+    registry.counter("fabric.cosim.step_calls").inc()
+    registry.counter("fabric.cosim.stepped_seconds").inc(dt)
+    done = {name: 0.0 for name in self._inc_states}
+    if dt <= 1e-15:
+        return done
+    if self._inc_epoch is None:
+        self._inc_clock += dt
+        return done
+    if dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
+        raise FabricError("step_frozen cannot cross an epoch boundary")
+    faulted = self._faults_active
+    for state in [s for s in self._inc_states.values() if s.running]:
+        avail = self._fault_chunk_available(state, dt) if faulted else dt
+        if avail <= 0.0:
+            continue
+        before = state.completed_baseline_seconds
+        used = self._advance(state, self._inc_backgrounds.get(state.node, 0.0), avail)
+        done[state.spec.name] += state.completed_baseline_seconds - before
+        if used is not None and state.finish_time is None:
+            state.finish_time = self._inc_clock + (dt - avail) + used
+    if faulted:
+        for state in self._inc_states.values():
+            if (
+                state.revoked_at is not None
+                and state.readmit_latency is None
+                and not state.finished
+                and not state.running
+            ):
+                self._record_stall(state, dt)
+    self._inc_clock += dt
+    self._inc_epoch_elapsed += dt
+    return done
+
+
+def _epoch_cluster_horizon(self) -> float:
+    if self._epoch is None:
+        raise FabricError("the cluster has no epoch length yet")
+    bound = max(self._epoch - self._epoch_elapsed, 1e-12)
+    for sim in self.rack_sims:
+        if any(state.running for state in sim.tenant_states.values()):
+            bound = min(bound, sim.horizon())
+    return max(bound, 1e-12)
+
+
+def fresh_clean(rack: RackCoSimulator) -> bool:
+    """Whether ``rack``'s next rollover would skip its solve, worked out afresh.
+
+    The definition the rack's O(1) clean flag caches: a solve happened, no
+    revoked tenant waits for its lease, and the demand signature a rollover
+    would build now equals the last solve's.  With no revoked tenant the
+    signature's own revoked-lease retry does nothing, so this changes no state.
+    """
+    if rack._inc_solve_key is None:
+        return False
+    if rack._faults_active and any(
+        (s.revoked_at is not None and s.readmit_latency is None)
+        or (s.lease.state == LEASE_REVOKED and not s.finished)
+        for s in rack.tenant_states.values()
+    ):
+        return False
+    return rack._epoch_demands()[2] == rack._inc_solve_key
 
 
 def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:

@@ -1,5 +1,7 @@
 """Tests for the rack co-simulator and the dynamic-interference feedback loop."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -244,14 +246,41 @@ class TestIncrementalStepping:
         assert inc.clock == pytest.approx(total / 2)
 
     def test_horizon_bounds_epoch_and_rates_are_constant_within_it(self):
-        inc = self._incremental(2, epoch_seconds=0.5)
+        """A dirty rack's horizon ends at its epoch end, where the rollover
+        re-solves.  A clean rack's rollovers would skip their solve, so its
+        horizon runs to the next rate change, past epoch ends that each still
+        record their telemetry sample."""
+        epoch = 0.2
+        inc = self._incremental(2, epoch_seconds=epoch)
         for spec in tenants(2):
             inc.admit(spec)
+        inc.set_background_offset(0, 1e9)  # an outside change: dirty
+        assert 0 < inc.horizon() <= epoch
+        inc.step(inc.horizon())  # the rollover there re-solves: clean
+        start, samples = inc.clock, len(inc.telemetry)
         horizon = inc.horizon()
-        assert 0 < horizon <= 0.5
+        assert horizon > epoch
         rates_before = inc.progress_rates()
-        inc.step(horizon * 0.5)
-        assert inc.progress_rates() == rates_before
+        for fraction in (0.5, 1 - 1e-9):
+            inc.step(start + horizon * fraction - inc.clock)
+            assert inc.progress_rates() == rates_before
+            crossed = math.floor(horizon * fraction / epoch)
+            assert len(inc.telemetry) == samples + crossed
+        assert crossed >= 2
+
+    def test_tenant_states_is_a_read_only_live_view(self):
+        inc = self._incremental(2)
+        specs = tenants(2)
+        inc.admit(specs[0])
+        view = inc.tenant_states
+        with pytest.raises(TypeError):
+            view["intruder"] = view[specs[0].name]
+        with pytest.raises(TypeError):
+            del view[specs[0].name]
+        inc.admit(specs[1])
+        assert list(view) == [spec.name for spec in specs]
+        inc.withdraw(specs[0].name)
+        assert list(view) == [specs[1].name]
 
     def test_withdraw_releases_interference_and_pool(self):
         specs = tenants(2)

@@ -6,8 +6,10 @@ fixed-stride oracle (``oracles.fixed_stride_run``) does both at the next epoch
 boundary, and ``run()`` also re-solves the contention the moment any tenant
 finishes, where the oracle waits for the epoch end.  When identical tenants
 all arrive at t=0 on a pool that fits them all, the two never disagree on an
-event time and finish times are bit-identical; otherwise the difference is
-pinned to exactly that quantization.
+event time and finish times agree to 1e-12 relative (``run()`` steps from
+rate change to rate change, so it sums a tenant's progress in fewer, longer
+pieces than the oracle's one per epoch); otherwise the difference is pinned
+to exactly that quantization.
 """
 
 from __future__ import annotations
@@ -25,12 +27,21 @@ def next_boundary(time: float, epoch: float) -> float:
     return math.ceil(time / epoch) * epoch
 
 
+def assert_same_times(tenant, times):
+    """Start times exact, finish times to 1e-12 relative."""
+    start, finish = times
+    assert tenant.start_time == start
+    assert tenant.finish_time == pytest.approx(finish, rel=1e-12)
+
+
 @pytest.mark.parametrize("workload", ["XSBench", "Hypre", "BFS", "SuperLU"])
-def test_bit_identical_to_fixed_stride_when_all_arrive_at_zero(workload):
+def test_matches_fixed_stride_when_all_arrive_at_zero(workload):
     tenants = uniform_tenants(build_workload(workload), 4)
     result = RackCoSimulator(tenants).run()
     oracle, epochs = fixed_stride_run(RackCoSimulator(tenants))
-    assert {t.name: (t.start_time, t.finish_time) for t in result.tenants} == oracle
+    assert {t.name for t in result.tenants} == set(oracle)
+    for tenant in result.tenants:
+        assert_same_times(tenant, oracle[tenant.name])
     assert len(result.telemetry) == epochs
 
 
@@ -39,7 +50,7 @@ def test_a_finish_re_solves_the_contention_at_once():
 
     ``run()`` returns the finished tenant's lease and re-solves the contention
     the moment it finishes; the oracle keeps the stale background until the
-    epoch ends.  The first tenants to finish match the oracle bit for bit, and
+    epoch ends.  The first tenants to finish match the oracle to 1e-12, and
     the bandwidth-hungry Hypre tenants left behind finish earlier than in the
     oracle, by less than one epoch.
     """
@@ -53,7 +64,7 @@ def test_a_finish_re_solves_the_contention_at_once():
     xsbench = [t for t in result.tenants if t.workload == "XSBench"]
     hypre = [t for t in result.tenants if t.workload == "Hypre"]
     for tenant in xsbench:
-        assert (tenant.start_time, tenant.finish_time) == oracle[tenant.name]
+        assert_same_times(tenant, oracle[tenant.name])
     released = max(t.finish_time for t in xsbench)
     assert released < min(t.finish_time for t in hypre)
     # The re-solve records a sample off the oracle's fixed epoch grid.
@@ -90,7 +101,7 @@ def test_queued_lease_is_granted_when_its_holder_finishes():
     oracle, _ = fixed_stride_run(RackCoSimulator(tenants, pool=MemoryPool(two_leases)))
     first, queued = result.tenants[:2], result.tenants[2:]
     for tenant in first:
-        assert (tenant.start_time, tenant.finish_time) == oracle[tenant.name]
+        assert_same_times(tenant, oracle[tenant.name])
     released = max(t.finish_time for t in first)
     for tenant in queued:
         oracle_start, oracle_finish = oracle[tenant.name]

@@ -293,7 +293,9 @@ class TestCoupledSchedulingStudy:
         """Staggered admissions restart their racks' epochs off the cluster
         epoch.  A rollover left pending at a step's end would cap the rack's
         horizon at 1e-12, and the scheduler would spend a whole event on a
-        1e-9 s step that does no work just to trigger it."""
+        1e-9 s step that does no work just to trigger it.  Eight copies of
+        each job keep the run above 50 steps now that a step runs from rate
+        change to rate change."""
         from repro.casestudies.scheduling import CoupledSchedulingStudy
         from repro.fabric import ClusterCoSimulator
         from repro.workloads.registry import build_workload
@@ -310,7 +312,7 @@ class TestCoupledSchedulingStudy:
         study = CoupledSchedulingStudy(
             n_racks=2, nodes_per_rack=2, policy="cluster-fabric", cluster_pool_gb=64.0, seed=1
         )
-        study.run(specs=[build_workload("HPL"), build_workload("XSBench")], copies=2, stagger=3.0)
+        study.run(specs=[build_workload("HPL"), build_workload("XSBench")], copies=8, stagger=3.0)
         assert len(steps) > 50
         assert [s for s in steps if s[1]] == []
         assert [dt for dt, _ in steps if dt <= 1e-9] == []

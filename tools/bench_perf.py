@@ -16,7 +16,9 @@ and the overhead of the telemetry layer itself:
 4. ``solver_vectorized`` — the 100-rack contention sweep through
    :meth:`ClusterFabric.resolve_all`, one batched NumPy solve;
 5. ``cluster_fabric`` — epoch stepping of the whole-cluster
-   :class:`ClusterCoSimulator` with tenants in every rack;
+   :class:`ClusterCoSimulator` with tenants in every rack, plus
+   ``cluster_fabric.closed_loop``: ``run_to_completion`` of a seeded 8-rack
+   elastic cluster under port and lease faults;
 6. ``fault_injection`` — the fault layer's disabled-path cost on the epoch
    loop (its ``extra.disabled_overhead_pct`` is the < 2% acceptance bound
    of ``docs/failure_model.md``) plus a seeded chaos scenario;
@@ -73,10 +75,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import telemetry  # noqa: E402
+from repro.config.units import GiB  # noqa: E402
 from repro.fabric.cluster import ClusterCoSimulator, ClusterFabric  # noqa: E402
 from repro.fabric.faults import FaultSchedule  # noqa: E402
 from repro.fabric.topology import FabricTopology  # noqa: E402
-from repro.fabric.cosim import RackCoSimulator, uniform_tenants  # noqa: E402
+from repro.fabric.cosim import RackCoSimulator, TenantSpec, uniform_tenants  # noqa: E402
 from repro.scheduler.cluster import Cluster  # noqa: E402
 from repro.scheduler.job import JobProfile  # noqa: E402
 from repro.scheduler.simulator import ClusterSimulator  # noqa: E402
@@ -271,6 +274,116 @@ def bench_cluster_fabric(quick: bool) -> dict:
     }
 
 
+def stepping_counts(registry) -> dict:
+    """The stepping work recorded in ``registry``: cluster steps,
+    :meth:`RackCoSimulator.step_frozen` chunks, rollovers and re-solves."""
+    return {
+        "cluster_steps": int(registry.counter("fabric.cluster.step_calls").value),
+        "step_frozen_chunks": int(registry.counter("fabric.cosim.step_calls").value),
+        "epoch_rollovers": int(registry.counter("fabric.cosim.epoch_rollovers").value),
+        "epoch_resolves": int(registry.counter("fabric.cosim.epoch_resolves").value),
+    }
+
+
+#: The ``cluster_fabric.closed_loop`` scenario: 8 elastic racks of 4
+#: tenants each, arrivals in the first 2 s, and 16 seeded faults in the
+#: first 12 s (identical in quick and full runs).
+CLOSED_LOOP_RACKS = 8
+CLOSED_LOOP_TENANTS = 4
+CLOSED_LOOP_SEED = 1
+CLOSED_LOOP_FAULTS = (("port-degrade", 8), ("lease-shrink", 4), ("lease-revoke", 4))
+CLOSED_LOOP_APPS = ("HPL", "Hypre", "NekRS", "BFS", "SuperLU", "XSBench")
+
+
+def _closed_loop_scenario() -> tuple[list, FaultSchedule]:
+    """The closed-loop row's ``(rack, TenantSpec)`` arrivals and faults.
+
+    Rack ``r`` runs four consecutive applications starting at
+    ``CLOSED_LOOP_APPS[r % 6]``; every lease fault lands in its victim's
+    rack.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(CLOSED_LOOP_SEED)
+    specs = {name: build_workload(name) for name in CLOSED_LOOP_APPS}
+    arrivals = []
+    for rack in range(CLOSED_LOOP_RACKS):
+        for slot in range(CLOSED_LOOP_TENANTS):
+            app = CLOSED_LOOP_APPS[(rack + slot) % len(CLOSED_LOOP_APPS)]
+            spec = TenantSpec(
+                name=f"r{rack}-t{slot}-{app}", workload=specs[app],
+                local_fraction=0.5, arrival=float(rng.uniform(0.0, 2.0)),
+            )
+            arrivals.append((rack, spec))
+    rack_of = {spec.name: rack for rack, spec in arrivals}
+    events = []
+    for kind, count in CLOSED_LOOP_FAULTS:
+        drawn = FaultSchedule.seeded(
+            seed=int(rng.integers(2**32)), horizon=12.0, n_events=count,
+            kinds=(kind,), n_racks=CLOSED_LOOP_RACKS, n_ports=2,
+            tenants=list(rack_of), nbytes=GiB, mean_duration=4.0,
+        )
+        events += [
+            replace(e, rack=rack_of[e.tenant]) if e.tenant else e for e in drawn.events
+        ]
+    return arrivals, FaultSchedule(events)
+
+
+def bench_cluster_fabric_closed_loop(quick: bool) -> dict:
+    """``run_to_completion`` of a seeded elastic cluster under faults.
+
+    The racks' pools hold 60% of their tenants' leases (at least the
+    largest one), a cluster pool takes 15% of all of them as spill, and the
+    epoch is 1.5 s.  Workloads and baseline runs are built once, untimed;
+    each repeat builds the cluster and runs it to completion.  One more
+    untimed run records the stepping work into ``extra``.
+    """
+    repeats = 3 if quick else 5
+    arrivals, schedule = _closed_loop_scenario()
+    demand = [0] * CLOSED_LOOP_RACKS
+    largest = [0] * CLOSED_LOOP_RACKS
+    for rack, spec in arrivals:
+        demand[rack] += spec.lease_bytes
+        largest[rack] = max(largest[rack], spec.lease_bytes)
+
+    def run():
+        sim = ClusterCoSimulator(
+            ClusterFabric(
+                n_racks=CLOSED_LOOP_RACKS, nodes_per_rack=CLOSED_LOOP_TENANTS, n_ports=2
+            ),
+            rack_pool_bytes=[max(int(0.6 * d), big) for d, big in zip(demand, largest)],
+            cluster_pool_bytes=int(0.15 * sum(demand)),
+            epoch_seconds=1.5,
+            seed=0,
+            overcommit=True,
+        )
+        sim.inject_faults(schedule)
+        return sim.run_to_completion(arrivals)
+
+    with telemetry.isolated(True) as registry:
+        summary = run()
+    timing = _timeit(run, repeats)
+    return {
+        "name": "cluster_fabric.closed_loop",
+        "group": "cluster_fabric",
+        "config": {
+            "n_racks": CLOSED_LOOP_RACKS,
+            "nodes_per_rack": CLOSED_LOOP_TENANTS,
+            "apps": list(CLOSED_LOOP_APPS),
+            "seed": CLOSED_LOOP_SEED,
+            "faults": dict(CLOSED_LOOP_FAULTS),
+            "epoch_seconds": 1.5,
+        },
+        **timing,
+        "extra": {
+            **stepping_counts(registry),
+            "makespan_s": summary["makespan"],
+            "spilled_tenants": summary["spilled_tenants"],
+            "faults_injected": summary["faults"]["faults_injected"],
+        },
+    }
+
+
 def bench_fault_injection(quick: bool) -> list[dict]:
     """Cost of the fault layer: disabled-path overhead + a seeded chaos run.
 
@@ -281,8 +394,9 @@ def bench_fault_injection(quick: bool) -> list[dict]:
       ``extra.disabled_overhead_pct`` = checks x cost / wall time — the
       < 2% acceptance bound of ``docs/failure_model.md``.
     * ``fault_injection.seeded_chaos`` — wall time of a batch chaos run under
-      a seeded port-fault schedule; the blast radius goes into ``extra`` so
-      the scenario's determinism is visible in the trajectory.  The scenario
+      a seeded port-fault schedule; the blast radius and the stepping work
+      (:func:`stepping_counts`) go into ``extra`` so the scenario's
+      determinism is visible in the trajectory.  The scenario
       config is identical in quick and full runs (only repeats differ), so
       the two document kinds stay comparable on this row.
     """
@@ -349,7 +463,8 @@ def bench_fault_injection(quick: bool) -> list[dict]:
         chaos.inject_faults(schedule)
         return chaos.run()
 
-    result = chaos_run()
+    with telemetry.isolated(True) as registry:
+        result = chaos_run()
     timing = _timeit(chaos_run, repeats)
     report = result.blast_radius
     rows.append(
@@ -369,6 +484,7 @@ def bench_fault_injection(quick: bool) -> list[dict]:
                 "stalled_tenants": len(report.stalled_tenants),
                 "total_stall_seconds": report.total_stall_seconds,
                 "makespan_s": result.makespan,
+                **stepping_counts(registry),
             },
         }
     )
@@ -883,6 +999,7 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks.extend(bench_cluster_events_scaling(quick))
     benchmarks.append(bench_solver_vectorized(quick))
     benchmarks.append(bench_cluster_fabric(quick))
+    benchmarks.append(bench_cluster_fabric_closed_loop(quick))
     benchmarks.extend(bench_fault_injection(quick))
     benchmarks.append(bench_cluster_step_batched(quick))
     benchmarks.extend(bench_sweep_sharded(quick))
