@@ -242,18 +242,14 @@ def figure_fabric_pool_timeline(
 
     With ``n_racks > 1`` the same view is produced per rack from the
     :class:`~repro.fabric.cluster.ClusterCoSimulator` (``n_tenants`` tenants
-    in *every* rack, ``rack<i>-`` name prefixes): ``timeline`` then maps rack
-    labels to series, and spilled tenants' spine contention shows up in their
-    background-LoI timelines because rack co-simulators fold external offsets
-    into the frozen backgrounds.
+    in *every* rack, ``rack<i>-`` name prefixes), run through the same closed
+    loop as the rack: each tenant is admitted at its arrival and returns its
+    lease when it finishes.  ``timeline`` then maps rack labels to series,
+    and spilled tenants' spine contention shows up in their background-LoI
+    timelines because rack co-simulators fold external offsets into the
+    frozen backgrounds.
     """
-    from ..fabric import (
-        DynamicInterference,
-        FabricTopology,
-        MemoryPool,
-        RackCoSimulator,
-        uniform_tenants,
-    )
+    from ..fabric import FabricTopology, MemoryPool, RackCoSimulator, uniform_tenants
     from ..workloads.registry import get_model
 
     spec = get_model(workload).build(scale)
@@ -272,48 +268,25 @@ def figure_fabric_pool_timeline(
             cluster_pool_bytes=cluster_pool_bytes,
             seed=seed,
         )
-        admissions = sorted(
-            (
-                (t.arrival, rack, _replace(t, name=f"rack{rack}-{t.name}"))
+        summary = simulator.run_to_completion(
+            [
+                (rack, _replace(t, name=f"rack{rack}-{t.name}"))
                 for rack in range(n_racks)
                 for t in tenants
-            ),
-            key=lambda item: item[0],
-        )
-        for arrival, rack, tenant in admissions:
-            simulator.admit(rack, tenant, time=arrival)
-        # Step to completion *without* withdrawing, so the per-tenant
-        # background histories are still attached to the rack simulators.
-        for _ in range(ClusterCoSimulator.MAX_EPOCHS):
-            states = [
-                state
-                for sim in simulator.rack_sims
-                for state in sim.tenant_states.values()
             ]
-            if all(state.finished for state in states):
-                break
-            if not any(state.running for state in states):
-                break
-            simulator.step(simulator.horizon())
+        )
         backgrounds = {}
-        for sim in simulator.rack_sims:
-            for name, state in sim.tenant_states.items():
-                if not state.background_times:
-                    continue
-                times, lois = DynamicInterference(
-                    state.background_times,
-                    state.background_bandwidths,
-                    link=sim.topology.link_of(state.node),
-                ).loi_timeline()
-                backgrounds[name] = {"time": list(times), "loi": list(lois)}
-        timelines = {
-            f"rack{rack}": sim.telemetry.series()
-            for rack, sim in enumerate(simulator.rack_sims)
-        }
+        for tenant in summary["tenants"]:
+            if tenant["lease_state"] == "granted":
+                times, lois = simulator.interference_for(tenant["name"]).loi_timeline()
+                backgrounds[tenant["name"]] = {"time": list(times), "loi": list(lois)}
         return {
-            "timeline": timelines,
+            "timeline": {
+                f"rack{rack}": sim.telemetry.series()
+                for rack, sim in enumerate(simulator.rack_sims)
+            },
             "tenant_background_loi": backgrounds,
-            "summary": simulator.run_to_completion(),
+            "summary": summary,
         }
     pool = (
         MemoryPool(pool_capacity_bytes) if pool_capacity_bytes is not None else None

@@ -33,7 +33,6 @@ from .cluster import (
     ClusterCoSimulator,
     ClusterFabric,
     ClusterSolve,
-    ClusterTenantOutcome,
 )
 from .cosim import (
     EpochCheckpoint,
@@ -81,7 +80,6 @@ __all__ = [
     "ClusterCoSimulator",
     "ClusterFabric",
     "ClusterSolve",
-    "ClusterTenantOutcome",
     "FixedPointResult",
     "solve_fixed_point",
     "EpochCheckpoint",

@@ -52,9 +52,17 @@ from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
 from ..interconnect.link import RemoteLink
 from ..interconnect.queueing import QueueingModel
 from ..telemetry import metrics, trace_span
-from .cosim import EpochCheckpoint, RackCoSimulator, TenantSpec, roll_over
+from .cosim import (
+    EpochCheckpoint,
+    RackCoSimulator,
+    TenantSpec,
+    _TenantState,
+    roll_over,
+    run_closed_loop,
+)
 from .faults import BlastRadiusReport, FaultSchedule
-from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
+from .interference import DynamicInterference
+from .pool import LEASE_GRANTED, LEASE_QUEUED, MemoryPool
 from .topology import ClusterSolve, FabricTopology, solve_racks
 
 
@@ -206,33 +214,6 @@ class ClusterCheckpoint:
     racks: tuple[EpochCheckpoint, ...]
 
 
-@dataclass(frozen=True)
-class ClusterTenantOutcome:
-    """Final statistics of one tenant of a closed-loop cluster run."""
-
-    name: str
-    rack: int
-    node: int
-    spilled: bool
-    lease_state: str
-    start_time: Optional[float]
-    finish_time: Optional[float]
-    baseline_runtime: float
-    wait_time: float = 0.0
-
-    @property
-    def runtime(self) -> float:
-        if self.start_time is None or self.finish_time is None:
-            return 0.0
-        return self.finish_time - self.start_time
-
-    @property
-    def slowdown(self) -> float:
-        if self.runtime <= 0 or self.baseline_runtime <= 0:
-            return 1.0
-        return self.runtime / self.baseline_runtime
-
-
 class ClusterCoSimulator:
     """All racks' co-simulations stepped in one cluster epoch loop.
 
@@ -263,8 +244,6 @@ class ClusterCoSimulator:
         charging them the modeled page give-back migration cost instead of
         queueing the newcomer (see :mod:`repro.fabric.pool`).
     """
-
-    MAX_EPOCHS = 200_000
 
     def __init__(
         self,
@@ -313,6 +292,8 @@ class ClusterCoSimulator:
         self._spilled: dict[str, object] = {}  # tenant name -> cluster-pool Lease
         self._offset_nodes: set[tuple[int, int]] = set()
         self._fault_schedule: Optional[FaultSchedule] = None
+        #: States of the tenants :meth:`run_to_completion` retired, by name.
+        self._retired: dict[str, _TenantState] = {}
 
     # -- fault injection --------------------------------------------------------------
 
@@ -332,10 +313,6 @@ class ClusterCoSimulator:
         self._fault_schedule = schedule
         for i, sim in enumerate(self.rack_sims):
             sim.inject_faults(schedule, rack=i, drain_bytes_per_s=drain_bytes_per_s)
-
-    def faults_pending(self) -> bool:
-        """True while any rack still has scheduled fault events to fire."""
-        return any(sim.faults_pending() for sim in self.rack_sims)
 
     def blast_radius(self) -> BlastRadiusReport:
         """Cluster-wide damage assessment: every rack's report merged (live
@@ -392,6 +369,27 @@ class ClusterCoSimulator:
         """Names of all currently admitted tenants, in admission order."""
         return tuple(self._tenant_rack)
 
+    @property
+    def tenant_states(self) -> Mapping[str, _TenantState]:
+        """Live state of every admitted tenant across the racks, keyed by
+        name in admission order (a snapshot of the admitted set)."""
+        return {
+            name: self.rack_sims[rack].tenant_states[name]
+            for name, rack in self._tenant_rack.items()
+        }
+
+    def interference_for(self, name: str) -> DynamicInterference:
+        """The background-bandwidth timeline of an admitted tenant or of one
+        :meth:`run_to_completion` retired, as
+        :meth:`RackCoSimResult.interference_for
+        <repro.fabric.cosim.RackCoSimResult.interference_for>` gives it."""
+        state = self._retired.get(name) or self.tenant_states.get(name)
+        if state is None or not state.background_times:
+            raise FabricError(
+                f"tenant {name!r} never ran, so no interference timeline exists"
+            )
+        return state.interference()
+
     # -- tenant lifecycle -------------------------------------------------------------
 
     def admit(
@@ -413,8 +411,13 @@ class ClusterCoSimulator:
         if spec.name in self._tenant_rack:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
         sim = self.rack_sim(rack)
-        if time is not None and time > self._clock:
-            self.step(time - self._clock)
+        if time is not None:
+            # The scheduler's clock sums the same steps in another order, so
+            # it may trail this one by rounding.
+            if time < self._clock - 1e-9:
+                raise FabricError("cannot admit a tenant in the past")
+            if time > self._clock:
+                self.step(time - self._clock)
         spill_lease = None
         rack_spec = spec
         if (
@@ -613,28 +616,7 @@ class ClusterCoSimulator:
         self._epoch_elapsed = checkpoint.epoch_elapsed
         metrics().counter("fabric.cluster.rollbacks").inc()
 
-    # -- closed-loop convenience --------------------------------------------------------
-
-    def _outcome(self, name: str, rack: int) -> ClusterTenantOutcome:
-        """Final statistics of an admitted tenant, finished or not."""
-        state = self.rack_sims[rack].tenant_states.get(name)
-        lease = state.lease if state is not None else None
-        finished = state is not None and state.finished
-        if finished:
-            lease_state = LEASE_GRANTED
-        else:
-            lease_state = lease.state if lease is not None else LEASE_REJECTED
-        return ClusterTenantOutcome(
-            name=name,
-            rack=rack,
-            node=state.node if state is not None else -1,
-            spilled=name in self._spilled,
-            lease_state=lease_state,
-            start_time=lease.granted_at if finished and lease is not None else None,
-            finish_time=state.finish_time if finished else None,
-            baseline_runtime=state.baseline_runtime if state is not None else 0.0,
-            wait_time=lease.wait_time if finished and lease is not None else 0.0,
-        )
+    # -- closed loop ------------------------------------------------------------------
 
     def run_to_completion(
         self, arrivals: Sequence[tuple[int, TenantSpec]] = ()
@@ -642,73 +624,43 @@ class ClusterCoSimulator:
         """Step until every tenant finishes (or can never run).
 
         ``arrivals`` are ``(rack, spec)`` admissions still to come: each is
-        admitted at its exact ``spec.arrival``, as :meth:`RackCoSimulator.run
-        <repro.fabric.cosim.RackCoSimulator.run>` admits its tenants, and no
-        step crosses the next one.  Finished tenants are withdrawn the moment
-        they finish (releasing rack- or cluster-pool capacity, which admits
-        queued tenants).  Returns a summary dict with per-tenant outcomes —
-        the closed loop behind the ``fabric --cluster`` CLI and the cluster
-        bench group.
+        admitted on its rack's first free node at its exact ``spec.arrival``.
+        The cluster runs through the fabric's one closed loop
+        (:func:`~repro.fabric.cosim.run_closed_loop`), the same one
+        :meth:`RackCoSimulator.run <repro.fabric.cosim.RackCoSimulator.run>`
+        runs: a finished tenant is withdrawn the moment it finishes
+        (releasing rack- or cluster-pool capacity, which admits queued
+        tenants), and a tenant that can never run stays admitted.  Returns a
+        summary dict with per-tenant outcomes, each dated from the tenant's
+        first lease grant; a finished tenant reads ``granted``.  The closed
+        loop behind the ``fabric --cluster`` CLI and the cluster bench group.
         """
-        pending = sorted(arrivals, key=lambda item: item[1].arrival)
-        outcomes: list[ClusterTenantOutcome] = []
-        for _ in range(self.MAX_EPOCHS):
-            while pending and pending[0][1].arrival <= self._clock + 1e-12:
-                rack, spec = pending.pop(0)
-                self.admit(rack, spec, time=spec.arrival)
-            finished: list[str] = []
-            running = 0
-            for name, rack in self._tenant_rack.items():
-                state = self.rack_sims[rack].tenant_states.get(name)
-                if state is None:
-                    continue
-                if state.finished:
-                    finished.append(name)
-                elif state.running:
-                    running += 1
-            for name in finished:
-                outcomes.append(self._outcome(name, self._tenant_rack[name]))
-                self.withdraw(name)
-            if not self._tenant_rack and not pending:
-                break
-            if finished:
-                continue
-            stuck = running == 0 or (
-                self._faults_active
-                and not self.faults_pending()
-                and not any(sim.progressing() for sim in self.rack_sims)
-            )
-            if stuck and not pending:
-                # Everything left is queued behind capacity nothing will
-                # release, or fault-stalled forever (e.g. a killed port that
-                # is never restored): record it as unfinished and stop
-                # rather than spinning.
-                for name, rack in list(self._tenant_rack.items()):
-                    outcomes.append(self._outcome(name, rack))
-                    self.withdraw(name)
-                break
-            # Step to the next rate change, never past the next arrival.
-            dt = pending[0][1].arrival - self._clock if pending else math.inf
-            self.step(dt if stuck else min(self.horizon(), dt))
-        else:
-            raise FabricError(
-                f"cluster co-simulation did not terminate within "
-                f"{self.MAX_EPOCHS} iterations"
-            )
-        finished_outcomes = [o for o in outcomes if o.finish_time is not None]
+        placed = {
+            name: (rack, self.is_spilled(name))
+            for name, rack in self._tenant_rack.items()
+        }
+
+        def admit(rack: int, spec: TenantSpec) -> None:
+            self.admit(rack, spec, time=spec.arrival)
+            placed[spec.name] = (rack, self.is_spilled(spec.name))
+
+        retired = run_closed_loop(self, self.rack_sims, arrivals, admit)[0]
+        self._retired.update(retired)
+        live = self.tenant_states
+        rows = sorted(
+            (rack, name, spilled, (retired.get(name) or live[name]).outcome())
+            for name, (rack, spilled) in placed.items()
+        )
+        finished = [state.outcome() for state in retired.values()]
         summary = {
-            "makespan": max(
-                (o.finish_time for o in finished_outcomes), default=0.0
-            ),
+            "makespan": max((o.finish_time for o in finished), default=0.0),
             "mean_slowdown": (
-                float(np.mean([o.slowdown for o in finished_outcomes]))
-                if finished_outcomes
-                else 1.0
+                float(np.mean([o.slowdown for o in finished])) if finished else 1.0
             ),
             "n_racks": self.fabric.n_racks,
             "nodes_per_rack": self.fabric.nodes_per_rack,
             "epoch_seconds": self._epoch,
-            "spilled_tenants": sum(1 for o in outcomes if o.spilled),
+            "spilled_tenants": sum(1 for row in rows if row[2]),
             "cluster_pool_gb": (
                 self.cluster_pool.capacity_bytes / 1e9
                 if self.cluster_pool is not None
@@ -717,16 +669,18 @@ class ClusterCoSimulator:
             "tenants": [
                 {
                     "name": o.name,
-                    "rack": o.rack,
+                    "rack": rack,
                     "node": o.node,
-                    "spilled": o.spilled,
-                    "lease_state": o.lease_state,
+                    "spilled": spilled,
+                    "lease_state": (
+                        LEASE_GRANTED if o.finish_time is not None else o.lease_state
+                    ),
                     "wait_s": o.wait_time,
                     "runtime_s": o.runtime,
                     "baseline_s": o.baseline_runtime,
                     "slowdown": o.slowdown,
                 }
-                for o in sorted(outcomes, key=lambda o: (o.rack, o.name))
+                for rack, _, spilled, o in rows
             ],
         }
         if self._faults_active:

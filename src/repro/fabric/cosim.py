@@ -72,7 +72,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -314,6 +314,33 @@ class _TenantState:
     def completed_baseline_seconds(self) -> float:
         """Baseline seconds of work completed so far (phases done + partial)."""
         return self.phases_before[self.phase_index] + self.phase_elapsed
+
+    def outcome(self) -> "TenantOutcome":
+        """The tenant's statistics as they stand: the one rendering behind
+        the rack's and the cluster's closed-loop results."""
+        return TenantOutcome(
+            name=self.spec.name,
+            workload=self.spec.workload.name,
+            node=self.node,
+            arrival=self.spec.arrival,
+            start_time=self.start_time,
+            finish_time=self.finish_time,
+            baseline_runtime=self.baseline_runtime,
+            lease_bytes=self.spec.lease_bytes,
+            lease_state=self.lease.state,
+            mean_background_bandwidth=(
+                float(np.mean(self.background_bandwidths))
+                if self.background_bandwidths
+                else 0.0
+            ),
+        )
+
+    def interference(self) -> DynamicInterference:
+        """The background-bandwidth timeline the tenant experienced on its
+        pool port's link."""
+        return DynamicInterference(
+            self.background_times, self.background_bandwidths, link=self.perf.link
+        )
 
 
 @dataclass(frozen=True)
@@ -608,9 +635,6 @@ class RackCoSimulator:
         Seed for the per-tenant execution engines.
     """
 
-    #: Hard bound on epochs so mis-configured runs terminate with a clear error.
-    MAX_EPOCHS = 200_000
-
     def __init__(
         self,
         tenants: Sequence[TenantSpec],
@@ -625,26 +649,11 @@ class RackCoSimulator:
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise FabricError("tenant names must be unique")
-        self.tenants = tuple(tenants)
-        self.testbed = testbed
-        self.topology = (
-            topology
-            if topology is not None
-            else FabricTopology(n_nodes=len(tenants), n_ports=1, testbed=testbed)
-        )
-        if self.topology.n_nodes < len(tenants):
-            raise FabricError(
-                f"fabric has {self.topology.n_nodes} nodes but {len(tenants)} tenants"
-            )
         if pool is None:
-            total = sum(max(t.lease_bytes, 1) for t in tenants)
-            pool = MemoryPool(capacity_bytes=total)
-        self.pool = pool
-        self.seed = int(seed)
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise FabricError("epoch_seconds must be positive")
-        self._epoch_seconds = epoch_seconds
-        self._init_incremental()
+            pool = MemoryPool(capacity_bytes=sum(max(t.lease_bytes, 1) for t in tenants))
+        self._setup(
+            tuple(tenants), len(tenants), pool, topology, testbed, epoch_seconds, seed
+        )
 
     @classmethod
     def incremental(
@@ -668,28 +677,41 @@ class RackCoSimulator:
         """
         if n_nodes <= 0:
             raise FabricError("the rack needs at least one node")
+        if pool is None:
+            pool = MemoryPool(capacity_bytes=1 << 62)
         sim = cls.__new__(cls)
-        sim.tenants = ()
-        sim.testbed = testbed
-        sim.topology = (
+        sim._setup((), n_nodes, pool, topology, testbed, epoch_seconds, seed)
+        return sim
+
+    def _setup(
+        self,
+        tenants: tuple[TenantSpec, ...],
+        n_nodes: int,
+        pool: MemoryPool,
+        topology: Optional[FabricTopology],
+        testbed: TestbedConfig,
+        epoch_seconds: Optional[float],
+        seed: int,
+    ) -> None:
+        """The setup both constructors share: ``n_nodes`` nodes on
+        ``topology`` (one port by default), the validated epoch, and the
+        state behind the incremental (scheduler-driven) API."""
+        self.tenants = tenants
+        self.testbed = testbed
+        self.topology = (
             topology
             if topology is not None
             else FabricTopology(n_nodes=n_nodes, n_ports=1, testbed=testbed)
         )
-        if sim.topology.n_nodes < n_nodes:
+        if self.topology.n_nodes < n_nodes:
             raise FabricError(
-                f"fabric has {sim.topology.n_nodes} nodes but {n_nodes} were requested"
+                f"fabric has {self.topology.n_nodes} nodes but {n_nodes} are needed"
             )
-        sim.pool = pool if pool is not None else MemoryPool(capacity_bytes=1 << 62)
-        sim.seed = int(seed)
+        self.pool = pool
+        self.seed = int(seed)
         if epoch_seconds is not None and epoch_seconds <= 0:
             raise FabricError("epoch_seconds must be positive")
-        sim._epoch_seconds = epoch_seconds
-        sim._init_incremental()
-        return sim
-
-    def _init_incremental(self) -> None:
-        """Reset the state behind the incremental (scheduler-driven) API."""
+        self._epoch_seconds = epoch_seconds
         self._inc_states: dict[str, _TenantState] = {}
         self._inc_clock = 0.0
         self._inc_epoch_elapsed = 0.0
@@ -761,108 +783,50 @@ class RackCoSimulator:
     def run(self) -> RackCoSimResult:
         """Co-simulate all tenants to completion (or rejection).
 
-        Drives the incremental API at exact event times: tenant ``i`` is
-        admitted on node ``i`` at its arrival time, a finished tenant returns
-        its lease the moment it finishes (granting queued tenants in that same
-        instant), and scheduled faults fire at their own times.  Whoever is
-        still queued once nothing runs, arrives or fires is rejected.
+        Runs the rack through the fabric's one closed loop
+        (:func:`run_closed_loop`): tenant ``i`` is admitted on node ``i`` at
+        its arrival time, a finished tenant is withdrawn the moment it
+        finishes (returning its lease, which grants queued tenants in that
+        same instant), and scheduled faults fire at their own times.  Whoever
+        is still queued once nothing runs, arrives or fires is rejected.
+        Afterwards only the tenants that never finished are still admitted.
         """
-        if self._inc_states:
-            raise FabricError("run() cannot follow incremental admissions")
+        if self._inc_states or self._inc_clock > 0.0:
+            raise FabricError(
+                "run() needs a fresh simulator: it cannot follow incremental "
+                "admissions or another run"
+            )
         with trace_span("fabric.run", tenants=len(self.tenants)):
             if self._inc_epoch is None:
                 # ~1/40 of the longest baseline runtime across all tenants
                 # (baseline runs are memoized, so the admissions reuse them).
                 runtimes = [self._baseline(spec).total_runtime for spec in self.tenants]
                 self._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
-            pending = sorted(
-                range(len(self.tenants)), key=lambda i: self.tenants[i].arrival
+            retired, max_leased = run_closed_loop(
+                self,
+                (self,),
+                list(enumerate(self.tenants)),
+                lambda node, spec: self.admit(spec, node=node, time=spec.arrival),
             )
-            max_leased = 0
-            for _ in range(self.MAX_EPOCHS):
-                if self._faults_active:
-                    self._apply_due_faults()
-                while (
-                    pending
-                    and self.tenants[pending[0]].arrival <= self._inc_clock + 1e-12
-                ):
-                    idx = pending.pop(0)
-                    spec = self.tenants[idx]
-                    self.admit(spec, node=idx, time=spec.arrival)
-                max_leased = max(max_leased, self.pool.leased_bytes)
-                states = list(self._inc_states.values())
-                finished = [
-                    s for s in states if s.finished and s.lease.state == LEASE_GRANTED
-                ]
-                for state in finished:
-                    self.pool.release(state.lease, time=self._inc_clock)
-                if finished:
-                    roll_over((self,), self._solve_alone, force=True)
-                if not pending and states and all(s.finished for s in states):
-                    break
-                targets = [self.tenants[pending[0]].arrival] if pending else []
-                nxt = self._next_fault_time()
-                if nxt is not None:
-                    targets.append(nxt)
-                future = [t for t in targets if t > self._inc_clock + 1e-12]
-                if self.progressing():
-                    dt = self.horizon()
-                    if future:
-                        dt = min(dt, min(future) - self._inc_clock)
-                    self.step(dt)
-                elif future:
-                    # Nothing progresses right now; jump to the next arrival
-                    # or fault, whichever changes the world first.
-                    self.step(min(future) - self._inc_clock)
-                else:
-                    # Nothing moves, arrives or fires: whoever is still
-                    # queued can never be admitted.
-                    for state in states:
-                        if state.lease.state == LEASE_QUEUED and not state.finished:
-                            self.pool.release(state.lease, time=self._inc_clock)
-                            state.lease.state = LEASE_REJECTED
-                    break
-            else:
-                raise FabricError(
-                    f"co-simulation did not terminate within {self.MAX_EPOCHS} epochs"
-                )
-        ordered = [self._inc_states[spec.name] for spec in self.tenants]
+        states = [
+            retired.get(spec.name) or self._inc_states[spec.name] for spec in self.tenants
+        ]
         return RackCoSimResult(
-            tenants=tuple(
-                TenantOutcome(
-                    name=s.spec.name,
-                    workload=s.spec.workload.name,
-                    node=s.node,
-                    arrival=s.spec.arrival,
-                    start_time=s.start_time,
-                    finish_time=s.finish_time,
-                    baseline_runtime=s.baseline_runtime,
-                    lease_bytes=s.spec.lease_bytes,
-                    lease_state=s.lease.state,
-                    mean_background_bandwidth=(
-                        float(np.mean(s.background_bandwidths))
-                        if s.background_bandwidths
-                        else 0.0
-                    ),
-                )
-                for s in ordered
-            ),
+            tenants=tuple(state.outcome() for state in states),
             telemetry=self._inc_telemetry,
-            makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
+            makespan=max((s.finish_time for s in states if s.finished), default=0.0),
             pool_capacity_bytes=self.pool.capacity_bytes,
             max_leased_bytes=max_leased,
             epoch_seconds=self._inc_epoch,
             _interference={
-                s.spec.name: DynamicInterference(
-                    s.background_times,
-                    s.background_bandwidths,
-                    link=self.topology.link_of(s.node),
-                )
-                for s in ordered
-                if s.background_times
+                s.spec.name: s.interference() for s in states if s.background_times
             },
+            # Every tenant, retired ones included: a withdrawal keeps its
+            # impact only once the fault layer is active.
             blast_radius=(
-                self.blast_radius() if self._fault_events or self.pool.elastic else None
+                self._report({s.spec.name: self._impact_of(s) for s in states})
+                if self._fault_events or self.pool.elastic
+                else None
             ),
         )
 
@@ -1433,10 +1397,6 @@ class RackCoSimulator:
         if self._fault_events:
             self._faults_active = True
 
-    def faults_pending(self) -> bool:
-        """True while injected fault events are still waiting to fire."""
-        return self._fault_cursor < len(self._fault_events)
-
     def _next_fault_time(self) -> Optional[float]:
         if self._fault_cursor < len(self._fault_events):
             return self._fault_events[self._fault_cursor].time
@@ -1627,6 +1587,9 @@ class RackCoSimulator:
         impacts = dict(self._withdrawn_impacts)
         for name, state in self._inc_states.items():
             impacts[name] = self._impact_of(state)
+        return self._report(impacts)
+
+    def _report(self, impacts: Mapping[str, TenantImpact]) -> BlastRadiusReport:
         return BlastRadiusReport(
             faults_injected=self._faults_applied,
             revocations=sum(i.revocations for i in impacts.values()),
@@ -1795,3 +1758,97 @@ def roll_over(
             rack._apply_epoch_solve(running, delivered, solve_key)
     for rack, running, demands in rolled:
         rack._complete_rollover(running, demands)
+
+
+#: Most instants :func:`run_closed_loop` visits before it gives up, so a
+#: mis-configured run ends with a clear error instead of spinning.
+_MAX_INSTANTS = 200_000
+
+
+class LoopSimulator(Protocol):
+    """What :func:`run_closed_loop` steps: a :class:`RackCoSimulator` or a
+    :class:`~repro.fabric.cluster.ClusterCoSimulator`."""
+
+    @property
+    def clock(self) -> float: ...
+
+    @property
+    def tenant_states(self) -> Mapping[str, _TenantState]: ...
+
+    def horizon(self) -> float: ...
+
+    def step(self, dt: float) -> dict[str, float]: ...
+
+    def withdraw(self, name: str, time: Optional[float] = None) -> None: ...
+
+
+def run_closed_loop(
+    sim: LoopSimulator,
+    racks: Sequence[RackCoSimulator],
+    arrivals: Sequence[tuple[int, TenantSpec]],
+    admit: Callable[[int, TenantSpec], object],
+) -> tuple[dict[str, _TenantState], int]:
+    """Run ``sim`` until every tenant has finished or can never run.
+
+    The fabric's one closed loop: :meth:`RackCoSimulator.run` drives a rack
+    through it as a batch of one, and
+    :meth:`ClusterCoSimulator.run_to_completion
+    <repro.fabric.cluster.ClusterCoSimulator.run_to_completion>` drives a
+    cluster of ``racks``.  ``arrivals`` are the ``(place, spec)`` admissions
+    still to come; ``admit(place, spec)`` puts one on the fabric at
+    ``spec.arrival``, so placement stays with the simulator.
+
+    At each instant, in this order: the faults that are due fire, the
+    arrivals that are due are admitted, the racks' leased pool bytes are
+    sampled, and every finished tenant is retired with ``sim.withdraw``
+    in admission order, which frees its node, returns its lease and
+    re-solves its rack at once.  Then ``sim`` steps to its next rate
+    change, never past the next arrival or fault, or straight to that
+    arrival or fault when no tenant progresses.  With neither, the run is
+    *stranded*: the tenants still admitted stay where they stand, and one
+    whose lease is queued is rejected.
+
+    Returns the retired tenants' states by name, in retirement order, and
+    the peak of the sampled leased bytes.
+    """
+    pending = sorted(arrivals, key=lambda item: item[1].arrival)
+    cursor = 0
+    retired: dict[str, _TenantState] = {}
+    peak = 0
+    for _ in range(_MAX_INSTANTS):
+        for rack in racks:
+            if rack._faults_active:
+                rack._apply_due_faults()
+        while (
+            cursor < len(pending) and pending[cursor][1].arrival <= sim.clock + 1e-12
+        ):
+            admit(*pending[cursor])
+            cursor += 1
+        peak = max(peak, sum(rack.pool.leased_bytes for rack in racks))
+        finished = [(n, s) for n, s in sim.tenant_states.items() if s.finished]
+        for name, state in finished:
+            retired[name] = state
+            sim.withdraw(name)
+        if not sim.tenant_states and cursor == len(pending):
+            return retired, peak
+        ahead = [rack._next_fault_time() for rack in racks]
+        if cursor < len(pending):
+            ahead.append(pending[cursor][1].arrival)
+        future = [t for t in ahead if t is not None and t > sim.clock + 1e-12]
+        if any(rack.progressing() for rack in racks):
+            dt = sim.horizon()
+            if future:
+                dt = min(dt, min(future) - sim.clock)
+            sim.step(dt)
+        elif future:
+            sim.step(min(future) - sim.clock)
+        else:
+            for rack in racks:
+                for state in rack.tenant_states.values():
+                    if state.lease.state == LEASE_QUEUED:
+                        rack.pool.release(state.lease, time=rack.clock)
+                        state.lease.state = LEASE_REJECTED
+            return retired, peak
+    raise FabricError(
+        f"the closed loop did not terminate within {_MAX_INSTANTS} instants"
+    )

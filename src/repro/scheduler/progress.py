@@ -196,7 +196,6 @@ class _CoupledJob:
     """Bookkeeping linking one running job to its fabric tenant."""
 
     tenant: str
-    rack_id: int
     #: profile baseline seconds per fabric baseline second.
     scale: float
 
@@ -289,7 +288,6 @@ class FabricCoupledProgress:
         self.cluster: Optional[Cluster] = None
         self._cluster_sim: Optional[ClusterCoSimulator] = None
         self._rack_index: Dict[int, int] = {}
-        self._racks: Dict[int, RackCoSimulator] = {}
         self._jobs: Dict[int, _CoupledJob] = {}
 
     # -- lifecycle hooks ---------------------------------------------------------
@@ -298,7 +296,6 @@ class FabricCoupledProgress:
         self.cluster = cluster
         self._cluster_sim = None
         self._rack_index = {}
-        self._racks = {}
         self._jobs = {}
 
     def job_started(self, job: Job, rack: Rack, clock: float) -> None:
@@ -308,15 +305,13 @@ class FabricCoupledProgress:
         cluster_sim.admit(
             self._rack_index[rack.rack_id], spec, node=node, time=clock
         )
-        fabric_baseline = self._racks[rack.rack_id].baseline_runtime_of(spec.name)
+        fabric_baseline = cluster_sim.tenant_states[spec.name].baseline_runtime
         scale = (
             job.profile.baseline_runtime / fabric_baseline
             if fabric_baseline > 0
             else 1.0
         )
-        self._jobs[job.job_id] = _CoupledJob(
-            tenant=spec.name, rack_id=rack.rack_id, scale=scale
-        )
+        self._jobs[job.job_id] = _CoupledJob(tenant=spec.name, scale=scale)
 
     def job_finished(self, job: Job, rack: Rack, clock: float) -> None:
         coupled = self._jobs.pop(job.job_id, None)
@@ -355,10 +350,7 @@ class FabricCoupledProgress:
         sim = self._cluster_sim
         if sim is None:
             return None
-        busy = any(
-            any(state.running for state in rack_sim.tenant_states.values())
-            for rack_sim in sim.rack_sims
-        )
+        busy = any(state.running for state in sim.tenant_states.values())
         return sim.horizon() if busy else None
 
     def advance(self, dt: float) -> None:
@@ -406,16 +398,11 @@ class FabricCoupledProgress:
             self._rack_index = {
                 rack.rack_id: index for index, rack in enumerate(racks)
             }
-            self._racks = {
-                rack.rack_id: self._cluster_sim.rack_sims[index]
-                for index, rack in enumerate(racks)
-            }
         return self._cluster_sim
 
     def rack_simulator(self, rack: Rack) -> RackCoSimulator:
         """Rack ``rack``'s view into the shared cluster co-simulation."""
-        self.cluster_simulator()
-        return self._racks[rack.rack_id]
+        return self.cluster_simulator().rack_sim(self._rack_index[rack.rack_id])
 
     def is_spilled(self, job: Job) -> bool:
         """Whether a running job's pool lease spilled to the cluster pool."""
@@ -504,13 +491,14 @@ class FabricCoupledProgress:
         coupled = self._jobs.get(job.job_id)
         if coupled is None:
             return None
-        state = self._racks[coupled.rack_id].tenant_states.get(coupled.tenant)
+        state = self._cluster_sim.tenant_states.get(coupled.tenant)
         return state.lease.state if state is not None and state.lease else None
 
     def describe(self) -> dict:
         """Wiring summary of the per-rack co-simulators built so far."""
         return {
-            rack_id: sim.topology.describe() for rack_id, sim in sorted(self._racks.items())
+            rack_id: self._cluster_sim.fabric.rack(index).describe()
+            for rack_id, index in sorted(self._rack_index.items())
         }
 
 

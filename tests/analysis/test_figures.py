@@ -183,6 +183,34 @@ def test_figure_fabric_pool_timeline_three_racks():
     assert summary["mean_slowdown"] > 1.0
 
 
+def test_figure_fabric_pool_timeline_racks_admit_at_arrival():
+    """A tenant that arrives after its rack's first one finished still runs.
+
+    One lease per rack pool, arrivals 1.5 baselines apart: the second tenant
+    starts when it arrives, after the first returned its lease, and its
+    background timeline is reported with the first's.
+    """
+    from repro.fabric import uniform_tenants
+    from repro.fabric.cosim import baseline_run
+    from repro.workloads import build_workload
+
+    spec = build_workload("XSBench")
+    baseline = baseline_run(spec).total_runtime
+    data = figures.figure_fabric_pool_timeline(
+        n_tenants=2,
+        workload="XSBench",
+        n_racks=2,
+        stagger=1.5 * baseline,
+        pool_capacity_bytes=uniform_tenants(spec, 1)[0].lease_bytes + 1,
+    )
+    names = {f"rack{r}-XSBench-{i}" for r in range(2) for i in range(2)}
+    assert set(data["tenant_background_loi"]) == names
+    for tenant in data["summary"]["tenants"]:
+        assert tenant["lease_state"] == "granted"
+        assert tenant["wait_s"] == pytest.approx(0.0, abs=1e-9)
+        assert tenant["slowdown"] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_figure_fabric_pool_timeline_three_racks_spills():
     """Capped rack pools + a cluster pool: spilled tenants are reported."""
     lease_bytes = int(0.5 * 2.4e9)

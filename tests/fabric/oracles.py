@@ -15,6 +15,12 @@ paths it used to ship next to them live on here, as differential oracles:
   and records the skipped rollovers it crosses in place;
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
   arrivals and grants queued leases only at epoch boundaries;
+* :func:`rack_run_oracle` and :func:`cluster_loop_oracle` — the two closed
+  loops :meth:`RackCoSimulator.run` and
+  :meth:`ClusterCoSimulator.run_to_completion` ran before both drove
+  :func:`~repro.fabric.cosim.run_closed_loop`: the rack released finished
+  leases itself under one forced rollover, and the cluster dated a tenant
+  from its latest lease grant and withdrew the tenants it stranded;
 * :class:`PhaseProfile`, :func:`profile_tenant` and :func:`unit_time` — a
   tenant's reference phases as a cached copy of the baseline run, each phase
   carrying its idle unit time priced once per cache, where the library reads
@@ -29,13 +35,29 @@ import types
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.config.errors import FabricError
-from repro.fabric import ClusterCoSimulator, SolveDiagnostics
-from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run
-from repro.fabric.pool import LEASE_QUEUED, LEASE_REJECTED, LEASE_REVOKED
+from repro.fabric import (
+    ClusterCoSimulator,
+    DynamicInterference,
+    RackCoSimResult,
+    SolveDiagnostics,
+    TenantOutcome,
+)
+from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run, roll_over
+from repro.fabric.pool import (
+    LEASE_GRANTED,
+    LEASE_QUEUED,
+    LEASE_REJECTED,
+    LEASE_REVOKED,
+)
 from repro.fabric.solver import BACKOFF_IMPROVEMENT, BACKOFF_WINDOW
 from repro.sim.perfmodel import PerformanceModel, PhaseInputs
 from repro.telemetry import metrics
+
+#: Most iterations an oracle loop takes before it gives up.
+MAX_EPOCHS = 200_000
 
 
 def solve_scalar(
@@ -304,7 +326,7 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
         epoch = max(max(s.baseline_runtime for s in states) / 40.0, 1e-6)
     clock = 0.0
     epochs = 0
-    for _ in range(sim.MAX_EPOCHS):
+    for _ in range(MAX_EPOCHS):
         for state in states:
             if state.lease is None and state.spec.arrival <= clock:
                 state.lease = sim.pool.request(
@@ -341,6 +363,187 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
         for s in states
     }
     return times, epochs
+
+
+def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
+    """Run ``sim``'s tenants with the closed loop ``run()`` had of its own.
+
+    Tenant ``i`` is admitted on node ``i`` at its arrival.  Finished tenants
+    stay admitted: their leases are released in place, with one forced
+    rollover for all of them, and the outcomes, timelines and blast radius
+    are built from the states still on the rack.
+    """
+    if sim._inc_epoch is None:
+        runtimes = [sim._baseline(spec).total_runtime for spec in sim.tenants]
+        sim._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
+    pending = sorted(range(len(sim.tenants)), key=lambda i: sim.tenants[i].arrival)
+    max_leased = 0
+    for _ in range(MAX_EPOCHS):
+        if sim._faults_active:
+            sim._apply_due_faults()
+        while pending and sim.tenants[pending[0]].arrival <= sim.clock + 1e-12:
+            idx = pending.pop(0)
+            spec = sim.tenants[idx]
+            sim.admit(spec, node=idx, time=spec.arrival)
+        max_leased = max(max_leased, sim.pool.leased_bytes)
+        states = list(sim.tenant_states.values())
+        finished = [s for s in states if s.finished and s.lease.state == LEASE_GRANTED]
+        for state in finished:
+            sim.pool.release(state.lease, time=sim.clock)
+        if finished:
+            roll_over((sim,), sim._solve_alone, force=True)
+        if not pending and states and all(s.finished for s in states):
+            break
+        targets = [sim.tenants[pending[0]].arrival] if pending else []
+        nxt = sim._next_fault_time()
+        if nxt is not None:
+            targets.append(nxt)
+        future = [t for t in targets if t > sim.clock + 1e-12]
+        if sim.progressing():
+            dt = sim.horizon()
+            if future:
+                dt = min(dt, min(future) - sim.clock)
+            sim.step(dt)
+        elif future:
+            sim.step(min(future) - sim.clock)
+        else:
+            for state in states:
+                if state.lease.state == LEASE_QUEUED and not state.finished:
+                    sim.pool.release(state.lease, time=sim.clock)
+                    state.lease.state = LEASE_REJECTED
+            break
+    else:
+        raise AssertionError("rack run oracle did not terminate")
+    ordered = [sim.tenant_states[spec.name] for spec in sim.tenants]
+    return RackCoSimResult(
+        tenants=tuple(
+            TenantOutcome(
+                name=s.spec.name,
+                workload=s.spec.workload.name,
+                node=s.node,
+                arrival=s.spec.arrival,
+                start_time=s.start_time,
+                finish_time=s.finish_time,
+                baseline_runtime=s.baseline_runtime,
+                lease_bytes=s.spec.lease_bytes,
+                lease_state=s.lease.state,
+                mean_background_bandwidth=(
+                    float(np.mean(s.background_bandwidths))
+                    if s.background_bandwidths
+                    else 0.0
+                ),
+            )
+            for s in ordered
+        ),
+        telemetry=sim.telemetry,
+        makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
+        pool_capacity_bytes=sim.pool.capacity_bytes,
+        max_leased_bytes=max_leased,
+        epoch_seconds=sim._inc_epoch,
+        _interference={
+            s.spec.name: DynamicInterference(
+                s.background_times,
+                s.background_bandwidths,
+                link=sim.topology.link_of(s.node),
+            )
+            for s in ordered
+            if s.background_times
+        },
+        blast_radius=(
+            sim.blast_radius() if sim._fault_events or sim.pool.elastic else None
+        ),
+    )
+
+
+def cluster_loop_oracle(sim: ClusterCoSimulator, arrivals=()) -> tuple[dict, dict]:
+    """Run ``sim`` to completion with the closed loop the cluster had of its own.
+
+    Arrivals are admitted at their exact times and finished tenants are
+    withdrawn as they finish, but due faults wait for the next step (whose
+    horizon a due fault floors at 1e-12 s), a tenant is dated from its
+    latest lease grant, and the tenants left once nothing runs are withdrawn
+    with their lease state as it stands.  Returns the summary and each
+    reported tenant's state, by name.
+    """
+    pending = sorted(arrivals, key=lambda item: item[1].arrival)
+    rows: list[dict] = []
+    finished_slowdowns: list[float] = []
+    states: dict = {}
+
+    def record(name: str, rack: int) -> None:
+        state = sim.rack_sims[rack].tenant_states[name]
+        states[name] = state
+        lease = state.lease
+        row = {
+            "name": name,
+            "rack": rack,
+            "node": state.node,
+            "spilled": sim.is_spilled(name),
+            "lease_state": LEASE_GRANTED if state.finished else lease.state,
+            "wait_s": lease.wait_time if state.finished else 0.0,
+            "runtime_s": 0.0,
+            "baseline_s": state.baseline_runtime,
+            "slowdown": 1.0,
+        }
+        if state.finished:
+            row["runtime_s"] = state.finish_time - lease.granted_at
+            if row["runtime_s"] > 0 and state.baseline_runtime > 0:
+                row["slowdown"] = row["runtime_s"] / state.baseline_runtime
+            finished_slowdowns.append(row["slowdown"])
+        rows.append(row)
+
+    for _ in range(MAX_EPOCHS):
+        while pending and pending[0][1].arrival <= sim.clock + 1e-12:
+            rack, spec = pending.pop(0)
+            sim.admit(rack, spec, time=spec.arrival)
+        finished: list[str] = []
+        running = 0
+        for name, state in sim.tenant_states.items():
+            if state.finished:
+                finished.append(name)
+            elif state.running:
+                running += 1
+        for name in finished:
+            record(name, sim.rack_of(name))
+            sim.withdraw(name)
+        if not sim.tenant_names and not pending:
+            break
+        if finished:
+            continue
+        faulted = any(rack._faults_active for rack in sim.rack_sims)
+        stuck = running == 0 or (
+            faulted
+            and all(rack._next_fault_time() is None for rack in sim.rack_sims)
+            and not any(rack.progressing() for rack in sim.rack_sims)
+        )
+        if stuck and not pending:
+            for name in sim.tenant_names:
+                record(name, sim.rack_of(name))
+                sim.withdraw(name)
+            break
+        dt = pending[0][1].arrival - sim.clock if pending else math.inf
+        sim.step(dt if stuck else min(sim.horizon(), dt))
+    else:
+        raise AssertionError("cluster loop oracle did not terminate")
+    summary = {
+        "makespan": max(
+            (s.finish_time for s in states.values() if s.finished), default=0.0
+        ),
+        "mean_slowdown": (
+            float(np.mean(finished_slowdowns)) if finished_slowdowns else 1.0
+        ),
+        "n_racks": sim.fabric.n_racks,
+        "nodes_per_rack": sim.fabric.nodes_per_rack,
+        "epoch_seconds": sim.epoch_seconds,
+        "spilled_tenants": sum(1 for row in rows if row["spilled"]),
+        "cluster_pool_gb": (
+            sim.cluster_pool.capacity_bytes / 1e9 if sim.cluster_pool is not None else 0.0
+        ),
+        "tenants": sorted(rows, key=lambda row: (row["rack"], row["name"])),
+    }
+    if any(rack._faults_active for rack in sim.rack_sims):
+        summary["faults"] = sim.blast_radius().summary()
+    return summary, states
 
 
 @dataclass(frozen=True)

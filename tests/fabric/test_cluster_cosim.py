@@ -250,6 +250,18 @@ class TestValidationAndSummary:
         with pytest.raises(FabricError, match="3 rack pool capacities"):
             ClusterCoSimulator(fabric, rack_pool_bytes=[1 * GiB])
 
+    def test_admission_in_the_past_is_refused(self, xsbench_spec):
+        sim = build_cluster(n_racks=1)
+        first, second, third = uniform_tenants(xsbench_spec, 3)
+        sim.admit(0, first, time=5.0)
+        assert sim.clock == 5.0
+        with pytest.raises(FabricError, match="in the past"):
+            sim.admit(0, second, time=2.0)
+        # A caller's clock that trails by rounding is not the past.
+        sim.admit(0, third, time=5.0 - 1e-12)
+        assert sim.tenant_names == (first.name, third.name)
+        assert sim.clock == 5.0
+
     def test_run_to_completion_summary_shape(self, xsbench_spec):
         sim = spread_tenants(build_cluster(n_racks=2), xsbench_spec)
         summary = sim.run_to_completion()

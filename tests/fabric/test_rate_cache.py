@@ -87,8 +87,8 @@ def chaos_cluster():
             local_fraction=0.5,
             arrival=0.3 * slot,
         ))
-        for rack in range(2)
         for slot in range(2)
+        for rack in range(2)
     ]
     # Seed 8 lands a revoke, a shrink, a port kill and degrades on running
     # tenants, so every stall path feeds the rates under test.

@@ -23,6 +23,7 @@ import oracles
 from repro import telemetry
 from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config.units import GiB
+from repro.fabric import cluster
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
@@ -32,6 +33,7 @@ from repro.fabric import (
     RackCoSimulator,
     TenantSpec,
 )
+from repro.fabric.cosim import run_closed_loop
 from repro.scheduler import ClusterSimulator, FabricCoupledProgress, make_policy
 from repro.workloads import build_workload, workload_names
 
@@ -210,18 +212,19 @@ def cluster_run(n_racks, apps, arrivals, pool_share, seed, faults=None):
         )
         if faults is not None:
             sim.inject_faults(faults([spec.name for _, spec in tenants]))
-        outcomes = {}
-        outcome_of = sim._outcome
+        retired = {}
 
-        def recording_outcome(name, rack):
-            outcomes[name] = outcome = outcome_of(name, rack)
-            return outcome
+        def recording_loop(*args):
+            states, peak = run_closed_loop(*args)
+            retired.update(states)
+            return states, peak
 
-        sim._outcome = recording_outcome
-        summary = sim.run_to_completion(tenants)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cluster, "run_closed_loop", recording_loop)
+            summary = sim.run_to_completion(tenants)
+        outcomes = [s.outcome() for s in (*retired.values(), *sim.tenant_states.values())]
         times = {
-            name: (o.start_time, o.finish_time, o.wait_time, o.runtime)
-            for name, o in outcomes.items()
+            o.name: (o.start_time, o.finish_time, o.wait_time, o.runtime) for o in outcomes
         }
         report = sim.blast_radius()
         exact = (
@@ -353,13 +356,15 @@ class TestPinnedStepCounts:
         assert observed.exact[0][0] == ("r0-HPL-2", "granted", True)
         # 126.3 s at 1.5 s epochs.  While r0-HPL-2 runs spilled, every
         # cluster epoch end may recouple, so it ends a step (32 do); the
-        # other 54 steps end at arrivals, the 10 fault events, drain ends,
-        # phase ends, the re-solves those dirty and finishes: 86.  Chunks:
-        # the 86 step ends plus the 52 cluster epoch ends crossed once
-        # nothing spills, for each of the 2 racks: 2 x 138 = 276.  Stepping
-        # epoch by epoch took 246 steps and 552 chunks.
-        assert observed.counts["fabric.cluster.step_calls"] == 86
-        assert observed.counts["fabric.cosim.step_calls"] == 276
+        # other 44 steps end at arrivals, the 10 fault events, drain ends,
+        # phase ends, the re-solves those dirty and finishes: 76.  The
+        # closed loop fires a due fault before it steps; a loop that left it
+        # to the next step took one more 1e-12 s step per fault event (86).
+        # Chunks: the 76 step ends plus the 52 cluster epoch ends crossed
+        # once nothing spills, for each of the 2 racks: 2 x 128 = 256.
+        # Stepping epoch by epoch takes 236 steps and 532 chunks.
+        assert observed.counts["fabric.cluster.step_calls"] == 76
+        assert observed.counts["fabric.cosim.step_calls"] == 256
 
     def test_coupled_leg(self):
         observed = observe(coupled_leg(0, 2), oracle=False)

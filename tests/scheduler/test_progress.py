@@ -194,6 +194,31 @@ class TestFabricCoupledProgress:
         assert second.start_time >= late_arrival
         assert second.slowdown == pytest.approx(1.0, rel=1e-6)
 
+    def test_reports_read_the_shared_cluster(self, spec, profile):
+        """Lease states, rack views and the wiring summary come from the one
+        cluster co-simulation the progress model steps."""
+        cluster = Cluster.build(n_racks=2, nodes_per_rack=2, pool_capacity_gb=64.0)
+        progress = coupled_progress(spec)
+        states = []
+        rates = progress.rates
+
+        def recording_rates(clock):
+            states.extend(progress.lease_state_of(job) for job in cluster.running_jobs)
+            return rates(clock)
+
+        progress.rates = recording_rates
+        ClusterSimulator(cluster, RandomPlacement(), seed=0, progress=progress).run(
+            [profile] * 4
+        )
+        assert states and set(states) == {"granted"}
+        sim = progress.cluster_simulator()
+        assert progress.describe() == {
+            rack.rack_id: sim.rack_sim(index).topology.describe()
+            for index, rack in enumerate(cluster.racks)
+        }
+        for index, rack in enumerate(cluster.racks):
+            assert progress.rack_simulator(rack) is sim.rack_sim(index)
+
     def test_a_port_that_never_returns_raises(self, spec, profile):
         """Zero rates for good: each event spans an epoch, yet the run stops."""
         from repro.fabric import FaultEvent, FaultSchedule
