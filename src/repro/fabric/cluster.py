@@ -11,7 +11,7 @@ This is ROADMAP item 1's datacenter layer on top of the single-rack
   vectorized kernel in :mod:`repro.fabric.solver` — one NumPy solve for all
   racks instead of ``n_racks`` Python loops.
 * :class:`ClusterCoSimulator` steps every rack's incremental
-  :class:`~repro.fabric.cosim.RackCoSimulator` in **one epoch loop** with
+  :class:`~repro.fabric.cosim.RackCoSimulator` in **one stepping loop** with
   hierarchical pools: a tenant that does not fit its rack's pool can spill
   into the cluster-level pool, and spilled tenants' pool traffic rides their
   rack's uplink onto the spine — cross-rack spine contention feeds back into
@@ -57,8 +57,9 @@ from .cosim import (
     RackCoSimulator,
     TenantSpec,
     _TenantState,
-    roll_over,
+    roll_back,
     run_closed_loop,
+    step_racks,
 )
 from .faults import BlastRadiusReport, FaultSchedule
 from .interference import DynamicInterference
@@ -204,18 +205,18 @@ class ClusterCheckpoint:
     """Snapshot of a :class:`ClusterCoSimulator`'s epoch state.
 
     Composes one :class:`~repro.fabric.cosim.EpochCheckpoint` per rack plus
-    the cluster's own clock and intra-epoch progress.  Subject to the same
-    contract as rack checkpoints: valid only while the (cluster-wide) tenant
-    mix — and therefore the spill set — is unchanged.
+    the racks' common clock and the next cluster epoch end.  Subject to the
+    same contract as rack checkpoints: valid only while the (cluster-wide)
+    tenant mix — and therefore the spill set — is unchanged.
     """
 
     clock: float
-    epoch_elapsed: float
+    epoch_end: float
     racks: tuple[EpochCheckpoint, ...]
 
 
 class ClusterCoSimulator:
-    """All racks' co-simulations stepped in one cluster epoch loop.
+    """All racks' co-simulations stepped in lockstep and recoupled each epoch.
 
     Parameters
     ----------
@@ -266,8 +267,6 @@ class ClusterCoSimulator:
                     f"expected {fabric.n_racks} rack pool capacities, "
                     f"got {len(capacities)}"
                 )
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise FabricError("epoch_seconds must be positive")
         self.rack_sims: tuple[RackCoSimulator, ...] = tuple(
             RackCoSimulator.incremental(
                 n_nodes=fabric.nodes_per_rack,
@@ -285,9 +284,9 @@ class ClusterCoSimulator:
             else None
         )
         self.seed = int(seed)
-        self._clock = 0.0
         self._epoch: Optional[float] = epoch_seconds
-        self._epoch_elapsed = 0.0
+        #: The next cluster epoch end (first admission + epoch if derived).
+        self._epoch_end = epoch_seconds if epoch_seconds is not None else math.inf
         self._tenant_rack: dict[str, int] = {}
         self._spilled: dict[str, object] = {}  # tenant name -> cluster-pool Lease
         self._offset_nodes: set[tuple[int, int]] = set()
@@ -337,8 +336,8 @@ class ClusterCoSimulator:
 
     @property
     def clock(self) -> float:
-        """Simulated cluster time, seconds."""
-        return self._clock
+        """Simulated cluster time, seconds: the clock its racks share."""
+        return self.rack_sims[0].clock
 
     @property
     def epoch_seconds(self) -> Optional[float]:
@@ -414,100 +413,89 @@ class ClusterCoSimulator:
         if time is not None:
             # The scheduler's clock sums the same steps in another order, so
             # it may trail this one by rounding.
-            if time < self._clock - 1e-9:
+            if time < self.clock - 1e-9:
                 raise FabricError("cannot admit a tenant in the past")
-            if time > self._clock:
-                self.step(time - self._clock)
-        spill_lease = None
-        rack_spec = spec
-        if (
+            if time > self.clock:
+                self.step(time - self.clock)
+        spill = (
             self.cluster_pool is not None
             and spec.lease_bytes > 0
             and (spec.lease_bytes > sim.pool.free_bytes or sim.pool.queue_depth > 0)
             and spec.lease_bytes <= self.cluster_pool.free_bytes
             and self.cluster_pool.queue_depth == 0
-        ):
-            spill_lease = self.cluster_pool.request(
-                spec.name, spec.lease_bytes, time=self._clock
-            )
-            rack_spec = replace(spec, pool_bytes=0)
-            metrics().counter("fabric.cluster.spills").inc()
-        rack_lease = sim.admit(rack_spec, node=node)
+        )
+        # The rack may refuse the tenant, so it admits before the cluster pool.
+        lease = sim.admit(replace(spec, pool_bytes=0) if spill else spec, node=node)
         self._tenant_rack[spec.name] = rack
-        if spill_lease is not None:
-            self._spilled[spec.name] = spill_lease
+        if spill:
+            lease = self._spilled[spec.name] = self.cluster_pool.request(
+                spec.name, spec.lease_bytes, time=self.clock
+            )
+            metrics().counter("fabric.cluster.spills").inc()
         if self._epoch is None and sim._inc_epoch is not None:
             self._epoch = sim._inc_epoch
+            self._epoch_end = self.clock + self._epoch
         if self._epoch is not None:
             for other in self.rack_sims:
                 if other._inc_epoch is None:
                     other._inc_epoch = self._epoch
         self._recouple()
-        return spill_lease if spill_lease is not None else rack_lease
+        return lease
 
     def withdraw(self, name: str, time: Optional[float] = None) -> None:
         """Remove a tenant, returning its rack- or cluster-pool lease."""
         rack = self.rack_of(name)
         sim = self.rack_sims[rack]
-        if time is not None and time > self._clock:
-            self.step(time - self._clock)
+        if time is not None and time > self.clock:
+            self.step(time - self.clock)
         state = sim.tenant_states.get(name)
         sim.withdraw(name)
         del self._tenant_rack[name]
         lease = self._spilled.pop(name, None)
         if lease is not None and lease.state in (LEASE_GRANTED, LEASE_QUEUED):
-            self.cluster_pool.release(lease, time=self._clock)
+            self.cluster_pool.release(lease, time=self.clock)
         if state is not None and (rack, state.node) in self._offset_nodes:
             sim.set_background_offset(state.node, 0.0)
             self._offset_nodes.discard((rack, state.node))
         self._recouple()
 
-    # -- epoch loop -------------------------------------------------------------------
+    # -- stepping ---------------------------------------------------------------------
 
     def step(self, dt: float) -> dict[str, float]:
-        """Advance all racks ``dt`` wall-seconds in one cluster epoch loop.
+        """Advance all racks ``dt`` wall-seconds in lockstep.
 
-        Racks advance in lockstep chunks through
-        :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen`, each chunk
-        cut at the cluster epoch boundary, at every armed rack's next fault,
-        at every dirty rack's epoch end and at every clean rack's next rate
-        change (see :meth:`~repro.fabric.cosim.RackCoSimulator.begin_chunk`);
-        a clean rack records the skipped rollovers it crosses in place.  At
-        the end of every chunk all racks whose epoch is due roll over together
-        (:func:`~repro.fabric.cosim.roll_over`), their re-solves batched into
-        one :meth:`ClusterFabric.resolve_racks` call, and at every cluster
-        epoch boundary the inter-rack coupling (uplink/spine backgrounds of
-        spilled tenants) is refreshed from the racks' live demands.  Returns
-        baseline-seconds completed per tenant, merged across racks.
+        The racks run the fabric's one stepping loop
+        (:func:`~repro.fabric.cosim.step_racks`), their re-solves batched
+        into :meth:`ClusterFabric.resolve_racks`.  It stops at the cluster
+        epoch end only while a recoupling has work (:meth:`_next_recoupling`).
+        The epoch ends a step reaches are counted and refresh the spilled
+        tenants' uplink/spine backgrounds once.  Returns baseline-seconds
+        completed per tenant.
         """
         if dt < 0:
             raise FabricError("cannot step the cluster backwards")
         metrics().counter("fabric.cluster.step_calls").inc()
-        done: dict[str, float] = {name: 0.0 for name in self._tenant_rack}
-        end = self._clock + dt
+        done = dict.fromkeys(self._tenant_rack, 0.0)
+        end = self.clock + dt
         remaining = float(dt)
         with trace_span("fabric.cluster.step", racks=self.fabric.n_racks):
             while remaining > 1e-15:
-                chunk = min([remaining] + [sim.begin_chunk() for sim in self.rack_sims])
-                if self._epoch is not None:
-                    chunk = min(chunk, max(self._epoch - self._epoch_elapsed, 0.0))
-                if chunk > 0:
-                    for sim in self.rack_sims:
-                        for name, amount in sim.step_frozen(chunk).items():
-                            if amount:
-                                done[name] = done.get(name, 0.0) + amount
-                    self._clock += chunk
-                    if self._epoch is not None:
-                        self._epoch_elapsed += chunk
-                roll_over(self.rack_sims, self._resolve_racks)
-                if self._epoch is not None and (
-                    self._epoch_elapsed >= self._epoch - 1e-12
-                ):
-                    metrics().counter("fabric.cluster.epochs").inc()
-                    self._epoch_elapsed = 0.0
+                piece = min(remaining, self._next_recoupling() - self.clock)
+                piece_done = step_racks(self.rack_sims, piece, self._resolve_racks)
+                for name, amount in piece_done.items():
+                    done[name] += amount
+                if self.clock >= self._epoch_end - 1e-12:
+                    while self.clock >= self._epoch_end - 1e-12:
+                        metrics().counter("fabric.cluster.epochs").inc()
+                        self._epoch_end += self._epoch
                     self._recouple()
-                remaining = end - self._clock
+                remaining = end - self.clock
         return done
+
+    def _next_recoupling(self) -> float:
+        """The next cluster epoch end while a recoupling has work (a spilled
+        tenant or a stale offset), else infinity: it would move no offset."""
+        return self._epoch_end if self._spilled or self._offset_nodes else math.inf
 
     def _resolve_racks(
         self, indices: Sequence[int], demands: Sequence[Mapping[int, float]]
@@ -521,8 +509,8 @@ class ClusterCoSimulator:
 
         See the module docstring for the coupling model.  Idempotent given
         unchanged rack demands, so calling it on admission, withdrawal and
-        every cluster epoch boundary keeps the offsets exact without
-        disturbing the racks' dirty-epoch tracking more than necessary.
+        at cluster epoch ends keeps the offsets exact without disturbing the
+        racks' dirty-epoch tracking more than necessary.
 
         A cluster that never spills pays (almost) nothing here: with no
         spilled tenants and no stale offsets to clear, every offset below
@@ -577,8 +565,7 @@ class ClusterCoSimulator:
         Bounded by every busy rack's own
         :meth:`~repro.fabric.cosim.RackCoSimulator.horizon` (its next rate
         change, or the next rollover that re-solves) and by the next cluster
-        recoupling, unless that recoupling has nothing to do: with no
-        spilled tenant and no stale offset it moves no rate.  With neither,
+        recoupling that has work (:meth:`_next_recoupling`).  With neither,
         the next cluster epoch end is the bound.
         """
         if self._epoch is None:
@@ -586,8 +573,8 @@ class ClusterCoSimulator:
                 "the cluster has no epoch length yet: pass epoch_seconds or "
                 "admit a tenant first"
             )
-        epoch_end = max(self._epoch - self._epoch_elapsed, 1e-12)
-        bound = epoch_end if self._spilled or self._offset_nodes else math.inf
+        epoch_end = max(self._epoch_end - self.clock, 1e-12)
+        bound = self._next_recoupling() - self.clock
         for sim in self.rack_sims:
             if any(state.running for state in sim.tenant_states.values()):
                 bound = min(bound, sim.horizon())
@@ -596,24 +583,19 @@ class ClusterCoSimulator:
     # -- checkpoint / rollover ---------------------------------------------------------
 
     def checkpoint(self) -> ClusterCheckpoint:
-        """Snapshot every rack's epoch state plus the cluster clock."""
+        """Snapshot every rack's epoch state plus the next cluster epoch end."""
         metrics().counter("fabric.cluster.checkpoints").inc()
         return ClusterCheckpoint(
-            clock=self._clock,
-            epoch_elapsed=self._epoch_elapsed,
+            clock=self.clock,
+            epoch_end=self._epoch_end,
             racks=tuple(sim.checkpoint() for sim in self.rack_sims),
         )
 
     def rollover(self, checkpoint: ClusterCheckpoint) -> None:
-        """Roll every rack (and the cluster clock) back to a checkpoint."""
-        if len(checkpoint.racks) != len(self.rack_sims):
-            raise FabricError(
-                "checkpoint does not match the cluster's rack count"
-            )
-        for sim, rack_checkpoint in zip(self.rack_sims, checkpoint.racks):
-            sim.rollover(rack_checkpoint)
-        self._clock = checkpoint.clock
-        self._epoch_elapsed = checkpoint.epoch_elapsed
+        """Roll every rack back to a checkpoint, or none of them
+        (:func:`~repro.fabric.cosim.roll_back`)."""
+        roll_back(self.rack_sims, checkpoint.racks)
+        self._epoch_end = checkpoint.epoch_end
         metrics().counter("fabric.cluster.rollbacks").inc()
 
     # -- closed loop ------------------------------------------------------------------

@@ -728,12 +728,12 @@ class RackCoSimulator:
         #: signature still equals ``_inc_solve_key`` and no revoked tenant
         #: waits for its lease.  Every rollover sets it; whatever changes a
         #: signature input outside a rollover clears it.  A clean rack's
-        #: epoch ends are not step boundaries (see :meth:`begin_chunk`).
+        #: epoch ends are not step boundaries (see :meth:`_begin_chunk`).
         self._inc_clean = False
         # Fault layer.  `_faults_active` is the single hot-path guard: while
         # False (no schedule injected, no elastic reclaim ever observed) the
         # stepping loops pay two attribute checks per chunk (one in
-        # begin_chunk, one in step_frozen) and nothing else.
+        # _begin_chunk, one in step_frozen) and nothing else.
         self._faults_active = False
         self._fault_schedule: Optional[FaultSchedule] = None
         self._fault_events: tuple[FaultEvent, ...] = ()
@@ -1074,7 +1074,7 @@ class RackCoSimulator:
         and whether any running tenant advances meanwhile.
 
         The one walk behind :meth:`horizon`, :meth:`progressing` and a clean
-        rack's :meth:`begin_chunk`.  The next rate change is the nearest of
+        rack's :meth:`_begin_chunk`.  The next rate change is the nearest of
         the next fault, every drain being paid and every progressing
         tenant's phase end (infinite when there is none).  It reads the
         same tenants :meth:`progress_rates` prices, so it evaluates no rate
@@ -1120,25 +1120,13 @@ class RackCoSimulator:
         their leases stay held until :meth:`withdraw`.  Returns the baseline
         seconds each tenant completed during the step.
 
-        The step is a loop over :meth:`step_frozen` chunks, each cut at the
-        next rate change, at a fault time or, while the rack is dirty, at
-        its epoch end (see :meth:`begin_chunk`).
+        The rack runs the fabric's one stepping loop, :func:`step_racks`, alone.
         """
         if dt < 0:
             raise FabricError("cannot step the co-simulation backwards")
-        done = {name: 0.0 for name in self._inc_states}
-        end = self._inc_clock + dt
-        remaining = float(dt)
-        while remaining > 1e-15:
-            chunk = min(remaining, self.begin_chunk())
-            if chunk > 0:
-                for name, amount in self.step_frozen(chunk).items():
-                    done[name] += amount
-            roll_over((self,), self._solve_alone)
-            remaining = end - self._inc_clock
-        return done
+        return step_racks((self,), dt, self._solve_alone)
 
-    def begin_chunk(self) -> float:
+    def _begin_chunk(self) -> float:
         """Apply the faults that are due; return the longest chunk
         :meth:`step_frozen` may take now.
 
@@ -1148,10 +1136,8 @@ class RackCoSimulator:
         change (:meth:`_rate_change`: a fault, a drain end or a phase end)
         and :meth:`step_frozen` records the rollovers it crosses in place.
         Infinite for a rack with no epoch length yet and no fault pending.
-        Both stepping loops — :meth:`step` and
-        :meth:`ClusterCoSimulator.step
-        <repro.fabric.cluster.ClusterCoSimulator.step>` — cut their chunks
-        here, so faults land at their exact times.
+        :func:`step_racks` cuts every chunk here, so faults land at their
+        exact times.
         """
         bound = math.inf
         if self._faults_active:
@@ -1170,10 +1156,10 @@ class RackCoSimulator:
 
         The one place tenants advance.  ``dt`` must not cross this rack's
         next fault time, nor its epoch end while the rack is dirty
-        (:meth:`begin_chunk` bounds it).  Epoch ends a clean rack crosses
-        are recorded in place as the skipped rollovers they are; the caller
-        rolls the epoch over once it is due at the chunk's end
-        (:func:`roll_over`), which lets a
+        (:meth:`_begin_chunk` bounds it).  Epoch ends a clean rack crosses
+        are recorded in place as the skipped rollovers they are; its one
+        caller, :func:`step_racks`, rolls the epoch over once it is due at
+        the chunk's end (:func:`roll_over`), which lets a
         :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
         re-solve into one vectorized call.  A tenant on a killed port stalls
         for the whole chunk, one owing migration debt pays it down first,
@@ -1315,46 +1301,7 @@ class RackCoSimulator:
         mutate the pool's lease table, which a checkpoint deliberately does
         not capture.
         """
-        names = {entry[0] for entry in checkpoint.tenants}
-        if names != set(self._inc_states):
-            raise FabricError(
-                "checkpoint does not match the current tenant mix; checkpoints "
-                "are invalidated by admit() and withdraw()"
-            )
-        if checkpoint.fault_epoch != self._fault_mutations:
-            raise FabricError(
-                "checkpoint predates applied fault events; fault application "
-                "mutates pool and lease state that checkpoints do not capture, "
-                "so rollback is only legal while faults are merely pending"
-            )
-        self._inc_clock = checkpoint.clock
-        self._inc_epoch_elapsed = checkpoint.epoch_elapsed
-        self._inc_backgrounds = dict(checkpoint.backgrounds)
-        self._inc_offsets = dict(checkpoint.offsets)
-        self._inc_solve_key = checkpoint.solve_key
-        self._inc_clean = checkpoint.clean
-        for name, phase_index, phase_elapsed, finish_time in checkpoint.tenants:
-            state = self._inc_states[name]
-            state.phase_index = phase_index
-            state.phase_elapsed = phase_elapsed
-            state.finish_time = finish_time
-        for entry in checkpoint.fault_tenants:
-            state = self._inc_states[entry[0]]
-            (
-                state.stall_seconds,
-                state.migration_debt,
-                state.revoked_at,
-                state.readmit_latency,
-                state.revocations,
-                state.migrated_bytes,
-                state.first_granted_at,
-            ) = entry[1:]
-        for name, length in checkpoint.histories:
-            state = self._inc_states[name]
-            del state.background_times[length:]
-            del state.background_bandwidths[length:]
-        self._inc_telemetry.trim_after(checkpoint.clock)
-        metrics().counter("fabric.cosim.rollbacks").inc()
+        roll_back((self,), (checkpoint,))
 
     # -- fault injection / elastic leasing --------------------------------------------
     #
@@ -1758,6 +1705,81 @@ def roll_over(
             rack._apply_epoch_solve(running, delivered, solve_key)
     for rack, running, demands in rolled:
         rack._complete_rollover(running, demands)
+
+
+def step_racks(
+    racks: Sequence[RackCoSimulator],
+    dt: float,
+    solve: Callable[[list[int], list[dict[int, float]]], Sequence[Mapping[int, float]]],
+) -> dict[str, float]:
+    """Advance ``racks`` in lockstep ``dt`` wall-seconds: the fabric's one
+    stepping loop.  Each chunk ends at the end of ``dt`` or at the nearest
+    rack's :meth:`~RackCoSimulator._begin_chunk`; every rack advances through
+    :meth:`~RackCoSimulator.step_frozen`, then :func:`roll_over` rolls the
+    due racks over with ``solve``.  Returns each tenant's baseline seconds."""
+    done = {name: 0.0 for rack in racks for name in rack._inc_states}
+    end = racks[0]._inc_clock + dt
+    remaining = float(dt)
+    while remaining > 1e-15:
+        chunk = min([remaining] + [rack._begin_chunk() for rack in racks])
+        if chunk > 0:
+            for rack in racks:
+                for name, amount in rack.step_frozen(chunk).items():
+                    done[name] += amount
+        roll_over(racks, solve)
+        remaining = end - racks[0]._inc_clock
+    return done
+
+
+def roll_back(
+    racks: Sequence[RackCoSimulator], checkpoints: Sequence[EpochCheckpoint]
+) -> None:
+    """Roll each of ``racks`` back to its checkpoint, or none of them: every
+    checkpoint is checked before any rack is restored, so racks that step in
+    lockstep stay at one clock when one refuses."""
+    if len(checkpoints) != len(racks):
+        raise FabricError("checkpoint does not match the rack count")
+    for rack, checkpoint in zip(racks, checkpoints):
+        if {entry[0] for entry in checkpoint.tenants} != set(rack._inc_states):
+            raise FabricError(
+                "checkpoint does not match the current tenant mix; checkpoints "
+                "are invalidated by admit() and withdraw()"
+            )
+        if checkpoint.fault_epoch != rack._fault_mutations:
+            raise FabricError(
+                "checkpoint predates applied fault events; fault application "
+                "mutates pool and lease state that checkpoints do not capture, "
+                "so rollback is only legal while faults are merely pending"
+            )
+    for rack, checkpoint in zip(racks, checkpoints):
+        rack._inc_clock = checkpoint.clock
+        rack._inc_epoch_elapsed = checkpoint.epoch_elapsed
+        rack._inc_backgrounds = dict(checkpoint.backgrounds)
+        rack._inc_offsets = dict(checkpoint.offsets)
+        rack._inc_solve_key = checkpoint.solve_key
+        rack._inc_clean = checkpoint.clean
+        for name, phase_index, phase_elapsed, finish_time in checkpoint.tenants:
+            state = rack._inc_states[name]
+            state.phase_index = phase_index
+            state.phase_elapsed = phase_elapsed
+            state.finish_time = finish_time
+        for entry in checkpoint.fault_tenants:
+            state = rack._inc_states[entry[0]]
+            (
+                state.stall_seconds,
+                state.migration_debt,
+                state.revoked_at,
+                state.readmit_latency,
+                state.revocations,
+                state.migrated_bytes,
+                state.first_granted_at,
+            ) = entry[1:]
+        for name, length in checkpoint.histories:
+            state = rack._inc_states[name]
+            del state.background_times[length:]
+            del state.background_bandwidths[length:]
+        rack._inc_telemetry.trim_after(checkpoint.clock)
+        metrics().counter("fabric.cosim.rollbacks").inc()
 
 
 #: Most instants :func:`run_closed_loop` visits before it gives up, so a

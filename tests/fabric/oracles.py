@@ -13,6 +13,12 @@ paths it used to ship next to them live on here, as differential oracles:
 * :func:`epoch_stepping` — racks that stop at every epoch end, clean or
   dirty, where the library runs a clean rack's chunk to its next rate change
   and records the skipped rollovers it crosses in place;
+* :func:`cluster_epoch_ends` — the cluster loop
+  :meth:`ClusterCoSimulator.step` had of its own before it ran
+  :func:`~repro.fabric.cosim.step_racks`: it cuts a chunk at every cluster
+  epoch end, with its own elapsed-time counter, where the library stops
+  there only while a recoupling has work and counts the other epoch ends in
+  place;
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
   arrivals and grants queued leases only at epoch boundaries;
 * :func:`rack_run_oracle` and :func:`cluster_loop_oracle` — the two closed
@@ -153,18 +159,15 @@ def _lockstep_step(self, dt: float) -> dict[str, float]:
         if self._epoch is None:
             for sim in self.rack_sims:
                 sim.step(remaining)
-            self._clock += remaining
             return done
-        chunk = min(remaining, max(self._epoch - self._epoch_elapsed, 0.0))
+        chunk = min(remaining, max(self._epoch_end - self.clock, 0.0))
         if chunk > 0:
             for sim in self.rack_sims:
                 for name, amount in sim.step(chunk).items():
                     done[name] = done.get(name, 0.0) + amount
-            self._clock += chunk
-            self._epoch_elapsed += chunk
             remaining -= chunk
-        if self._epoch_elapsed >= self._epoch - 1e-12:
-            self._epoch_elapsed = 0.0
+        if self.clock >= self._epoch_end - 1e-12:
+            self._epoch_end += self._epoch
             self._recouple()
     return done
 
@@ -207,7 +210,7 @@ def epoch_stepping(monkeypatch) -> None:
     horizon always ends at the next cluster epoch end.  Same simulated
     numbers as the library up to float accumulation, in more steps.
     """
-    monkeypatch.setattr(RackCoSimulator, "begin_chunk", _epoch_begin_chunk)
+    monkeypatch.setattr(RackCoSimulator, "_begin_chunk", _epoch_begin_chunk)
     monkeypatch.setattr(RackCoSimulator, "horizon", _epoch_horizon)
     monkeypatch.setattr(RackCoSimulator, "step_frozen", _epoch_step_frozen)
     monkeypatch.setattr(ClusterCoSimulator, "horizon", _epoch_cluster_horizon)
@@ -285,11 +288,65 @@ def _epoch_step_frozen(self, dt: float) -> dict[str, float]:
 def _epoch_cluster_horizon(self) -> float:
     if self._epoch is None:
         raise FabricError("the cluster has no epoch length yet")
-    bound = max(self._epoch - self._epoch_elapsed, 1e-12)
+    bound = max(self._epoch_end - self.clock, 1e-12)
     for sim in self.rack_sims:
         if any(state.running for state in sim.tenant_states.values()):
             bound = min(bound, sim.horizon())
     return max(bound, 1e-12)
+
+
+def cluster_epoch_ends(monkeypatch) -> None:
+    """Cut every cluster step at every cluster epoch end until the test ends.
+
+    Each cluster keeps its own time into the epoch, summed chunk by chunk
+    from its first epoch on and reset at each epoch end, where it counts
+    ``fabric.cluster.epochs`` and recouples, whether or not a recoupling has
+    work.  Its horizon reads that counter.  Same simulated numbers as the
+    library up to float accumulation, in more chunks.  Cluster checkpoints
+    do not carry the counter.
+    """
+    monkeypatch.setattr(ClusterCoSimulator, "step", _every_epoch_step)
+    monkeypatch.setattr(ClusterCoSimulator, "horizon", _every_epoch_horizon)
+
+
+def _every_epoch_step(self, dt: float) -> dict[str, float]:
+    if dt < 0:
+        raise FabricError("cannot step the cluster backwards")
+    metrics().counter("fabric.cluster.step_calls").inc()
+    done: dict[str, float] = {name: 0.0 for name in self._tenant_rack}
+    elapsed = self.__dict__.get("_oracle_elapsed", 0.0)
+    end = self.clock + dt
+    remaining = float(dt)
+    while remaining > 1e-15:
+        chunk = min([remaining] + [sim._begin_chunk() for sim in self.rack_sims])
+        if self._epoch is not None:
+            chunk = min(chunk, max(self._epoch - elapsed, 0.0))
+        if chunk > 0:
+            for sim in self.rack_sims:
+                for name, amount in sim.step_frozen(chunk).items():
+                    if amount:
+                        done[name] = done.get(name, 0.0) + amount
+            if self._epoch is not None:
+                elapsed += chunk
+        roll_over(self.rack_sims, self._resolve_racks)
+        if self._epoch is not None and elapsed >= self._epoch - 1e-12:
+            metrics().counter("fabric.cluster.epochs").inc()
+            elapsed = 0.0
+            self._recouple()
+        remaining = end - self.clock
+    self._oracle_elapsed = elapsed
+    return done
+
+
+def _every_epoch_horizon(self) -> float:
+    if self._epoch is None:
+        raise FabricError("the cluster has no epoch length yet")
+    epoch_end = max(self._epoch - self.__dict__.get("_oracle_elapsed", 0.0), 1e-12)
+    bound = epoch_end if self._spilled or self._offset_nodes else math.inf
+    for sim in self.rack_sims:
+        if any(state.running for state in sim.tenant_states.values()):
+            bound = min(bound, sim.horizon())
+    return epoch_end if bound == math.inf else max(bound, 1e-12)
 
 
 def fresh_clean(rack: RackCoSimulator) -> bool:

@@ -28,6 +28,8 @@ from repro.config.errors import FabricError
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
+    FaultEvent,
+    FaultSchedule,
     MemoryPool,
     RackCoSimulator,
     TenantSpec,
@@ -130,6 +132,21 @@ class TestCheckpoint:
         with pytest.raises(FabricError, match="rack count"):
             large.rollover(small.checkpoint())
 
+    def test_refused_rollback_restores_no_rack(self, xsbench_spec):
+        """A fault applied on rack 1 after the checkpoint makes its rack
+        refuse the rollback; rack 0 must not have been restored before."""
+        sim = spread_tenants(build_cluster(n_racks=2), xsbench_spec)
+        sim.inject_faults(
+            FaultSchedule((FaultEvent(time=3.0, kind="port-degrade", port=0, rack=1, scale=0.5),))
+        )
+        sim.step(1.0)
+        checkpoint = sim.checkpoint()
+        sim.step(3.0)
+        with pytest.raises(FabricError, match="predates applied fault"):
+            sim.rollover(checkpoint)
+        assert [rack.clock for rack in sim.rack_sims] == [4.0, 4.0]
+        assert sim.clock == 4.0
+
 
 class TestDirtyRackTracking:
     def test_idle_racks_skip_resolves(self, xsbench_spec, telemetry_on):
@@ -218,6 +235,29 @@ class TestSpill:
         assert sim.cluster_pool.leased_bytes == 0
         assert not sim.is_spilled(tenants[1].name)
 
+    def test_refused_admission_leases_nothing(self, xsbench_spec, telemetry_on):
+        """A rack with no free node refuses a tenant that would spill before
+        either pool leases it a byte."""
+        sim = ClusterCoSimulator(
+            ClusterFabric(n_racks=1, nodes_per_rack=1),
+            rack_pool_bytes=1,
+            cluster_pool_bytes=1 << 40,
+        )
+        first, second = (TenantSpec(name=name, workload=xsbench_spec) for name in "ab")
+        sim.admit(0, first)
+        pools = (sim.cluster_pool, sim.rack_sim(0).pool)
+        before = [pool.sample(sim.clock) for pool in pools]
+        spills = telemetry_on.registry().counter("fabric.cluster.spills")
+        assert before[0].leased_bytes == first.lease_bytes > 0
+        assert spills.value == 1
+        with pytest.raises(FabricError, match="no free node"):
+            sim.admit(0, second)
+        assert [pool.sample(sim.clock) for pool in pools] == before
+        assert spills.value == 1
+        assert sim.tenant_names == ("a",)
+        sim.withdraw("a")
+        assert sim.cluster_pool.leased_bytes == 0
+
     def test_spilled_tenants_run_slower_than_local(self, xsbench_spec):
         """Uplink/spine background offsets must cost spilled tenants time."""
         lease_bytes = uniform_tenants(xsbench_spec, 1)[0].lease_bytes
@@ -249,6 +289,12 @@ class TestValidationAndSummary:
         fabric = ClusterFabric(n_racks=3, nodes_per_rack=4)
         with pytest.raises(FabricError, match="3 rack pool capacities"):
             ClusterCoSimulator(fabric, rack_pool_bytes=[1 * GiB])
+
+    def test_simulator_rejects_non_positive_epoch(self):
+        fabric = ClusterFabric(n_racks=2, nodes_per_rack=2)
+        for epoch in (0.0, -1.0):
+            with pytest.raises(FabricError, match="epoch_seconds must be positive"):
+                ClusterCoSimulator(fabric, epoch_seconds=epoch)
 
     def test_admission_in_the_past_is_refused(self, xsbench_spec):
         sim = build_cluster(n_racks=1)

@@ -7,6 +7,8 @@ holds its invariants (leased bytes never negative, migration charged exactly
 once), and checkpoints tolerate pending faults but refuse applied ones.
 """
 
+import math
+
 import pytest
 
 from repro.config.errors import FabricError
@@ -242,7 +244,11 @@ class TestPortFaults:
         assert after["t0"] == pytest.approx(
             before["t0"] + kill + SMALL_SHRINK / DEFAULT_DRAIN_BYTES_PER_S, rel=1e-12
         )
-        assert after["t1"] == before["t1"]
+        # t1 sees no background in either run, so only the cut points of
+        # its steps, which the faults move, can change its runtime's last bit.
+        for run in (clean, sim):
+            assert not run.interference_for("t1").bandwidths.any()
+        assert abs(after["t1"] - before["t1"]) <= 2 * math.ulp(before["t1"])
         assert len(cluster_steps) < 2 * after["t0"] / sim.epoch_seconds
 
     def test_seeded_kills_during_drains_keep_epoch_sized_steps(

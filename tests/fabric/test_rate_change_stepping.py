@@ -9,14 +9,22 @@ telemetry sample and background-history point exactly, and on every time to
 1e-12 relative, while the library takes no more steps.  Under the library,
 every chunk also checks each rack's O(1) clean flag against a fresh
 comparison of its demand signature, so a missed invalidation fails here.
+
+A cluster stops at its own epoch end only while a recoupling has work and
+counts the other epoch ends in place.  ``oracles.cluster_epoch_ends`` cuts a
+chunk at every one of them, as the cluster loop used to; against it, the
+cluster's steps that move the clock must match exactly too, and only the
+``step_frozen`` chunks may fall.  Every scheme recouples at the same epoch
+ends and counts the same cluster epochs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -41,16 +49,42 @@ from repro.workloads import build_workload, workload_names
 WORKLOADS = {name: build_workload(name) for name in workload_names()}
 APPS = sorted(WORKLOADS)
 
-#: Counts both stepping schemes must reach exactly.
+#: Counts every stepping scheme must reach exactly.
 EXACT_COUNTS = (
     "fabric.cosim.epoch_rollovers",
     "fabric.cosim.epoch_resolves",
     "fabric.cosim.epoch_skips",
     "fabric.rates.evaluations",
     "fabric.solve.calls",
+    "fabric.cluster.recouples",
+    "fabric.cluster.epochs",
 )
 #: Counts the library may only lower.
 STEP_COUNTS = ("fabric.cosim.step_calls", "fabric.cluster.step_calls")
+#: Cluster steps that move the clock.  An admission that a rounding error
+#: puts ahead of the clock steps the cluster less than 1e-15 s, which moves
+#: nothing, so these steps are where the cluster stopped.
+MOVING_STEPS = "moving cluster steps"
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """A reference stepping scheme and how the library must compare to it."""
+
+    #: Installs the scheme on a ``MonkeyPatch``.
+    install: Callable
+    #: Counts the library must reach exactly.
+    exact: tuple
+    #: Counts the library may only lower.
+    fewer: tuple
+
+
+#: Every rack stops at every epoch end.
+EPOCH_STEPPING = Oracle(oracles.epoch_stepping, EXACT_COUNTS, STEP_COUNTS)
+#: The cluster cuts a chunk at every cluster epoch end.
+CLUSTER_EPOCH_ENDS = Oracle(
+    oracles.cluster_epoch_ends, EXACT_COUNTS + (MOVING_STEPS,), ("fabric.cosim.step_calls",)
+)
 
 
 @dataclass
@@ -69,12 +103,13 @@ class Observed:
     histories: dict = field(default_factory=dict)
 
 
-def observe(scenario, oracle: bool) -> Observed:
-    """Run ``scenario`` under the library's stepping or under the oracle's."""
+def observe(scenario, oracle: Oracle | None = None) -> Observed:
+    """Run ``scenario`` under the library's stepping or under ``oracle``'s."""
     histories: dict = {}
+    moving = []
     with pytest.MonkeyPatch.context() as patch:
-        if oracle:
-            oracles.epoch_stepping(patch)
+        if oracle is not None:
+            oracle.install(patch)
         else:
             step_frozen = RackCoSimulator.step_frozen
 
@@ -93,6 +128,14 @@ def observe(scenario, oracle: bool) -> Observed:
             return withdraw(self, name, time)
 
         patch.setattr(RackCoSimulator, "withdraw", recording_withdraw)
+        cluster_step = ClusterCoSimulator.step
+
+        def recording_step(self, dt):
+            if dt > 1e-15:
+                moving.append(dt)
+            return cluster_step(self, dt)
+
+        patch.setattr(ClusterCoSimulator, "step", recording_step)
         telemetry.enable(reset=True)
         try:
             observed, rack_sims = scenario()
@@ -100,6 +143,7 @@ def observe(scenario, oracle: bool) -> Observed:
             observed.counts = {
                 name: registry.counter(name).value for name in EXACT_COUNTS + STEP_COUNTS
             }
+            observed.counts[MOVING_STEPS] = len(moving)
         finally:
             telemetry.disable()
             telemetry.registry().reset()
@@ -119,9 +163,19 @@ def assert_close(got, expected, absolute=0.0):
         assert got == pytest.approx(expected, rel=1e-12, abs=absolute)
 
 
-def assert_same_run(scenario) -> tuple[Observed, Observed]:
-    """The library's run of ``scenario`` against the oracle's, in full."""
-    library, oracle = observe(scenario, oracle=False), observe(scenario, oracle=True)
+def assert_same_run(scenario, against=(EPOCH_STEPPING,)) -> tuple[Observed, ...]:
+    """The library's run of ``scenario`` against each oracle's, in full.
+
+    Returns the library's observations, then each oracle's.
+    """
+    library = observe(scenario)
+    observed = [observe(scenario, oracle) for oracle in against]
+    for oracle, expected in zip(against, observed):
+        assert_matches(library, expected, oracle)
+    return (library, *observed)
+
+
+def assert_matches(library: Observed, oracle: Observed, scheme: Oracle) -> None:
     assert library.exact == oracle.exact
     assert set(library.times) == set(oracle.times)
     for name, (start, finish, wait, runtime) in oracle.times.items():
@@ -132,9 +186,9 @@ def assert_same_run(scenario) -> tuple[Observed, Observed]:
         assert_close(got[2], wait, absolute=1e-9)
         assert_close(got[3], runtime, absolute=1e-9)
     assert_close(library.makespan, oracle.makespan)
-    for name in EXACT_COUNTS:
+    for name in scheme.exact:
         assert library.counts[name] == oracle.counts[name], name
-    for name in STEP_COUNTS:
+    for name in scheme.fewer:
         assert library.counts[name] <= oracle.counts[name], name
     assert len(library.samples) == len(oracle.samples)
     for got, expected in zip(library.samples, oracle.samples):
@@ -147,7 +201,6 @@ def assert_same_run(scenario) -> tuple[Observed, Observed]:
         assert len(got_times) == len(times), name
         assert_close(got_times, times)
         assert_close(got_bandwidths, bandwidths)
-    return library, oracle
 
 
 def rack_run(apps, arrivals, pool_share, ports, seed):
@@ -295,9 +348,20 @@ class TestSameRunAsEpochStepping:
         pool_share=st.floats(0.3, 1.0),
         seed=st.integers(0, 2),
     )
+    # Cutting at the epoch end at 3.0 s left the old loop's clock a rounding
+    # error short of the arrivals there, so each admission stepped < 1e-15 s.
+    @example(
+        n_racks=1,
+        mix=(["BFS"] * 6 + ["Hypre", "BFS"], [0.0, 0.0, 2.0, 3.0, 3.0, 3.0, 2.0, 3.0]),
+        pool_share=1.0,
+        seed=0,
+    )
     def test_cluster_with_spills(self, n_racks, mix, pool_share, seed):
         apps, arrivals = mix
-        assert_same_run(cluster_run(n_racks, apps, arrivals, pool_share, seed))
+        assert_same_run(
+            cluster_run(n_racks, apps, arrivals, pool_share, seed),
+            (EPOCH_STEPPING, CLUSTER_EPOCH_ENDS),
+        )
 
     @given(
         n_racks=st.integers(1, 3),
@@ -321,13 +385,21 @@ class TestSameRunAsEpochStepping:
                 mean_duration=2.0,
             )
 
-        assert_same_run(cluster_run(n_racks, apps, arrivals, 0.6, 0, faults))
+        assert_same_run(
+            cluster_run(n_racks, apps, arrivals, 0.6, 0, faults),
+            (EPOCH_STEPPING, CLUSTER_EPOCH_ENDS),
+        )
 
     @pytest.mark.parametrize("seed, copies", [(0, 2), (1, 1)])
     def test_coupled_scheduling_leg(self, seed, copies):
-        library, oracle = assert_same_run(coupled_leg(seed, copies))
+        library, epochs, cluster_epochs = assert_same_run(
+            coupled_leg(seed, copies), (EPOCH_STEPPING, CLUSTER_EPOCH_ENDS)
+        )
         assert library.counts["fabric.cluster.step_calls"] < (
-            oracle.counts["fabric.cluster.step_calls"]
+            epochs.counts["fabric.cluster.step_calls"]
+        )
+        assert library.counts["fabric.cosim.step_calls"] < (
+            cluster_epochs.counts["fabric.cosim.step_calls"]
         )
 
 
@@ -351,7 +423,6 @@ class TestPinnedStepCounts:
                 2, ["Hypre", "BFS", "HPL", "XSBench"], [0.0, 0.5, 1.0, 1.5], 0.6, 0,
                 seeded_faults,
             ),
-            oracle=False,
         )
         assert observed.exact[0][0] == ("r0-HPL-2", "granted", True)
         # 126.3 s at 1.5 s epochs.  While r0-HPL-2 runs spilled, every
@@ -360,19 +431,24 @@ class TestPinnedStepCounts:
         # phase ends, the re-solves those dirty and finishes: 76.  The
         # closed loop fires a due fault before it steps; a loop that left it
         # to the next step took one more 1e-12 s step per fault event (86).
-        # Chunks: the 76 step ends plus the 52 cluster epoch ends crossed
-        # once nothing spills, for each of the 2 racks: 2 x 128 = 256.
-        # Stepping epoch by epoch takes 236 steps and 532 chunks.
+        # Chunks: each step is one chunk on each of the 2 racks, 2 x 76 =
+        # 152.  The 52 cluster epoch ends crossed once nothing spills are
+        # counted in place with the others (84); cutting a chunk at each of
+        # them took 2 x 128 = 256.  Stepping epoch by epoch takes 236 steps
+        # and 532 chunks.
         assert observed.counts["fabric.cluster.step_calls"] == 76
-        assert observed.counts["fabric.cosim.step_calls"] == 256
+        assert observed.counts["fabric.cosim.step_calls"] == 152
+        assert observed.counts["fabric.cluster.epochs"] == 84
 
     def test_coupled_leg(self):
-        observed = observe(coupled_leg(0, 2), oracle=False)
-        # Nothing spills, so no cluster epoch end ends a step: one step per
-        # scheduler event that moves the clock (arrivals, finishes, phase
-        # ends and the re-solves they dirty): 23.  Chunks: the cluster still
-        # cuts its own epochs, 106 of them in 122.2 s, plus 25 step and rack
-        # bounds, for each of the 2 racks: 2 x 131 = 262.  Stepping epoch by
-        # epoch took 325 steps and 654 chunks.
+        observed = observe(coupled_leg(0, 2))
+        # Nothing spills, so no cluster epoch end ends a step or a chunk:
+        # one step per scheduler event that moves the clock (arrivals,
+        # finishes, phase ends and the re-solves they dirty): 23, each one
+        # chunk on each of the 2 racks: 2 x 23 = 46.  The cluster's 107 epoch
+        # ends in 122.2 s are counted in place; cutting a chunk at each of
+        # them took 2 x 131 = 262.  Stepping epoch by epoch took 325 steps
+        # and 654 chunks.
         assert observed.counts["fabric.cluster.step_calls"] == 23
-        assert observed.counts["fabric.cosim.step_calls"] == 262
+        assert observed.counts["fabric.cosim.step_calls"] == 46
+        assert observed.counts["fabric.cluster.epochs"] == 107

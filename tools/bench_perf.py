@@ -389,7 +389,8 @@ def bench_fault_injection(quick: bool) -> list[dict]:
 
     * ``fault_injection.disabled_check`` — with no faults injected the fault
       layer's hot-path cost is two ``_faults_active`` boolean checks per step
-      chunk (``begin_chunk`` and ``step_frozen``).  The row times the same epoch loop as ``rack_cosim_step`` with
+      chunk (the rack's chunk bound ``_begin_chunk`` and ``step_frozen``).
+      The row times the same stepping loop as ``rack_cosim_step`` with
       the layer disarmed, measures the per-check cost standalone, and records
       ``extra.disabled_overhead_pct`` = checks x cost / wall time — the
       < 2% acceptance bound of ``docs/failure_model.md``.
