@@ -1,8 +1,8 @@
-"""The paper's case studies plus the trace-replay extension.
+"""The paper's case studies plus their cluster-scale extension.
 
 BFS data placement (Section 7.1), interference-aware scheduling
-(Section 7.2), and :mod:`repro.casestudies.trace_replay` — real Slurm
-``sacct`` traces replayed through the cluster simulator (ROADMAP item 3).
+(Section 7.2), and the one cluster-scheduling study, whose job stream is
+synthetic or a real Slurm ``sacct`` trace (:mod:`repro.casestudies.trace_replay`).
 """
 
 from .bfs_placement import (

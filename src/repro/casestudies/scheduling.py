@@ -8,9 +8,10 @@ jobs with sensitive ones).  The paper reports mean speedups of roughly
 4% (Hypre), 2% (NekRS, SuperLU), 1% (BFS, HPL) and 0% (XSBench), and a
 reduction of the 75th-percentile execution time of 1-5%.
 
-:class:`CoupledSchedulingStudy` extends the study to the rack-scale
-:class:`~repro.scheduler.simulator.ClusterSimulator`: the *same* job stream is
-scheduled once with the paper's static ``slowdown_at(LoI)`` pricing and once
+:class:`CoupledSchedulingStudy`, the one cluster-scheduling study, extends
+the study to the rack-scale :class:`~repro.scheduler.simulator.ClusterSimulator`:
+the *same* job stream — synthetic or a ``sacct`` trace — is scheduled once
+with the paper's static ``slowdown_at(LoI)`` pricing and once
 with :class:`~repro.scheduler.progress.FabricCoupledProgress`, which steps a
 :class:`~repro.fabric.cosim.RackCoSimulator` per rack between scheduler
 events.  The delta between the two outcomes is the study's result: how much
@@ -21,11 +22,12 @@ to the submission-time hints alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
+from ..config.errors import SchedulingError
 from ..config.units import bytes_to_gb
+from ..fabric.faults import BlastRadiusReport
 from ..profiler.level3 import Level3Profiler, SensitivityCurve
 from ..scheduler.cluster import Cluster
 from ..scheduler.job import JobProfile
@@ -33,8 +35,10 @@ from ..scheduler.policies import make_policy
 from ..scheduler.progress import FabricCoupledProgress, StaticCurveProgress, fabric_job_profile
 from ..scheduler.simulator import ClusterSimulator, CoLocationResult, CoLocationStudy, ScheduleOutcome
 from ..sim.platform import Platform
+from ..telemetry import trace_span
 from ..workloads.base import WorkloadSpec
 from ..workloads.registry import build_all
+from .trace_replay import TraceJobMapper, TraceReplayResult, trace_job_stream, trace_workloads
 
 
 @dataclass(frozen=True)
@@ -59,13 +63,6 @@ class WorkloadSchedulingResult:
         if p75 <= 0:
             return 0.0
         return 1.0 - self.aware.percentile(75) / p75
-
-    @property
-    def variability_reduction(self) -> float:
-        """Relative reduction of the interquartile range."""
-        if self.baseline.variability <= 0:
-            return 0.0
-        return 1.0 - self.aware.variability / self.baseline.variability
 
     def summary(self) -> dict:
         """Row used by the Figure-13 benchmark and EXPERIMENTS.md."""
@@ -196,6 +193,8 @@ class CoupledSchedulingResult:
 
     static: ScheduleOutcome
     coupled: ScheduleOutcome
+    #: The coupled leg's blast radius when faults were injected.
+    faults: Optional[BlastRadiusReport] = None
 
     @property
     def makespan_delta(self) -> float:
@@ -224,7 +223,7 @@ class CoupledSchedulingResult:
         return max(shifts, default=0.0)
 
     def summary(self) -> dict:
-        """CLI/README-friendly comparison rows."""
+        """CLI/README-friendly comparison rows (and the faults' blast radius)."""
 
         def row(outcome: ScheduleOutcome) -> dict:
             return {
@@ -234,7 +233,7 @@ class CoupledSchedulingResult:
                 "mean_wait_s": outcome.mean_wait,
             }
 
-        return {
+        summary = {
             "policy": self.static.policy,
             "static": row(self.static),
             "fabric_coupled": row(self.coupled),
@@ -242,16 +241,19 @@ class CoupledSchedulingResult:
             "mean_slowdown_delta": self.mean_slowdown_delta,
             "max_finish_time_shift_s": self.max_finish_time_shift,
         }
+        if self.faults is not None:
+            summary["faults"] = self.faults.summary()
+        return summary
 
 
 class CoupledSchedulingStudy:
     """Schedules one job stream with and without the fabric in the loop.
 
-    Job profiles are measured on the fabric's own models
-    (:func:`~repro.scheduler.progress.fabric_job_profile`), so both pricing
-    machineries see the same baseline runtimes, induced-LoI hints and pool
-    shares; any outcome difference comes from *how* interference is resolved,
-    not from different inputs.
+    The stream is the synthetic Table-2 one (:meth:`run`), measured on the
+    fabric's own models (:func:`~repro.scheduler.progress.fabric_job_profile`),
+    or a ``sacct`` dump (:meth:`replay`).  Both pricing machineries see the
+    same inputs, so any outcome difference comes from *how* interference is
+    resolved.
     """
 
     #: Policies that score racks through the live progress model and must be
@@ -274,6 +276,8 @@ class CoupledSchedulingStudy:
         overcommit: bool = False,
         drain_bytes_per_s: Optional[float] = None,
     ) -> None:
+        if pool_capacity_gb <= 0:
+            raise SchedulingError("pool_capacity_gb must be positive")
         self.n_racks = n_racks
         self.nodes_per_rack = nodes_per_rack
         self.pool_capacity_gb = pool_capacity_gb
@@ -336,16 +340,56 @@ class CoupledSchedulingStudy:
         stagger: float = 0.0,
         with_sensitivity: bool = False,
     ) -> CoupledSchedulingResult:
-        """Schedule the stream twice — static pricing vs fabric coupling."""
+        """Schedule the synthetic stream twice — static pricing vs fabric coupling."""
         profiles, arrivals, workloads = self.job_stream(
             specs, copies, stagger, with_sensitivity=with_sensitivity
         )
+        return self._schedule(profiles, arrivals, workloads)[1]
+
+    def replay(
+        self,
+        source: Union[str, Path, Iterable[str]],
+        limit: Optional[int] = None,
+        window: Optional[tuple] = None,
+        coupled: bool = True,
+    ) -> TraceReplayResult:
+        """Schedule a ``sacct`` dump (a path or line stream): the static leg,
+        and the fabric leg when ``coupled``.  The study's ``local_fraction``
+        splits each job's lease and prices its traffic."""
+        mapper = TraceJobMapper(local_fraction=self.local_fraction)
+        with trace_span("trace_replay.ingest"):
+            profiles, arrivals, unplaceable, report = trace_job_stream(
+                source, mapper, self.seed, self.pool_capacity_gb, limit, window
+            )
+        if not profiles:
+            raise SchedulingError(
+                "trace replay produced no replayable jobs "
+                f"(ingest report: {report.summary()})"
+            )
+        with trace_span("trace_replay.simulate", jobs=len(profiles)):
+            static, comparison = self._schedule(profiles, arrivals, trace_workloads(), coupled)
+        return TraceReplayResult(
+            outcome=static,
+            ingest=report.summary(),
+            jobs_replayed=len(profiles),
+            unplaceable_jobs=unplaceable,
+            peak_pool_demand_gb=max(p.pool_gb for p in profiles),
+            trace_span_s=max(arrivals),
+            coupled=comparison,
+        )
+
+    def _schedule(
+        self, profiles: list, arrivals: list, workloads: Mapping, coupled: bool = True
+    ) -> tuple[ScheduleOutcome, Optional[CoupledSchedulingResult]]:
+        """The static leg and, when ``coupled``, its comparison with the fabric leg."""
         static_outcome = ClusterSimulator(
             self._cluster(),
             make_policy(self.policy),
             seed=self.seed,
             progress=StaticCurveProgress(),
         ).run(profiles, arrivals=arrivals)
+        if not coupled:
+            return static_outcome, None
         progress = FabricCoupledProgress(
             workloads=workloads,
             local_fraction=self.local_fraction,
@@ -368,7 +412,10 @@ class CoupledSchedulingStudy:
             seed=self.seed,
             progress=progress,
         ).run(profiles, arrivals=arrivals)
-        return CoupledSchedulingResult(static=static_outcome, coupled=coupled_outcome)
+        faults = None
+        if self.fault_schedule is not None:
+            faults = progress.cluster_simulator().blast_radius()
+        return static_outcome, CoupledSchedulingResult(static_outcome, coupled_outcome, faults)
 
     @classmethod
     def sweep(

@@ -2,12 +2,12 @@
 
 The capacity-planning question the paper asks — *how much pooled memory does
 a machine actually need?* — is only as strong as the workload driving it.
-:class:`TraceReplayStudy` closes that gap: a ``sacct`` dump streamed through
-:mod:`repro.data.slurm` becomes the job stream of a
-:class:`~repro.scheduler.simulator.ClusterSimulator` run, so pool-aware
-placement (:class:`~repro.scheduler.policies.PoolAwarePlacement`) is judged
-against a machine's *measured* memory footprints and arrival process instead
-of an analytic model.
+A ``sacct`` dump streamed through :mod:`repro.data.slurm` becomes the job
+stream of the one scheduling study
+(:meth:`~repro.casestudies.scheduling.CoupledSchedulingStudy.replay`), so
+pool-aware placement (:class:`~repro.scheduler.policies.PoolAwarePlacement`)
+is judged against a machine's *measured* memory footprints and arrival
+process instead of an analytic model.
 
 Mapping contract (:class:`TraceJobMapper`):
 
@@ -20,10 +20,13 @@ Mapping contract (:class:`TraceJobMapper`):
   not subtractable from accounting data — a documented limitation).
 * ``Submit`` offsets (relative to the first replayed job) become arrivals,
   so queueing emerges from the real arrival process.
+* Accounting data records no memory traffic, so a job's ``workload`` is
+  one of the six Table-2 applications (a CRC-32 of the seed and the job id)
+  at the scale (1, 2 or 4) whose footprint is nearest the job's, e.g.
+  ``"BFS@4"``; the coupled fabric prices that application's traffic.
 * Sensitivity hints are not in accounting data; a configurable default
   (``default_sensitivity`` / ``default_induced_loi``) stands in, making the
-  replay a *capacity* study by default and an *interference* study when the
-  caller supplies measured curves.
+  static replay a *capacity* study.
 
 Multi-node trace jobs occupy **one** simulator node but carry their full
 pooled footprint — capacity pressure is exact, node-count pressure is not
@@ -33,23 +36,44 @@ counted (``unplaceable_jobs``), never silently shrunk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from ..config.errors import SchedulingError
 from ..config.units import bytes_to_gb
 from ..data.slurm import IngestReport, TraceJob, read_sacct
 from ..profiler.level3 import SensitivityCurve
-from ..scheduler.cluster import Cluster
 from ..scheduler.job import JobProfile
-from ..scheduler.policies import make_policy
-from ..scheduler.simulator import ClusterSimulator, ScheduleOutcome
-from ..telemetry import trace_span
+from ..scheduler.simulator import ScheduleOutcome
+from ..workloads.base import WorkloadSpec
+from ..workloads.registry import build_workload, workload_names
 
-#: Workload label replayed jobs carry (``JobProfile.workload``); kept a
-#: constant so per-workload groupings aggregate the whole trace.
-TRACE_WORKLOAD = "trace"
+if TYPE_CHECKING:
+    from .scheduling import CoupledSchedulingResult
+
+#: The scales of a replayed job's application: Table 2's three inputs.
+TRACE_SCALES = (1, 2, 4)
+
+
+@functools.lru_cache(maxsize=None)
+def trace_workloads() -> Mapping[str, WorkloadSpec]:
+    """Every ``"<application>@<scale>"`` a replayed job may run as, built
+    once per process so one study's baseline runs serve the next."""
+    return MappingProxyType(
+        {f"{app}@{s}": build_workload(app, s) for app in workload_names() for s in TRACE_SCALES}
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _footprints(app: str) -> tuple:
+    """``(footprint bytes, label)`` of ``app`` at each scale."""
+    return tuple(
+        (trace_workloads()[f"{app}@{s}"].footprint_bytes, f"{app}@{s}") for s in TRACE_SCALES
+    )
 
 
 @dataclass(frozen=True)
@@ -85,11 +109,20 @@ class TraceJobMapper:
         if self.min_runtime_s <= 0:
             raise SchedulingError("min_runtime_s must be positive")
 
-    def profile_of(self, job: TraceJob) -> JobProfile:
+    def workload_of(self, job: TraceJob, seed: int = 0) -> str:
+        """The key of :func:`trace_workloads` ``job`` runs as: the application
+        by a CRC-32 of ``seed`` and the job id (unlike the salted ``hash``,
+        stable across processes), the scale nearest its footprint."""
+        apps = workload_names()
+        app = apps[zlib.crc32(f"{seed}:{job.job_id}".encode()) % len(apps)]
+        footprint = job.footprint_bytes
+        return min(_footprints(app), key=lambda c: abs(c[0] - footprint))[1]
+
+    def profile_of(self, job: TraceJob, seed: int = 0) -> JobProfile:
         """The submission-time profile a replayed trace job presents."""
         remote_bytes = job.footprint_bytes * (1.0 - self.local_fraction)
         return JobProfile(
-            workload=TRACE_WORKLOAD,
+            workload=self.workload_of(job, seed),
             baseline_runtime=max(job.elapsed_s, self.min_runtime_s),
             sensitivity=self.default_sensitivity,
             induced_loi=self.default_induced_loi,
@@ -99,7 +132,8 @@ class TraceJobMapper:
 
 @dataclass(frozen=True)
 class TraceReplayResult:
-    """Outcome of one trace replay: schedule statistics + ingestion report."""
+    """Outcome of one trace replay: schedule statistics + ingestion report
+    (+ the static-vs-coupled comparison when the fabric leg ran)."""
 
     outcome: ScheduleOutcome
     ingest: dict
@@ -107,14 +141,14 @@ class TraceReplayResult:
     unplaceable_jobs: int
     peak_pool_demand_gb: float
     trace_span_s: float
+    coupled: Optional["CoupledSchedulingResult"] = None
 
     def summary(self) -> dict:
-        """CLI/README-friendly summary of the replay."""
-        finished = sum(1 for j in self.outcome.jobs if j.finished)
-        return {
+        """CLI/README-friendly summary: the static leg, then any fabric leg."""
+        summary = {
             "policy": self.outcome.policy,
             "jobs_replayed": self.jobs_replayed,
-            "jobs_finished": finished,
+            "jobs_finished": sum(1 for job in self.outcome.jobs if job.finished),
             "unplaceable_jobs": self.unplaceable_jobs,
             "makespan_s": self.outcome.makespan,
             "mean_wait_s": self.outcome.mean_wait,
@@ -123,39 +157,65 @@ class TraceReplayResult:
             "trace_span_s": self.trace_span_s,
             "ingest": self.ingest,
         }
+        if self.coupled is not None:
+            comparison = self.coupled.summary()
+            del comparison["policy"], comparison["static"]
+            comparison["fabric_coupled"]["jobs_finished"] = sum(
+                1 for job in self.coupled.coupled.jobs if job.finished
+            )
+            summary.update(comparison)
+        return summary
+
+
+def trace_job_stream(
+    source: Union[str, Path, Iterable[str]],
+    mapper: TraceJobMapper,
+    seed: int,
+    pool_capacity_gb: float,
+    limit: Optional[int] = None,
+    window: Optional[tuple] = None,
+) -> tuple[list[JobProfile], list[float], int, IngestReport]:
+    """(profiles, arrivals, unplaceable jobs, ingest report) of a ``sacct``
+    dump, streamed: only the replayed window (after ``limit`` / ``window``)
+    is materialised, and a job too large for a rack's pool is only counted."""
+    report = IngestReport()
+    profiles: list[JobProfile] = []
+    arrivals: list[float] = []
+    origin: Optional[float] = None
+    unplaceable = 0
+    for job in read_sacct(source, limit=limit, window=window, report=report):
+        profile = mapper.profile_of(job, seed)
+        if profile.pool_gb > pool_capacity_gb:
+            unplaceable += 1
+            continue
+        if origin is None:
+            origin = job.submit_unix or 0.0
+        profiles.append(profile)
+        arrivals.append(max((job.submit_unix or 0.0) - origin, 0.0))
+    return profiles, arrivals, unplaceable, report
 
 
 class TraceReplayStudy:
-    """Stream a ``sacct`` dump into one cluster-simulation run.
-
-    The ingester stays streaming end to end: trace jobs are mapped to
-    profiles one at a time and only the *replayed window* (post ``limit`` /
-    ``window`` filtering) is materialised for the simulator — bounding a
-    multi-month trace replay by the slice being studied, not the dump size.
-
-    Parameters mirror :class:`~repro.scheduler.cluster.Cluster.build`;
-    ``mapper`` carries the trace→profile defaults.
-    """
+    """The static replay of a ``sacct`` dump: an entry point onto the one
+    scheduling study that builds no cluster or simulator of its own."""
 
     def __init__(
         self,
         n_racks: int = 4,
         nodes_per_rack: int = 16,
         pool_capacity_gb: float = 2048.0,
-        local_memory_gb: float = 256.0,
         policy: str = "pool-aware",
         seed: int = 0,
-        mapper: Optional[TraceJobMapper] = None,
     ) -> None:
-        if pool_capacity_gb <= 0:
-            raise SchedulingError("pool_capacity_gb must be positive")
-        self.n_racks = n_racks
-        self.nodes_per_rack = nodes_per_rack
-        self.pool_capacity_gb = pool_capacity_gb
-        self.local_memory_gb = local_memory_gb
-        self.policy = policy
-        self.seed = seed
-        self.mapper = mapper if mapper is not None else TraceJobMapper()
+        from .scheduling import CoupledSchedulingStudy  # which imports this module
+
+        self.study = CoupledSchedulingStudy(
+            n_racks=n_racks,
+            nodes_per_rack=nodes_per_rack,
+            pool_capacity_gb=pool_capacity_gb,
+            policy=policy,
+            seed=seed,
+        )
 
     def run(
         self,
@@ -164,43 +224,4 @@ class TraceReplayStudy:
         window: Optional[tuple] = None,
     ) -> TraceReplayResult:
         """Replay ``source`` (a path or line stream) to completion."""
-        report = IngestReport()
-        profiles: list[JobProfile] = []
-        arrivals: list[float] = []
-        origin: Optional[float] = None
-        unplaceable = 0
-        last_submit = 0.0
-        with trace_span("trace_replay.ingest"):
-            for job in read_sacct(source, limit=limit, window=window, report=report):
-                profile = self.mapper.profile_of(job)
-                if profile.pool_gb > self.pool_capacity_gb:
-                    unplaceable += 1
-                    continue
-                if origin is None:
-                    origin = job.submit_unix or 0.0
-                offset = max((job.submit_unix or 0.0) - origin, 0.0)
-                profiles.append(profile)
-                arrivals.append(offset)
-                last_submit = max(last_submit, offset)
-        if not profiles:
-            raise SchedulingError(
-                "trace replay produced no replayable jobs "
-                f"(ingest report: {report.summary()})"
-            )
-        cluster = Cluster.build(
-            n_racks=self.n_racks,
-            nodes_per_rack=self.nodes_per_rack,
-            local_memory_gb=self.local_memory_gb,
-            pool_capacity_gb=self.pool_capacity_gb,
-        )
-        simulator = ClusterSimulator(cluster, make_policy(self.policy), seed=self.seed)
-        with trace_span("trace_replay.simulate", jobs=len(profiles)):
-            outcome = simulator.run(profiles, arrivals=arrivals)
-        return TraceReplayResult(
-            outcome=outcome,
-            ingest=report.summary(),
-            jobs_replayed=len(profiles),
-            unplaceable_jobs=unplaceable,
-            peak_pool_demand_gb=max(p.pool_gb for p in profiles),
-            trace_span_s=last_submit,
-        )
+        return self.study.replay(source, limit=limit, window=window, coupled=False)

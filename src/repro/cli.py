@@ -9,6 +9,8 @@ Sub-commands map directly onto the paper's experiments::
     repro-dmem bfs-case-study          # Section 7.1
     repro-dmem scheduling --runs 20    # Section 7.2 (reduced run count)
     repro-dmem scheduling --coupled    # rack-scale static vs fabric-coupled
+    repro-dmem scheduling --trace sacct.txt --coupled
+                                       # a Slurm trace, static vs fabric-coupled
     repro-dmem fabric --tenants 6      # rack co-simulation (Section 7.2 extension)
     repro-dmem fabric --inject port-kill@5.0:port=0,duration=2.0
                                        # chaos run: kill a pool port for 2 s
@@ -30,7 +32,8 @@ import numpy as np
 from . import analysis, telemetry
 from .analysis.tables import format_table
 from .casestudies.bfs_placement import BFSPlacementCaseStudy
-from .casestudies.scheduling import SchedulingCaseStudy
+from .casestudies.scheduling import CoupledSchedulingStudy, SchedulingCaseStudy
+from .config.errors import ReproError
 from .config.units import gb_per_s
 from .profiler.profiler import MultiLevelProfiler
 from .telemetry.report import render_report
@@ -291,75 +294,52 @@ def _fault_schedule_from(args: argparse.Namespace) -> Any:
         raise SystemExit(2)
 
 
-def _run_trace_replay(args: argparse.Namespace) -> int:
-    """``scheduling --trace``: replay a recorded sacct dump (ROADMAP item 3)."""
-    from .casestudies.trace_replay import TraceJobMapper, TraceReplayStudy
-    from .config.errors import ReproError
-
-    if args.coupled or getattr(args, "inject", None) or args.overcommit:
-        print(
-            "--trace replays a recorded workload and cannot be combined with "
-            "--coupled/--inject/--overcommit",
-            file=sys.stderr,
-        )
-        return 2
-    study = TraceReplayStudy(
-        n_racks=args.racks,
-        nodes_per_rack=args.nodes_per_rack,
-        pool_capacity_gb=args.pool_gb,
-        policy=args.policy,
-        seed=args.seed,
-        mapper=TraceJobMapper(local_fraction=args.trace_local_fraction),
-    )
-    try:
-        result = study.run(args.trace, limit=args.trace_limit, window=args.trace_window)
-    except OSError as exc:
-        print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"trace replay failed: {exc}", file=sys.stderr)
-        return 2
-    _emit(result.summary(), args.json)
-    return 0
-
-
 def cmd_scheduling(args: argparse.Namespace) -> int:
-    if args.trace is not None:
-        return _run_trace_replay(args)
     schedule = _fault_schedule_from(args)
     if (schedule is not None or args.overcommit) and not args.coupled:
         print("--inject/--overcommit require --coupled", file=sys.stderr)
         return 2
-    if args.coupled:
-        from .casestudies.scheduling import CoupledSchedulingStudy
-        from .workloads.registry import build_workload as _build
-
-        specs = [_build(name, args.scale) for name in args.workloads] if args.workloads else None
-        study = CoupledSchedulingStudy(
-            n_racks=args.racks,
-            nodes_per_rack=args.nodes_per_rack,
-            pool_capacity_gb=args.pool_gb,
-            policy=args.policy,
-            ports_per_rack=args.ports,
-            epoch_seconds=args.epoch_seconds,
-            scale=args.scale,
-            seed=args.seed,
-            cluster_pool_gb=args.cluster_pool_gb,
-            fault_schedule=schedule,
-            overcommit=args.overcommit,
-            drain_bytes_per_s=gb_per_s(args.drain_gbs),
-        )
+    if args.trace is None and not args.coupled:
+        study = SchedulingCaseStudy(n_runs=args.runs, seed=args.seed)
+        result = study.run(jobs=args.jobs)
+        _emit({r.workload: r.summary() for r in result.results}, args.json)
+        return 0
+    study = CoupledSchedulingStudy(
+        n_racks=args.racks,
+        nodes_per_rack=args.nodes_per_rack,
+        pool_capacity_gb=args.pool_gb,
+        local_fraction=args.trace_local_fraction if args.trace else 0.5,
+        policy=args.policy,
+        ports_per_rack=args.ports,
+        epoch_seconds=args.epoch_seconds,
+        scale=args.scale,
+        seed=args.seed,
+        cluster_pool_gb=args.cluster_pool_gb,
+        fault_schedule=schedule,
+        overcommit=args.overcommit,
+        drain_bytes_per_s=gb_per_s(args.drain_gbs),
+    )
+    if args.trace is None:
+        names = args.workloads or ()
+        specs = [build_workload(name, args.scale) for name in names] or None
         result = study.run(
             specs=specs,
             copies=args.copies,
             stagger=args.stagger,
             with_sensitivity=args.with_sensitivity,
         )
-        _emit(result.summary(), args.json)
-        return 0
-    study = SchedulingCaseStudy(n_runs=args.runs, seed=args.seed)
-    result = study.run(jobs=args.jobs)
-    _emit({r.workload: r.summary() for r in result.results}, args.json)
+    else:
+        try:
+            result = study.replay(
+                args.trace, limit=args.trace_limit, window=args.trace_window, coupled=args.coupled
+            )
+        except OSError as exc:
+            print(f"cannot read trace {args.trace!r}: {exc}", file=sys.stderr)
+            return 2
+        except ReproError as exc:
+            print(f"trace replay failed: {exc}", file=sys.stderr)
+            return 2
+    _emit(result.summary(), args.json)
     return 0
 
 
@@ -551,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="replay a Slurm 'sacct -P' dump through the cluster simulator "
-        "instead of the synthetic Section 7.2 workloads (see docs/data.md)",
+        "instead of the synthetic Section 7.2 workloads; with --coupled the "
+        "fabric leg runs too (see docs/data.md)",
     )
     p_sched.add_argument(
         "--trace-limit",
@@ -573,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=closed_fraction,
         default=0.5,
         help="fraction of each trace job's footprint served node-locally; "
-        "the rest draws on the rack pool",
+        "the rest draws on the rack pool, and the coupled fabric prices "
+        "the job's traffic at the same split",
     )
     p_sched.add_argument("--copies", type=positive_int, default=2, help="jobs per workload")
     p_sched.add_argument("--racks", type=positive_int, default=2, help="racks in the cluster")

@@ -3,7 +3,7 @@
 * :mod:`repro.data.top500` — supercomputer memory configurations
   (Figure 1, Table 1).
 * :mod:`repro.data.slurm` — streaming ingestion of real Slurm ``sacct``
-  traces into replayable job streams (ROADMAP item 3).
+  traces into replayable job streams.
 """
 
 from .slurm import (

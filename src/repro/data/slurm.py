@@ -1,4 +1,4 @@
-"""Streaming ingestion of Slurm ``sacct`` accounting dumps (ROADMAP item 3).
+"""Streaming ingestion of Slurm ``sacct`` accounting dumps.
 
 Every workload in the repository used to be synthetic
 (:mod:`repro.workloads` analytic models).  This module replays *real*

@@ -27,11 +27,6 @@ class SystemMemoryConfig:
     year: int
 
     @property
-    def total_memory_gb_per_node(self) -> float:
-        """DDR + HBM capacity per node, GB."""
-        return (self.ddr_gb_per_node or 0.0) + (self.hbm_gb_per_node or 0.0)
-
-    @property
     def has_hbm(self) -> bool:
         """Whether the system has an HBM tier."""
         return bool(self.hbm_gb_per_node)

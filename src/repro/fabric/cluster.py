@@ -1,6 +1,6 @@
 """Cluster-scale fabric: racks composed over uplinks, a spine, and pooled spill.
 
-This is ROADMAP item 1's datacenter layer on top of the single-rack
+This is the datacenter layer on top of the single-rack
 :mod:`repro.fabric` machinery:
 
 * :class:`ClusterFabric` composes ``n_racks`` :class:`~repro.fabric.topology.
@@ -135,11 +135,6 @@ class ClusterFabric:
             ),
             queueing,
         )
-
-    @property
-    def total_nodes(self) -> int:
-        """Compute nodes across all racks."""
-        return self.n_racks * self.nodes_per_rack
 
     def rack(self, index: int) -> FabricTopology:
         """Rack ``index``'s topology (validating the index)."""

@@ -128,6 +128,9 @@ class TenantSpec:
     pool_bytes:
         Explicit pool lease size; None derives it from the footprint and
         ``local_fraction``.
+    baseline_runtime:
+        Runtime of the job the tenant stands for, seconds, to which its
+        phases stretch at their offered bandwidth; None keeps the engine's.
     """
 
     name: str
@@ -135,6 +138,7 @@ class TenantSpec:
     local_fraction: float = 0.5
     arrival: float = 0.0
     pool_bytes: Optional[int] = None
+    baseline_runtime: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.local_fraction <= 1.0:
@@ -143,6 +147,8 @@ class TenantSpec:
             raise FabricError(f"tenant {self.name!r}: arrival must be >= 0")
         if self.pool_bytes is not None and self.pool_bytes < 0:
             raise FabricError(f"tenant {self.name!r}: pool_bytes must be >= 0")
+        if self.baseline_runtime is not None and not self.baseline_runtime > 0:
+            raise FabricError(f"tenant {self.name!r}: baseline_runtime must be > 0")
 
     @property
     def lease_bytes(self) -> int:
@@ -228,9 +234,10 @@ class _TenantState:
 
     ``baseline`` is the tenant's interference-free engine run
     (:func:`baseline_run`); its phases are shared with every tenant of the
-    same workload and local fraction.  ``perf`` prices the tenant's phases on
-    its pool port, which may be provisioned differently from the node's own
-    link.
+    same workload and local fraction; a spec's ``baseline_runtime`` stretches
+    their runtimes (not their rates) to it.  ``perf`` prices the tenant's
+    phases on its pool port, which may be provisioned differently from the
+    node's own link.
     """
 
     def __init__(
@@ -241,12 +248,15 @@ class _TenantState:
         self.lease = None
         self.perf = perf
         self.phases: tuple[PhaseResult, ...] = baseline.phases
-        self.baseline_runtime = baseline.total_runtime
+        self.baseline_runtime = spec.baseline_runtime or baseline.total_runtime
+        stretch = self.baseline_runtime / baseline.total_runtime  # 1.0 unless set
+        #: Baseline seconds of each phase.
+        self.runtimes = tuple(p.runtime * stretch for p in self.phases)
         #: Baseline seconds of the phases before phase ``i``, for every ``i``
         #: up to ``len(phases)`` (summed the way the sums always were, so
         #: the bits match on every Python version).
         self.phases_before = tuple(
-            sum(p.runtime for p in self.phases[:i]) for i in range(len(self.phases) + 1)
+            sum(self.runtimes[:i]) for i in range(len(self.phases) + 1)
         )
         self.unit_time_idle = tuple(
             self.unit_time(index, 0.0) for index in range(len(self.phases))
@@ -761,7 +771,8 @@ class RackCoSimulator:
         """Baseline-seconds of progress per wall-clock second in the current phase.
 
         Normalised against the same model at zero background, so slowdowns are
-        exactly 1 on an idle fabric regardless of model details.
+        exactly 1 on an idle fabric regardless of model details, and clamped at
+        1: the perf model prices some latency-bound phases faster under load.
 
         The rate is a pure function of the phase and the background, and both
         change only at phase boundaries and epoch rollovers, so each tenant
@@ -773,7 +784,9 @@ class RackCoSimulator:
         if index == state.rate_phase and background == state.rate_background:
             return state.rate
         metrics().counter("fabric.rates.evaluations").inc()
-        state.rate = state.unit_time_idle[index] / state.unit_time(index, background)
+        state.rate = min(
+            state.unit_time_idle[index] / state.unit_time(index, background), 1.0
+        )
         state.rate_phase = index
         state.rate_background = background
         return state.rate
@@ -800,7 +813,9 @@ class RackCoSimulator:
             if self._inc_epoch is None:
                 # ~1/40 of the longest baseline runtime across all tenants
                 # (baseline runs are memoized, so the admissions reuse them).
-                runtimes = [self._baseline(spec).total_runtime for spec in self.tenants]
+                runtimes = [
+                    s.baseline_runtime or self._baseline(s).total_runtime for s in self.tenants
+                ]
                 self._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
             retired, max_leased = run_closed_loop(
                 self,
@@ -843,7 +858,7 @@ class RackCoSimulator:
         used = 0.0
         while used < dt and state.phase_index < len(state.phases):
             rate = self._progress_rate(state, background)
-            baseline_remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
+            baseline_remaining = state.runtimes[state.phase_index] - state.phase_elapsed
             wall_needed = baseline_remaining / rate
             if wall_needed <= (dt - used) + 1e-12:
                 used += wall_needed
@@ -986,10 +1001,6 @@ class RackCoSimulator:
                     state.background_times.append(self._inc_clock)
                     state.background_bandwidths.append(background)
 
-    def background_offset(self, node: int) -> float:
-        """The external background offset currently imposed on ``node``."""
-        return self._inc_offsets.get(node, 0.0)
-
     def baseline_runtime_of(self, name: str) -> float:
         """Interference-free total runtime of an admitted tenant, seconds."""
         return self._state_of(name).baseline_runtime
@@ -1103,7 +1114,7 @@ class RackCoSimulator:
                     continue
             rate = self._progress_rate(state, self._inc_backgrounds.get(state.node, 0.0))
             if rate > 0:
-                remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
+                remaining = state.runtimes[state.phase_index] - state.phase_elapsed
                 bound = min(bound, max(remaining, 0.0) / rate)
                 moving = True
         return bound, moving

@@ -1,7 +1,7 @@
 """Deterministic fault injection for the rack/cluster co-simulation.
 
 The paper models the disaggregated pool as a steady-state system; this module
-is the chaos layer that stresses it (ROADMAP item 5): pool ports die or
+is the chaos layer that stresses it: pool ports die or
 degrade mid-run, leases are revoked or shrunk while their tenants execute,
 and whole slabs of pool capacity disappear.  Faults are *data*, not
 callbacks — a :class:`FaultSchedule` is a sorted tuple of
@@ -188,11 +188,6 @@ class FaultSchedule:
     def events_for_rack(self, rack: int) -> tuple[FaultEvent, ...]:
         """The (already sorted) events targeting ``rack``."""
         return tuple(e for e in self.events if e.rack == rack)
-
-    @property
-    def max_time(self) -> float:
-        """Time of the last event (0.0 for an empty schedule)."""
-        return self.events[-1].time if self.events else 0.0
 
     @classmethod
     def seeded(

@@ -24,7 +24,6 @@ from .progress import (
     ProgressModel,
     StaticCurveProgress,
     fabric_job_profile,
-    make_progress_model,
 )
 from .simulator import (
     ClusterSimulator,
@@ -51,7 +50,6 @@ __all__ = [
     "ProgressModel",
     "StaticCurveProgress",
     "fabric_job_profile",
-    "make_progress_model",
     "ClusterSimulator",
     "CoLocationResult",
     "CoLocationStudy",

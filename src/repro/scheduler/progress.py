@@ -27,12 +27,11 @@ Coupling contract (mirrors :mod:`repro.fabric.cosim`)
 
 * **Units.**  Rates returned by :meth:`ProgressModel.rates` are in *profile
   baseline seconds* per wall-clock second, so the simulator's remaining-work
-  bookkeeping (seeded with ``JobProfile.baseline_runtime``) stays linear.  The
-  fabric co-simulation internally measures progress in *its* baseline seconds
-  (one interference-free engine run per unique workload);
-  :class:`FabricCoupledProgress` rescales between the two, so profiles whose
-  ``baseline_runtime`` came from a different measurement than the fabric's
-  engine run remain usable.
+  bookkeeping (seeded with ``JobProfile.baseline_runtime``) stays linear.  A
+  coupled tenant is stretched to its job's baseline, not rescaled: it gets
+  the job's ``baseline_runtime`` (``TenantSpec.baseline_runtime``) and
+  stretches its workload's engine-run phases to it, each keeping its offered
+  bandwidth, so the fabric's rates pass through unscaled.
 * **Epoch semantics.**  Fabric-coupled rates are exact only until the next
   epoch rollover or tenant phase boundary; :meth:`ProgressModel.horizon`
   exposes that bound and the simulator never advances past it in one event.
@@ -41,13 +40,14 @@ Coupling contract (mirrors :mod:`repro.fabric.cosim`)
   ``n`` in rack ``r``'s co-simulator.  The tenant's workload is resolved from
   ``JobProfile.workload`` via an explicit mapping or the workload registry;
   its pool lease is ``JobProfile.pool_gb`` (GB -> bytes), mirroring the
-  capacity the cluster model already reserved.
+  capacity the cluster model already reserved, and its traffic is priced at
+  the model's one ``local_fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping, Optional, Protocol
+from typing import Dict, Mapping, Optional, Protocol
 
 from ..config.errors import SchedulingError
 from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
@@ -191,15 +191,6 @@ def fabric_job_profile(
     )
 
 
-@dataclass
-class _CoupledJob:
-    """Bookkeeping linking one running job to its fabric tenant."""
-
-    tenant: str
-    #: profile baseline seconds per fabric baseline second.
-    scale: float
-
-
 class FabricCoupledProgress:
     """Progress rates from the shared :class:`ClusterCoSimulator` epoch loop.
 
@@ -218,8 +209,8 @@ class FabricCoupledProgress:
         paper's six applications work out of the box); anything else raises
         :class:`SchedulingError` at placement time.
     local_fraction:
-        Default fraction of a tenant's footprint served node-locally.  Jobs
-        whose ``pool_gb`` implies a different split get that split instead.
+        Fraction of every tenant's footprint served node-locally, which
+        prices its pool traffic.  The lease is the job's own ``pool_gb``.
     ports_per_rack / port_capacity_scale:
         Fabric wiring of each rack's co-simulator (see
         :class:`~repro.fabric.topology.FabricTopology`).
@@ -288,7 +279,7 @@ class FabricCoupledProgress:
         self.cluster: Optional[Cluster] = None
         self._cluster_sim: Optional[ClusterCoSimulator] = None
         self._rack_index: Dict[int, int] = {}
-        self._jobs: Dict[int, _CoupledJob] = {}
+        self._jobs: Dict[int, str] = {}  # job id -> fabric tenant name
 
     # -- lifecycle hooks ---------------------------------------------------------
 
@@ -305,18 +296,12 @@ class FabricCoupledProgress:
         cluster_sim.admit(
             self._rack_index[rack.rack_id], spec, node=node, time=clock
         )
-        fabric_baseline = cluster_sim.tenant_states[spec.name].baseline_runtime
-        scale = (
-            job.profile.baseline_runtime / fabric_baseline
-            if fabric_baseline > 0
-            else 1.0
-        )
-        self._jobs[job.job_id] = _CoupledJob(tenant=spec.name, scale=scale)
+        self._jobs[job.job_id] = spec.name
 
     def job_finished(self, job: Job, rack: Rack, clock: float) -> None:
-        coupled = self._jobs.pop(job.job_id, None)
-        if coupled is not None and self._cluster_sim is not None:
-            self._cluster_sim.withdraw(coupled.tenant, time=clock)
+        tenant = self._jobs.pop(job.job_id, None)
+        if tenant is not None and self._cluster_sim is not None:
+            self._cluster_sim.withdraw(tenant, time=clock)
 
     # -- event-loop hooks ----------------------------------------------------------
 
@@ -330,20 +315,19 @@ class FabricCoupledProgress:
         )
         rates: Dict[int, float] = {}
         for job in self.cluster.running_jobs:
-            coupled = self._jobs.get(job.job_id)
-            if coupled is None:
+            tenant = self._jobs.get(job.job_id)
+            if tenant is None:
                 raise SchedulingError(
                     f"job {job.job_id} is running but was never coupled to the fabric"
                 )
-            rate = fabric_rates.get(coupled.tenant)
+            rate = fabric_rates.get(tenant)
             if rate is None:
                 # The mirrored lease is queued (possible only when the rack's
                 # pool is provisioned tighter than the cluster model believes)
                 # or the tenant already finished its fabric work: fall back to
                 # the static curve so the simulation cannot deadlock.
-                rates[job.job_id] = static_rate(job, self.cluster.rack_of(job))
-            else:
-                rates[job.job_id] = rate * coupled.scale
+                rate = static_rate(job, self.cluster.rack_of(job))
+            rates[job.job_id] = rate
         return rates
 
     def horizon(self, clock: float) -> Optional[float]:
@@ -406,11 +390,11 @@ class FabricCoupledProgress:
 
     def is_spilled(self, job: Job) -> bool:
         """Whether a running job's pool lease spilled to the cluster pool."""
-        coupled = self._jobs.get(job.job_id)
+        tenant = self._jobs.get(job.job_id)
         return (
-            coupled is not None
+            tenant is not None
             and self._cluster_sim is not None
-            and self._cluster_sim.is_spilled(coupled.tenant)
+            and self._cluster_sim.is_spilled(tenant)
         )
 
     def projected_port_pressure(self, rack: Rack, job: Job) -> float:
@@ -461,21 +445,13 @@ class FabricCoupledProgress:
         return spec
 
     def _tenant_spec(self, job: Job, arrival: float) -> TenantSpec:
-        workload = self._workload_of(job.profile)
-        pool_bytes = int(round(gb(job.profile.pool_gb)))
-        local_fraction = self.local_fraction
-        if workload.footprint_bytes > 0 and pool_bytes > 0:
-            derived = 1.0 - pool_bytes / workload.footprint_bytes
-            # Snap tiny GB->byte rounding noise back to the configured split so
-            # the baseline memo (keyed on the fraction) stays effective.
-            if abs(derived - self.local_fraction) > 1e-6:
-                local_fraction = min(max(derived, 1e-9), 1.0)
         return TenantSpec(
             name=f"job-{job.job_id}",
-            workload=workload,
-            local_fraction=local_fraction,
+            workload=self._workload_of(job.profile),
+            local_fraction=self.local_fraction,
             arrival=max(arrival, 0.0),
-            pool_bytes=pool_bytes,
+            pool_bytes=int(round(gb(job.profile.pool_gb))),
+            baseline_runtime=job.profile.baseline_runtime,
         )
 
     def _local_node(self, rack: Rack, job: Job) -> Optional[int]:
@@ -488,10 +464,10 @@ class FabricCoupledProgress:
 
     def lease_state_of(self, job: Job) -> Optional[str]:
         """Lease state of a coupled job's fabric tenant (None when unknown)."""
-        coupled = self._jobs.get(job.job_id)
-        if coupled is None:
+        tenant = self._jobs.get(job.job_id)
+        if tenant is None:
             return None
-        state = self._cluster_sim.tenant_states.get(coupled.tenant)
+        state = self._cluster_sim.tenant_states.get(tenant)
         return state.lease.state if state is not None and state.lease else None
 
     def describe(self) -> dict:
@@ -500,20 +476,3 @@ class FabricCoupledProgress:
             rack_id: self._cluster_sim.fabric.rack(index).describe()
             for rack_id, index in sorted(self._rack_index.items())
         }
-
-
-def make_progress_model(name: str, **kwargs) -> ProgressModel:
-    """Instantiate a progress model by name (CLI helper)."""
-    models: Dict[str, Callable[..., ProgressModel]] = {
-        "static": StaticCurveProgress,
-        "static-curve": StaticCurveProgress,
-        "fabric": FabricCoupledProgress,
-        "fabric-coupled": FabricCoupledProgress,
-    }
-    try:
-        cls = models[name]
-    except KeyError as exc:
-        raise SchedulingError(
-            f"unknown progress model {name!r}; known: {sorted(models)}"
-        ) from exc
-    return cls(**kwargs)

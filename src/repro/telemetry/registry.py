@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import IO, Iterable, Mapping, Optional
+from typing import IO, Iterable, Mapping
 
 #: Version tag written into every metrics/trace JSONL export.
 TELEMETRY_SCHEMA = "repro.telemetry"
@@ -166,10 +166,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def last_time(self) -> Optional[float]:
-        return self.times[-1] if self.times else None
 
     def append(self, time: float, **values) -> None:
         if set(values) != set(self.columns):

@@ -129,10 +129,6 @@ class AccessBatch:
         """Page indices touched by each access."""
         return self.lines // int(lines_per_page)
 
-    def unique_lines(self) -> np.ndarray:
-        """Sorted unique cacheline indices in the batch."""
-        return np.unique(self.lines)
-
     def subset(self, mask: np.ndarray) -> "AccessBatch":
         """A new batch containing only the accesses selected by ``mask``."""
         return AccessBatch(

@@ -15,13 +15,16 @@ from pathlib import Path
 import pytest
 
 from repro.casestudies.trace_replay import (
+    TRACE_SCALES,
     TraceJobMapper,
     TraceReplayStudy,
+    trace_workloads,
 )
 from repro.cli import main
 from repro.config.errors import SchedulingError
 from repro.config.units import GiB, bytes_to_gb
 from repro.data.slurm import TraceJob, synthesize_sacct_lines
+from repro.workloads.registry import workload_names
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixtures" / "sacct_synthetic.txt"
 
@@ -53,13 +56,40 @@ class TestTraceJobMapper:
             bytes_to_gb(job.footprint_bytes * 0.75)
         )
         assert profile.baseline_runtime == 600.0
-        assert profile.workload == "trace"
+        # BFS by the CRC-32 of seed 0 and job "1"; 8.6 GB is nearest its 4x input.
+        assert profile.workload == "BFS@4"
 
     def test_short_jobs_are_clamped_not_dropped(self):
         profile = TraceJobMapper(min_runtime_s=5.0).profile_of(
             trace_job(elapsed_s=0.25)
         )
         assert profile.baseline_runtime == 5.0
+
+    def test_application_is_a_stable_hash_of_seed_and_job_id(self):
+        mapper = TraceJobMapper()
+        job = trace_job()
+        # CRC-32, not the salted built-in hash: pinned across processes.
+        assert [mapper.workload_of(job, seed) for seed in range(4)] == [
+            "BFS@4", "SuperLU@4", "BFS@4", "HPL@2",
+        ]
+        apps = {mapper.workload_of(trace_job(job_id=str(i))).split("@")[0] for i in range(60)}
+        assert apps == set(workload_names())
+
+    def test_scale_has_the_nearest_footprint(self):
+        mapper, workloads = TraceJobMapper(), trace_workloads()
+        for gib_per_node in (0.5, 1.5, 3.0, 40.0):
+            job = trace_job(nnodes=1, max_rss_bytes=int(gib_per_node * GiB))
+            app = mapper.workload_of(job).split("@")[0]
+            nearest = min(
+                (abs(workloads[f"{app}@{s}"].footprint_bytes - job.footprint_bytes), s)
+                for s in TRACE_SCALES
+            )[1]
+            assert mapper.workload_of(job) == f"{app}@{nearest}"
+
+    def test_workloads_are_built_once_per_process(self):
+        workloads = trace_workloads()
+        assert len(workloads) == len(workload_names()) * len(TRACE_SCALES)
+        assert trace_workloads() is workloads
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(SchedulingError):
@@ -158,16 +188,24 @@ class TestTraceCLI:
         )
         assert "outside-window" in data["ingest"]["skipped_by_reason"]
 
-    def test_trace_conflicts_with_coupled_and_faults(self, capsys):
-        assert main(["scheduling", "--trace", str(FIXTURE), "--coupled"]) == 2
-        assert "--trace" in capsys.readouterr().err
-        assert (
-            main(
-                ["scheduling", "--trace", str(FIXTURE),
-                 "--inject", "port-kill@5:port=0", "--overcommit"]
-            )
-            == 2
+    def test_trace_faults_and_overcommit_need_coupled(self, capsys):
+        for extra in (["--inject", "port-kill@5:port=0"], ["--overcommit"]):
+            assert main(["scheduling", "--trace", str(FIXTURE), *extra]) == 2
+            assert "require --coupled" in capsys.readouterr().err
+
+    def test_trace_composes_with_coupled_faults_and_overcommit(self, capsys):
+        data = self.run_json(
+            capsys, "scheduling", "--trace", str(FIXTURE), "--trace-window", "0:3600",
+            "--racks", "2", "--nodes-per-rack", "8", "--policy", "pool-aware",
+            "--coupled", "--overcommit",
+            "--inject", "port-degrade@600:port=0,scale=0.5,duration=600",
         )
+        assert data["ingest"]["conserved"] is True
+        assert data["jobs_replayed"] == data["jobs_finished"] == 38
+        assert data["fabric_coupled"]["jobs_finished"] == 38
+        # The degrade and its scheduled restore.
+        assert data["faults"]["faults_injected"] == 2
+        assert data["fabric_coupled"]["mean_slowdown"] >= data["mean_slowdown"]
 
     def test_missing_trace_file_is_a_clean_error(self, capsys):
         assert main(["scheduling", "--trace", "/nonexistent/trace.psv"]) == 2

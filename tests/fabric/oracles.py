@@ -670,8 +670,9 @@ def unit_time(state, profile: PhaseProfile, background: float) -> float:
 
 
 def progress_rate(state, profile: PhaseProfile, background: float) -> float:
-    """A phase's progress rate under ``background``, priced afresh."""
-    return profile.unit_time_idle / unit_time(state, profile, background)
+    """A phase's progress rate under ``background``, priced afresh and
+    clamped at the idle fabric's 1."""
+    return min(profile.unit_time_idle / unit_time(state, profile, background), 1.0)
 
 
 def use_phase_profiles(monkeypatch) -> None:

@@ -112,6 +112,37 @@ class TestEmergentInterference:
         assert shared.mean_slowdown > isolated.mean_slowdown
 
 
+class TestStretchedBaseline:
+    """A tenant with its own ``baseline_runtime`` lasts as long as its job."""
+
+    def test_alone_it_runs_its_own_baseline(self):
+        spec = bandwidth_hungry_spec()
+        engine = RackCoSimulator(tenants(1, spec)).run().tenants[0].baseline_runtime
+        result = RackCoSimulator(tenants(1, spec, baseline_runtime=3 * engine)).run()
+        outcome = result.tenants[0]
+        assert outcome.baseline_runtime == 3 * engine
+        assert outcome.runtime == pytest.approx(3 * engine, rel=1e-9)
+        assert outcome.slowdown == pytest.approx(1.0, rel=1e-9)
+        # The derived epoch reads the stretched baseline too.
+        assert result.epoch_seconds == pytest.approx(3 * engine / 40.0)
+
+    def test_phases_keep_their_offered_bandwidth_and_rates(self):
+        spec = bandwidth_hungry_spec()
+        sim = RackCoSimulator.incremental(n_nodes=2)
+        sim.admit(TenantSpec(name="engine", workload=spec), node=0)
+        sim.admit(TenantSpec(name="job", workload=spec, baseline_runtime=1000.0), node=1)
+        engine, job = sim.tenant_states["engine"], sim.tenant_states["job"]
+        assert job.current_offered_bandwidth() == engine.current_offered_bandwidth()
+        rates = sim.progress_rates()
+        assert rates["job"] == rates["engine"]
+        assert sim.baseline_runtime_of("job") == 1000.0
+        assert sum(job.runtimes) == pytest.approx(1000.0, rel=1e-12)
+
+    def test_validation(self):
+        with pytest.raises(FabricError):
+            TenantSpec(name="x", workload=bandwidth_hungry_spec(), baseline_runtime=0.0)
+
+
 class TestPoolAdmission:
     def test_leases_never_exceed_capacity(self):
         spec = bandwidth_hungry_spec()

@@ -51,7 +51,7 @@ WORKLOADS = {name: build_workload(name) for name in workload_names()}
 def uncached_progress_rate(self, state, background):
     """The progress-rate formula with both unit times priced afresh (oracle)."""
     index = state.phase_index
-    return state.unit_time(index, 0.0) / state.unit_time(index, background)
+    return min(state.unit_time(index, 0.0) / state.unit_time(index, background), 1.0)
 
 
 def coupled_leg():
@@ -247,6 +247,23 @@ def rack_run():
          t.mean_background_bandwidth)
         for t in result.tenants
     ]
+
+
+class TestIdleFabricBound:
+    """No tenant progresses faster than on an idle fabric."""
+
+    @pytest.mark.parametrize("load, unclamped", [(0.85, 1.0051), (0.9, 1.0188)])
+    def test_latency_bound_phase_is_clamped_at_one(self, load, unclamped):
+        # The perf model prices XSBench's second phase (scale 1) slightly
+        # faster under heavy background than idle; the rate must not follow.
+        sim = RackCoSimulator.incremental(n_nodes=1)
+        sim.admit(TenantSpec(name="xs", workload=WORKLOADS["XSBench"]))
+        state = sim.tenant_states["xs"]
+        state.phase_index = 1
+        background = load * sim.topology.link_of(0).data_capacity
+        raw = state.unit_time(1, 0.0) / state.unit_time(1, background)
+        assert raw == pytest.approx(unclamped, abs=1e-4)
+        assert sim._progress_rate(state, background) == 1.0
 
 
 class TestPhasesMatchTheProfileOracle:

@@ -16,7 +16,6 @@ from repro.scheduler import (
     RandomPlacement,
     StaticCurveProgress,
     fabric_job_profile,
-    make_progress_model,
 )
 from repro.scheduler.job import Job, JobProfile
 from repro.trace.patterns import SequentialPattern
@@ -103,6 +102,16 @@ class TestStaticCurveProgress:
 
 
 class TestFabricCoupledProgress:
+    def test_a_job_lasts_its_own_baseline_not_its_workloads(self, spec):
+        """A job whose measured runtime is ten times its workload's engine
+        run runs ten times as long, alone on an idle fabric."""
+        engine = baseline_run(spec).total_runtime
+        profile = JobProfile(workload=spec.name, baseline_runtime=10 * engine, pool_gb=1.0)
+        cluster = Cluster.build(n_racks=1, nodes_per_rack=1, pool_capacity_gb=64.0)
+        outcome = ClusterSimulator(cluster, progress=coupled_progress(spec)).run([profile])
+        job = outcome.jobs[0]
+        assert job.finish_time - job.start_time == pytest.approx(10 * engine, rel=1e-6)
+
     def test_agrees_with_static_when_uncontended(self, spec, profile):
         """One job per rack: no port sharing, so both models price rate 1."""
         profiles = [profile] * 3
@@ -253,12 +262,6 @@ class TestFabricCoupledProgress:
         ).run([profile] * 2)
         assert all(job.finished for job in outcome.jobs)
         assert outcome.mean_slowdown >= 1.0
-
-    def test_make_progress_model(self):
-        assert make_progress_model("static").name == "static-curve"
-        assert make_progress_model("fabric").name == "fabric-coupled"
-        with pytest.raises(SchedulingError):
-            make_progress_model("nope")
 
 
 class TestFabricCoupledPlacement:

@@ -18,7 +18,10 @@ and the overhead of the telemetry layer itself:
 5. ``cluster_fabric`` — epoch stepping of the whole-cluster
    :class:`ClusterCoSimulator` with tenants in every rack, plus
    ``cluster_fabric.closed_loop``: ``run_to_completion`` of a seeded 8-rack
-   elastic cluster under port and lease faults;
+   elastic cluster under port and lease faults, and
+   ``cluster_fabric.trace_replay_coupled``: the committed ``sacct`` fixture
+   replayed by the one scheduling study with the fabric coupled in, on 100
+   racks under seeded port and lease faults;
 6. ``fault_injection`` — the fault layer's disabled-path cost on the epoch
    loop (its ``extra.disabled_overhead_pct`` is the < 2% acceptance bound
    of ``docs/failure_model.md``) plus a seeded chaos scenario;
@@ -380,6 +383,78 @@ def bench_cluster_fabric_closed_loop(quick: bool) -> dict:
             "makespan_s": summary["makespan"],
             "spilled_tenants": summary["spilled_tenants"],
             "faults_injected": summary["faults"]["faults_injected"],
+        },
+    }
+
+
+#: The ``cluster_fabric.trace_replay_coupled`` scenario (identical in quick
+#: and full runs): the committed fixture on 100 racks of 16 nodes, one pool
+#: port each, under 24 seeded faults over its first ~6.7 hours.
+TRACE_COUPLED_FIXTURE = "tests/data/fixtures/sacct_synthetic.txt"
+TRACE_COUPLED_RACKS = 100
+TRACE_COUPLED_NODES = 16
+TRACE_COUPLED_SEED = 1
+TRACE_COUPLED_FAULTS = 24
+TRACE_COUPLED_KINDS = ("port-degrade", "port-kill", "lease-shrink", "lease-revoke")
+
+
+def bench_trace_replay_coupled(quick: bool) -> dict:
+    """The one scheduling study replaying a trace coupled to the fabric.
+
+    :meth:`CoupledSchedulingStudy.replay` of the committed fixture with
+    pool-aware placement runs both legs: the static one and the fabric one,
+    stepped through every rack of the 100.  Port kills and degrades heal
+    after about 30 minutes; lease faults pick their victims among the
+    replayed jobs.  One untimed run plans the baselines and records the work
+    into ``extra``: the stepping counts, the baseline plans, the faults
+    applied and the jobs the fabric leg finished.  The timed repeats find the
+    baselines memoized.
+    """
+    from repro.casestudies.scheduling import CoupledSchedulingStudy
+    from repro.data.slurm import read_sacct
+    from repro.fabric.topology import FabricConvergenceWarning
+
+    lines = (REPO_ROOT / TRACE_COUPLED_FIXTURE).read_text().splitlines(keepends=True)
+    schedule = FaultSchedule.seeded(
+        seed=TRACE_COUPLED_SEED, horizon=24_000.0, n_events=TRACE_COUPLED_FAULTS,
+        kinds=TRACE_COUPLED_KINDS, n_racks=TRACE_COUPLED_RACKS,
+        tenants=[f"job-{i}" for i in range(sum(1 for _ in read_sacct(lines)))],
+        nbytes=GiB, mean_duration=1800.0,
+    )
+
+    def run():
+        study = CoupledSchedulingStudy(
+            n_racks=TRACE_COUPLED_RACKS, nodes_per_rack=TRACE_COUPLED_NODES,
+            policy="pool-aware", seed=TRACE_COUPLED_SEED, fault_schedule=schedule,
+        )
+        return study.replay(lines)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FabricConvergenceWarning)
+        with telemetry.isolated(True) as registry:
+            result = run()
+        timing = _timeit(run, 1 if quick else 3)
+    coupled = result.coupled.coupled
+    return {
+        "name": "cluster_fabric.trace_replay_coupled",
+        "group": "cluster_fabric",
+        "config": {
+            "trace": TRACE_COUPLED_FIXTURE,
+            "n_racks": TRACE_COUPLED_RACKS,
+            "nodes_per_rack": TRACE_COUPLED_NODES,
+            "policy": "pool-aware",
+            "seed": TRACE_COUPLED_SEED,
+            "faults": TRACE_COUPLED_FAULTS,
+            "fault_kinds": list(TRACE_COUPLED_KINDS),
+        },
+        **timing,
+        "extra": {
+            **stepping_counts(registry),
+            "baseline_runs": int(registry.counter("fabric.profile.runs").value),
+            "faults_applied": int(registry.counter("fabric.faults.injected").value),
+            "jobs_replayed": result.jobs_replayed,
+            "jobs_finished": sum(1 for job in coupled.jobs if job.finished),
+            "makespan_s": coupled.makespan,
         },
     }
 
@@ -1001,6 +1076,7 @@ def run_benchmarks(quick: bool) -> dict:
     benchmarks.append(bench_solver_vectorized(quick))
     benchmarks.append(bench_cluster_fabric(quick))
     benchmarks.append(bench_cluster_fabric_closed_loop(quick))
+    benchmarks.append(bench_trace_replay_coupled(quick))
     benchmarks.extend(bench_fault_injection(quick))
     benchmarks.append(bench_cluster_step_batched(quick))
     benchmarks.extend(bench_sweep_sharded(quick))
