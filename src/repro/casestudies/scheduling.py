@@ -12,9 +12,9 @@ reduction of the 75th-percentile execution time of 1-5%.
 the study to the rack-scale :class:`~repro.scheduler.simulator.ClusterSimulator`:
 the *same* job stream — synthetic or a ``sacct`` trace — is scheduled once
 with the paper's static ``slowdown_at(LoI)`` pricing and once
-with :class:`~repro.scheduler.progress.FabricCoupledProgress`, which steps a
-:class:`~repro.fabric.cosim.RackCoSimulator` per rack between scheduler
-events.  The delta between the two outcomes is the study's result: how much
+with :class:`~repro.scheduler.progress.FabricCoupledProgress`, which steps
+one :class:`~repro.fabric.cluster.ClusterCoSimulator` (every rack in
+lockstep, on one clock and one fault feed) between scheduler events.  The delta between the two outcomes is the study's result: how much
 the emergent contention the fabric resolves changes completion times compared
 to the submission-time hints alone.
 """

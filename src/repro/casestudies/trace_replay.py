@@ -17,16 +17,17 @@ Mapping contract (:class:`TraceJobMapper`):
   bytes_to_gb`, the pinned convention of the scheduler layer.
 * ``Elapsed`` becomes ``baseline_runtime``: the recorded runtime is taken as
   the interference-free baseline (the trace machine's own interference is
-  not subtractable from accounting data — a documented limitation).
+  not subtractable from accounting data — a documented limitation).  Jobs
+  shorter than :data:`MIN_RUNTIME_S` are clamped up to it, not dropped.
 * ``Submit`` offsets (relative to the first replayed job) become arrivals,
   so queueing emerges from the real arrival process.
 * Accounting data records no memory traffic, so a job's ``workload`` is
   one of the six Table-2 applications (a CRC-32 of the seed and the job id)
   at the scale (1, 2 or 4) whose footprint is nearest the job's, e.g.
   ``"BFS@4"``; the coupled fabric prices that application's traffic.
-* Sensitivity hints are not in accounting data; a configurable default
-  (``default_sensitivity`` / ``default_induced_loi``) stands in, making the
-  static replay a *capacity* study.
+* Sensitivity hints are not in accounting data, so every replayed job is
+  insensitive (no sensitivity curve, zero induced LoI), making the static
+  replay a *capacity* study; the coupled leg prices interference itself.
 
 Multi-node trace jobs occupy **one** simulator node but carry their full
 pooled footprint — capacity pressure is exact, node-count pressure is not
@@ -46,7 +47,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 from ..config.errors import SchedulingError
 from ..config.units import bytes_to_gb
 from ..data.slurm import IngestReport, TraceJob, read_sacct
-from ..profiler.level3 import SensitivityCurve
 from ..scheduler.job import JobProfile
 from ..scheduler.simulator import ScheduleOutcome
 from ..workloads.base import WorkloadSpec
@@ -57,6 +57,9 @@ if TYPE_CHECKING:
 
 #: The scales of a replayed job's application: Table 2's three inputs.
 TRACE_SCALES = (1, 2, 4)
+#: Shortest baseline runtime of a replayed job, seconds: shorter accounting
+#: entries are clamped up, not dropped, since they make degenerate baselines.
+MIN_RUNTIME_S = 1.0
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,36 +81,20 @@ def _footprints(app: str) -> tuple:
 
 @dataclass(frozen=True)
 class TraceJobMapper:
-    """Configurable :class:`TraceJob` → :class:`JobProfile` mapping.
+    """:class:`TraceJob` → :class:`JobProfile` mapping.
 
     Attributes
     ----------
     local_fraction:
         Fraction of each job's footprint assumed served node-locally in the
         what-if machine; the rest is drawn from the rack pool.
-    default_induced_loi:
-        Level of Interference each replayed job is assumed to inject on its
-        rack's pool link (percent of link peak).  Accounting data carries no
-        bandwidth, so this is a modelling default, not a measurement.
-    default_sensitivity:
-        Sensitivity curve attached to every job (None = insensitive).
-    min_runtime_s:
-        Jobs shorter than this are clamped up, not dropped — sub-second
-        accounting entries otherwise produce degenerate baselines.
     """
 
     local_fraction: float = 0.5
-    default_induced_loi: float = 0.0
-    default_sensitivity: Optional[SensitivityCurve] = None
-    min_runtime_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.local_fraction <= 1.0:
             raise SchedulingError("local_fraction must be in [0, 1]")
-        if self.default_induced_loi < 0:
-            raise SchedulingError("default_induced_loi must be >= 0")
-        if self.min_runtime_s <= 0:
-            raise SchedulingError("min_runtime_s must be positive")
 
     def workload_of(self, job: TraceJob, seed: int = 0) -> str:
         """The key of :func:`trace_workloads` ``job`` runs as: the application
@@ -123,9 +110,7 @@ class TraceJobMapper:
         remote_bytes = job.footprint_bytes * (1.0 - self.local_fraction)
         return JobProfile(
             workload=self.workload_of(job, seed),
-            baseline_runtime=max(job.elapsed_s, self.min_runtime_s),
-            sensitivity=self.default_sensitivity,
-            induced_loi=self.default_induced_loi,
+            baseline_runtime=max(job.elapsed_s, MIN_RUNTIME_S),
             pool_gb=bytes_to_gb(remote_bytes),
         )
 

@@ -518,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--coupled",
         action="store_true",
         help="rack-scale comparison: static slowdown_at(LoI) pricing vs "
-        "fabric-coupled progress (RackCoSimulator stepped between events)",
+        "fabric-coupled progress (one ClusterCoSimulator, its racks in "
+        "lockstep, stepped between events)",
     )
     p_sched.add_argument(
         "--workloads",

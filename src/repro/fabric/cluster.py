@@ -11,7 +11,8 @@ This is the datacenter layer on top of the single-rack
   vectorized kernel in :mod:`repro.fabric.solver` — one NumPy solve for all
   racks instead of ``n_racks`` Python loops.
 * :class:`ClusterCoSimulator` steps every rack's incremental
-  :class:`~repro.fabric.cosim.RackCoSimulator` in **one stepping loop** with
+  :class:`~repro.fabric.cosim.RackCoSimulator` in **one stepping loop** on
+  one clock and one fault feed, with
   hierarchical pools: a tenant that does not fit its rack's pool can spill
   into the cluster-level pool, and spilled tenants' pool traffic rides their
   rack's uplink onto the spine — cross-rack spine contention feeds back into
@@ -56,6 +57,7 @@ from .cosim import (
     EpochCheckpoint,
     RackCoSimulator,
     TenantSpec,
+    _lockstep_racks,
     _TenantState,
     roll_back,
     run_closed_loop,
@@ -228,8 +230,7 @@ class ClusterCoSimulator:
     epoch_seconds:
         Cluster epoch (inter-rack recoupling period) and every rack's
         co-simulation epoch.  None derives it from the first admitted
-        tenant's baseline runtime and propagates the same value to all
-        racks, keeping their rollovers aligned.
+        tenant's baseline runtime, for all racks at once.
     seed:
         Engine seed shared by all racks; baseline runs are memoized per
         workload (:func:`~repro.fabric.cosim.baseline_run`), so admitting the
@@ -262,30 +263,28 @@ class ClusterCoSimulator:
                     f"expected {fabric.n_racks} rack pool capacities, "
                     f"got {len(capacities)}"
                 )
-        self.rack_sims: tuple[RackCoSimulator, ...] = tuple(
-            RackCoSimulator.incremental(
-                n_nodes=fabric.nodes_per_rack,
-                pool=MemoryPool(capacities[i], name=f"rack-{i}", elastic=overcommit),
-                topology=fabric.racks[i],
-                testbed=fabric.testbed,
-                epoch_seconds=epoch_seconds,
-                seed=seed,
-            )
-            for i in range(fabric.n_racks)
+        #: The racks' clock, epoch, fault feed and tenant -> rack map.
+        self._lockstep = _lockstep_racks(
+            fabric.racks,
+            [
+                MemoryPool(capacities[i], name=f"rack-{i}", elastic=overcommit)
+                for i in range(fabric.n_racks)
+            ],
+            fabric.testbed,
+            epoch_seconds,
+            seed,
         )
+        self.rack_sims: tuple[RackCoSimulator, ...] = self._lockstep.racks
         self.cluster_pool = (
             MemoryPool(cluster_pool_bytes, name="cluster-pool")
             if cluster_pool_bytes
             else None
         )
         self.seed = int(seed)
-        self._epoch: Optional[float] = epoch_seconds
         #: The next cluster epoch end (first admission + epoch if derived).
         self._epoch_end = epoch_seconds if epoch_seconds is not None else math.inf
-        self._tenant_rack: dict[str, int] = {}
         self._spilled: dict[str, object] = {}  # tenant name -> cluster-pool Lease
         self._offset_nodes: set[tuple[int, int]] = set()
-        self._fault_schedule: Optional[FaultSchedule] = None
         #: States of the tenants :meth:`run_to_completion` retired, by name.
         self._retired: dict[str, _TenantState] = {}
 
@@ -294,50 +293,32 @@ class ClusterCoSimulator:
     def inject_faults(
         self, schedule: FaultSchedule, drain_bytes_per_s: Optional[float] = None
     ) -> None:
-        """Arm one fault schedule across the whole cluster.
+        """Arm one fault schedule as the racks' one fault feed.
 
-        Each rack simulator receives the schedule filtered to its own rack
-        index (``FaultEvent.rack``); semantics per rack are exactly
-        :meth:`~repro.fabric.cosim.RackCoSimulator.inject_faults`.  One-shot
-        per cluster; an empty schedule leaves every rack disarmed and the
-        cluster's outputs bit-identical to a fault-free run.
+        A lease event acts on the rack hosting its tenant when it fires (the
+        rack it names, as a counted no-op, if none does), any other on the
+        rack it names; events naming a rack the cluster lacks stay inert.
+        Otherwise as :meth:`~repro.fabric.cosim.RackCoSimulator.inject_faults`.
         """
-        if self._fault_schedule is not None:
-            raise FabricError("a fault schedule is already injected")
-        self._fault_schedule = schedule
-        for i, sim in enumerate(self.rack_sims):
-            sim.inject_faults(schedule, rack=i, drain_bytes_per_s=drain_bytes_per_s)
-
-    def blast_radius(self) -> BlastRadiusReport:
-        """Cluster-wide damage assessment: every rack's report merged (live
-        tenants plus withdrawn ones)."""
-        reports = [sim.blast_radius() for sim in self.rack_sims]
-        return BlastRadiusReport(
-            faults_injected=sum(report.faults_injected for report in reports),
-            revocations=sum(report.revocations for report in reports),
-            tenants=tuple(
-                sorted(
-                    (impact for report in reports for impact in report.tenants),
-                    key=lambda impact: impact.name,
-                )
-            ),
+        self._lockstep.arm(
+            schedule, {i: i for i in range(self.fabric.n_racks)}, drain_bytes_per_s
         )
 
-    @property
-    def _faults_active(self) -> bool:
-        return any(sim._faults_active for sim in self.rack_sims)
+    def blast_radius(self) -> BlastRadiusReport:
+        """Cluster-wide damage assessment (live tenants plus withdrawn ones)."""
+        return self._lockstep.blast_radius()
 
     # -- introspection ---------------------------------------------------------------
 
     @property
     def clock(self) -> float:
         """Simulated cluster time, seconds: the clock its racks share."""
-        return self.rack_sims[0].clock
+        return self._lockstep.clock
 
     @property
     def epoch_seconds(self) -> Optional[float]:
         """The cluster epoch length (None until the first tenant derives it)."""
-        return self._epoch
+        return self._lockstep.epoch
 
     def rack_sim(self, rack: int) -> RackCoSimulator:
         """Rack ``rack``'s incremental co-simulator."""
@@ -350,7 +331,7 @@ class ClusterCoSimulator:
     def rack_of(self, name: str) -> int:
         """The rack an admitted tenant lives in."""
         try:
-            return self._tenant_rack[name]
+            return self._lockstep.tenant_rack[name]
         except KeyError as exc:
             raise FabricError(f"no admitted tenant named {name!r}") from exc
 
@@ -361,7 +342,7 @@ class ClusterCoSimulator:
     @property
     def tenant_names(self) -> tuple[str, ...]:
         """Names of all currently admitted tenants, in admission order."""
-        return tuple(self._tenant_rack)
+        return tuple(self._lockstep.tenant_rack)
 
     @property
     def tenant_states(self) -> Mapping[str, _TenantState]:
@@ -369,7 +350,7 @@ class ClusterCoSimulator:
         name in admission order (a snapshot of the admitted set)."""
         return {
             name: self.rack_sims[rack].tenant_states[name]
-            for name, rack in self._tenant_rack.items()
+            for name, rack in self._lockstep.tenant_rack.items()
         }
 
     def interference_for(self, name: str) -> DynamicInterference:
@@ -402,7 +383,7 @@ class ClusterCoSimulator:
         the spine from the next recoupling on.  Returns the lease that holds
         the tenant's actual capacity (rack- or cluster-pool).
         """
-        if spec.name in self._tenant_rack:
+        if spec.name in self._lockstep.tenant_rack:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
         sim = self.rack_sim(rack)
         if time is not None:
@@ -421,19 +402,13 @@ class ClusterCoSimulator:
         )
         # The rack may refuse the tenant, so it admits before the cluster pool.
         lease = sim.admit(replace(spec, pool_bytes=0) if spill else spec, node=node)
-        self._tenant_rack[spec.name] = rack
         if spill:
             lease = self._spilled[spec.name] = self.cluster_pool.request(
                 spec.name, spec.lease_bytes, time=self.clock
             )
             metrics().counter("fabric.cluster.spills").inc()
-        if self._epoch is None and sim._inc_epoch is not None:
-            self._epoch = sim._inc_epoch
-            self._epoch_end = self.clock + self._epoch
-        if self._epoch is not None:
-            for other in self.rack_sims:
-                if other._inc_epoch is None:
-                    other._inc_epoch = self._epoch
+        if self._epoch_end == math.inf:  # the first admission set the epoch
+            self._epoch_end = self.clock + self.epoch_seconds
         self._recouple()
         return lease
 
@@ -445,7 +420,6 @@ class ClusterCoSimulator:
             self.step(time - self.clock)
         state = sim.tenant_states.get(name)
         sim.withdraw(name)
-        del self._tenant_rack[name]
         lease = self._spilled.pop(name, None)
         if lease is not None and lease.state in (LEASE_GRANTED, LEASE_QUEUED):
             self.cluster_pool.release(lease, time=self.clock)
@@ -470,7 +444,7 @@ class ClusterCoSimulator:
         if dt < 0:
             raise FabricError("cannot step the cluster backwards")
         metrics().counter("fabric.cluster.step_calls").inc()
-        done = dict.fromkeys(self._tenant_rack, 0.0)
+        done = dict.fromkeys(self._lockstep.tenant_rack, 0.0)
         end = self.clock + dt
         remaining = float(dt)
         with trace_span("fabric.cluster.step", racks=self.fabric.n_racks):
@@ -482,7 +456,7 @@ class ClusterCoSimulator:
                 if self.clock >= self._epoch_end - 1e-12:
                     while self.clock >= self._epoch_end - 1e-12:
                         metrics().counter("fabric.cluster.epochs").inc()
-                        self._epoch_end += self._epoch
+                        self._epoch_end += self.epoch_seconds
                     self._recouple()
                 remaining = end - self.clock
         return done
@@ -519,7 +493,7 @@ class ClusterCoSimulator:
         uplink_traffic = [0.0] * self.fabric.n_racks
         spilled_nodes: list[tuple[int, int, float]] = []
         for name in self._spilled:
-            rack = self._tenant_rack[name]
+            rack = self._lockstep.tenant_rack[name]
             state = self.rack_sims[rack].tenant_states.get(name)
             if state is None or not state.running:
                 continue
@@ -563,7 +537,7 @@ class ClusterCoSimulator:
         recoupling that has work (:meth:`_next_recoupling`).  With neither,
         the next cluster epoch end is the bound.
         """
-        if self._epoch is None:
+        if self.epoch_seconds is None:
             raise FabricError(
                 "the cluster has no epoch length yet: pass epoch_seconds or "
                 "admit a tenant first"
@@ -614,7 +588,7 @@ class ClusterCoSimulator:
         """
         placed = {
             name: (rack, self.is_spilled(name))
-            for name, rack in self._tenant_rack.items()
+            for name, rack in self._lockstep.tenant_rack.items()
         }
 
         def admit(rack: int, spec: TenantSpec) -> None:
@@ -636,7 +610,7 @@ class ClusterCoSimulator:
             ),
             "n_racks": self.fabric.n_racks,
             "nodes_per_rack": self.fabric.nodes_per_rack,
-            "epoch_seconds": self._epoch,
+            "epoch_seconds": self.epoch_seconds,
             "spilled_tenants": sum(1 for row in rows if row[2]),
             "cluster_pool_gb": (
                 self.cluster_pool.capacity_bytes / 1e9
@@ -660,8 +634,6 @@ class ClusterCoSimulator:
                 for rack, _, spilled, o in rows
             ],
         }
-        if self._faults_active:
-            # Key is absent on fault-free runs, keeping the pre-fault summary
-            # shape (and its consumers) bit-identical.
+        if self._lockstep.reports_faults:
             summary["faults"] = self.blast_radius().summary()
         return summary

@@ -58,12 +58,14 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   (see :meth:`RackCoSimulator.inject_faults`) fires at exact simulated times:
   :meth:`step` sub-chunks at fault times, each applied fault forces an epoch
   rollover (dirtying the solver key), and the damage is summarised by
-  :meth:`RackCoSimulator.blast_radius`.  With no faults injected and a
-  non-elastic pool, the fault layer is two boolean checks per step chunk and
-  every output is bit-identical to a fault-free build; rollback across an
-  *applied* fault raises (pool/lease state is not checkpointed), while
-  rollback with faults merely pending is bit-identical as before.  See
-  ``docs/failure_model.md``.
+  :meth:`RackCoSimulator.blast_radius`.  There is one code path with or
+  without faults: a fault-free chunk runs the same bookkeeping and finds
+  nothing to charge.  Rollback across an *applied* fault raises (pool/lease
+  state is not checkpointed), while rollback with faults merely pending is
+  bit-identical.  See ``docs/failure_model.md``.
+
+Racks that step together share one :class:`_Lockstep`: one clock, one
+epoch length, one fault feed and one map of where each tenant lives.
 """
 
 from __future__ import annotations
@@ -271,7 +273,7 @@ class _TenantState:
         self.finish_time: Optional[float] = None
         self.background_times: list[float] = []
         self.background_bandwidths: list[float] = []
-        # Fault bookkeeping (all zero/None on the fault-free path).
+        # Fault bookkeeping (all zero/None until a fault lands).
         self.stall_seconds = 0.0  # wall time lost to faults
         self.migration_debt = 0.0  # page give-back drain still owed, wall-seconds
         self.revoked_at: Optional[float] = None
@@ -298,7 +300,7 @@ class _TenantState:
         return (
             self.lease is not None
             and self.lease.state == LEASE_GRANTED
-            and not self.finished
+            and self.finish_time is None
         )
 
     def unit_time(self, index: int, background: float) -> float:
@@ -351,6 +353,34 @@ class _TenantState:
         return DynamicInterference(
             self.background_times, self.background_bandwidths, link=self.perf.link
         )
+
+    def impact(self) -> TenantImpact:
+        """The tenant's share of the blast radius as it stands."""
+        return TenantImpact(
+            name=self.spec.name,
+            stall_seconds=self.stall_seconds,
+            revocations=self.revocations,
+            readmission_latency=self.readmit_latency,
+            migrated_bytes=self.migrated_bytes,
+            throughput_lost=self.stall_seconds,
+        )
+
+
+def _ends_within(state: _TenantState, rate: float, dt: float, used: float) -> bool:
+    """Whether the current phase of ``state``, which floats put just past the
+    ``dt - used`` wall-seconds left of a chunk, ends within 1e-12 s of them.
+
+    Its exact residue decides: rounding it could cut a phase at the end of a
+    chunk it outlasts by more, depending on how the chunk was cut up.  Past
+    ~500 s of phase and chunk, a few ulps near 1e-12 s and floats decide.
+    """
+    runtime, elapsed = state.runtimes[state.phase_index], state.phase_elapsed
+    if runtime / rate + dt > 500.0:
+        return (runtime - elapsed) / rate <= (dt - used) + 1e-12
+    from fractions import Fraction  # rarely reached: spare every run the import
+
+    left = Fraction(dt) - Fraction(used) + Fraction(1e-12)
+    return Fraction(runtime) - Fraction(elapsed) <= left * Fraction(rate)
 
 
 @dataclass(frozen=True)
@@ -511,8 +541,8 @@ class RackCoSimResult:
     max_leased_bytes: int
     epoch_seconds: float
     _interference: dict
-    #: Fault damage assessment; None when the run had no fault schedule and
-    #: no elastic pool (the fault-free fast path).
+    #: Fault damage assessment; None when no fault schedule was armed, no
+    #: fault was applied and the pool is not elastic.
     blast_radius: Optional[BlastRadiusReport] = None
 
     @property
@@ -583,6 +613,22 @@ class RackCoSimResult:
         return summary
 
 
+#: The per-tenant state a checkpoint captures: phase progress and the fault
+#: bookkeeping.
+_CHECKPOINTED = (
+    "phase_index",
+    "phase_elapsed",
+    "finish_time",
+    "stall_seconds",
+    "migration_debt",
+    "revoked_at",
+    "readmit_latency",
+    "revocations",
+    "migrated_bytes",
+    "first_granted_at",
+)
+
+
 @dataclass(frozen=True)
 class EpochCheckpoint:
     """Snapshot of an incrementally-driven co-simulation's epoch state.
@@ -600,8 +646,8 @@ class EpochCheckpoint:
     clock: float
     epoch_elapsed: float
     backgrounds: tuple[tuple[int, float], ...]
-    #: (name, phase_index, phase_elapsed, finish_time) per tenant.
-    tenants: tuple[tuple[str, int, float, Optional[float]], ...]
+    #: (name, *values of :data:`_CHECKPOINTED`) per tenant.
+    tenants: tuple[tuple, ...]
     #: (name, background-timeline length) per tenant, for rollback trimming.
     histories: tuple[tuple[str, int], ...]
     #: (node, bytes/s) external background offsets (cluster spine traffic).
@@ -615,14 +661,99 @@ class EpochCheckpoint:
     #: checkpoint whose count no longer matches — rollback is bit-identical
     #: only while faults are merely *pending*.
     fault_epoch: int = 0
-    #: (name, stall_seconds, migration_debt, revoked_at, readmit_latency,
-    #: revocations, migrated_bytes, first_granted_at) per tenant; populated
-    #: only once the fault layer is active so fault-free checkpoints are
-    #: unchanged.
-    fault_tenants: tuple = ()
     #: Whether the next rollover would skip its solve, so a replay from the
     #: checkpoint cuts its chunks exactly where the original steps did.
     clean: bool = False
+
+
+class _Lockstep:
+    """What racks stepping in lockstep share: a standalone
+    :class:`RackCoSimulator` owns one, a
+    :class:`~repro.fabric.cluster.ClusterCoSimulator` one for all its racks
+    (:func:`_lockstep_racks`).  Each rack keeps only its time into its epoch.
+    """
+
+    def __init__(self, epoch: Optional[float]) -> None:
+        if epoch is not None and epoch <= 0:
+            raise FabricError("epoch_seconds must be positive")
+        #: The racks in rack order; a rack's position here is its ``_index``.
+        self.racks: tuple[RackCoSimulator, ...] = ()
+        #: The one clock: :func:`step_racks` moves it once per chunk.
+        self.clock = 0.0
+        #: Epoch length, seconds; None until the first admission derives it.
+        self.epoch = epoch
+        self.schedule: Optional[FaultSchedule] = None
+        #: (event, position of the rack it names), in firing order.
+        self.feed: tuple[tuple[FaultEvent, int], ...] = ()
+        self.cursor = 0
+        #: Time of the next event in the feed (None once it is spent).
+        self.next_fault: Optional[float] = None
+        self.drain_bytes_per_s = DEFAULT_DRAIN_BYTES_PER_S
+        #: Faults applied, and the fault impacts of withdrawn tenants.
+        self.applied = 0
+        self.withdrawn: dict[str, TenantImpact] = {}
+        #: Tenant name -> position of its rack, in admission order.
+        self.tenant_rack: dict[str, int] = {}
+
+    def arm(
+        self,
+        schedule: FaultSchedule,
+        positions: Mapping[int, int],
+        drain_bytes_per_s: Optional[float],
+    ) -> None:
+        """Arm ``schedule`` once: an event joins the feed if ``positions``
+        maps the rack it names to one here; any other stays inert."""
+        if self.schedule is not None:
+            raise FabricError("a fault schedule is already injected")
+        if not isinstance(schedule, FaultSchedule):
+            raise FabricError("inject_faults() needs a FaultSchedule")
+        if drain_bytes_per_s is not None:
+            if drain_bytes_per_s <= 0:
+                raise FabricError("drain_bytes_per_s must be positive")
+            self.drain_bytes_per_s = float(drain_bytes_per_s)
+        self.schedule = schedule
+        self.feed = tuple(
+            (event, positions[event.rack])
+            for event in schedule.events
+            if event.rack in positions
+        )
+        self.next_fault = self.feed[0][0].time if self.feed else None
+
+    def apply_due_faults(self) -> None:
+        """Apply every armed event whose time the clock has reached.
+
+        A lease event acts on the rack hosting its tenant when it fires, and
+        on the rack it names otherwise, where it is a counted no-op.  Every
+        other event acts on the rack it names.
+        """
+        while self.next_fault is not None and self.next_fault <= self.clock + 1e-12:
+            event, position = self.feed[self.cursor]
+            self.cursor += 1
+            self.next_fault = (
+                self.feed[self.cursor][0].time if self.cursor < len(self.feed) else None
+            )
+            if event.kind in (FAULT_LEASE_REVOKE, FAULT_LEASE_SHRINK):
+                position = self.tenant_rack.get(event.tenant, position)
+            self.racks[position].apply_fault(event)
+
+    @property
+    def reports_faults(self) -> bool:
+        """Whether a result carries a blast radius: events are armed, a fault
+        was applied, or a pool is elastic (reclaims stall like faults)."""
+        elastic = any(rack.pool.elastic for rack in self.racks)
+        return bool(self.feed or self.applied) or elastic
+
+    def blast_radius(self) -> BlastRadiusReport:
+        """Every rack's damage so far, live tenants and withdrawn ones."""
+        impacts = dict(self.withdrawn)
+        for rack in self.racks:
+            for name, state in rack.tenant_states.items():
+                impacts[name] = state.impact()
+        return BlastRadiusReport(
+            faults_injected=self.applied,
+            revocations=sum(i.revocations for i in impacts.values()),
+            tenants=tuple(impacts[name] for name in sorted(impacts)),
+        )
 
 
 class RackCoSimulator:
@@ -662,7 +793,8 @@ class RackCoSimulator:
         if pool is None:
             pool = MemoryPool(capacity_bytes=sum(max(t.lease_bytes, 1) for t in tenants))
         self._setup(
-            tuple(tenants), len(tenants), pool, topology, testbed, epoch_seconds, seed
+            tuple(tenants), len(tenants), pool, topology, testbed, seed,
+            _Lockstep(epoch_seconds),
         )
 
     @classmethod
@@ -690,7 +822,7 @@ class RackCoSimulator:
         if pool is None:
             pool = MemoryPool(capacity_bytes=1 << 62)
         sim = cls.__new__(cls)
-        sim._setup((), n_nodes, pool, topology, testbed, epoch_seconds, seed)
+        sim._setup((), n_nodes, pool, topology, testbed, seed, _Lockstep(epoch_seconds))
         return sim
 
     def _setup(
@@ -700,12 +832,12 @@ class RackCoSimulator:
         pool: MemoryPool,
         topology: Optional[FabricTopology],
         testbed: TestbedConfig,
-        epoch_seconds: Optional[float],
         seed: int,
+        lockstep: _Lockstep,
     ) -> None:
-        """The setup both constructors share: ``n_nodes`` nodes on
-        ``topology`` (one port by default), the validated epoch, and the
-        state behind the incremental (scheduler-driven) API."""
+        """The setup every constructor shares: ``n_nodes`` nodes on
+        ``topology`` (one port by default), the next rack of ``lockstep``,
+        and the state behind the incremental (scheduler-driven) API."""
         self.tenants = tenants
         self.testbed = testbed
         self.topology = (
@@ -719,13 +851,11 @@ class RackCoSimulator:
             )
         self.pool = pool
         self.seed = int(seed)
-        if epoch_seconds is not None and epoch_seconds <= 0:
-            raise FabricError("epoch_seconds must be positive")
-        self._epoch_seconds = epoch_seconds
+        self._lockstep = lockstep
+        self._index = len(lockstep.racks)
+        lockstep.racks += (self,)
         self._inc_states: dict[str, _TenantState] = {}
-        self._inc_clock = 0.0
         self._inc_epoch_elapsed = 0.0
-        self._inc_epoch: Optional[float] = self._epoch_seconds
         self._inc_backgrounds: dict[int, float] = {}
         self._inc_telemetry = RackTelemetry()
         #: External (outside-the-rack) background per node, bytes/s.
@@ -738,23 +868,12 @@ class RackCoSimulator:
         #: signature still equals ``_inc_solve_key`` and no revoked tenant
         #: waits for its lease.  Every rollover sets it; whatever changes a
         #: signature input outside a rollover clears it.  A clean rack's
-        #: epoch ends are not step boundaries (see :meth:`_begin_chunk`).
+        #: epoch ends are not step boundaries (see :meth:`_chunk_bound`).
         self._inc_clean = False
-        # Fault layer.  `_faults_active` is the single hot-path guard: while
-        # False (no schedule injected, no elastic reclaim ever observed) the
-        # stepping loops pay two attribute checks per chunk (one in
-        # _begin_chunk, one in step_frozen) and nothing else.
-        self._faults_active = False
-        self._fault_schedule: Optional[FaultSchedule] = None
-        self._fault_events: tuple[FaultEvent, ...] = ()
-        self._fault_cursor = 0
-        self._faults_applied = 0
+        #: Applied faults and lease re-requests, which checkpoints cannot undo.
         self._fault_mutations = 0
         #: Residual capacity per degraded port (killed = 0.0); absent = healthy.
         self._port_scales: dict[int, float] = {}
-        self._drain_bytes_per_s = DEFAULT_DRAIN_BYTES_PER_S
-        #: Fault impacts of withdrawn tenants, so :meth:`blast_radius` keeps them.
-        self._withdrawn_impacts: dict[str, TenantImpact] = {}
 
     # -- baseline profiling ---------------------------------------------------------
 
@@ -804,19 +923,20 @@ class RackCoSimulator:
         is still queued once nothing runs, arrives or fires is rejected.
         Afterwards only the tenants that never finished are still admitted.
         """
-        if self._inc_states or self._inc_clock > 0.0:
+        lockstep = self._lockstep
+        if self._inc_states or lockstep.clock > 0.0:
             raise FabricError(
                 "run() needs a fresh simulator: it cannot follow incremental "
                 "admissions or another run"
             )
         with trace_span("fabric.run", tenants=len(self.tenants)):
-            if self._inc_epoch is None:
+            if lockstep.epoch is None:
                 # ~1/40 of the longest baseline runtime across all tenants
                 # (baseline runs are memoized, so the admissions reuse them).
                 runtimes = [
                     s.baseline_runtime or self._baseline(s).total_runtime for s in self.tenants
                 ]
-                self._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
+                lockstep.epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
             retired, max_leased = run_closed_loop(
                 self,
                 (self,),
@@ -832,17 +952,11 @@ class RackCoSimulator:
             makespan=max((s.finish_time for s in states if s.finished), default=0.0),
             pool_capacity_bytes=self.pool.capacity_bytes,
             max_leased_bytes=max_leased,
-            epoch_seconds=self._inc_epoch,
+            epoch_seconds=lockstep.epoch,
             _interference={
                 s.spec.name: s.interference() for s in states if s.background_times
             },
-            # Every tenant, retired ones included: a withdrawal keeps its
-            # impact only once the fault layer is active.
-            blast_radius=(
-                self._report({s.spec.name: self._impact_of(s) for s in states})
-                if self._fault_events or self.pool.elastic
-                else None
-            ),
+            blast_radius=self.blast_radius() if lockstep.reports_faults else None,
         )
 
     def _advance(
@@ -860,7 +974,9 @@ class RackCoSimulator:
             rate = self._progress_rate(state, background)
             baseline_remaining = state.runtimes[state.phase_index] - state.phase_elapsed
             wall_needed = baseline_remaining / rate
-            if wall_needed <= (dt - used) + 1e-12:
+            if wall_needed <= dt - used or (
+                wall_needed <= (dt - used) + 2e-12 and _ends_within(state, rate, dt, used)
+            ):
                 used += wall_needed
                 state.phase_index += 1
                 state.phase_elapsed = 0.0
@@ -881,7 +997,7 @@ class RackCoSimulator:
     @property
     def clock(self) -> float:
         """Simulated time of the incrementally-driven co-simulation, seconds."""
-        return self._inc_clock
+        return self._lockstep.clock
 
     @property
     def telemetry(self) -> RackTelemetry:
@@ -907,7 +1023,8 @@ class RackCoSimulator:
         Returns the tenant's lease so the caller can see whether it was
         granted or queued.
         """
-        if spec.name in self._inc_states:
+        lockstep = self._lockstep
+        if spec.name in lockstep.tenant_rack:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
         occupied = {s.node for s in self._inc_states.values()}
         if node is None:
@@ -922,16 +1039,17 @@ class RackCoSimulator:
         elif node in occupied:
             raise FabricError(f"node {node} already hosts a tenant")
         if time is not None:
-            if time < self._inc_clock - 1e-9:
+            if time < self.clock - 1e-9:
                 raise FabricError("cannot admit a tenant in the past")
-            if time > self._inc_clock:
-                self.step(time - self._inc_clock)
+            if time > self.clock:
+                self.step(time - self.clock)
         metrics().counter("fabric.cosim.admitted").inc()
         state = self._new_tenant(spec, node)
-        if self._inc_epoch is None:
-            self._inc_epoch = max(state.baseline_runtime / 40.0, 1e-6)
-        state.lease = self.pool.request(spec.name, spec.lease_bytes, time=self._inc_clock)
+        if lockstep.epoch is None:
+            lockstep.epoch = max(state.baseline_runtime / 40.0, 1e-6)
+        state.lease = self.pool.request(spec.name, spec.lease_bytes, time=self.clock)
         self._inc_states[spec.name] = state
+        lockstep.tenant_rack[spec.name] = self._index
         if self.pool.elastic:
             # An overcommitting pool may have shrunk co-tenants to fit the
             # newcomer; charge those reclaims before re-resolving the epoch.
@@ -944,19 +1062,19 @@ class RackCoSimulator:
 
         Releasing the lease admits queued co-tenants in FIFO order; the epoch
         is rolled over so the departed tenant's demand stops interfering in
-        the same instant.  With the fault layer active the tenant's fault
-        impact stays in :meth:`blast_radius`.
+        the same instant.  The tenant's fault impact stays in
+        :meth:`blast_radius`.
         """
         if name not in self._inc_states:
             raise FabricError(f"no admitted tenant named {name!r}")
-        if time is not None and time > self._inc_clock:
-            self.step(time - self._inc_clock)
+        if time is not None and time > self.clock:
+            self.step(time - self.clock)
         metrics().counter("fabric.cosim.withdrawn").inc()
         state = self._inc_states.pop(name)
-        if self._faults_active:
-            self._withdrawn_impacts[name] = self._impact_of(state)
+        del self._lockstep.tenant_rack[name]
+        self._lockstep.withdrawn[name] = state.impact()
         if state.lease is not None and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED):
-            self.pool.release(state.lease, time=self._inc_clock)
+            self.pool.release(state.lease, time=self.clock)
         roll_over((self,), self._solve_alone, force=True)
 
     def set_background_offset(self, node: int, bandwidth: float) -> None:
@@ -994,11 +1112,11 @@ class RackCoSimulator:
                 background = self._inc_backgrounds[node]
                 if (
                     state.background_times
-                    and state.background_times[-1] >= self._inc_clock - 1e-12
+                    and state.background_times[-1] >= self.clock - 1e-12
                 ):
                     state.background_bandwidths[-1] = background
                 else:
-                    state.background_times.append(self._inc_clock)
+                    state.background_times.append(self.clock)
                     state.background_bandwidths.append(background)
 
     def baseline_runtime_of(self, name: str) -> float:
@@ -1034,24 +1152,20 @@ class RackCoSimulator:
         stall instead of falling back to a static estimate.
         """
         rates: dict[str, float] = {}
+        scales = self._port_scales
         for name, state in self._inc_states.items():
-            if self._faults_active and not state.finished:
-                if not state.running and state.revoked_at is not None and (
-                    state.readmit_latency is None
-                ):
-                    # Revoked (or re-queued after revocation): stalled.
+            if state.running:
+                if state.migration_debt > 0.0 or (scales and self._on_killed_port(state)):
                     rates[name] = 0.0
-                    continue
-                if state.running and (
-                    state.migration_debt > 0.0 or self._on_killed_port(state)
-                ):
-                    rates[name] = 0.0
-                    continue
-            if not state.running or state.phase_index >= len(state.phases):
-                continue
-            rates[name] = self._progress_rate(
-                state, self._inc_backgrounds.get(state.node, 0.0)
-            )
+                elif state.phase_index < len(state.phases):
+                    rates[name] = self._progress_rate(
+                        state, self._inc_backgrounds.get(state.node, 0.0)
+                    )
+            elif not state.finished and state.revoked_at is not None and (
+                state.readmit_latency is None
+            ):
+                # Revoked (or re-queued after revocation): stalled.
+                rates[name] = 0.0
         return rates
 
     def horizon(self) -> float:
@@ -1059,20 +1173,21 @@ class RackCoSimulator:
 
         Bounded by the next rollover that re-solves and by the nearest phase
         boundary of any running tenant (a new phase runs at a different
-        rate); with faults active also by the next fault time and by every
-        migration drain that is actually being paid.  The epoch end bounds
-        it only while the rack is dirty: a rollover that would skip its
-        solve changes no rate.  When no rate will ever change on its own,
+        rate); also by the next fault time (on any rack of the lockstep) and
+        by every migration drain that is actually being paid.  The epoch end
+        bounds it only while the rack is dirty: a rollover that would skip
+        its solve changes no rate.  When no rate will ever change on its own,
         the epoch end is the bound anyway, so no caller steps forever.
         """
-        if self._inc_epoch is None:
+        epoch = self._lockstep.epoch
+        if epoch is None:
             raise FabricError(
                 "the co-simulation has no epoch length yet: pass epoch_seconds "
                 "or admit a tenant first"
             )
         bound = self._rate_change()[0]
         if not self._inc_clean or bound == math.inf:
-            bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12))
+            bound = min(bound, max(epoch - self._inc_epoch_elapsed, 1e-12))
         return max(bound, 1e-12)
 
     def progressing(self) -> bool:
@@ -1085,7 +1200,7 @@ class RackCoSimulator:
         and whether any running tenant advances meanwhile.
 
         The one walk behind :meth:`horizon`, :meth:`progressing` and a clean
-        rack's :meth:`_begin_chunk`.  The next rate change is the nearest of
+        rack's :meth:`_chunk_bound`.  The next rate change is the nearest of
         the next fault, every drain being paid and every progressing
         tenant's phase end (infinite when there is none).  It reads the
         same tenants :meth:`progress_rates` prices, so it evaluates no rate
@@ -1093,25 +1208,21 @@ class RackCoSimulator:
         """
         bound = math.inf
         moving = False
-        faulted = self._faults_active
-        if faulted:
-            nxt = self._next_fault_time()
-            if nxt is not None:
-                bound = max(nxt - self._inc_clock, 1e-12)
+        nxt = self._lockstep.next_fault
+        if nxt is not None:
+            bound = max(nxt - self.clock, 1e-12)
+        scales = self._port_scales
         for state in self._inc_states.values():
             if not state.running or state.phase_index >= len(state.phases):
                 continue
-            if faulted:
+            if state.migration_debt > 0.0 or (scales and self._on_killed_port(state)):
                 if self._draining(state):
                     # The rate flips from 0 back up once the drain finishes.
                     bound = min(bound, max(state.migration_debt, 1e-12))
                     moving = True
-                    continue
-                if state.migration_debt > 0.0 or self._on_killed_port(state):
-                    # Stalled; debt owed behind a killed port waits for the
-                    # port restore, which is a fault time and bounds the
-                    # walk already.
-                    continue
+                # Otherwise stalled; debt owed behind a killed port waits for
+                # the port restore, a fault time that bounds the walk already.
+                continue
             rate = self._progress_rate(state, self._inc_backgrounds.get(state.node, 0.0))
             if rate > 0:
                 remaining = state.runtimes[state.phase_index] - state.phase_elapsed
@@ -1137,41 +1248,32 @@ class RackCoSimulator:
             raise FabricError("cannot step the co-simulation backwards")
         return step_racks((self,), dt, self._solve_alone)
 
-    def _begin_chunk(self) -> float:
-        """Apply the faults that are due; return the longest chunk
-        :meth:`step_frozen` may take now.
+    def _chunk_bound(self) -> float:
+        """The longest chunk :meth:`step_frozen` may take now.
 
-        A dirty rack's chunk ends at its epoch end or its next fault,
-        whichever comes first: 0 when a rollover is due.  A clean rack's
-        rollovers would skip their solve, so its chunk runs to its next rate
-        change (:meth:`_rate_change`: a fault, a drain end or a phase end)
-        and :meth:`step_frozen` records the rollovers it crosses in place.
-        Infinite for a rack with no epoch length yet and no fault pending.
-        :func:`step_racks` cuts every chunk here, so faults land at their
-        exact times.
+        A dirty rack's chunk ends at its epoch end: 0 when a rollover is
+        due.  A clean rack's rollovers would skip their solve, so its chunk
+        runs to its next rate change (:meth:`_rate_change`: a fault, a drain
+        end or a phase end) and :meth:`step_frozen` records the rollovers it
+        crosses in place.  Infinite for a rack with no epoch length yet.
         """
-        bound = math.inf
-        if self._faults_active:
-            self._apply_due_faults()
-            nxt = self._next_fault_time()
-            if nxt is not None:
-                bound = max(nxt - self._inc_clock, 0.0)
-        if self._inc_epoch is not None:
-            if self._inc_clean:
-                return max(self._rate_change()[0], 1e-12)
-            bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
-        return bound
+        epoch = self._lockstep.epoch
+        if epoch is None:
+            return math.inf
+        if self._inc_clean:
+            return max(self._rate_change()[0], 1e-12)
+        return max(epoch - self._inc_epoch_elapsed, 0.0)
 
     def step_frozen(self, dt: float) -> dict[str, float]:
         """Advance ``dt`` wall-seconds under the current frozen backgrounds.
 
-        The one place tenants advance.  ``dt`` must not cross this rack's
-        next fault time, nor its epoch end while the rack is dirty
-        (:meth:`_begin_chunk` bounds it).  Epoch ends a clean rack crosses
+        The one place tenants advance.  ``dt`` must not cross the next fault
+        time, nor this rack's epoch end while the rack is dirty
+        (:meth:`_chunk_bound` bounds it).  Epoch ends a clean rack crosses
         are recorded in place as the skipped rollovers they are; its one
-        caller, :func:`step_racks`, rolls the epoch over once it is due at
-        the chunk's end (:func:`roll_over`), which lets a
-        :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
+        caller, :func:`step_racks`, moves the clock on and rolls the epoch
+        over once it is due at the chunk's end (:func:`roll_over`), which
+        lets a :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
         re-solve into one vectorized call.  A tenant on a killed port stalls
         for the whole chunk, one owing migration debt pays it down first,
         and a revoked tenant waiting for its lease stalls too.  Returns the
@@ -1183,14 +1285,12 @@ class RackCoSimulator:
         registry.counter("fabric.cosim.step_calls").inc()
         registry.counter("fabric.cosim.stepped_seconds").inc(dt)
         done = {name: 0.0 for name in self._inc_states}
-        if dt <= 1e-15:
-            return done
-        if self._inc_epoch is None:
-            # Nothing was ever admitted: time passes, no work happens.
-            self._inc_clock += dt
+        epoch = self._lockstep.epoch
+        if dt <= 1e-15 or epoch is None:
+            # With no epoch length nothing was ever admitted: no work happens.
             return done
         running = [s for s in self._inc_states.values() if s.running]
-        left = max(self._inc_epoch - self._inc_epoch_elapsed, 0.0)
+        left = max(epoch - self._inc_epoch_elapsed, 0.0)
         if dt > left + 1e-12:
             if not self._inc_clean:
                 raise FabricError(
@@ -1200,9 +1300,11 @@ class RackCoSimulator:
             elapsed = self._skip_rollovers(running, left, dt)
         else:
             elapsed = self._inc_epoch_elapsed + dt
-        faulted = self._faults_active
+        scales = self._port_scales
         for state in running:
-            avail = self._fault_chunk_available(state, dt) if faulted else dt
+            # Only a faulted port or migration debt costs a tenant wall time.
+            owes = scales or state.migration_debt > 0.0
+            avail = self._fault_chunk_available(state, dt) if owes else dt
             if avail <= 0.0:
                 continue
             index = state.phase_index
@@ -1215,8 +1317,8 @@ class RackCoSimulator:
                 # A new phase offers a new demand, a finish none at all.
                 self._inc_clean = False
             if used is not None and state.finish_time is None:
-                state.finish_time = self._inc_clock + (dt - avail) + used
-        if faulted:
+                state.finish_time = self.clock + (dt - avail) + used
+        if len(running) < len(self._inc_states):
             for state in self._inc_states.values():
                 # Between revocation and re-grant (the lease is REVOKED or
                 # back in the queue) the tenant makes no progress: all of
@@ -1228,7 +1330,6 @@ class RackCoSimulator:
                     and not state.running
                 ):
                     self._record_stall(state, dt)
-        self._inc_clock += dt
         self._inc_epoch_elapsed = elapsed
         return done
 
@@ -1246,12 +1347,12 @@ class RackCoSimulator:
         :func:`roll_over`, which sees the tenants after the chunk.  Returns
         the epoch's elapsed time at the chunk's end.
         """
-        end = self._inc_clock + dt
-        time = self._inc_clock + left
+        end = self.clock + dt
+        time = self.clock + left
         crossed = 1
         self._record_rollover(running, time)
-        while time + self._inc_epoch < end - 1e-12:
-            time += self._inc_epoch
+        while time + self._lockstep.epoch < end - 1e-12:
+            time += self._lockstep.epoch
             crossed += 1
             self._record_rollover(running, time)
         registry = metrics()
@@ -1262,8 +1363,8 @@ class RackCoSimulator:
     def epoch_due(self) -> bool:
         """Whether the current epoch has fully elapsed (a rollover is due)."""
         return (
-            self._inc_epoch is not None
-            and self._inc_epoch_elapsed >= self._inc_epoch - 1e-12
+            self._lockstep.epoch is not None
+            and self._inc_epoch_elapsed >= self._lockstep.epoch - 1e-12
         )
 
     def checkpoint(self) -> EpochCheckpoint:
@@ -1271,11 +1372,11 @@ class RackCoSimulator:
         metrics().counter("fabric.cosim.checkpoints").inc()
         ordered = sorted(self._inc_states.items())
         return EpochCheckpoint(
-            clock=self._inc_clock,
+            clock=self.clock,
             epoch_elapsed=self._inc_epoch_elapsed,
             backgrounds=tuple(sorted(self._inc_backgrounds.items())),
             tenants=tuple(
-                (name, s.phase_index, s.phase_elapsed, s.finish_time)
+                (name, *(getattr(s, field) for field in _CHECKPOINTED))
                 for name, s in ordered
             ),
             histories=tuple((name, len(s.background_times)) for name, s in ordered),
@@ -1283,23 +1384,6 @@ class RackCoSimulator:
             solve_key=self._inc_solve_key,
             clean=self._inc_clean,
             fault_epoch=self._fault_mutations,
-            fault_tenants=(
-                tuple(
-                    (
-                        name,
-                        s.stall_seconds,
-                        s.migration_debt,
-                        s.revoked_at,
-                        s.readmit_latency,
-                        s.revocations,
-                        s.migrated_bytes,
-                        s.first_granted_at,
-                    )
-                    for name, s in ordered
-                )
-                if self._faults_active
-                else ()
-            ),
         )
 
     def rollover(self, checkpoint: EpochCheckpoint) -> None:
@@ -1317,9 +1401,8 @@ class RackCoSimulator:
     # -- fault injection / elastic leasing --------------------------------------------
     #
     # The failure model these methods implement is documented in
-    # ``docs/failure_model.md``.  Everything is inert until a schedule is
-    # injected (or the pool reclaims an elastic lease): the stepping loops
-    # then pay two boolean checks per chunk.
+    # ``docs/failure_model.md``.  The armed schedule lives in the lockstep
+    # state (:class:`_Lockstep`), port health and fault bookkeeping here.
 
     def inject_faults(
         self,
@@ -1329,50 +1412,21 @@ class RackCoSimulator:
     ) -> None:
         """Arm a fault schedule against this rack.
 
-        ``rack`` selects which of the schedule's events apply (a rack
-        simulator inside a cluster passes its own index; standalone racks use
-        the default 0).  ``drain_bytes_per_s`` is the modeled page give-back
-        rate: when a lease is shrunk or revoked, the reclaimed bytes drain
-        back at this rate and the drain time is charged against the tenant's
-        progress as a stall (migration debt).  Faults fire at exact simulated
-        times during :meth:`step` (the step sub-chunks at fault times), and
-        each applied fault forces an epoch rollover so the contention solve
-        reflects the damage immediately.  Injection is one-shot per
-        simulator; an *empty* schedule leaves the fault layer disarmed and
-        every output bit-identical to a fault-free run.
+        ``rack`` selects which of the schedule's events apply (standalone
+        racks use the default 0).  ``drain_bytes_per_s`` is the modeled page
+        give-back rate: when a lease is shrunk or revoked, the reclaimed
+        bytes drain back at this rate and the drain time is charged against
+        the tenant's progress as a stall (migration debt).  Faults fire at
+        exact simulated times during :meth:`step` (the step sub-chunks at
+        fault times), and each applied fault forces an epoch rollover so the
+        contention solve reflects the damage immediately.  Injection is
+        one-shot per simulator; an *empty* schedule changes no output.
         """
-        if self._fault_schedule is not None:
-            raise FabricError("a fault schedule is already injected")
-        if not isinstance(schedule, FaultSchedule):
-            raise FabricError("inject_faults() needs a FaultSchedule")
-        if drain_bytes_per_s is not None:
-            if drain_bytes_per_s <= 0:
-                raise FabricError("drain_bytes_per_s must be positive")
-            self._drain_bytes_per_s = float(drain_bytes_per_s)
-        self._fault_schedule = schedule
-        self._fault_events = schedule.events_for_rack(rack)
-        self._fault_cursor = 0
-        if self._fault_events:
-            self._faults_active = True
-
-    def _next_fault_time(self) -> Optional[float]:
-        if self._fault_cursor < len(self._fault_events):
-            return self._fault_events[self._fault_cursor].time
-        return None
+        self._lockstep.arm(schedule, {rack: self._index}, drain_bytes_per_s)
 
     def port_health(self, port: int) -> float:
         """Residual capacity fraction of a pool port: 1.0 healthy, 0.0 killed."""
         return self._port_scales.get(port, 1.0)
-
-    def _apply_due_faults(self) -> None:
-        """Apply every scheduled event whose simulated time has been reached."""
-        while True:
-            nxt = self._next_fault_time()
-            if nxt is None or nxt > self._inc_clock + 1e-12:
-                return
-            event = self._fault_events[self._fault_cursor]
-            self._fault_cursor += 1
-            self.apply_fault(event)
 
     def apply_fault(self, event: FaultEvent) -> None:
         """Apply one fault event at the current clock (scheduled events land
@@ -1387,9 +1441,8 @@ class RackCoSimulator:
         see :class:`EpochCheckpoint` — and forces an epoch rollover, so the
         solver key is dirtied and the next solve sees the new world.
         """
-        self._faults_active = True
         self._fault_mutations += 1
-        self._faults_applied += 1
+        self._lockstep.applied += 1
         metrics().counter("fabric.faults.injected").inc()
         kind = event.kind
         if kind in (FAULT_PORT_KILL, FAULT_PORT_DEGRADE, FAULT_PORT_RESTORE):
@@ -1408,13 +1461,13 @@ class RackCoSimulator:
             state = self._inc_states.get(event.tenant)
             if state is not None and state.running:
                 if kind == FAULT_LEASE_REVOKE:
-                    self.pool.revoke(state.lease, time=self._inc_clock)
+                    self.pool.revoke(state.lease, time=self.clock)
                 else:
                     self.pool.shrink(
-                        state.lease, int(event.nbytes), time=self._inc_clock
+                        state.lease, int(event.nbytes), time=self.clock
                     )
         elif kind == FAULT_POOL_CAPACITY_LOSS:
-            self.pool.lose_capacity(int(event.nbytes), time=self._inc_clock)
+            self.pool.lose_capacity(int(event.nbytes), time=self.clock)
         self._consume_pool_reclaims()
         roll_over((self,), self._solve_alone, force=True)
 
@@ -1429,14 +1482,13 @@ class RackCoSimulator:
         records = self.pool.consume_reclaims()
         if not records:
             return
-        self._faults_active = True
         self._inc_clean = False
         registry = metrics()
         for record in records:
             state = self._inc_states.get(record.tenant)
             if state is None:
                 continue
-            state.migration_debt += record.nbytes / self._drain_bytes_per_s
+            state.migration_debt += record.nbytes / self._lockstep.drain_bytes_per_s
             state.migrated_bytes += record.nbytes
             registry.counter("fabric.faults.migrated_bytes").inc(record.nbytes)
             if record.kind == "revoke":
@@ -1454,9 +1506,8 @@ class RackCoSimulator:
     def _retry_revoked(self) -> None:
         """Re-request the lease of every revoked tenant (back of the queue).
 
-        Runs at each epoch rollover while the fault layer is active: a
-        revoked tenant rejoins the pool's FIFO admission queue and resumes
-        once capacity allows.  The time from revocation to re-grant is its
+        Runs at each epoch rollover: a revoked tenant rejoins the pool's FIFO
+        admission queue and resumes once capacity allows.  The time from revocation to re-grant is its
         re-admission latency; on an uncontended pool that is 0 and the whole
         blast radius is the migration drain.
         """
@@ -1468,7 +1519,7 @@ class RackCoSimulator:
                 and not state.finished
             ):
                 state.lease = self.pool.request(
-                    name, state.spec.lease_bytes, time=self._inc_clock
+                    name, state.spec.lease_bytes, time=self.clock
                 )
                 self._fault_mutations += 1
                 changed = True
@@ -1529,30 +1580,10 @@ class RackCoSimulator:
             and not self._on_killed_port(state)
         )
 
-    def _impact_of(self, state: _TenantState) -> TenantImpact:
-        return TenantImpact(
-            name=state.spec.name,
-            stall_seconds=state.stall_seconds,
-            revocations=state.revocations,
-            readmission_latency=state.readmit_latency,
-            migrated_bytes=state.migrated_bytes,
-            throughput_lost=state.stall_seconds,
-        )
-
     def blast_radius(self) -> BlastRadiusReport:
-        """Damage assessment of the fault layer so far (deterministic), live
-        tenants plus withdrawn ones."""
-        impacts = dict(self._withdrawn_impacts)
-        for name, state in self._inc_states.items():
-            impacts[name] = self._impact_of(state)
-        return self._report(impacts)
-
-    def _report(self, impacts: Mapping[str, TenantImpact]) -> BlastRadiusReport:
-        return BlastRadiusReport(
-            faults_injected=self._faults_applied,
-            revocations=sum(i.revocations for i in impacts.values()),
-            tenants=tuple(impacts[name] for name in sorted(impacts)),
-        )
+        """Damage assessment so far of every rack in lockstep with this one
+        (deterministic), live tenants plus withdrawn ones."""
+        return self._lockstep.blast_radius()
 
     def _state_of(self, name: str) -> _TenantState:
         try:
@@ -1572,32 +1603,23 @@ class RackCoSimulator:
     ) -> tuple[list[_TenantState], dict[int, float], tuple]:
         """The running tenants, their demand vector and its solve signature.
 
-        The first step of :func:`roll_over`.  With the fault layer armed,
-        revoked tenants re-request their leases first.
+        The first step of :func:`roll_over`.  Revoked tenants re-request
+        their leases first.  Tenants on killed ports demand nothing (they are
+        stalled), and port health is part of the signature, so restoring or
+        degrading a port can never be skipped as "unchanged".
         """
-        if self._faults_active:
-            self._retry_revoked()
+        self._retry_revoked()
         running = [s for s in self._inc_states.values() if s.running]
-        if self._port_scales:
-            # Tenants on killed ports demand nothing (they are stalled), and
-            # port health is part of the solve signature so restoring or
-            # degrading a port can never be skipped as "unchanged".
-            demands = {
-                s.node: s.current_offered_bandwidth()
-                for s in running
-                if not self._on_killed_port(s)
-            }
-            solve_key: tuple = (
-                tuple(sorted(demands.items())),
-                tuple(sorted(self._inc_offsets.items())),
-                tuple(sorted(self._port_scales.items())),
-            )
-        else:
-            demands = {s.node: s.current_offered_bandwidth() for s in running}
-            solve_key = (
-                tuple(sorted(demands.items())),
-                tuple(sorted(self._inc_offsets.items())),
-            )
+        demands = {
+            s.node: s.current_offered_bandwidth()
+            for s in running
+            if not self._on_killed_port(s)
+        }
+        solve_key = (
+            tuple(sorted(demands.items())),
+            tuple(sorted(self._inc_offsets.items())),
+            tuple(sorted(self._port_scales.items())),
+        )
         return running, demands, solve_key
 
     def _apply_epoch_solve(
@@ -1637,16 +1659,13 @@ class RackCoSimulator:
                 max(self.topology.port_utilization(p, demands) for p in ports),
                 max(self.topology.port_waiting_time(p, demands) for p in ports),
             )
-        self._record_rollover(running, self._inc_clock, load)
+        self._record_rollover(running, self.clock, load)
         # The signature was just taken, so only a revoked tenant that
         # _retry_revoked would act on can make the next rollover re-solve.
-        self._inc_clean = not (
-            self._faults_active
-            and any(
-                (s.revoked_at is not None and s.readmit_latency is None)
-                or (s.lease.state == LEASE_REVOKED and not s.finished)
-                for s in self._inc_states.values()
-            )
+        self._inc_clean = not any(
+            (s.revoked_at is not None and s.readmit_latency is None)
+            or (s.lease.state == LEASE_REVOKED and not s.finished)
+            for s in self._inc_states.values()
         )
 
     def _record_rollover(
@@ -1724,21 +1743,28 @@ def step_racks(
     solve: Callable[[list[int], list[dict[int, float]]], Sequence[Mapping[int, float]]],
 ) -> dict[str, float]:
     """Advance ``racks`` in lockstep ``dt`` wall-seconds: the fabric's one
-    stepping loop.  Each chunk ends at the end of ``dt`` or at the nearest
-    rack's :meth:`~RackCoSimulator._begin_chunk`; every rack advances through
-    :meth:`~RackCoSimulator.step_frozen`, then :func:`roll_over` rolls the
-    due racks over with ``solve``.  Returns each tenant's baseline seconds."""
+    stepping loop.  Each chunk fires the faults that are due and ends at the
+    end of ``dt``, at the next fault or at the nearest rack's
+    :meth:`~RackCoSimulator._chunk_bound`; every rack advances through
+    :meth:`~RackCoSimulator.step_frozen`, the racks' one clock moves on, then
+    :func:`roll_over` rolls the due racks over with ``solve``.  Returns each
+    tenant's baseline seconds."""
+    lockstep = racks[0]._lockstep
     done = {name: 0.0 for rack in racks for name in rack._inc_states}
-    end = racks[0]._inc_clock + dt
+    end = lockstep.clock + dt
     remaining = float(dt)
     while remaining > 1e-15:
-        chunk = min([remaining] + [rack._begin_chunk() for rack in racks])
+        lockstep.apply_due_faults()
+        chunk = min([remaining] + [rack._chunk_bound() for rack in racks])
+        if lockstep.next_fault is not None:
+            chunk = min(chunk, max(lockstep.next_fault - lockstep.clock, 0.0))
         if chunk > 0:
             for rack in racks:
                 for name, amount in rack.step_frozen(chunk).items():
                     done[name] += amount
+            lockstep.clock += chunk
         roll_over(racks, solve)
-        remaining = end - racks[0]._inc_clock
+        remaining = end - lockstep.clock
     return done
 
 
@@ -1763,28 +1789,15 @@ def roll_back(
                 "so rollback is only legal while faults are merely pending"
             )
     for rack, checkpoint in zip(racks, checkpoints):
-        rack._inc_clock = checkpoint.clock
+        rack._lockstep.clock = checkpoint.clock
         rack._inc_epoch_elapsed = checkpoint.epoch_elapsed
         rack._inc_backgrounds = dict(checkpoint.backgrounds)
         rack._inc_offsets = dict(checkpoint.offsets)
         rack._inc_solve_key = checkpoint.solve_key
         rack._inc_clean = checkpoint.clean
-        for name, phase_index, phase_elapsed, finish_time in checkpoint.tenants:
-            state = rack._inc_states[name]
-            state.phase_index = phase_index
-            state.phase_elapsed = phase_elapsed
-            state.finish_time = finish_time
-        for entry in checkpoint.fault_tenants:
-            state = rack._inc_states[entry[0]]
-            (
-                state.stall_seconds,
-                state.migration_debt,
-                state.revoked_at,
-                state.readmit_latency,
-                state.revocations,
-                state.migrated_bytes,
-                state.first_granted_at,
-            ) = entry[1:]
+        for name, *values in checkpoint.tenants:
+            for field, value in zip(_CHECKPOINTED, values):
+                setattr(rack._inc_states[name], field, value)
         for name, length in checkpoint.histories:
             state = rack._inc_states[name]
             del state.background_times[length:]
@@ -1844,14 +1857,13 @@ def run_closed_loop(
     Returns the retired tenants' states by name, in retirement order, and
     the peak of the sampled leased bytes.
     """
+    lockstep = racks[0]._lockstep
     pending = sorted(arrivals, key=lambda item: item[1].arrival)
     cursor = 0
     retired: dict[str, _TenantState] = {}
     peak = 0
     for _ in range(_MAX_INSTANTS):
-        for rack in racks:
-            if rack._faults_active:
-                rack._apply_due_faults()
+        lockstep.apply_due_faults()
         while (
             cursor < len(pending) and pending[cursor][1].arrival <= sim.clock + 1e-12
         ):
@@ -1864,7 +1876,7 @@ def run_closed_loop(
             sim.withdraw(name)
         if not sim.tenant_states and cursor == len(pending):
             return retired, peak
-        ahead = [rack._next_fault_time() for rack in racks]
+        ahead = [lockstep.next_fault]
         if cursor < len(pending):
             ahead.append(pending[cursor][1].arrival)
         future = [t for t in ahead if t is not None and t > sim.clock + 1e-12]
@@ -1885,3 +1897,19 @@ def run_closed_loop(
     raise FabricError(
         f"the closed loop did not terminate within {_MAX_INSTANTS} instants"
     )
+
+
+def _lockstep_racks(
+    topologies: Sequence[FabricTopology],
+    pools: Sequence[MemoryPool],
+    testbed: TestbedConfig,
+    epoch_seconds: Optional[float],
+    seed: int,
+) -> _Lockstep:
+    """A :class:`~repro.fabric.cluster.ClusterCoSimulator`'s racks: one
+    empty rack per topology and pool, all on one new lockstep state."""
+    lockstep = _Lockstep(epoch_seconds)
+    for topology, pool in zip(topologies, pools):
+        rack = RackCoSimulator.__new__(RackCoSimulator)
+        rack._setup((), topology.n_nodes, pool, topology, testbed, seed, lockstep)
+    return lockstep

@@ -6,17 +6,21 @@ degrade mid-run, leases are revoked or shrunk while their tenants execute,
 and whole slabs of pool capacity disappear.  Faults are *data*, not
 callbacks — a :class:`FaultSchedule` is a sorted tuple of
 :class:`FaultEvent` values at simulated times, injected once into a
-:class:`~repro.fabric.cosim.RackCoSimulator` (or fanned out per rack by
-:class:`~repro.fabric.cluster.ClusterCoSimulator`) before stepping begins.
+:class:`~repro.fabric.cosim.RackCoSimulator` or a
+:class:`~repro.fabric.cluster.ClusterCoSimulator` before stepping begins.  A
+cluster's racks share one fault feed: a port or pool-capacity event acts on
+the rack it names, and a lease event on the rack hosting its tenant when it
+fires.
 
 **Determinism contract.**  A schedule is fully materialised at construction
 time: :meth:`FaultSchedule.seeded` draws every event from one
 ``numpy.random.default_rng(seed)`` up front, so the same seed always yields
 the same events, and simulations driven by equal schedules are bit-identical
 regardless of step sizes (the simulator sub-steps exactly at fault times).
-An **empty** schedule leaves the simulator on its fault-free fast path — one
-boolean attribute check per step chunk — and its outputs bit-identical to a
-simulator that never heard of faults.
+There is no separate fault-free path: every chunk runs the same fault
+bookkeeping, which charges nothing when nothing failed, so an **empty**
+schedule leaves every output bit-identical to a simulator that never heard
+of faults.
 
 **Recovery contract** (what survives, what re-queues):
 
@@ -88,8 +92,9 @@ class FaultEvent:
     kind:
         One of :data:`FAULT_KINDS`.
     rack:
-        Rack index the fault targets (ignored by single-rack simulators fed
-        via ``events_for_rack``; the default 0 matches them).
+        Rack index the fault targets (the default 0 matches a standalone
+        rack); in a cluster a lease event acts on the rack its tenant runs
+        on when it fires.
     port:
         Pool-port index, required by the ``port-*`` kinds.
     tenant:
@@ -148,8 +153,7 @@ class FaultSchedule:
     explicit ``port-restore`` events, and the result is sorted by time
     (stable, so same-time events keep their given order).  Once built the
     schedule is pure data — injecting it into a simulator never mutates it,
-    so one schedule can drive many simulators (e.g. every rack of a cluster,
-    filtered through :meth:`events_for_rack`).
+    so one schedule can drive many simulators.
     """
 
     def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
@@ -184,10 +188,6 @@ class FaultSchedule:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultSchedule({len(self.events)} events)"
-
-    def events_for_rack(self, rack: int) -> tuple[FaultEvent, ...]:
-        """The (already sorted) events targeting ``rack``."""
-        return tuple(e for e in self.events if e.rack == rack)
 
     @classmethod
     def seeded(

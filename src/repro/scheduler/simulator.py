@@ -19,8 +19,8 @@ How fast running jobs advance is delegated to a
 :class:`~repro.scheduler.progress.StaticCurveProgress` (the default) prices
 co-location with the submission-time ``slowdown_at(LoI)`` hints, while
 :class:`~repro.scheduler.progress.FabricCoupledProgress` steps one
-:class:`~repro.fabric.cosim.RackCoSimulator` per rack between scheduler
-events so placement decisions see emergent contention.  The simulator itself
+:class:`~repro.fabric.cluster.ClusterCoSimulator`, every rack in lockstep,
+between scheduler events so placement decisions see emergent contention.  The simulator itself
 only does linear bookkeeping: rates are piecewise constant between events,
 and the progress model's ``horizon()`` bounds how far one event may advance.
 """

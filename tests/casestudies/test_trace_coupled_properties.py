@@ -9,7 +9,10 @@ and lease faults, overcommitted or not, must keep the study's invariants:
 * no rack's sampled leased bytes exceed its pool capacity;
 * no job runs faster coupled than static: the static trace profile is
   insensitive, so its runtime is the job's baseline, and a fabric tenant
-  never outruns an idle fabric.
+  never outruns an idle fabric;
+* every lease event whose victim runs when it fires acts on it, on the rack
+  the job was placed on, whatever rack the event names: a revoke counts one
+  revocation, a shrink reclaims what it asks for or the whole lease.
 
 ``HYPOTHESIS_PROFILE=nightly`` raises the example budget (conftest.py).
 """
@@ -30,7 +33,7 @@ from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config.errors import SchedulingError
 from repro.config.units import GiB
 from repro.data.slurm import synthesize_sacct_lines
-from repro.fabric import FaultSchedule
+from repro.fabric import FaultSchedule, RackCoSimulator
 
 FAULT_KINDS = ("port-degrade", "port-kill", "lease-shrink", "lease-revoke")
 
@@ -43,6 +46,32 @@ class RecordingProgress(scheduling.FabricCoupledProgress):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         RecordingProgress.instances.append(self)
+
+
+def recording_apply_fault(missed: list):
+    """``RackCoSimulator.apply_fault`` that appends to ``missed`` every lease
+    event whose victim runs when it fires but that does not act on it."""
+    apply_fault = RackCoSimulator.apply_fault
+
+    def apply(rack, event):
+        victim = None
+        if event.kind in ("lease-revoke", "lease-shrink"):
+            cluster = RecordingProgress.instances[-1].cluster_simulator()
+            victim = cluster.tenant_states.get(event.tenant)
+        if victim is None or not victim.running:
+            return apply_fault(rack, event)
+        revocations, migrated = victim.revocations, victim.migrated_bytes
+        wanted = min(event.nbytes or 0, victim.lease.nbytes)
+        apply_fault(rack, event)
+        acted = rack.tenant_states.get(event.tenant) is victim and (
+            victim.revocations == revocations + 1
+            if event.kind == "lease-revoke"
+            else victim.migrated_bytes - migrated >= wanted
+        )
+        if not acted:
+            missed.append(event)
+
+    return apply
 
 
 @given(
@@ -79,7 +108,10 @@ def test_replay_keeps_its_invariants(
         overcommit=overcommit,
     )
     RecordingProgress.instances.clear()
-    with mock.patch.object(scheduling, "FabricCoupledProgress", RecordingProgress):
+    missed: list = []
+    with mock.patch.object(
+        scheduling, "FabricCoupledProgress", RecordingProgress
+    ), mock.patch.object(RackCoSimulator, "apply_fault", recording_apply_fault(missed)):
         try:
             result = study.replay(list(synthesize_sacct_lines(n_jobs, seed=trace_seed)))
         except SchedulingError as exc:
@@ -101,3 +133,5 @@ def test_replay_keeps_its_invariants(
     for a, b in zip(static.jobs, coupled.jobs):
         static_runtime = a.finish_time - a.start_time
         assert b.finish_time - b.start_time >= static_runtime * (1.0 - 1e-9)
+
+    assert missed == []

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.casestudies.trace_replay import (
+    MIN_RUNTIME_S,
     TRACE_SCALES,
     TraceJobMapper,
     TraceReplayStudy,
@@ -24,6 +26,7 @@ from repro.cli import main
 from repro.config.errors import SchedulingError
 from repro.config.units import GiB, bytes_to_gb
 from repro.data.slurm import TraceJob, synthesize_sacct_lines
+from repro.fabric import FaultEvent, FaultSchedule
 from repro.workloads.registry import workload_names
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "fixtures" / "sacct_synthetic.txt"
@@ -60,10 +63,8 @@ class TestTraceJobMapper:
         assert profile.workload == "BFS@4"
 
     def test_short_jobs_are_clamped_not_dropped(self):
-        profile = TraceJobMapper(min_runtime_s=5.0).profile_of(
-            trace_job(elapsed_s=0.25)
-        )
-        assert profile.baseline_runtime == 5.0
+        profile = TraceJobMapper().profile_of(trace_job(elapsed_s=0.25))
+        assert profile.baseline_runtime == MIN_RUNTIME_S == 1.0
 
     def test_application_is_a_stable_hash_of_seed_and_job_id(self):
         mapper = TraceJobMapper()
@@ -94,10 +95,6 @@ class TestTraceJobMapper:
     def test_bad_parameters_rejected(self):
         with pytest.raises(SchedulingError):
             TraceJobMapper(local_fraction=1.5)
-        with pytest.raises(SchedulingError):
-            TraceJobMapper(min_runtime_s=0.0)
-        with pytest.raises(SchedulingError):
-            TraceJobMapper(default_induced_loi=-1.0)
 
 
 class TestTraceReplayStudy:
@@ -154,6 +151,22 @@ class TestTraceReplayStudy:
         lines = [HEADER, "1|RUNNING|1|0|1024K|2024-01-01T00:00:00|Unknown|Unknown\n"]
         with pytest.raises(SchedulingError, match="no replayable jobs"):
             TraceReplayStudy().run(lines)
+
+    def test_a_lease_fault_follows_its_job_across_racks(self):
+        # job-1 runs on rack 1 from 288 s to ~4,851 s; the revoke names rack 0.
+        revoke = FaultEvent(time=1000.0, kind="lease-revoke", rack=0, tenant="job-1")
+        study = CoupledSchedulingStudy(
+            n_racks=2, nodes_per_rack=2, policy="pool-aware",
+            fault_schedule=FaultSchedule((revoke,)),
+        )
+        result = study.replay(list(synthesize_sacct_lines(12, seed=3)), coupled=True)
+        job = next(j for j in result.coupled.coupled.jobs if j.job_id == 1)
+        assert job.assigned_rack == 1
+        assert job.start_time < revoke.time < job.finish_time
+        faults = result.summary()["faults"]
+        assert faults["faults_injected"] == 1
+        assert faults["revocations"] == 1
+        assert faults["stalled_tenants"] == ["job-1"]
 
     def test_limit_and_window_thread_through(self):
         lines = list(synthesize_sacct_lines(40, seed=5))

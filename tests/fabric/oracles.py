@@ -131,11 +131,12 @@ def solve_scalar(
 def lockstep(cluster, scalar: bool = True):
     """Make ``cluster`` step every rack through its own ``RackCoSimulator.step``.
 
-    Racks advance in chunks bounded by the cluster epoch only; each rack
-    sub-chunks at its own epoch ends and fault times and rolls itself over
-    with a solve of its own.  With ``scalar`` those solves go through
-    :func:`solve_scalar`, and ``cluster.scalar_solves`` counts them, so a
-    test can prove the oracle did not quietly run the library's solver.
+    Racks advance in chunks bounded by the cluster epoch and by the next
+    fault of their one feed, which the cluster fires; each rack sub-chunks
+    at its own epoch ends and rolls itself over with a solve of its own.
+    With ``scalar`` those solves go through :func:`solve_scalar`, and
+    ``cluster.scalar_solves`` counts them, so a test can prove the oracle did
+    not quietly run the library's solver.
     Call it before the first admission (admissions solve too).  Returns
     ``cluster``.
     """
@@ -153,21 +154,27 @@ def lockstep(cluster, scalar: bool = True):
 
 
 def _lockstep_step(self, dt: float) -> dict[str, float]:
-    done = {name: 0.0 for name in self._tenant_rack}
+    lockstep = self._lockstep
+    done = {name: 0.0 for name in self.tenant_names}
     remaining = float(dt)
     while remaining > 1e-15:
-        if self._epoch is None:
-            for sim in self.rack_sims:
-                sim.step(remaining)
-            return done
+        lockstep.apply_due_faults()
         chunk = min(remaining, max(self._epoch_end - self.clock, 0.0))
+        if lockstep.next_fault is not None:
+            chunk = min(chunk, max(lockstep.next_fault - self.clock, 0.0))
         if chunk > 0:
+            # Each rack steps the chunk alone from its start, on the clock
+            # they share, with the feed set aside: the cluster fires faults.
+            start, nxt = self.clock, lockstep.next_fault
+            lockstep.next_fault = None
             for sim in self.rack_sims:
+                lockstep.clock = start
                 for name, amount in sim.step(chunk).items():
                     done[name] = done.get(name, 0.0) + amount
+            lockstep.next_fault = nxt
             remaining -= chunk
         if self.clock >= self._epoch_end - 1e-12:
-            self._epoch_end += self._epoch
+            self._epoch_end += self.epoch_seconds
             self._recouple()
     return done
 
@@ -210,35 +217,30 @@ def epoch_stepping(monkeypatch) -> None:
     horizon always ends at the next cluster epoch end.  Same simulated
     numbers as the library up to float accumulation, in more steps.
     """
-    monkeypatch.setattr(RackCoSimulator, "_begin_chunk", _epoch_begin_chunk)
+    monkeypatch.setattr(RackCoSimulator, "_chunk_bound", _epoch_chunk_bound)
     monkeypatch.setattr(RackCoSimulator, "horizon", _epoch_horizon)
     monkeypatch.setattr(RackCoSimulator, "step_frozen", _epoch_step_frozen)
     monkeypatch.setattr(ClusterCoSimulator, "horizon", _epoch_cluster_horizon)
 
 
-def _epoch_begin_chunk(self) -> float:
-    bound = math.inf
-    if self._faults_active:
-        self._apply_due_faults()
-        nxt = self._next_fault_time()
-        if nxt is not None:
-            bound = max(nxt - self._inc_clock, 0.0)
-    if self._inc_epoch is not None:
-        bound = min(bound, max(self._inc_epoch - self._inc_epoch_elapsed, 0.0))
-    return bound
+def _epoch_chunk_bound(self) -> float:
+    epoch = self._lockstep.epoch
+    if epoch is None:
+        return math.inf
+    return max(epoch - self._inc_epoch_elapsed, 0.0)
 
 
 def _epoch_horizon(self) -> float:
-    if self._inc_epoch is None:
+    epoch = self._lockstep.epoch
+    if epoch is None:
         raise FabricError("the co-simulation has no epoch length yet")
-    bound = max(self._inc_epoch - self._inc_epoch_elapsed, 1e-12)
-    if self._faults_active:
-        nxt = self._next_fault_time()
-        if nxt is not None:
-            bound = min(bound, max(nxt - self._inc_clock, 1e-12))
-        for state in self._inc_states.values():
-            if self._draining(state):
-                bound = min(bound, max(state.migration_debt, 1e-12))
+    bound = max(epoch - self._inc_epoch_elapsed, 1e-12)
+    nxt = self._lockstep.next_fault
+    if nxt is not None:
+        bound = min(bound, max(nxt - self.clock, 1e-12))
+    for state in self._inc_states.values():
+        if self._draining(state):
+            bound = min(bound, max(state.migration_debt, 1e-12))
     for name, rate in self.progress_rates().items():
         if rate > 0:
             state = self._inc_states[name]
@@ -254,39 +256,34 @@ def _epoch_step_frozen(self, dt: float) -> dict[str, float]:
     registry.counter("fabric.cosim.step_calls").inc()
     registry.counter("fabric.cosim.stepped_seconds").inc(dt)
     done = {name: 0.0 for name in self._inc_states}
-    if dt <= 1e-15:
+    epoch = self._lockstep.epoch
+    if dt <= 1e-15 or epoch is None:
         return done
-    if self._inc_epoch is None:
-        self._inc_clock += dt
-        return done
-    if dt > max(self._inc_epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
+    if dt > max(epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
         raise FabricError("step_frozen cannot cross an epoch boundary")
-    faulted = self._faults_active
     for state in [s for s in self._inc_states.values() if s.running]:
-        avail = self._fault_chunk_available(state, dt) if faulted else dt
+        avail = self._fault_chunk_available(state, dt)
         if avail <= 0.0:
             continue
         before = state.completed_baseline_seconds
         used = self._advance(state, self._inc_backgrounds.get(state.node, 0.0), avail)
         done[state.spec.name] += state.completed_baseline_seconds - before
         if used is not None and state.finish_time is None:
-            state.finish_time = self._inc_clock + (dt - avail) + used
-    if faulted:
-        for state in self._inc_states.values():
-            if (
-                state.revoked_at is not None
-                and state.readmit_latency is None
-                and not state.finished
-                and not state.running
-            ):
-                self._record_stall(state, dt)
-    self._inc_clock += dt
+            state.finish_time = self.clock + (dt - avail) + used
+    for state in self._inc_states.values():
+        if (
+            state.revoked_at is not None
+            and state.readmit_latency is None
+            and not state.finished
+            and not state.running
+        ):
+            self._record_stall(state, dt)
     self._inc_epoch_elapsed += dt
     return done
 
 
 def _epoch_cluster_horizon(self) -> float:
-    if self._epoch is None:
+    if self.epoch_seconds is None:
         raise FabricError("the cluster has no epoch length yet")
     bound = max(self._epoch_end - self.clock, 1e-12)
     for sim in self.rack_sims:
@@ -313,23 +310,28 @@ def _every_epoch_step(self, dt: float) -> dict[str, float]:
     if dt < 0:
         raise FabricError("cannot step the cluster backwards")
     metrics().counter("fabric.cluster.step_calls").inc()
-    done: dict[str, float] = {name: 0.0 for name in self._tenant_rack}
+    done: dict[str, float] = {name: 0.0 for name in self.tenant_names}
+    epoch = self.epoch_seconds
     elapsed = self.__dict__.get("_oracle_elapsed", 0.0)
     end = self.clock + dt
     remaining = float(dt)
     while remaining > 1e-15:
-        chunk = min([remaining] + [sim._begin_chunk() for sim in self.rack_sims])
-        if self._epoch is not None:
-            chunk = min(chunk, max(self._epoch - elapsed, 0.0))
+        self._lockstep.apply_due_faults()
+        chunk = min([remaining] + [sim._chunk_bound() for sim in self.rack_sims])
+        if self._lockstep.next_fault is not None:
+            chunk = min(chunk, max(self._lockstep.next_fault - self.clock, 0.0))
+        if epoch is not None:
+            chunk = min(chunk, max(epoch - elapsed, 0.0))
         if chunk > 0:
             for sim in self.rack_sims:
                 for name, amount in sim.step_frozen(chunk).items():
                     if amount:
                         done[name] = done.get(name, 0.0) + amount
-            if self._epoch is not None:
+            self._lockstep.clock += chunk
+            if epoch is not None:
                 elapsed += chunk
         roll_over(self.rack_sims, self._resolve_racks)
-        if self._epoch is not None and elapsed >= self._epoch - 1e-12:
+        if epoch is not None and elapsed >= epoch - 1e-12:
             metrics().counter("fabric.cluster.epochs").inc()
             elapsed = 0.0
             self._recouple()
@@ -339,9 +341,9 @@ def _every_epoch_step(self, dt: float) -> dict[str, float]:
 
 
 def _every_epoch_horizon(self) -> float:
-    if self._epoch is None:
+    if self.epoch_seconds is None:
         raise FabricError("the cluster has no epoch length yet")
-    epoch_end = max(self._epoch - self.__dict__.get("_oracle_elapsed", 0.0), 1e-12)
+    epoch_end = max(self.epoch_seconds - self.__dict__.get("_oracle_elapsed", 0.0), 1e-12)
     bound = epoch_end if self._spilled or self._offset_nodes else math.inf
     for sim in self.rack_sims:
         if any(state.running for state in sim.tenant_states.values()):
@@ -359,7 +361,7 @@ def fresh_clean(rack: RackCoSimulator) -> bool:
     """
     if rack._inc_solve_key is None:
         return False
-    if rack._faults_active and any(
+    if any(
         (s.revoked_at is not None and s.readmit_latency is None)
         or (s.lease.state == LEASE_REVOKED and not s.finished)
         for s in rack.tenant_states.values()
@@ -378,7 +380,7 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
     finish)}, epochs recorded)``; only fault-free, non-elastic runs.
     """
     states = [sim._new_tenant(spec, i) for i, spec in enumerate(sim.tenants)]
-    epoch = sim._epoch_seconds
+    epoch = sim._lockstep.epoch
     if epoch is None:
         epoch = max(max(s.baseline_runtime for s in states) / 40.0, 1e-6)
     clock = 0.0
@@ -430,14 +432,14 @@ def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
     rollover for all of them, and the outcomes, timelines and blast radius
     are built from the states still on the rack.
     """
-    if sim._inc_epoch is None:
+    lockstep = sim._lockstep
+    if lockstep.epoch is None:
         runtimes = [sim._baseline(spec).total_runtime for spec in sim.tenants]
-        sim._inc_epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
+        lockstep.epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
     pending = sorted(range(len(sim.tenants)), key=lambda i: sim.tenants[i].arrival)
     max_leased = 0
     for _ in range(MAX_EPOCHS):
-        if sim._faults_active:
-            sim._apply_due_faults()
+        lockstep.apply_due_faults()
         while pending and sim.tenants[pending[0]].arrival <= sim.clock + 1e-12:
             idx = pending.pop(0)
             spec = sim.tenants[idx]
@@ -452,9 +454,8 @@ def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
         if not pending and states and all(s.finished for s in states):
             break
         targets = [sim.tenants[pending[0]].arrival] if pending else []
-        nxt = sim._next_fault_time()
-        if nxt is not None:
-            targets.append(nxt)
+        if lockstep.next_fault is not None:
+            targets.append(lockstep.next_fault)
         future = [t for t in targets if t > sim.clock + 1e-12]
         if sim.progressing():
             dt = sim.horizon()
@@ -496,7 +497,7 @@ def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
         makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
         pool_capacity_bytes=sim.pool.capacity_bytes,
         max_leased_bytes=max_leased,
-        epoch_seconds=sim._inc_epoch,
+        epoch_seconds=lockstep.epoch,
         _interference={
             s.spec.name: DynamicInterference(
                 s.background_times,
@@ -506,9 +507,7 @@ def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
             for s in ordered
             if s.background_times
         },
-        blast_radius=(
-            sim.blast_radius() if sim._fault_events or sim.pool.elastic else None
-        ),
+        blast_radius=sim.blast_radius() if lockstep.reports_faults else None,
     )
 
 
@@ -567,10 +566,8 @@ def cluster_loop_oracle(sim: ClusterCoSimulator, arrivals=()) -> tuple[dict, dic
             break
         if finished:
             continue
-        faulted = any(rack._faults_active for rack in sim.rack_sims)
         stuck = running == 0 or (
-            faulted
-            and all(rack._next_fault_time() is None for rack in sim.rack_sims)
+            sim._lockstep.next_fault is None
             and not any(rack.progressing() for rack in sim.rack_sims)
         )
         if stuck and not pending:
@@ -598,7 +595,7 @@ def cluster_loop_oracle(sim: ClusterCoSimulator, arrivals=()) -> tuple[dict, dic
         ),
         "tenants": sorted(rows, key=lambda row: (row["rack"], row["name"])),
     }
-    if any(rack._faults_active for rack in sim.rack_sims):
+    if sim._lockstep.reports_faults:
         summary["faults"] = sim.blast_radius().summary()
     return summary, states
 

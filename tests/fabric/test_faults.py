@@ -380,6 +380,47 @@ class TestRevokeAndShrinkAccounting:
         assert all(t.lease_state == "released" for t in result.tenants)
 
 
+class TestLeaseFaultsFollowTheirTenant:
+    """A lease event acts on the rack hosting its tenant when it fires."""
+
+    def cluster(self, event):
+        """t0 on rack 0 and t1 on rack 1, under the one event ``event``."""
+        sim = ClusterCoSimulator(ClusterFabric(n_racks=2, nodes_per_rack=2), seed=0)
+        sim.inject_faults(FaultSchedule((event,)))
+        t0, t1 = tenants(2)
+        sim.admit(0, t0)
+        sim.admit(1, t1)
+        return sim
+
+    def test_a_revoke_naming_another_rack_revokes_its_victim(self):
+        sim = self.cluster(
+            FaultEvent(time=0.4, kind="lease-revoke", rack=0, tenant="t1")
+        )
+        sim.step(0.5)
+        report = sim.blast_radius()
+        assert report.faults_injected == 1
+        assert report.revocations == 1
+        assert report.stalled_tenants == ("t1",)
+        assert sim.rack_sim(1).tenant_states["t1"].revocations == 1
+
+    def test_a_victim_no_rack_hosts_is_a_counted_no_op(self):
+        sim = self.cluster(
+            FaultEvent(time=0.4, kind="lease-revoke", rack=1, tenant="gone")
+        )
+        sim.step(0.5)
+        report = sim.blast_radius()
+        assert (report.faults_injected, report.revocations) == (1, 0)
+        assert report.stalled_tenants == ()
+
+    def test_an_event_naming_a_rack_the_cluster_lacks_stays_inert(self):
+        sim = self.cluster(
+            FaultEvent(time=0.4, kind="lease-revoke", rack=2, tenant="t1")
+        )
+        sim.step(0.5)
+        report = sim.blast_radius()
+        assert (report.faults_injected, report.revocations) == (0, 0)
+
+
 class TestElasticOvercommit:
     def test_admission_by_shrinking(self):
         specs = tenants(2, stagger=0.3)
@@ -413,6 +454,22 @@ class TestElasticOvercommit:
         assert sim.pool.leased_bytes >= 0
         waits = {t.name: t.wait_time for t in result.tenants}
         assert waits["t2"] > 0.0
+
+    def test_an_elastic_pool_reports_a_blast_radius_even_unharmed(self):
+        """Racks and clusters share one rule: an armed schedule, an applied
+        fault or an elastic pool gives the result a blast radius."""
+        roomy = MemoryPool(1 << 40, elastic=True)
+        rack = RackCoSimulator(tenants(2), pool=roomy, seed=0).run()
+        assert rack.blast_radius.faults_injected == 0
+
+        def cluster(overcommit):
+            sim = ClusterCoSimulator(
+                ClusterFabric(n_racks=2, nodes_per_rack=2), seed=0, overcommit=overcommit
+            )
+            return sim.run_to_completion(list(enumerate(tenants(2))))
+
+        assert cluster(True)["faults"]["stalled_tenants"] == []
+        assert "faults" not in cluster(False)
 
 
 class TestCheckpointContract:

@@ -374,6 +374,16 @@ class TestSameRunAsEpochStepping:
         fault_seed=st.integers(0, 2**16),
         n_events=st.integers(1, 8),
     )
+    # The racks' epochs start 1e-12 s apart, so r1-BFS-1's last phase ends
+    # 1.0012e-12 s after r0-BFS-0's.  The library rounded that residue under
+    # the 1e-12 s finish slack and finished it a step early; the cluster
+    # epoch cuts left the oracle's at 1.0090e-12 s.
+    @example(
+        n_racks=2,
+        mix=(["BFS", "BFS", "SuperLU", "SuperLU"], [1.0, 0.001, 0.0, 1e-12]),
+        fault_seed=0,
+        n_events=1,
+    )
     def test_cluster_under_faults(self, n_racks, mix, fault_seed, n_events):
         apps, arrivals = mix
 

@@ -22,9 +22,10 @@ and the overhead of the telemetry layer itself:
    ``cluster_fabric.trace_replay_coupled``: the committed ``sacct`` fixture
    replayed by the one scheduling study with the fabric coupled in, on 100
    racks under seeded port and lease faults;
-6. ``fault_injection`` — the fault layer's disabled-path cost on the epoch
-   loop (its ``extra.disabled_overhead_pct`` is the < 2% acceptance bound
-   of ``docs/failure_model.md``) plus a seeded chaos scenario;
+6. ``fault_injection`` — what the fault bookkeeping costs a fault-free
+   stepping loop (its ``extra.disabled_overhead_pct`` is the < 2%
+   acceptance bound of ``docs/failure_model.md``) plus a seeded chaos
+   scenario;
 7. ``cluster_step_batched`` — cluster epoch stepping at 100 racks with
    every rack re-solved each epoch, all in one batched rollover;
 8. ``sweep_sharded`` — a repeated-query parameter sweep executed through
@@ -460,15 +461,21 @@ def bench_trace_replay_coupled(quick: bool) -> dict:
 
 
 def bench_fault_injection(quick: bool) -> list[dict]:
-    """Cost of the fault layer: disabled-path overhead + a seeded chaos run.
+    """Cost of the fault layer: fault-free overhead + a seeded chaos run.
 
-    * ``fault_injection.disabled_check`` — with no faults injected the fault
-      layer's hot-path cost is two ``_faults_active`` boolean checks per step
-      chunk (the rack's chunk bound ``_begin_chunk`` and ``step_frozen``).
-      The row times the same stepping loop as ``rack_cosim_step`` with
-      the layer disarmed, measures the per-check cost standalone, and records
-      ``extra.disabled_overhead_pct`` = checks x cost / wall time — the
-      < 2% acceptance bound of ``docs/failure_model.md``.
+    * ``fault_injection.disabled_check`` — there is no fault-free fast
+      path: every chunk runs the fault bookkeeping, which charges nothing
+      when nothing failed.  In a fault-free chunk that is the stepping
+      loop's look at the fault feed (``_Lockstep.apply_due_faults``) and
+      ``step_frozen``'s two checks: whether each running tenant owes stall
+      time (a faulted port or migration debt, which would call
+      ``_fault_chunk_available``) and whether some tenant does not run
+      (which would scan for tenants waiting on a revoked lease).  The row
+      times the same stepping loop as ``rack_cosim_step`` with no faults
+      injected, counts its chunks, measures one chunk's bookkeeping
+      standalone, and records ``extra.disabled_overhead_pct`` = chunks x
+      bookkeeping cost / wall time — the < 2% acceptance bound of
+      ``docs/failure_model.md``.
     * ``fault_injection.seeded_chaos`` — wall time of a batch chaos run under
       a seeded port-fault schedule; the blast radius and the stepping work
       (:func:`stepping_counts`) go into ``extra`` so the scenario's
@@ -480,26 +487,52 @@ def bench_fault_injection(quick: bool) -> list[dict]:
     steps = 60 if quick else 300
     spec = build_workload("XSBench")
     tenants = uniform_tenants(spec, n_tenants, local_fraction=0.5)
-    sim = RackCoSimulator.incremental(n_nodes=n_tenants)
-    for tenant in tenants:
-        sim.admit(tenant)
-    epoch = sim.baseline_runtime_of(tenants[0].name) / (steps * 4)
+
+    def stepped():
+        sim = RackCoSimulator.incremental(n_nodes=n_tenants)
+        for tenant in tenants:
+            sim.admit(tenant)
+        return sim, sim.baseline_runtime_of(tenants[0].name) / (steps * 4)
+
+    sim, epoch = stepped()
     start = time.perf_counter()
     for _ in range(steps):
         sim.step(epoch)
     step_wall = time.perf_counter() - start
+    with telemetry.isolated(True) as registry:
+        counted, _ = stepped()
+        calls = registry.counter("fabric.cosim.step_calls").value
+        for _ in range(steps):
+            counted.step(epoch)
+        chunks = int(registry.counter("fabric.cosim.step_calls").value - calls)
 
-    # Price of the disarmed guard, measured standalone.
-    loops = 50_000 if quick else 200_000
-    armed = False
-    start = time.perf_counter()
-    for _ in range(loops):
-        if sim._faults_active:
-            armed = True
-    check_ns = (time.perf_counter() - start) / loops * 1e9
-    assert not armed
-    checks = 2 * steps
-    disabled_overhead_pct = checks * check_ns / (step_wall * 1e9) * 100.0
+    # One fault-free chunk's fault bookkeeping, measured standalone: the
+    # statements ``step_racks`` and ``step_frozen`` run for it, net of the
+    # walk over the running tenants that ``step_frozen`` makes anyway.
+    loops = 20_000 if quick else 100_000
+    lockstep, states = sim._lockstep, sim.tenant_states
+    running = [state for state in states.values() if state.running]
+
+    def bookkeeping():
+        waiting = False
+        for _ in range(loops):
+            lockstep.apply_due_faults()
+            scales = sim._port_scales
+            for state in running:
+                if scales or state.migration_debt > 0.0:
+                    sim._fault_chunk_available(state, epoch)
+            waiting = len(running) < len(states)
+        assert not waiting
+
+    def walk():
+        for _ in range(loops):
+            for state in running:
+                pass
+
+    net_s = _timeit(bookkeeping, 3)["min_s"] - _timeit(walk, 3)["min_s"]
+    bookkeeping_ns = max(net_s, 0.0) / loops * 1e9
+    assert sim.blast_radius().total_stall_seconds == 0.0
+    disabled_overhead_pct = chunks * bookkeeping_ns / (step_wall * 1e9) * 100.0
 
     rows = [
         {
@@ -516,8 +549,8 @@ def bench_fault_injection(quick: bool) -> list[dict]:
             "min_s": step_wall / steps,
             "throughput_per_s": steps / step_wall if step_wall > 0 else 0.0,
             "extra": {
-                "check_ns": check_ns,
-                "checks_per_run": checks,
+                "bookkeeping_ns": bookkeeping_ns,
+                "chunks_per_run": chunks,
                 "disabled_overhead_pct": disabled_overhead_pct,
             },
         }
