@@ -15,7 +15,7 @@ optimisation options considered in Section 7.1 can be expressed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,8 +106,12 @@ class TieredMemory:
         """How many whole pages still fit in ``tier``."""
         return max(self._usage[tier].free_bytes // self.page_bytes, 0)
 
-    def _place_pages(self, pages: np.ndarray, tier: int) -> None:
-        """Place previously-unplaced pages into ``tier`` and charge capacity."""
+    def _place_pages(self, pages: np.ndarray | range, tier: int) -> None:
+        """Place previously-unplaced pages into ``tier`` and charge capacity.
+
+        ``pages`` is an index array or a ``range`` of contiguous pages, which
+        is written as one slice.
+        """
         if len(pages) == 0:
             return
         n_bytes = len(pages) * self.page_bytes
@@ -116,6 +120,8 @@ class TieredMemory:
                 f"tier {self._usage[tier].name!r} cannot hold {len(pages)} more pages "
                 f"({self._usage[tier].free_bytes} bytes free) — out of memory"
             )
+        if isinstance(pages, range):
+            pages = slice(pages.start, pages.stop)
         self._page_tier[pages] = tier
         self._usage[tier].used_bytes += n_bytes
 
@@ -134,13 +140,19 @@ class TieredMemory:
 
         Returns the tier index of each of the object's pages.  Touching an
         already-placed object is a no-op (idempotent, like re-initialising an
-        array in place).
+        array in place).  A wholly unplaced object is placed as a ``range``,
+        one slice write per tier; interleaving and a partly placed object
+        take an index array of the unplaced pages.
         """
-        self._grow_page_table()
-        pages = obj.page_range()
-        unplaced = pages[self._page_tier[pages] == UNPLACED]
-        if len(unplaced) == 0:
+        pages = self._pages(obj)
+        is_unplaced = self._page_tier[pages] == UNPLACED
+        n_unplaced = int(np.count_nonzero(is_unplaced))
+        if n_unplaced == 0:
             return self.placement_of(obj)
+        if n_unplaced == obj.n_pages and obj.placement != PLACEMENT_INTERLEAVE:
+            unplaced = range(pages.start, pages.stop)
+        else:
+            unplaced = np.flatnonzero(is_unplaced) + pages.start
 
         if obj.placement == PLACEMENT_LOCAL:
             self._place_pages(unplaced, 0)
@@ -154,7 +166,7 @@ class TieredMemory:
             raise PlacementError(f"unknown placement policy {obj.placement!r}")
         return self.placement_of(obj)
 
-    def _place_first_touch(self, pages: np.ndarray) -> None:
+    def _place_first_touch(self, pages: np.ndarray | range) -> None:
         remaining = pages
         for tier in range(len(self._usage)):
             if len(remaining) == 0:
@@ -195,13 +207,12 @@ class TieredMemory:
 
     def free(self, obj: MemoryObject) -> int:
         """Free an object's pages, returning how many bytes were released."""
-        self._grow_page_table()
-        pages = obj.page_range()
+        pages = self._pages(obj)
+        placement = self._page_tier[pages]
         released = 0
-        for tier in range(len(self._usage)):
-            tier_pages = pages[self._page_tier[pages] == tier]
-            n_bytes = len(tier_pages) * self.page_bytes
-            self._usage[tier].used_bytes -= n_bytes
+        for tier, usage in enumerate(self._usage):
+            n_bytes = int(np.count_nonzero(placement == tier)) * self.page_bytes
+            usage.used_bytes -= n_bytes
             released += n_bytes
         self._page_tier[pages] = UNPLACED
         return released

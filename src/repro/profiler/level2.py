@@ -100,6 +100,29 @@ class Level2Profile:
         raise KeyError(f"no phase {phase!r} in this profile")
 
 
+def pooled_platforms(
+    spec: WorkloadSpec, local_fractions: Sequence[float]
+) -> dict[str, Platform]:
+    """One pooled platform per local fraction, keyed by its ``"75-25"`` label.
+
+    The label rounds the split to whole percent.  Two fractions that round
+    alike would share one key and silently lose a profile, so they raise
+    :class:`ProfilerError` instead.
+    """
+    platforms: dict[str, Platform] = {}
+    fractions: dict[str, float] = {}
+    for fraction in local_fractions:
+        platform = Platform.pooled(spec.footprint_bytes, fraction)
+        if platform.label in platforms:
+            raise ProfilerError(
+                f"local fractions {fractions[platform.label]} and {fraction} both "
+                f"give the {platform.label} split; profile them separately"
+            )
+        platforms[platform.label] = platform
+        fractions[platform.label] = fraction
+    return platforms
+
+
 class Level2Profiler:
     """Runs a workload on pooled tier configurations and extracts Level-2 metrics."""
 
@@ -147,8 +170,7 @@ class Level2Profiler:
         local_fractions: Sequence[float] = (0.75, 0.50, 0.25),
     ) -> dict[str, Level2Profile]:
         """Level-2 profiles over the paper's three capacity-ratio configurations."""
-        profiles = {}
-        for fraction in local_fractions:
-            platform = Platform.pooled(spec.footprint_bytes, fraction)
-            profiles[platform.label] = self.profile(spec, platform)
-        return profiles
+        return {
+            label: self.profile(spec, platform)
+            for label, platform in pooled_platforms(spec, local_fractions).items()
+        }

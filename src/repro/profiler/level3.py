@@ -28,6 +28,7 @@ from ..sim.platform import Platform
 from ..sim.results import RunResult
 from ..workloads.base import WorkloadSpec
 from ..workloads.lbench import LBench
+from .level2 import pooled_platforms
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,9 @@ class SensitivityCurve:
             raise ProfilerError("LoI levels and runtimes must have equal length")
         if not self.loi_levels or self.loi_levels[0] != 0.0:
             raise ProfilerError("the first LoI level must be 0 (the baseline)")
+        # Interpolation and "the highest measured LoI" read the levels in order.
+        if not all(b > a for a, b in zip(self.loi_levels, self.loi_levels[1:])):
+            raise ProfilerError(f"LoI levels must increase, got {self.loi_levels}")
 
     @property
     def baseline_runtime(self) -> float:
@@ -112,9 +116,8 @@ class Level3Profiler:
         """The sensitivity curve and its LoI-0 (interference-free) run."""
         if platform.tier_config is None:
             raise ProfilerError("Level-3 profiling requires a pooled platform")
-        levels = tuple(float(l) for l in loi_levels)
-        if not levels or levels[0] != 0.0:
-            levels = (0.0,) + tuple(l for l in levels if l != 0.0)
+        # The LoI-0 baseline first, then each other level once, in order.
+        levels = tuple(sorted({0.0, *(float(l) for l in loi_levels)}))
         engine = ExecutionEngine(platform, seed=self.seed)
         runs = [
             engine.run(spec, interference=ConstantInterference(loi) if loi > 0 else None)
@@ -135,11 +138,10 @@ class Level3Profiler:
         loi_levels: Sequence[float] = DEFAULT_LOI_LEVELS,
     ) -> dict[str, SensitivityCurve]:
         """Sensitivity curves on the paper's three capacity-ratio configurations."""
-        curves = {}
-        for fraction in local_fractions:
-            platform = Platform.pooled(spec.footprint_bytes, fraction)
-            curves[platform.label] = self.sensitivity(spec, platform, loi_levels)
-        return curves
+        return {
+            label: self.sensitivity(spec, platform, loi_levels)
+            for label, platform in pooled_platforms(spec, local_fractions).items()
+        }
 
     # -- interference coefficient -------------------------------------------------------
 

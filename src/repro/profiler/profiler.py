@@ -14,11 +14,13 @@ the equivalent front end for the simulator:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..cache.events import CounterSet
 from ..config.errors import ProfilerError
+from ..sim.engine import sharing_draws
 from ..sim.platform import Platform
 from ..workloads.base import WorkloadSpec
 from .level1 import Level1Profile, Level1Profiler
@@ -116,17 +118,35 @@ class MultiLevelProfiler:
         level1 = profiler.level1(spec)                       # step II
         level2 = profiler.level2(spec, local_fraction=0.5)   # steps III-IV
         level3 = profiler.level3(spec, local_fraction=0.5)   # step V
+
+    Every level of one workload draws the same random page weights: the
+    local-only plan, the access profile and the plan of each capacity split
+    all consume the generator alike.  The profiler draws each such array
+    once and keeps the draws of the workload it profiled last, dropping them
+    when it moves on to another one.
     """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self.tracer = RegionTracer()
+        #: The workload whose page-weight draws ``_draws`` holds.
+        self._draws_of: Optional[WorkloadSpec] = None
+        self._draws: dict = {}
+
+    @contextmanager
+    def _sharing_draws(self, spec: WorkloadSpec) -> Iterator[None]:
+        """Share page-weight draws across this profiler's runs of ``spec``."""
+        if spec is not self._draws_of:
+            self._draws_of, self._draws = spec, {}
+        with sharing_draws(self._draws):
+            yield
 
     # -- level 1 -------------------------------------------------------------------
 
     def level1(self, spec: WorkloadSpec, platform: Optional[Platform] = None) -> Level1Profile:
         """General characteristics on a (by default) local-only system."""
-        return Level1Profiler(platform=platform, seed=self.seed).profile(spec)
+        with self._sharing_draws(spec):
+            return Level1Profiler(platform=platform, seed=self.seed).profile(spec)
 
     # -- level 2 -------------------------------------------------------------------
 
@@ -143,13 +163,15 @@ class MultiLevelProfiler:
         """
         if platform is None:
             platform = Platform.pooled(spec.footprint_bytes, local_fraction)
-        return Level2Profiler(seed=self.seed).profile(spec, platform)
+        with self._sharing_draws(spec):
+            return Level2Profiler(seed=self.seed).profile(spec, platform)
 
     def level2_sweep(
         self, spec: WorkloadSpec, local_fractions: Sequence[float] = (0.75, 0.50, 0.25)
     ) -> dict[str, Level2Profile]:
         """Level-2 profiles across the paper's three capacity-ratio setups."""
-        return Level2Profiler(seed=self.seed).profile_capacity_ratios(spec, local_fractions)
+        with self._sharing_draws(spec):
+            return Level2Profiler(seed=self.seed).profile_capacity_ratios(spec, local_fractions)
 
     # -- level 3 -------------------------------------------------------------------
 
@@ -163,9 +185,10 @@ class MultiLevelProfiler:
         """Interference sensitivity and interference coefficient on a pooled system."""
         if platform is None:
             platform = Platform.pooled(spec.footprint_bytes, local_fraction)
-        return Level3Profiler(seed=self.seed).interference_coefficient(
-            spec, platform, loi_levels=loi_levels
-        )
+        with self._sharing_draws(spec):
+            return Level3Profiler(seed=self.seed).interference_coefficient(
+                spec, platform, loi_levels=loi_levels
+            )
 
     def level3_sensitivity(
         self,
@@ -174,9 +197,10 @@ class MultiLevelProfiler:
         loi_levels: Sequence[float] = Level3Profiler.DEFAULT_LOI_LEVELS,
     ) -> dict[str, SensitivityCurve]:
         """Sensitivity curves across the paper's three capacity-ratio setups."""
-        return Level3Profiler(seed=self.seed).sensitivity_across_configs(
-            spec, local_fractions, loi_levels
-        )
+        with self._sharing_draws(spec):
+            return Level3Profiler(seed=self.seed).sensitivity_across_configs(
+                spec, local_fractions, loi_levels
+            )
 
     # -- tracing API ---------------------------------------------------------------
 

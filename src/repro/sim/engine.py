@@ -26,13 +26,22 @@ bytes, the seed and the testbed, and is memoized per that key.  The
 this run's prefetch switch and background traffic.  The profiler's prefetch
 on/off pair and its LoI sweep therefore place memory once and price the
 plan several times.
+
+The plans of one workload on different tier geometries, and its access
+profile, draw the same random page weights: each pass seeds its generator
+alike and draws over the same page counts in the same order.  Inside a
+:func:`sharing_draws` scope, which the multi-level profiler opens around its
+levels, each such draw is made once and handed out again (see
+:func:`_page_weights`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -143,6 +152,67 @@ _PLAN_MEMO_SIZE = 64
 #: (id(spec), tier config, reserved local bytes, seed, testbed) -> (spec, plan).
 _plans: OrderedDict = OrderedDict()
 
+#: The draw memo of the innermost open :func:`sharing_draws` scope (None: none open).
+_draw_memo: ContextVar[Optional[dict]] = ContextVar("draw_memo", default=None)
+
+
+@contextmanager
+def sharing_draws(memo: dict) -> Iterator[None]:
+    """Share page-weight draws through ``memo`` while the block runs.
+
+    The caller owns ``memo`` and decides how long its arrays live: outside
+    every scope no draw is kept, so the fabric's baselines, the case studies
+    and the migrating engine hold nothing.
+    """
+    token = _draw_memo.set(memo)
+    try:
+        yield
+    finally:
+        _draw_memo.reset(token)
+
+
+def _frozen(state):
+    """A hashable copy of a bit generator's (nested dict) state."""
+    if isinstance(state, dict):
+        return tuple((key, _frozen(value)) for key, value in state.items())
+    return state
+
+
+def _page_weights(pattern, n_pages: int, rng: np.random.Generator) -> np.ndarray:
+    """``pattern.page_weights(n_pages, rng)``, shared inside a :func:`sharing_draws` scope.
+
+    A draw is a pure function of the pattern, the page count and the
+    generator state before it, so that triple is the memo key.  A hit hands
+    out the stored read-only weights and moves the generator to the state
+    the draw left it in: bit for bit what drawing again would give, in any
+    call order.  Only draws that moved the generator are stored; uniform and
+    hot/cold weights are cheaper to redraw than to hold.  A pattern that
+    cannot be hashed draws afresh.
+    """
+    registry = metrics()
+    registry.counter("engine.draws").inc()
+    memo = _draw_memo.get()
+    if memo is None:
+        return pattern.page_weights(n_pages, rng)
+    bit_generator = rng.bit_generator
+    before = bit_generator.state
+    key = (pattern, n_pages, _frozen(before))
+    try:
+        entry = memo.get(key)
+    except TypeError:  # an unhashable pattern
+        return pattern.page_weights(n_pages, rng)
+    if entry is not None:
+        weights, after = entry
+        bit_generator.state = after
+        registry.counter("engine.draws.shared").inc()
+        return weights
+    weights = pattern.page_weights(n_pages, rng)
+    after = bit_generator.state
+    if after != before:
+        weights.flags.writeable = False
+        memo[key] = (weights, after)
+    return weights
+
 
 class ExecutionEngine:
     """Runs :class:`~repro.workloads.base.WorkloadSpec` objects on a :class:`Platform`."""
@@ -233,7 +303,7 @@ class ExecutionEngine:
                 )
                 if traffic_lines <= 0 or obj.n_pages == 0:
                     continue
-                weights = obj.pattern.page_weights(obj.n_pages, rng)
+                weights = _page_weights(obj.pattern, obj.n_pages, rng)
                 pages = slice(obj.first_page, obj.first_page + obj.n_pages)
                 counts[pages] += weights * traffic_lines
                 touched[pages] = True
@@ -354,7 +424,7 @@ class ExecutionEngine:
             if traffic <= 0 or obj.n_pages == 0:
                 continue
             placement = memory.placement_of(obj)
-            weights = obj.pattern.page_weights(obj.n_pages, rng)
+            weights = _page_weights(obj.pattern, obj.n_pages, rng)
             for tier, weight in _tier_weights(placement, weights, n_tiers):
                 per_tier[tier] += traffic * weight
         return TierTraffic(

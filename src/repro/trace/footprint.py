@@ -80,15 +80,23 @@ def scaling_curve_from_counts(counts: np.ndarray, n_points: int = 101) -> Scalin
     Pages are sorted by access count in descending order; the cumulative
     distribution of accesses is then resampled onto ``n_points`` evenly spaced
     footprint percentages so curves of different footprint sizes can be
-    overlaid (as in Figure 6).
+    overlaid (as in Figure 6).  The counts are copied only when some must be
+    dropped (negative or NaN), and the cumulative share is built in one
+    array: a dense profile of a large footprint makes every temporary large.
     """
     counts = np.asarray(counts, dtype=np.float64)
-    counts = counts[counts >= 0]
+    kept = counts >= 0
+    if not kept.all():
+        counts = counts[kept]
     if len(counts) == 0 or counts.sum() <= 0:
         pct = np.linspace(0.0, 100.0, n_points)
         return ScalingCurve(pct, pct.copy())
     ordered = np.sort(counts)[::-1]
-    cum_access = np.concatenate([[0.0], np.cumsum(ordered)]) / ordered.sum() * 100.0
+    cum_access = np.empty(len(ordered) + 1)
+    cum_access[0] = 0.0
+    np.cumsum(ordered, out=cum_access[1:])
+    cum_access /= ordered.sum()
+    cum_access *= 100.0
     cum_footprint = np.linspace(0.0, 100.0, len(ordered) + 1)
     pct = np.linspace(0.0, 100.0, n_points)
     access = np.interp(pct, cum_footprint, cum_access)

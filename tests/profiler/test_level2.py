@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import telemetry
 from repro.config.errors import ProfilerError
 from repro.profiler.level2 import Level2Profiler
+from repro.profiler.profiler import MultiLevelProfiler
 from repro.sim.platform import Platform
 from repro.workloads import build_workload
 
@@ -69,3 +71,17 @@ def test_reference_band_classification(profiler, hpl_spec):
 def test_profile_capacity_ratios_helper(profiler, xsbench_spec):
     profiles = profiler.profile_capacity_ratios(xsbench_spec, (0.75, 0.5))
     assert set(profiles) == {"75-25", "50-50"}
+
+
+def test_fractions_that_share_a_split_label_are_rejected():
+    # 0.5 and 0.504 both label the "50-50" split: one profile would vanish.
+    spec = build_workload("SuperLU")
+    with telemetry.isolated(True) as registry:
+        with pytest.raises(ProfilerError, match=r"0\.5 and 0\.504 .*50-50"):
+            MultiLevelProfiler(seed=0).level2_sweep(spec, (0.5, 0.504))
+    # Rejected before any engine run.
+    assert registry.counter("engine.runs").value == 0
+    assert set(Level2Profiler(seed=0).profile_capacity_ratios(spec, (0.5, 0.51))) == {
+        "50-50",
+        "51-49",
+    }

@@ -52,6 +52,26 @@ class TestSensitivityCurve:
             SensitivityCurve("w", "c", (10.0, 20.0), (1.0, 2.0))
         with pytest.raises(ProfilerError):
             SensitivityCurve("w", "c", (0.0, 20.0), (1.0,))
+        # Interpolation needs increasing levels.
+        for levels in ((0.0, 30.0, 10.0), (0.0, 10.0, 10.0)):
+            with pytest.raises(ProfilerError, match="must increase"):
+                SensitivityCurve("w", "c", levels, (1.0, 2.0, 3.0))
+
+    def test_levels_out_of_order_are_sorted(self):
+        spec = build_workload("SuperLU")
+        profiler = MultiLevelProfiler(seed=0)
+        ordered = profiler.level3(spec, loi_levels=(0, 10, 30)).sensitivity
+        for levels in ((0, 30, 10), (30, 10, 30, 0), (10, 30)):
+            assert profiler.level3(spec, loi_levels=levels).sensitivity == ordered
+        # The measured LoI-10 point, not an interpolation across LoI 30.
+        curve = profiler.level3(spec, loi_levels=(0, 30, 10)).sensitivity
+        assert curve.slowdown_at(10.0) == ordered.runtimes[1] / ordered.runtimes[0]
+        assert curve.max_performance_loss == 1.0 - ordered.runtimes[0] / ordered.runtimes[2]
+
+    def test_fractions_that_share_a_split_label_are_rejected(self):
+        spec = build_workload("SuperLU")
+        with pytest.raises(ProfilerError, match=r"0\.5 and 0\.504 .*50-50"):
+            MultiLevelProfiler(seed=0).level3_sensitivity(spec, (0.5, 0.504))
 
     def test_across_configs(self, profiler, hypre_spec):
         curves = profiler.sensitivity_across_configs(hypre_spec, (0.75, 0.25), (0, 50))

@@ -38,7 +38,8 @@ and the overhead of the telemetry layer itself:
 10. ``engine_profile_levels`` — the paper's three-level methodology through
     :class:`repro.sim.ExecutionEngine` on HPL and XSBench (full runs add a
     row with all six applications); ``extra`` counts the engine runs, the
-    plans (placements) and the ``page_weights`` draws behind them.
+    plans (placements), the ``page_weights`` draws behind them and the
+    draws the profiler shared, and records the run's tracemalloc peak.
 
 The emitted JSON validates against
 :mod:`repro.telemetry.benchjson` (``--check FILE`` re-validates any existing
@@ -71,6 +72,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -861,8 +863,10 @@ def bench_engine_profile_levels(quick: bool) -> list[dict]:
     sweep) at the 50% split.  Every repeat builds fresh workload objects, so
     no repeat prices a plan memoized by an earlier one.  One extra untimed
     run counts the work into ``extra``: ``engine_runs``, ``engine_plans``
-    (placements, one per workload and tier geometry) and
-    ``page_weight_draws``.
+    (placements, one per workload and tier geometry),
+    ``page_weight_draws`` (the draws actually made) and ``shared_draws``
+    (draws the profiler handed out again instead).  Another untimed run
+    records the tracemalloc peak, ``peak_traced_mb``.
     """
     from repro.profiler.profiler import MultiLevelProfiler
 
@@ -881,6 +885,12 @@ def bench_engine_profile_levels(quick: bool) -> list[dict]:
         with telemetry.isolated(True) as registry:
             _, draws = count_page_weight_draws(methodology)
         runs = int(registry.counter("engine.runs").value)
+        tracemalloc.start()
+        try:
+            methodology()
+            peak_traced_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
         timing = _timeit(methodology, repeats)
         label = "six_apps" if len(apps) == 6 else "_".join(a.lower() for a in apps)
         rows.append(
@@ -898,6 +908,8 @@ def bench_engine_profile_levels(quick: bool) -> list[dict]:
                     "engine_runs": runs,
                     "engine_plans": int(registry.counter("engine.plans").value),
                     "page_weight_draws": draws,
+                    "shared_draws": int(registry.counter("engine.draws.shared").value),
+                    "peak_traced_mb": peak_traced_mb,
                     "runs_per_s": runs / timing["min_s"] if timing["min_s"] > 0 else 0.0,
                 },
             }
