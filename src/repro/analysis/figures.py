@@ -8,6 +8,7 @@ mapping from figure number to builder is listed in DESIGN.md.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -15,6 +16,16 @@ import numpy as np
 from ..casestudies.bfs_placement import BFSPlacementCaseStudy
 from ..casestudies.scheduling import SchedulingCaseStudy
 from ..data.top500 import memory_evolution
+from ..fabric import (
+    ClusterCoSimulator,
+    ClusterFabric,
+    FabricTopology,
+    FaultSchedule,
+    MemoryPool,
+    RackCoSimulator,
+    parse_fault_spec,
+    uniform_tenants,
+)
 from ..models.roofline import RooflinePoint, roofline_series
 from ..profiler.level1 import Level1Profiler
 from ..profiler.level2 import Level2Profiler
@@ -220,6 +231,92 @@ def figure12_bfs_case_study(
     return summary
 
 
+def fabric_scenario(
+    workload: str = "Hypre",
+    n_tenants: int = 4,
+    scale: float = 1.0,
+    local_fraction: float = 0.50,
+    stagger: float = 0.0,
+    pool_capacity_bytes: Optional[int] = None,
+    n_ports: int = 1,
+    port_capacity_scale: float = 1.0,
+    epoch_seconds: Optional[float] = None,
+    n_racks: Optional[int] = None,
+    cluster_pool_bytes: Optional[int] = None,
+    uplink_capacity_scale: float = 4.0,
+    overcommit: bool = False,
+    faults: Optional[FaultSchedule] = None,
+    drain_bytes_per_s: Optional[float] = None,
+    seed: int = 0,
+) -> dict:
+    """``n_tenants`` tenants of ``workload`` on one rack, or on each rack of
+    an ``n_racks``-rack cluster (names prefixed ``rack<i>-``), run to the end.
+
+    The one fabric scenario behind ``repro-dmem fabric`` and both fabric
+    figures.  Each rack pool holds ``pool_capacity_bytes``, by default
+    exactly its leases (a byte for a tenant that leases none), and is
+    elastic iff ``overcommit``.  Returns the ``summary``, the pool
+    ``timeline`` (one per ``rack<i>`` in a cluster) and every finished
+    tenant's ``tenant_background_loi``.
+    """
+    spec = get_model(workload).build(scale)
+    tenants = uniform_tenants(spec, n_tenants, local_fraction=local_fraction, stagger=stagger)
+    if pool_capacity_bytes is None:
+        pool_capacity_bytes = sum(max(t.lease_bytes, 1) for t in tenants)
+    if n_racks is None:
+        simulator = RackCoSimulator(
+            tenants,
+            pool=MemoryPool(pool_capacity_bytes, elastic=overcommit),
+            topology=FabricTopology(
+                n_nodes=n_tenants, n_ports=n_ports, port_capacity_scale=port_capacity_scale
+            ),
+            epoch_seconds=epoch_seconds,
+            seed=seed,
+        )
+    else:
+        fabric = ClusterFabric(
+            n_racks=n_racks,
+            nodes_per_rack=n_tenants,
+            n_ports=n_ports,
+            port_capacity_scale=port_capacity_scale,
+            uplink_capacity_scale=uplink_capacity_scale,
+        )
+        simulator = ClusterCoSimulator(
+            fabric,
+            rack_pool_bytes=pool_capacity_bytes,
+            cluster_pool_bytes=cluster_pool_bytes,
+            epoch_seconds=epoch_seconds,
+            seed=seed,
+            overcommit=overcommit,
+        )
+    if faults is not None:
+        simulator.inject_faults(faults, drain_bytes_per_s=drain_bytes_per_s)
+    if n_racks is None:
+        result = source = simulator.run()
+        summary, timeline = result.summary(), result.telemetry.series()
+        finished = [outcome.name for outcome in result.finished_tenants]
+    else:
+        source = simulator
+        summary = simulator.run_to_completion(
+            [(r, replace(t, name=f"rack{r}-{t.name}")) for r in range(n_racks) for t in tenants]
+        )
+        timeline = {
+            f"rack{r}": sim.telemetry.series() for r, sim in enumerate(simulator.rack_sims)
+        }
+        # The closed loop withdraws a finished tenant; one that cannot run stays.
+        stranded = simulator.tenant_states
+        finished = [t["name"] for t in summary["tenants"] if t["name"] not in stranded]
+    backgrounds = {}
+    for name in finished:
+        times, lois = source.interference_for(name).loi_timeline()
+        backgrounds[name] = {"time": list(times), "loi": list(lois)}
+    return {
+        "timeline": timeline,
+        "tenant_background_loi": backgrounds,
+        "summary": summary,
+    }
+
+
 def figure_fabric_pool_timeline(
     n_tenants: int = 4,
     workload: str = "Hypre",
@@ -247,61 +344,20 @@ def figure_fabric_pool_timeline(
     lease when it finishes.  ``timeline`` then maps rack labels to series,
     and spilled tenants' spine contention shows up in their background-LoI
     timelines because rack co-simulators fold external offsets into the
-    frozen backgrounds.
+    frozen backgrounds.  ``cluster_pool_bytes`` applies only then.
     """
-    from ..fabric import FabricTopology, MemoryPool, RackCoSimulator, uniform_tenants
-    from ..workloads.registry import get_model
-
-    spec = get_model(workload).build(scale)
-    tenants = uniform_tenants(
-        spec, n_tenants, local_fraction=local_fraction, stagger=stagger
+    return fabric_scenario(
+        workload=workload,
+        n_tenants=n_tenants,
+        scale=scale,
+        local_fraction=local_fraction,
+        stagger=stagger,
+        pool_capacity_bytes=pool_capacity_bytes,
+        n_ports=n_ports,
+        n_racks=n_racks if n_racks > 1 else None,
+        cluster_pool_bytes=cluster_pool_bytes,
+        seed=seed,
     )
-    if n_racks > 1:
-        from dataclasses import replace as _replace
-
-        from ..fabric import ClusterCoSimulator, ClusterFabric
-
-        fabric = ClusterFabric(n_racks=n_racks, nodes_per_rack=n_tenants, n_ports=n_ports)
-        simulator = ClusterCoSimulator(
-            fabric,
-            rack_pool_bytes=pool_capacity_bytes,
-            cluster_pool_bytes=cluster_pool_bytes,
-            seed=seed,
-        )
-        summary = simulator.run_to_completion(
-            [
-                (rack, _replace(t, name=f"rack{rack}-{t.name}"))
-                for rack in range(n_racks)
-                for t in tenants
-            ]
-        )
-        backgrounds = {}
-        for tenant in summary["tenants"]:
-            if tenant["lease_state"] == "granted":
-                times, lois = simulator.interference_for(tenant["name"]).loi_timeline()
-                backgrounds[tenant["name"]] = {"time": list(times), "loi": list(lois)}
-        return {
-            "timeline": {
-                f"rack{rack}": sim.telemetry.series()
-                for rack, sim in enumerate(simulator.rack_sims)
-            },
-            "tenant_background_loi": backgrounds,
-            "summary": summary,
-        }
-    pool = (
-        MemoryPool(pool_capacity_bytes) if pool_capacity_bytes is not None else None
-    )
-    topology = FabricTopology(n_nodes=n_tenants, n_ports=n_ports)
-    result = RackCoSimulator(tenants, pool=pool, topology=topology, seed=seed).run()
-    backgrounds = {}
-    for outcome in result.finished_tenants:
-        times, lois = result.interference_for(outcome.name).loi_timeline()
-        backgrounds[outcome.name] = {"time": list(times), "loi": list(lois)}
-    return {
-        "timeline": result.telemetry.series(),
-        "tenant_background_loi": backgrounds,
-        "summary": result.summary(),
-    }
 
 
 def figure_blast_radius(
@@ -326,57 +382,27 @@ def figure_blast_radius(
     FaultSchedule` — and reports the damage side by side: per-tenant stall
     seconds, revocations, re-admission latencies and migrated bytes
     (``blast_radius``), the faulted pool/port timeline, and the makespan and
-    slowdown deltas against the clean baseline.  ``faults`` takes explicit
+    slowdown deltas against the clean baseline.  The baseline is the same
+    scenario, ``overcommit`` included, without the faults, so an empty
+    schedule moves nothing.  ``faults`` takes explicit
     :class:`~repro.fabric.faults.FaultEvent`\\ s (or CLI-style spec strings,
     see :func:`~repro.fabric.faults.parse_fault_spec`); alternatively
     ``fault_seed`` draws ``n_fault_events`` seeded stochastic port faults
     over the baseline makespan.  Both paths are fully deterministic given
     their arguments — see ``docs/failure_model.md``.
     """
-    from ..fabric import (
-        FabricTopology,
-        FaultSchedule,
-        MemoryPool,
-        RackCoSimulator,
-        parse_fault_spec,
-        uniform_tenants,
-    )
-    from ..workloads.registry import get_model
-
-    spec = get_model(workload).build(scale)
-    tenants = uniform_tenants(
-        spec, n_tenants, local_fraction=local_fraction, stagger=stagger
-    )
-
-    def make_pool() -> Optional[MemoryPool]:
-        if pool_capacity_bytes is None and not overcommit:
-            return None
-        capacity = (
-            pool_capacity_bytes
-            if pool_capacity_bytes is not None
-            else sum(max(t.lease_bytes, 1) for t in tenants)
-        )
-        return MemoryPool(capacity, elastic=overcommit)
-
-    def make_sim() -> RackCoSimulator:
-        return RackCoSimulator(
-            tenants,
-            pool=make_pool(),
-            topology=FabricTopology(n_nodes=n_tenants, n_ports=n_ports),
-            seed=seed,
-        )
-
-    baseline = RackCoSimulator(
-        tenants,
-        pool=(
-            MemoryPool(pool_capacity_bytes)
-            if pool_capacity_bytes is not None
-            else None
-        ),
-        topology=FabricTopology(n_nodes=n_tenants, n_ports=n_ports),
+    scenario = dict(
+        workload=workload,
+        n_tenants=n_tenants,
+        scale=scale,
+        local_fraction=local_fraction,
+        stagger=stagger,
+        pool_capacity_bytes=pool_capacity_bytes,
+        n_ports=n_ports,
+        overcommit=overcommit,
         seed=seed,
-    ).run()
-
+    )
+    baseline = fabric_scenario(**scenario)["summary"]
     if faults is not None:
         events = [
             parse_fault_spec(f) if isinstance(f, str) else f for f in faults
@@ -385,17 +411,16 @@ def figure_blast_radius(
     elif fault_seed is not None:
         schedule = FaultSchedule.seeded(
             seed=fault_seed,
-            horizon=baseline.makespan,
+            horizon=baseline["makespan"],
             n_events=n_fault_events,
             n_ports=n_ports,
         )
     else:
         schedule = FaultSchedule([])
-
-    sim = make_sim()
-    sim.inject_faults(schedule, drain_bytes_per_s=drain_bytes_per_s)
-    faulted = sim.run()
-    report = faulted.blast_radius
+    faulted = fabric_scenario(
+        **scenario, faults=schedule, drain_bytes_per_s=drain_bytes_per_s
+    )
+    summary = faulted["summary"]
     return {
         "schedule": [
             {
@@ -409,17 +434,17 @@ def figure_blast_radius(
             for e in schedule.events
         ],
         "baseline": {
-            "makespan": baseline.makespan,
-            "mean_slowdown": baseline.mean_slowdown,
+            "makespan": baseline["makespan"],
+            "mean_slowdown": baseline["mean_slowdown"],
         },
         "faulted": {
-            "makespan": faulted.makespan,
-            "mean_slowdown": faulted.mean_slowdown,
+            "makespan": summary["makespan"],
+            "mean_slowdown": summary["mean_slowdown"],
         },
-        "makespan_delta": faulted.makespan - baseline.makespan,
-        "blast_radius": report.summary() if report is not None else None,
-        "timeline": faulted.telemetry.series(),
-        "summary": faulted.summary(),
+        "makespan_delta": summary["makespan"] - baseline["makespan"],
+        "blast_radius": summary.get("faults"),
+        "timeline": faulted["timeline"],
+        "summary": summary,
     }
 
 

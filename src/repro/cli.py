@@ -30,11 +30,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import analysis, telemetry
+from .analysis.figures import fabric_scenario
 from .analysis.tables import format_table
 from .casestudies.bfs_placement import BFSPlacementCaseStudy
 from .casestudies.scheduling import CoupledSchedulingStudy, SchedulingCaseStudy
 from .config.errors import ReproError
-from .config.units import gb_per_s
+from .config.units import gb_per_s, gib
 from .profiler.profiler import MultiLevelProfiler
 from .telemetry.report import render_report
 from .workloads.registry import build_workload, workload_names
@@ -64,6 +65,14 @@ def positive_int(text: str) -> int:
     value = _number(text, int, "an integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def nonnegative_int(text: str) -> int:
+    """Argparse type: an integer >= 0."""
+    value = _number(text, int, "an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -345,74 +354,27 @@ def cmd_scheduling(args: argparse.Namespace) -> int:
 
 def cmd_fabric(args: argparse.Namespace) -> int:
     """Rack-scale co-simulation: tenants sharing one memory pool (fabric extension)."""
-    from dataclasses import replace
-
-    from .config.units import gib
-    from .fabric import FabricTopology, MemoryPool, RackCoSimulator, uniform_tenants
-
-    spec = build_workload(args.workload, args.scale)
-    tenants = uniform_tenants(
-        spec, args.tenants, local_fraction=args.local_fraction, stagger=args.stagger
-    )
-    schedule = _fault_schedule_from(args)
-    drain = gb_per_s(args.drain_gbs)
-    if args.cluster:
-        from .fabric import ClusterCoSimulator, ClusterFabric
-
-        fabric = ClusterFabric(
-            n_racks=args.cluster,
-            nodes_per_rack=args.tenants,
-            n_ports=args.ports,
-            port_capacity_scale=args.port_capacity_scale,
-            uplink_capacity_scale=args.uplink_scale,
-        )
-        simulator = ClusterCoSimulator(
-            fabric,
-            rack_pool_bytes=(
-                int(gib(args.pool_gb)) if args.pool_gb is not None else None
-            ),
-            cluster_pool_bytes=(
-                int(gib(args.cluster_pool_gb)) if args.cluster_pool_gb else None
-            ),
-            epoch_seconds=args.epoch_seconds,
-            seed=args.seed,
-            overcommit=args.overcommit,
-        )
-        if schedule is not None:
-            simulator.inject_faults(schedule, drain_bytes_per_s=drain)
-        arrivals = [
-            (rack, replace(tenant, name=f"rack{rack}-{tenant.name}"))
-            for rack in range(args.cluster)
-            for tenant in tenants
-        ]
-        _emit(simulator.run_to_completion(arrivals), args.json)
-        return 0
-    if args.pool_gb is not None:
-        pool = MemoryPool(int(gib(args.pool_gb)), elastic=args.overcommit)
-    elif args.overcommit:
-        # Elasticity only matters when leases contend, so the default
-        # capacity with --overcommit is exactly the sum of all leases.
-        pool = MemoryPool(sum(t.lease_bytes for t in tenants), elastic=True)
-    else:
-        pool = None
-    topology = FabricTopology(
-        n_nodes=args.tenants,
+    scenario = fabric_scenario(
+        workload=args.workload,
+        n_tenants=args.tenants,
+        scale=args.scale,
+        local_fraction=args.local_fraction,
+        stagger=args.stagger,
+        pool_capacity_bytes=int(gib(args.pool_gb)) if args.pool_gb is not None else None,
         n_ports=args.ports,
         port_capacity_scale=args.port_capacity_scale,
-    )
-    simulator = RackCoSimulator(
-        tenants,
-        pool=pool,
-        topology=topology,
         epoch_seconds=args.epoch_seconds,
+        n_racks=args.cluster or None,
+        cluster_pool_bytes=int(gib(args.cluster_pool_gb)) if args.cluster_pool_gb else None,
+        uplink_capacity_scale=args.uplink_scale,
+        overcommit=args.overcommit,
+        faults=_fault_schedule_from(args),
+        drain_bytes_per_s=gb_per_s(args.drain_gbs),
         seed=args.seed,
     )
-    if schedule is not None:
-        simulator.inject_faults(schedule, drain_bytes_per_s=drain)
-    result = simulator.run()
-    output = result.summary()
+    output = scenario["summary"]
     if args.timeline:
-        output["timeline"] = result.telemetry.series()
+        output["timeline"] = scenario["timeline"]
     _emit(output, args.json)
     return 0
 
@@ -605,16 +567,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fabric.add_argument(
         "--local-fraction",
-        type=closed_fraction,
+        type=fraction,
         default=0.5,
-        help="fraction of each tenant's footprint served locally",
+        help="fraction of each tenant's footprint served locally, in (0, 1]",
     )
     p_fabric.add_argument(
         "--pool-gb",
         type=positive_float,
         default=None,
-        help="pool capacity in GiB — the fabric layer counts raw bytes "
-        "(default: enough for all tenants)",
+        help="pool capacity per rack in GiB — the fabric layer counts raw "
+        "bytes (default: exactly the rack's leases)",
     )
     p_fabric.add_argument("--ports", type=positive_int, default=1, help="shared pool ports")
     p_fabric.add_argument(
@@ -634,11 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fabric.add_argument(
         "--cluster",
-        type=int,
-        default=0,  # 0 = single-rack mode, so positive_int does not apply
+        type=nonnegative_int,
+        default=0,  # 0 = single-rack mode
         metavar="N_RACKS",
         help="co-simulate N_RACKS racks (each with --tenants tenants) through "
-        "the cluster fabric instead of a single rack",
+        "the cluster fabric instead of a single rack (0, the default)",
     )
     p_fabric.add_argument(
         "--cluster-pool-gb",
@@ -678,7 +640,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     JSONL dump is written after it returns, and the in-process report is
     printed when no dump path was given.  Telemetry is switched off again
     before returning so repeated in-process calls (doctests, tests) stay
-    independent.
+    independent.  A library error (:class:`~repro.config.errors.ReproError`)
+    from any subcommand is a usage error: one ``error:`` line on stderr and
+    exit status 2, never a traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -687,6 +651,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         telemetry.enable(reset=True)
     try:
         status = args.func(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
     finally:
         if record:
             telemetry.disable()

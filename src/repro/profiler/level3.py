@@ -185,7 +185,12 @@ class Level3Profiler:
         specs: Sequence[WorkloadSpec],
         local_fraction: float = 0.50,
     ) -> dict[str, InterferenceReport]:
-        """IC of several workloads on the paper's 50% memory pooling setup."""
+        """IC of several workloads on the paper's 50% memory pooling setup, by
+        application: two inputs of one raise :class:`ProfilerError`."""
+        names = [spec.name for spec in specs]
+        twice = sorted({name for name in names if names.count(name) > 1})
+        if twice:
+            raise ProfilerError(f"inputs of {', '.join(twice)} would share a report")
         reports = {}
         for spec in specs:
             platform = Platform.pooled(spec.footprint_bytes, local_fraction)

@@ -211,21 +211,18 @@ class FabricCoupledProgress:
     local_fraction:
         Fraction of every tenant's footprint served node-locally, which
         prices its pool traffic.  The lease is the job's own ``pool_gb``.
-    ports_per_rack / port_capacity_scale:
-        Fabric wiring of each rack's co-simulator (see
-        :class:`~repro.fabric.topology.FabricTopology`).
+    ports_per_rack:
+        Pool ports of each rack's co-simulator (see
+        :class:`~repro.fabric.topology.FabricTopology`); the rest of the
+        wiring is :class:`~repro.fabric.cluster.ClusterFabric`'s default.
     epoch_seconds:
         Cluster co-simulation epoch (None: derived from the first placed
         job's baseline runtime and shared by every rack).
-    testbed / seed:
-        Platform description and engine seed for the per-tenant baselines.
+    seed:
+        Engine seed for the per-tenant baselines.
     cluster_pool_gb:
         Capacity of the cluster-level spill pool (0 disables spilling, the
         historical per-rack-only behaviour).
-    uplink_capacity_scale / spine_capacity_scale:
-        Inter-rack wiring of the underlying
-        :class:`~repro.fabric.cluster.ClusterFabric` (only exercised when
-        spilling is enabled).
     fault_schedule:
         Optional :class:`~repro.fabric.faults.FaultSchedule` injected into
         the shared cluster co-simulation at construction.  Fault-stalled
@@ -248,13 +245,9 @@ class FabricCoupledProgress:
         workloads: Optional[Mapping[str, WorkloadSpec]] = None,
         local_fraction: float = 0.5,
         ports_per_rack: int = 1,
-        port_capacity_scale: float = 1.0,
         epoch_seconds: Optional[float] = None,
-        testbed: TestbedConfig = SKYLAKE_EMULATION,
         seed: int = 0,
         cluster_pool_gb: float = 0.0,
-        uplink_capacity_scale: float = 4.0,
-        spine_capacity_scale: Optional[float] = None,
         fault_schedule: Optional[FaultSchedule] = None,
         overcommit: bool = False,
         drain_bytes_per_s: Optional[float] = None,
@@ -266,13 +259,9 @@ class FabricCoupledProgress:
         self.workloads = dict(workloads) if workloads else {}
         self.local_fraction = float(local_fraction)
         self.ports_per_rack = int(ports_per_rack)
-        self.port_capacity_scale = float(port_capacity_scale)
         self.epoch_seconds = epoch_seconds
-        self.testbed = testbed
         self.seed = int(seed)
         self.cluster_pool_gb = float(cluster_pool_gb)
-        self.uplink_capacity_scale = float(uplink_capacity_scale)
-        self.spine_capacity_scale = spine_capacity_scale
         self.fault_schedule = fault_schedule
         self.overcommit = bool(overcommit)
         self.drain_bytes_per_s = drain_bytes_per_s
@@ -354,10 +343,6 @@ class FabricCoupledProgress:
                 n_racks=len(racks),
                 nodes_per_rack=nodes_per_rack,
                 n_ports=min(self.ports_per_rack, nodes_per_rack),
-                testbed=self.testbed,
-                port_capacity_scale=self.port_capacity_scale,
-                uplink_capacity_scale=self.uplink_capacity_scale,
-                spine_capacity_scale=self.spine_capacity_scale,
             )
             # Mirror each rack's pool capacity (GB -> bytes, with a rounding
             # slack so per-job GB->byte rounding can never queue a lease the

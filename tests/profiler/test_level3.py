@@ -101,6 +101,13 @@ class TestInterferenceCoefficient:
         with pytest.raises(ProfilerError):
             profiler.interference_coefficient(hypre_spec, Platform.local_only())
 
+    def test_two_inputs_of_one_application_raise(self, profiler):
+        """Reports are keyed by application, so a second input of one would
+        replace the first's report without a word."""
+        specs = [build_workload("BFS", 1.0), build_workload("BFS", 2.0)]
+        with pytest.raises(ProfilerError, match="BFS"):
+            profiler.interference_coefficients(specs)
+
     @pytest.mark.parametrize("name", ["HPL", "XSBench", "BFS"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_induced_loi_is_the_fabric_profile_loi(self, name, seed):

@@ -184,3 +184,35 @@ class TestNumericFlagHardening:
     def test_valid_edge_values_still_accepted(self, capsys):
         assert main(["--json", "scheduling", "--runs", "1"]) == 0
         capsys.readouterr()
+
+
+class TestLibraryErrorsAreDiagnostics:
+    """Inputs the parser lets through but the library rejects end in one
+    ``error:`` line and exit 2, as usage errors do, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fabric", "--local-fraction", "0"],
+            ["fabric", "--workload", "Nope"],
+            ["fabric", "--cluster", "-1"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_a_diagnostic(self, argv, capsys):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # rejected by the parser
+            status = exc.code
+        assert status == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith(("error: ", "repro-dmem fabric: error: "))
+
+    def test_library_error_is_one_line(self, capsys):
+        assert main(["fabric", "--workload", "Nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown workload 'Nope'; known: "
+            "['BFS', 'HPL', 'Hypre', 'NekRS', 'SuperLU', 'XSBench']\n"
+        )
