@@ -3,13 +3,7 @@
 from . import events
 from .events import CounterSet
 from .hierarchy import CacheHierarchyModel, KernelCacheStats
-from .prefetcher import (
-    PrefetchOutcome,
-    StreamPrefetcher,
-    analyze_fraction,
-    analyze_stream,
-)
-from .setassoc import CacheAccessResult, SetAssociativeCache
+from .prefetcher import PrefetchOutcome, analyze_fraction, analyze_stream
 
 __all__ = [
     "events",
@@ -17,9 +11,6 @@ __all__ = [
     "CacheHierarchyModel",
     "KernelCacheStats",
     "PrefetchOutcome",
-    "StreamPrefetcher",
     "analyze_fraction",
     "analyze_stream",
-    "CacheAccessResult",
-    "SetAssociativeCache",
 ]

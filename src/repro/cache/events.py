@@ -67,9 +67,9 @@ ALL_EVENTS = (
 class CounterSet:
     """A mutable bag of named performance counters.
 
-    Counters are floats because sampled simulation scales raw sample counts by
-    the sample weight.  The class supports merging (for aggregating phases
-    into program totals) and dict-like access.
+    Counters are floats because the models derive them from byte volumes and
+    fractions.  The class supports merging (for aggregating phases into
+    program totals) and dict-like access.
     """
 
     values: Dict[str, float] = field(default_factory=dict)

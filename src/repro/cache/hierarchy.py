@@ -13,10 +13,9 @@ expects:
 * the fraction of demand traffic whose latency is hidden by prefetching,
   which the performance model uses to translate coverage into speedup.
 
-Two analysis paths exist: a *sampled* path that inspects an actual ordered
-cacheline stream (used when the workload provides one, and by the validation
-tests against :class:`~repro.cache.setassoc.SetAssociativeCache`), and a
-*closed-form* path driven by the pattern's stream fraction for large kernels.
+There is one path, in closed form:
+:meth:`CacheHierarchyModel.stats_from_fraction` prices a kernel from its
+pattern's stream fraction, and no cacheline stream is simulated.
 """
 
 from __future__ import annotations
@@ -27,10 +26,9 @@ from typing import Optional
 import numpy as np
 
 from ..config.testbed import TestbedConfig
-from ..trace.access import AccessBatch
 from . import events
 from .events import CounterSet
-from .prefetcher import PrefetchOutcome, analyze_fraction, analyze_stream
+from .prefetcher import PrefetchOutcome, analyze_fraction
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,6 @@ class CacheHierarchyModel:
         self.testbed = testbed
         self.line_bytes = testbed.cacheline_bytes
 
-    # -- closed-form path -------------------------------------------------------
-
     def stats_from_fraction(
         self,
         demand_dram_bytes: float,
@@ -116,7 +112,6 @@ class CacheHierarchyModel:
                 enabled=True,
                 degree=config.degree,
                 detection_window=config.detection_window,
-                max_streams=config.max_streams,
             )
         n_lines = int(round(max(demand_dram_bytes, 0.0) / self.line_bytes))
         outcome = analyze_fraction(
@@ -127,30 +122,6 @@ class CacheHierarchyModel:
             accuracy_hint=accuracy_hint,
         )
         return self._build_stats(n_lines, outcome)
-
-    # -- sampled path -----------------------------------------------------------
-
-    def stats_from_batch(
-        self,
-        batch: AccessBatch,
-        demand_dram_bytes: float,
-        prefetch_enabled: Optional[bool] = None,
-        max_stride: int = 4,
-    ) -> KernelCacheStats:
-        """Kernel statistics from a sampled ordered access stream.
-
-        The sampled stream determines coverage/accuracy; the absolute traffic
-        is scaled to ``demand_dram_bytes``.
-        """
-        enabled = (
-            self.testbed.prefetcher.enabled if prefetch_enabled is None else prefetch_enabled
-        )
-        config = self.testbed.prefetcher if enabled else self.testbed.prefetcher.disabled()
-        outcome = analyze_stream(batch.lines, batch.is_write, config, max_stride=max_stride)
-        n_lines = int(round(max(demand_dram_bytes, 0.0) / self.line_bytes))
-        return self._build_stats(n_lines, outcome)
-
-    # -- shared assembly ---------------------------------------------------------
 
     def _build_stats(self, demand_lines: int, outcome: PrefetchOutcome) -> KernelCacheStats:
         if outcome.demand_accesses > 0:

@@ -8,18 +8,10 @@ metrics (Section 4.2):
   demanded.
 
 plus the *excessive memory traffic* caused by useless prefetches and the
-*performance gain* of enabling prefetching.  This module computes the raw
-ingredients from an ordered access stream: it detects sequential / constant
-stride streams (like the Skylake L2 streamer), decides which accesses would
-have been covered by a prefetch, and how many prefetched lines were never
-used (overshoot past the end of each stream).
-
-Two entry points are provided:
-
-* :func:`analyze_stream` — vectorised analysis of a sampled cacheline stream,
-* :func:`analyze_fraction` — closed-form analysis when only the pattern's
-  stream fraction is known (used for very large kernels where sampling the
-  stream would be wasteful).
+*performance gain* of enabling prefetching.  :func:`analyze_fraction` computes
+the raw ingredients in closed form from the fraction of accesses that belong to
+prefetchable streams; :class:`~repro.cache.hierarchy.CacheHierarchyModel`
+prices every kernel with it.
 """
 
 from __future__ import annotations
@@ -33,11 +25,7 @@ from ..config.testbed import PrefetcherConfig
 
 @dataclass(frozen=True)
 class PrefetchOutcome:
-    """Raw prefetcher activity over one access stream.
-
-    All quantities are in units of cachelines of the *sampled* stream; callers
-    scale them by the batch weight to full-traffic counts.
-    """
+    """Raw prefetcher activity over one access stream, in cachelines."""
 
     #: Demand accesses analysed.
     demand_accesses: int
@@ -136,6 +124,10 @@ def analyze_stream(
     that run are covered by prefetches, and the prefetcher overshoots each
     run's end by up to ``config.degree`` lines (those overshoot lines are the
     useless prefetches).
+
+    Nothing in ``repro`` calls this: no workload provides a cacheline stream.
+    It stays only because the end-to-end benchmark's layer map
+    (``perfbench/layers.py``) wraps it by name.
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)
@@ -209,53 +201,3 @@ def analyze_fraction(
         prefetches_rfo=pf_rfo,
         useless_prefetches=useless,
     )
-
-
-class StreamPrefetcher:
-    """Stateful wrapper used by the detailed cache simulation.
-
-    Tracks up to ``config.max_streams`` concurrent streams; when an access
-    extends a tracked stream beyond the detection window, the next
-    ``config.degree`` lines are prefetched into the supplied cache.
-    """
-
-    def __init__(self, config: PrefetcherConfig, max_stride: int = 4) -> None:
-        self.config = config
-        self.max_stride = max_stride
-        # Each tracked stream: (last_line, stride, confirmations)
-        self._streams: list[list[int]] = []
-        self.issued = 0
-
-    def observe(self, line: int) -> list[int]:
-        """Observe a demand access; return the lines to prefetch (possibly empty)."""
-        if not self.config.enabled:
-            return []
-        line = int(line)
-        for stream in self._streams:
-            last, stride, confirmations = stream
-            delta = line - last
-            if stride == 0:
-                if 1 <= abs(delta) <= self.max_stride:
-                    stream[0], stream[1], stream[2] = line, delta, confirmations + 1
-                    return self._maybe_prefetch(stream)
-            elif delta == stride:
-                stream[0], stream[2] = line, confirmations + 1
-                return self._maybe_prefetch(stream)
-        # No stream matched: start tracking a new one (evict the oldest).
-        self._streams.append([line, 0, 1])
-        if len(self._streams) > self.config.max_streams:
-            self._streams.pop(0)
-        return []
-
-    def _maybe_prefetch(self, stream: list[int]) -> list[int]:
-        last, stride, confirmations = stream
-        if confirmations < self.config.detection_window or stride == 0:
-            return []
-        lines = [last + stride * (i + 1) for i in range(self.config.degree)]
-        self.issued += len(lines)
-        return lines
-
-    def reset(self) -> None:
-        """Forget all tracked streams."""
-        self._streams.clear()
-        self.issued = 0

@@ -414,7 +414,7 @@ def _add_fault_args(parser: argparse.ArgumentParser, target: str) -> None:
     )
     parser.add_argument(
         "--drain-gbs",
-        type=float,
+        type=positive_float,
         default=4.0,
         help="page-give-back drain rate in GB/s used to price migration "
         "stalls after a shrink or revocation (default 4.0)",
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel.add_argument("action", choices=("report",), help="what to do with the dump")
     p_tel.add_argument("file", help="JSONL dump written by --trace-out")
     p_tel.add_argument(
-        "--top", type=int, default=10, help="span names to list (by total time)"
+        "--top", type=positive_int, default=10, help="span names to list (by total time)"
     )
     p_tel.set_defaults(func=cmd_telemetry)
 

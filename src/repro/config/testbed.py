@@ -99,22 +99,17 @@ class PrefetcherConfig:
     detection_window:
         Number of consecutive (or fixed-stride) line accesses required to
         confirm a stream.
-    max_streams:
-        Number of independent streams the prefetcher can track concurrently.
     """
 
     enabled: bool = True
     degree: int = 8
     detection_window: int = 3
-    max_streams: int = 16
 
     def __post_init__(self) -> None:
         if self.degree <= 0:
             raise ConfigurationError("prefetch degree must be positive")
         if self.detection_window <= 0:
             raise ConfigurationError("prefetch detection window must be positive")
-        if self.max_streams <= 0:
-            raise ConfigurationError("prefetcher must track at least one stream")
 
     def disabled(self) -> "PrefetcherConfig":
         """Return a copy of this configuration with prefetching turned off."""

@@ -708,8 +708,10 @@ class _Lockstep:
         if not isinstance(schedule, FaultSchedule):
             raise FabricError("inject_faults() needs a FaultSchedule")
         if drain_bytes_per_s is not None:
-            if drain_bytes_per_s <= 0:
-                raise FabricError("drain_bytes_per_s must be positive")
+            if not 0 < drain_bytes_per_s < math.inf:
+                raise FabricError(
+                    f"drain_bytes_per_s must be positive and finite, got {drain_bytes_per_s}"
+                )
             self.drain_bytes_per_s = float(drain_bytes_per_s)
         self.schedule = schedule
         self.feed = tuple(
@@ -1414,7 +1416,8 @@ class RackCoSimulator:
 
         ``rack`` selects which of the schedule's events apply (standalone
         racks use the default 0).  ``drain_bytes_per_s`` is the modeled page
-        give-back rate: when a lease is shrunk or revoked, the reclaimed
+        give-back rate, positive and finite (:class:`FabricError`
+        otherwise): when a lease is shrunk or revoked, the reclaimed
         bytes drain back at this rate and the drain time is charged against
         the tenant's progress as a stall (migration debt).  Faults fire at
         exact simulated times during :meth:`step` (the step sub-chunks at

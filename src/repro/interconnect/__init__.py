@@ -1,4 +1,4 @@
-"""Remote link model, queueing-based contention and traffic recording."""
+"""Remote link model and queueing-based contention."""
 
 from .link import LinkShare, RemoteLink
 from .queueing import (
@@ -9,7 +9,6 @@ from .queueing import (
     QueueingModel,
     make_queueing_model,
 )
-from .traffic import TrafficRecorder, TrafficSample
 
 __all__ = [
     "LinkShare",
@@ -20,6 +19,4 @@ __all__ = [
     "QUEUEING_MODELS",
     "QueueingModel",
     "make_queueing_model",
-    "TrafficRecorder",
-    "TrafficSample",
 ]

@@ -1,6 +1,5 @@
 """Virtual address space, memory objects and tiered physical placement."""
 
-from .numa_maps import NumaMapsEntry, NumaMapsSampler, NumaMapsSnapshot
 from .objects import (
     AddressSpace,
     MemoryObject,
@@ -23,7 +22,4 @@ __all__ = [
     "TieredMemory",
     "TierUsage",
     "UNPLACED",
-    "NumaMapsEntry",
-    "NumaMapsSampler",
-    "NumaMapsSnapshot",
 ]

@@ -1,4 +1,4 @@
-"""Analytical models: roofline, memory roofline, interference, cost, planning."""
+"""Analytical models: roofline, memory roofline, cost, planning."""
 
 from .capacity_planning import (
     DeploymentPlan,
@@ -10,7 +10,6 @@ from .capacity_planning import (
     plan_with_pool,
 )
 from .cost import MemoryPriceModel, ProvisioningScenario, utilization_based_scenario
-from .interference_model import InducedInterferenceModel, SensitivityModel
 from .memory_roofline import MemoryRoofline, optimization_priority
 from .roofline import RooflineModel, RooflinePoint, roofline_series
 
@@ -25,8 +24,6 @@ __all__ = [
     "MemoryPriceModel",
     "ProvisioningScenario",
     "utilization_based_scenario",
-    "InducedInterferenceModel",
-    "SensitivityModel",
     "MemoryRoofline",
     "optimization_priority",
     "RooflineModel",

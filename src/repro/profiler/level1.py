@@ -5,7 +5,7 @@ requirements on the memory subsystem — properties that are preserved across
 memory-system configurations (Section 3.1, "Level 1"):
 
 * arithmetic intensity and achieved throughput (roofline placement, Figure 5),
-* memory capacity usage (peak RSS, from numa_maps sampling),
+* memory capacity usage (peak RSS: the workload's footprint),
 * memory bandwidth usage,
 * the access-pattern distribution over the footprint (the bandwidth-capacity
   scaling curve of Figure 6), and

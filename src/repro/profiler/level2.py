@@ -10,9 +10,9 @@ compares the measured access ratio against two reference points
 * R_BW — the tier's share of aggregate memory bandwidth (the upper bound
   beyond which the slow tier becomes the memory bottleneck).
 
-The profiler reports, per phase, the remote capacity ratio (from the
-numa_maps-equivalent placement state) and the remote access ratio (from the
-LOCAL_DRAM / REMOTE_DRAM offcore counters).
+The profiler reports, per phase, the remote capacity ratio (from the run's
+first-touch placement in :class:`~repro.memory.tiered.TieredMemory`) and the
+remote access ratio (from the LOCAL_DRAM / REMOTE_DRAM offcore counters).
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Memory access stream containers.
 
-The simulator exchanges memory accesses as :class:`AccessBatch` objects —
-structure-of-arrays NumPy containers holding cacheline indices, read/write
-flags and the originating data object.  Batches are cheap to concatenate,
-slice and hand to the vectorised cache model, following the hpc-parallel
-guideline of keeping hot paths in NumPy rather than per-element Python.
+:class:`PageAccessProfile` holds per-page access counts; the engine builds one
+for the Figure-6 curves.  :class:`AccessBatch` holds a sampled cacheline
+stream as NumPy arrays (cacheline indices, read/write flags and the
+originating data object).  No flow builds a batch, since workloads describe
+their traffic by page weights; it stays because the end-to-end benchmark's
+layer map (``perfbench/layers.py``) wraps :meth:`PageAccessProfile.from_batch`
+by name.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ class AccessBatch:
         paper's profiler hook on allocation calls.
     weight:
         Each sampled access in this batch represents ``weight`` real accesses.
-        Workload models sample their address streams; the weight scales the
-        sample back up to the full traffic volume.
     """
 
     lines: np.ndarray

@@ -4,13 +4,14 @@ A workload kernel's traffic to a data object is described by an
 :class:`AccessPattern`.  Each pattern can
 
 * generate an ordered sample of cacheline offsets inside an object, as the
-  core would issue them (used by the cache and prefetcher simulator),
+  core would issue them (no flow draws one; the end-to-end benchmark's layer
+  map wraps it by name),
 * produce per-page *hotness weights*, i.e. how the object's traffic is spread
   across its footprint (used by the bandwidth-capacity scaling curves and the
   tier-access analysis), and
 * report its *stream fraction*, the share of accesses that belong to
-  prefetcher-detectable sequential/strided streams (used by the analytical
-  prefetch model when the sampled stream is too small to be representative).
+  prefetcher-detectable sequential/strided streams (what the closed-form
+  prefetch model prices).
 
 Patterns are deterministic given a :class:`numpy.random.Generator`.
 """

@@ -1,13 +1,11 @@
 """Tests for the cache hierarchy model and counter-derived metrics."""
 
-import numpy as np
 import pytest
 
 from repro.cache import events
 from repro.cache.events import CounterSet
 from repro.cache.hierarchy import CacheHierarchyModel
 from repro.config import SKYLAKE_EMULATION
-from repro.trace.access import AccessBatch
 
 
 @pytest.fixture(scope="module")
@@ -84,23 +82,47 @@ class TestStatsFromFraction:
         assert stats.demand_dram_lines == 0
         assert stats.excess_traffic_fraction == 0.0
 
-
-class TestStatsFromBatch:
-    def test_sequential_batch_high_coverage(self, model):
-        batch = AccessBatch.reads(np.arange(20_000))
-        stats = model.stats_from_batch(batch, demand_dram_bytes=64 * 1_000_000)
-        assert stats.covered_fraction > 0.9
+    def test_all_streaming_covers_nearly_every_line(self, model):
+        stats = model.stats_from_fraction(demand_dram_bytes=64 * 1_000_000, stream_fraction=1.0)
         assert stats.demand_dram_lines == pytest.approx(1_000_000)
+        assert stats.covered_fraction > 0.99
+        assert stats.accuracy > 0.9
 
-    def test_random_batch_low_coverage(self, model, rng):
-        batch = AccessBatch.reads(rng.integers(0, 1 << 30, size=20_000))
-        stats = model.stats_from_batch(batch, demand_dram_bytes=64 * 1_000_000)
-        assert stats.covered_fraction < 0.2
-
-    def test_prefetch_disabled(self, model):
-        batch = AccessBatch.reads(np.arange(1000))
-        stats = model.stats_from_batch(batch, demand_dram_bytes=64_000, prefetch_enabled=False)
+    def test_no_streaming_issues_no_prefetches(self, model):
+        stats = model.stats_from_fraction(demand_dram_bytes=64 * 1_000_000, stream_fraction=0.0)
         assert stats.covered_fraction == 0.0
+        assert stats.counters[events.PF_L2_DATA_RD] + stats.counters[events.PF_L2_RFO] == 0.0
+        assert stats.counters[events.L2_LINES_IN] == stats.demand_dram_lines
+
+    def test_coverage_grows_with_stream_fraction(self, model):
+        covered = [
+            model.stats_from_fraction(64 * 1_000_000, fraction).covered_fraction
+            for fraction in (0.0, 0.25, 0.5, 0.75, 1.0)
+        ]
+        assert all(b > a for a, b in zip(covered, covered[1:]))
+
+    def test_prefetch_enabled_override_on_a_disabled_testbed(self):
+        model = CacheHierarchyModel(SKYLAKE_EMULATION.with_prefetching(False))
+        off = model.stats_from_fraction(64 * 1_000_000, stream_fraction=0.7)
+        on = model.stats_from_fraction(64 * 1_000_000, stream_fraction=0.7, prefetch_enabled=True)
+        assert off.covered_fraction == 0.0
+        assert on.covered_fraction == pytest.approx(0.7, abs=0.02)
+
+    def test_counters_reproduce_the_model_metrics(self, model):
+        stats = model.stats_from_fraction(64 * 1_000_000, stream_fraction=0.4)
+        assert CacheHierarchyModel.accuracy_from_counters(stats.counters) == pytest.approx(
+            stats.accuracy
+        )
+        assert CacheHierarchyModel.coverage_from_counters(stats.counters) == pytest.approx(
+            stats.covered_fraction
+        )
+
+    def test_write_fraction_splits_rfo_counters(self, model):
+        stats = model.stats_from_fraction(
+            64 * 1_000_000, stream_fraction=0.8, write_fraction=0.25
+        )
+        issued = stats.counters[events.PF_L2_DATA_RD] + stats.counters[events.PF_L2_RFO]
+        assert stats.counters[events.PF_L2_RFO] == pytest.approx(0.25 * issued, rel=1e-3)
 
 
 class TestDerivedMetricEdgeCases:

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.testbed import PrefetcherConfig
-from repro.cache.prefetcher import (
-    PrefetchOutcome,
-    StreamPrefetcher,
-    analyze_fraction,
-    analyze_stream,
-)
+from repro.cache.prefetcher import analyze_fraction, analyze_stream
 
 
 CONFIG = PrefetcherConfig(enabled=True, degree=8, detection_window=3)
@@ -60,6 +55,35 @@ class TestAnalyzeStream:
         outcome = analyze_stream(lines, None, CONFIG, max_stride=4)
         assert outcome.coverage < 0.1
 
+    def test_detection_window_accesses_are_not_covered(self):
+        outcome = analyze_stream(np.arange(20, dtype=np.int64), None, CONFIG)
+        assert outcome.covered_accesses == 20 - CONFIG.detection_window
+        # The stream is confirmed, so the prefetcher overshoots its end by `degree` lines.
+        assert outcome.useless_prefetches == CONFIG.degree
+        assert outcome.prefetches_issued == outcome.covered_accesses + CONFIG.degree
+
+    def test_run_no_longer_than_the_window_issues_nothing(self):
+        lines = np.arange(CONFIG.detection_window, dtype=np.int64)
+        outcome = analyze_stream(lines, None, CONFIG)
+        assert outcome.prefetches_issued == 0
+        assert outcome.covered_accesses == 0
+
+    def test_repeated_line_is_not_a_stream(self):
+        outcome = analyze_stream(np.full(100, 7, dtype=np.int64), None, CONFIG)
+        assert outcome.prefetches_issued == 0
+
+    def test_descending_stream_detected(self):
+        outcome = analyze_stream(np.arange(1000, dtype=np.int64)[::-1], None, CONFIG)
+        assert outcome.coverage > 0.9
+
+    def test_separate_streams_are_analysed_independently(self):
+        first = np.arange(50, dtype=np.int64)
+        second = np.arange(1 << 20, (1 << 20) + 30, dtype=np.int64)
+        both = analyze_stream(np.concatenate([first, second]), None, CONFIG)
+        alone = [analyze_stream(lines, None, CONFIG) for lines in (first, second)]
+        assert both.covered_accesses == sum(o.covered_accesses for o in alone)
+        assert both.useless_prefetches == sum(o.useless_prefetches for o in alone)
+
 
 class TestAnalyzeFraction:
     def test_coverage_tracks_stream_fraction(self):
@@ -84,36 +108,21 @@ class TestAnalyzeFraction:
         outcome = analyze_fraction(10_000, 0.8, CONFIG, write_fraction=0.25)
         assert outcome.prefetches_rfo == pytest.approx(outcome.prefetches_issued * 0.25, rel=0.05)
 
+    def test_longer_streams_waste_less(self):
+        short = analyze_fraction(10_000, 0.1, CONFIG)
+        long = analyze_fraction(10_000, 0.9, CONFIG)
+        assert long.accuracy > short.accuracy
+        assert long.accuracy > 0.9
 
-class TestStreamPrefetcherStateful:
-    def test_detects_stream_and_issues_prefetches(self):
-        pf = StreamPrefetcher(CONFIG)
-        issued = []
-        for line in range(20):
-            issued.extend(pf.observe(line))
-        assert len(issued) > 0
-        # Prefetched lines run ahead of the stream.
-        assert max(issued) > 20
+    def test_no_accesses_issue_nothing(self):
+        outcome = analyze_fraction(0, 0.5, CONFIG)
+        assert outcome.demand_accesses == 0
+        assert outcome.prefetches_issued == 0
+        assert outcome.coverage == 0.0
 
-    def test_disabled_never_issues(self):
-        pf = StreamPrefetcher(CONFIG.disabled())
-        for line in range(50):
-            assert pf.observe(line) == []
-        assert pf.issued == 0
-
-    def test_random_accesses_do_not_trigger(self, rng):
-        pf = StreamPrefetcher(CONFIG)
-        issued = []
-        for line in rng.integers(0, 1 << 40, size=200):
-            issued.extend(pf.observe(int(line)))
-        assert len(issued) == 0
-
-    def test_reset(self):
-        pf = StreamPrefetcher(CONFIG)
-        for line in range(20):
-            pf.observe(line)
-        pf.reset()
-        assert pf.issued == 0
+    def test_stream_fraction_is_clipped(self):
+        assert analyze_fraction(10_000, 1.5, CONFIG).coverage == 1.0
+        assert analyze_fraction(10_000, -0.2, CONFIG).prefetches_issued == 0
 
 
 # -- property-based invariants ---------------------------------------------------------

@@ -81,8 +81,6 @@ class TestPrefetcherConfig:
             PrefetcherConfig(degree=0)
         with pytest.raises(ConfigurationError):
             PrefetcherConfig(detection_window=0)
-        with pytest.raises(ConfigurationError):
-            PrefetcherConfig(max_streams=0)
 
     def test_with_prefetching_toggle(self):
         off = SKYLAKE_EMULATION.with_prefetching(False)

@@ -305,6 +305,17 @@ class TestPortFaults:
         with pytest.raises(FabricError):
             sim.inject_faults(kill_schedule())
 
+    @pytest.mark.parametrize("drain", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "make_sim",
+        [lambda: RackCoSimulator(tenants(2), seed=0), one_tenant_per_port_cluster],
+        ids=["rack", "cluster"],
+    )
+    def test_drain_rate_must_be_finite(self, make_sim, drain):
+        """A NaN or infinite drain rate would price every give-back stall at 0 s."""
+        with pytest.raises(FabricError, match="positive and finite"):
+            make_sim().inject_faults(kill_schedule(), drain_bytes_per_s=drain)
+
 
 class TestRevokeAndShrinkAccounting:
     def test_revoke_charges_migration_exactly_once(self):

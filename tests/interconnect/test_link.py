@@ -28,6 +28,27 @@ class TestCapacitiesAndTraffic:
         assert link.utilization(10e9) < 1.0
         assert link.utilization(100e9) > 1.0
 
+    def test_raw_traffic_adds_protocol_overhead(self, link):
+        assert link.raw_traffic(12e9) == pytest.approx(12e9 * link.protocol_overhead)
+        assert link.raw_traffic(-1e9) == 0.0
+
+    def test_measured_traffic_of_no_load_is_zero(self, link):
+        assert link.measured_traffic(0.0) == 0.0
+        assert link.measured_traffic(-5e9) == 0.0
+
+    def test_measured_traffic_is_monotone_and_capped(self, link):
+        loads = [0.0, 5e9, 20e9, link.data_capacity, 2 * link.data_capacity, 500e9]
+        measured = [link.measured_traffic(bw) for bw in loads]
+        assert all(b >= a for a, b in zip(measured, measured[1:]))
+        assert max(measured) == pytest.approx(link.peak_traffic)
+        # The counter reaches the peak exactly when the data capacity is offered.
+        assert link.measured_traffic(link.data_capacity) == pytest.approx(link.peak_traffic)
+
+    def test_utilization_is_linear_in_offered_load(self, link):
+        assert link.utilization(0.0) == 0.0
+        assert link.utilization(30e9) == pytest.approx(2 * link.utilization(15e9))
+        assert link.utilization(link.data_capacity) == pytest.approx(1.0)
+
     def test_loi_round_trip(self, link):
         for loi in (10.0, 25.0, 50.0, 100.0):
             bandwidth = link.bandwidth_for_loi(loi)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config.errors import AllocationError, PlacementError
-from repro.config.tiers import two_tier_config
+from repro.config.tiers import single_tier_config, two_tier_config
 from repro.memory.objects import (
     AddressSpace,
     MemoryObject,
@@ -13,7 +13,7 @@ from repro.memory.objects import (
     PLACEMENT_LOCAL,
     PLACEMENT_REMOTE,
 )
-from repro.memory.tiered import TieredMemory, UNPLACED
+from repro.memory.tiered import TieredMemory, TierUsage, UNPLACED
 
 PAGE = 4096
 
@@ -101,13 +101,17 @@ class TestExplicitPlacement:
 
 class TestFreeAndMigrate:
     def test_free_releases_capacity(self):
-        a = obj("a", 4)
-        _, memory = build(4, 4, [a])
-        memory.touch(a)
-        released = memory.free(a)
-        assert released == 4 * PAGE
-        assert memory.usage[0].used_bytes == 0
-        assert np.all(memory.placement_of(a) == UNPLACED)
+        a = obj("a", 2)
+        b = obj("b", 6)
+        _, memory = build(4, 8, [a, b])
+        memory.touch_in_order([a, b])  # b spills: 2 pages local, 4 remote
+        released = memory.free(b)
+        assert released == 6 * PAGE
+        # Both tiers give b's pages back; a keeps its own.
+        assert memory.usage[0].used_bytes == 2 * PAGE
+        assert memory.usage[1].used_bytes == 0
+        assert np.all(memory.placement_of(b) == UNPLACED)
+        assert np.all(memory.placement_of(a) == 0)
 
     def test_free_then_reuse_local(self):
         a = obj("a", 4)
@@ -195,6 +199,7 @@ class TestQueries:
     def test_remote_capacity_ratio(self):
         a = obj("a", 8)
         _, memory = build(4, 8, [a])
+        assert memory.remote_capacity_ratio() == 0.0  # nothing resident yet
         memory.touch(a)
         assert memory.remote_capacity_ratio() == pytest.approx(0.5)
 
@@ -223,6 +228,84 @@ class TestQueries:
         assert info["migrations"] == 0
         assert len(info["tiers"]) == 2
 
+    def test_object_tier_bytes_follow_each_touch(self):
+        hot = obj("hot", 2)
+        cold = obj("cold", 6)
+        _, memory = build(4, 8, [hot, cold])
+        memory.touch(hot)
+        assert memory.object_tier_bytes(hot) == {"local-dram": 2 * PAGE, "memory-pool": 0}
+        assert memory.object_tier_bytes(cold) == {"local-dram": 0, "memory-pool": 0}
+        memory.touch(cold)
+        # cold spills: 2 pages fit locally after hot, 4 go remote.
+        assert memory.object_tier_bytes(cold) == {"local-dram": 2 * PAGE, "memory-pool": 4 * PAGE}
+        assert memory.remote_capacity_ratio() == pytest.approx(4 / 8)
+
+    def test_resident_bytes_track_touch_and_free(self):
+        hot = obj("hot", 2)
+        cold = obj("cold", 6)
+        _, memory = build(4, 8, [hot, cold])
+
+        def rss():
+            return memory.resident_bytes(0) + memory.resident_bytes(1)
+
+        memory.touch(hot)
+        assert rss() == 2 * PAGE
+        memory.touch(cold)
+        assert rss() == 8 * PAGE
+        memory.free(cold)
+        assert rss() == 2 * PAGE
+        assert memory.resident_bytes(0) == 2 * PAGE
+        assert memory.resident_bytes(1) == 0
+
+    def test_resident_bytes_exclude_reserved_waste(self):
+        a = obj("a", 4)
+        _, memory = build(4, 10, [a], reserved=2 * PAGE)
+        memory.touch(a)
+        assert memory.usage[0].used_bytes == 4 * PAGE
+        assert memory.resident_bytes(0) == 2 * PAGE
+        assert memory.resident_bytes(1) == 2 * PAGE
+
+    def test_remote_capacity_ratio_counts_only_application_pages(self):
+        a = obj("a", 4)
+        _, memory = build(4, 10, [a], reserved=3 * PAGE)
+        memory.touch(a)  # 1 page local beside the waste, 3 remote
+        assert memory.remote_capacity_ratio() == pytest.approx(3 / 4)
+
+    def test_single_tier_ratio_is_zero(self):
+        a = obj("a", 4)
+        space = AddressSpace(page_bytes=PAGE, line_bytes=64)
+        space.register(a)
+        memory = TieredMemory(single_tier_config(8 * PAGE), space)
+        memory.touch(a)
+        assert memory.remote_capacity_ratio() == 0.0
+        assert memory.object_tier_bytes(a) == {"local-dram": 4 * PAGE}
+
+    def test_queries_of_unregistered_object_raise(self):
+        a = obj("a", 2)
+        stranger = obj("stranger", 2)
+        _, memory = build(4, 4, [a])
+        with pytest.raises(AllocationError, match="stranger"):
+            memory.object_tier_bytes(stranger)
+        with pytest.raises(AllocationError, match="stranger"):
+            memory.placement_of(stranger)
+
+    def test_placement_of_untouched_object_is_unplaced(self):
+        a = obj("a", 3)
+        _, memory = build(4, 4, [a])
+        assert np.all(memory.placement_of(a) == UNPLACED)
+        assert memory.resident_bytes(0) == memory.resident_bytes(1) == 0
+
+    def test_describe_matches_queries(self):
+        a = obj("a", 6)
+        _, memory = build(4, 8, [a], reserved=PAGE)
+        memory.touch(a)
+        info = memory.describe()
+        for tier, row in enumerate(info["tiers"]):
+            assert row["resident_app_bytes"] == memory.resident_bytes(tier)
+            assert row["used_bytes"] == memory.usage[tier].used_bytes
+            assert row["utilization"] == memory.usage[tier].utilization
+        assert info["remote_capacity_ratio"] == memory.remote_capacity_ratio() == pytest.approx(3 / 6)
+
     def test_reserved_bytes_validation(self):
         a = obj("a", 2)
         space = AddressSpace(page_bytes=PAGE)
@@ -232,6 +315,16 @@ class TestQueries:
             TieredMemory(config, space, reserved_local_bytes=-1)
         with pytest.raises(AllocationError):
             TieredMemory(config, space, reserved_local_bytes=5 * PAGE)
+
+
+class TestTierUsage:
+    def test_free_bytes_and_utilization(self):
+        usage = TierUsage("t", capacity_bytes=8 * PAGE, used_bytes=2 * PAGE)
+        assert usage.free_bytes == 6 * PAGE
+        assert usage.utilization == pytest.approx(0.25)
+
+    def test_zero_capacity_utilization_is_zero(self):
+        assert TierUsage("t", capacity_bytes=0).utilization == 0.0
 
 
 # -- property-based invariants ----------------------------------------------------------

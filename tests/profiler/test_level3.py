@@ -43,6 +43,26 @@ class TestSensitivityCurve:
         assert curve.slowdown_at(0.0) == pytest.approx(1.0)
         assert 1.0 <= curve.slowdown_at(25.0) <= curve.slowdown_at(50.0)
 
+    def test_slowdown_is_the_reciprocal_of_relative_performance(self):
+        curve = SensitivityCurve("w", "c", (0.0, 10.0, 20.0), (2.0, 2.5, 3.0))
+        for loi, relative in zip(curve.loi_levels, curve.relative_performance):
+            assert curve.slowdown_at(loi) == pytest.approx(1.0 / relative)
+
+    def test_slowdown_is_flat_beyond_the_last_level(self):
+        curve = SensitivityCurve("w", "c", (0.0, 50.0), (2.0, 3.0))
+        assert curve.slowdown_at(80.0) == curve.slowdown_at(50.0) == pytest.approx(1.5)
+
+    def test_compute_bound_app_absorbs_interference(self, profiler, hypre_spec):
+        hpl = build_workload("HPL", 1.0)
+        loss = {
+            spec.name: profiler.sensitivity(
+                spec, Platform.pooled(spec.footprint_bytes, 0.25), (0, 50)
+            ).max_performance_loss
+            for spec in (hpl, hypre_spec)
+        }
+        assert loss["HPL"] < 0.01
+        assert loss["HPL"] < loss["Hypre"]
+
     def test_missing_baseline_level_is_added(self, profiler, hypre_spec, hypre_platform):
         curve = profiler.sensitivity(hypre_spec, hypre_platform, (10, 30))
         assert curve.loi_levels[0] == 0.0
@@ -87,6 +107,11 @@ class TestInterferenceCoefficient:
         assert report.remote_bandwidth_demand > 0
         assert report.link_traffic_bytes > 0
         assert dict(report.phase_interference_coefficients).keys() == {"p1", "p2"}
+
+    def test_report_ic_lies_between_its_phase_ics(self, profiler, hypre_spec, hypre_platform):
+        report = profiler.interference_coefficient(hypre_spec, hypre_platform, loi_levels=(0,))
+        phase_ics = [ic for _, ic in report.phase_interference_coefficients]
+        assert min(phase_ics) - 1e-12 <= report.interference_coefficient <= max(phase_ics) + 1e-12
 
     def test_memory_bound_apps_cause_more_interference(self, profiler):
         specs = [build_workload(name, 1.0) for name in ("Hypre", "XSBench")]

@@ -123,6 +123,39 @@ class TestPrefetchingAndInterference:
         assert result.interference_loi == 0.0
 
 
+class TestLinkCounters:
+    """The UPI counters each phase reports, as PCM would read them."""
+
+    def test_local_only_run_reads_no_link_traffic(self):
+        result = ExecutionEngine(Platform.local_only(), seed=0).run(tiny_spec())
+        for phase in result.phases:
+            assert phase.counters[events.UPI_TRAFFIC_BYTES] == 0.0
+            assert phase.counters[events.UPI_UTILIZATION] == 0.0
+
+    def test_traffic_is_the_measured_share_of_the_offered_load(self):
+        spec = build_workload("Hypre", 1.0)
+        platform = Platform.pooled(spec.footprint_bytes, 0.5)
+        result = ExecutionEngine(platform, seed=0).run(spec)
+        link = platform.link
+        for phase in result.phases:
+            utilization = phase.counters[events.UPI_UTILIZATION]
+            assert utilization == phase.link_utilization > 0.0
+            # A PCM reading is the offered raw traffic, capped at the peak.
+            expected = min(utilization, 1.0) * link.peak_traffic * phase.runtime
+            assert phase.counters[events.UPI_TRAFFIC_BYTES] == pytest.approx(expected)
+            assert phase.counters[events.UPI_TRAFFIC_BYTES] >= phase.remote_bytes
+
+    def test_traffic_saturates_while_utilization_exceeds_one(self):
+        spec = build_workload("Hypre", 1.0)
+        platform = Platform.pooled(spec.footprint_bytes, 0.5)
+        result = ExecutionEngine(platform, seed=0).run(spec, interference=ConstantInterference(100.0))
+        for phase in result.phases:
+            assert phase.counters[events.UPI_UTILIZATION] > 1.0
+            assert phase.counters[events.UPI_TRAFFIC_BYTES] == pytest.approx(
+                platform.link.peak_traffic * phase.runtime
+            )
+
+
 class TestLateAndFreedObjects:
     def test_late_object_placed_after_init(self, bfs_spec):
         platform = Platform.pooled(bfs_spec.footprint_bytes, 0.25)

@@ -153,6 +153,9 @@ class TestNumericFlagHardening:
             ["fabric", "--tenants", "0"],
             ["fabric", "--local-fraction", "2.0"],
             ["fabric", "--epoch-seconds", "-0.5"],
+            ["fabric", "--drain-gbs", "nan"],
+            ["scheduling", "--coupled", "--drain-gbs", "inf"],
+            ["telemetry", "report", "/dev/null", "--top", "-1"],
             ["figure", "13", "--runs", "0"],
             ["--jobs", "0", "table", "1"],
         ],

@@ -91,6 +91,12 @@ class TestInterferenceMeasurement:
         assert all(b >= a - 1e-9 for a, b in zip(ics, ics[1:]))
         assert ics[-1] > 1.3
 
+    def test_ic_levels_off_once_the_link_is_full(self, lbench):
+        capacity = lbench.link.data_capacity
+        full = lbench.interference_coefficient(capacity)
+        assert lbench.interference_coefficient(10 * capacity) == pytest.approx(full)
+        assert full > lbench.interference_coefficient(0.25 * capacity)
+
     def test_probe_runtime_positive_and_scales_with_iterations(self, lbench):
         t1 = lbench.probe_runtime(0.0, iterations=10)
         t2 = lbench.probe_runtime(0.0, iterations=20)
