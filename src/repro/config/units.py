@@ -14,6 +14,8 @@ files read like the paper's text.
 
 from __future__ import annotations
 
+from .errors import ConfigurationError
+
 # ---------------------------------------------------------------------------
 # Decimal (SI) size units -- used for bandwidth figures such as "34 GB/s".
 # ---------------------------------------------------------------------------
@@ -86,8 +88,6 @@ def parse_size(text: str, default_multiplier: int = 1) -> int:
     >>> parse_size("0")
     0
     """
-    from .errors import ConfigurationError
-
     if not isinstance(text, str):
         raise ConfigurationError(f"size must be a string, got {type(text).__name__}")
     cleaned = text.strip()

@@ -46,6 +46,7 @@ Telemetry counters ``data.slurm.rows_read`` / ``rows_skipped`` /
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -77,8 +78,26 @@ REQUIRED_FIELDS = ("JobIDRaw", "State", "NNodes", "ElapsedRaw", "MaxRSS", "Submi
 
 _FIELD_FALLBACKS = {"JobIDRaw": "JobID", "ElapsedRaw": "Elapsed"}
 
+#: Every column the reader parses, in the order of
+#: :meth:`SacctReader._resolve_columns`' positions: the required ones, then
+#: the optional ``AveRSS``, ``Start`` and ``End``.
+_COLUMNS = REQUIRED_FIELDS + ("AveRSS", "Start", "End")
+
 #: Timestamp values sacct uses for "not applicable / not yet".
 _NULL_TIMES = ("", "Unknown", "None", "N/A")
+
+#: The one timestamp grammar, whatever ``datetime.fromisoformat`` accepts on
+#: the running Python: ``YYYY-MM-DD``, optionally followed by ``T`` or a
+#: space and ``HH[:MM[:SS[.fff[fff]]]]``, then optionally ``Z`` (UTC) or an
+#: offset ``+HH:MM[:SS[.ffffff]]``.  Python 3.10's ``fromisoformat`` parses
+#: every string it matches (once ``Z`` is spelled ``+00:00``) and later
+#: versions parse them to the same instant; the forms only later versions
+#: accept, such as the compact ``20240301T000500``, are malformed.
+_TIMESTAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}"
+    r"(?:[T ][0-9]{2}(?::[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:Z|[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?"
+)
 
 
 def parse_elapsed(text: str) -> float:
@@ -134,19 +153,30 @@ def parse_timestamp(text: str) -> Optional[float]:
     """Parse a sacct timestamp (``2024-03-01T00:05:00``) to unix seconds.
 
     Returns ``None`` for sacct's null markers (``Unknown``, ``None``, empty)
-    — a job that never started has ``Start=Unknown``.  Timestamps are taken
-    as UTC (sacct emits site-local naive times; replay only uses
-    *differences*, so the zone choice cancels out).
+    — a job that never started has ``Start=Unknown``.  Naive timestamps are
+    taken as UTC (sacct emits site-local naive times; replay only uses
+    *differences*, so the zone choice cancels out); a trailing ``Z`` means
+    UTC.  The grammar (:data:`_TIMESTAMP`) is the same on every supported
+    Python.
+
+    >>> parse_timestamp("2024-03-01T00:05:00Z") == parse_timestamp("2024-03-01T00:05:00")
+    True
     """
     cleaned = text.strip() if isinstance(text, str) else ""
     if cleaned in _NULL_TIMES:
         return None
-    try:
-        stamp = datetime.fromisoformat(cleaned)
-    except ValueError:
+    stamp = None
+    if _TIMESTAMP.fullmatch(cleaned):
+        if cleaned.endswith("Z"):
+            cleaned = cleaned[:-1] + "+00:00"
+        try:
+            stamp = datetime.fromisoformat(cleaned)
+        except ValueError:  # a field out of range, such as month 13 or Feb 30
+            pass
+    if stamp is None:
         raise ConfigurationError(
             f"malformed timestamp {text!r}: expected ISO like 2024-03-01T00:05:00"
-        ) from None
+        )
     if stamp.tzinfo is None:
         stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp()
@@ -300,66 +330,85 @@ class SacctReader:
         self.source = source
         self.delimiter = delimiter
         self.report = report if report is not None else IngestReport()
-        self._columns: Optional[dict] = None
+        self._columns: Optional[tuple] = None
+        # Parsed timestamps of the job whose rows are being read (see _parse_row).
+        self._stamps_job: Optional[str] = None
+        self._stamps: dict = {}
 
     # -- header -------------------------------------------------------------------
 
-    def _resolve_columns(self, header_line: str) -> dict:
+    def _resolve_columns(self, header_line: str) -> tuple:
+        """The row width, then the position of each of :data:`_COLUMNS`
+        (``None`` for a missing optional column)."""
         names = [name.strip() for name in header_line.rstrip("\n").split(self.delimiter)]
         index = {name: i for i, name in enumerate(names)}
-        columns = {}
+        positions = []
         missing = []
-        for wanted in REQUIRED_FIELDS + ("AveRSS", "Start", "End"):
+        for wanted in _COLUMNS:
             found = index.get(wanted)
             if found is None:
                 fallback = _FIELD_FALLBACKS.get(wanted)
                 found = index.get(fallback) if fallback else None
-            if found is None:
-                if wanted in REQUIRED_FIELDS:
-                    missing.append(wanted)
-                continue
-            columns[wanted] = found
+            if found is None and wanted in REQUIRED_FIELDS:
+                missing.append(wanted)
+            positions.append(found)
         if missing:
             raise TraceError(
                 f"sacct header is missing required column(s) {missing}; "
                 f"got {names}. Export with: sacct -P -o "
                 "JobIDRaw,State,NNodes,ElapsedRaw,MaxRSS,AveRSS,Submit,Start,End"
             )
-        columns["_width"] = len(names)
-        return columns
+        return (len(names), *positions)
 
     # -- row parsing --------------------------------------------------------------
 
+    def _timestamp(self, fields: list, column: Optional[int]) -> Optional[float]:
+        """:func:`parse_timestamp` of one cell, memoized for the current job."""
+        if column is None:
+            return None
+        text = fields[column]
+        stamps = self._stamps
+        if text in stamps:
+            return stamps[text]
+        # Stripped first, as every other cell is, so a skip quotes the cell.
+        stamp = stamps[text] = parse_timestamp(text.strip())
+        return stamp
+
     def _parse_row(self, line_no: int, line: str) -> Optional[_Row]:
-        """One data row, or ``None`` after recording a skip."""
+        """One data row, or ``None`` after recording a skip.
+
+        Fields are parsed in a fixed order (NNodes, ElapsedRaw, MaxRSS,
+        AveRSS, Submit, Start, End), so the first bad one names the skip.
+        The timestamp memo holds the current job's strings only: it is
+        dropped when a row of the next job arrives, which is when the
+        current job's group folds.
+        """
         fields = line.rstrip("\n").split(self.delimiter)
-        columns = self._columns
-        assert columns is not None
-        if len(fields) != columns["_width"]:
+        (width, job_col, state_col, nnodes_col, elapsed_col, max_rss_col,
+         submit_col, ave_rss_col, start_col, end_col) = self._columns
+        if len(fields) != width:
             self.report.skip(line_no, "column-count", line)
             return None
-
-        def cell(name: str) -> str:
-            i = columns.get(name)
-            return fields[i].strip() if i is not None else ""
-
-        job_id = cell("JobIDRaw")
+        job_id = fields[job_col].strip()
         if not job_id:
             self.report.skip(line_no, "empty-job-id", line)
             return None
         base_id, _, step = job_id.partition(".")
+        if base_id != self._stamps_job:
+            self._stamps_job = base_id
+            self._stamps = {}
         try:
-            nnodes_text = cell("NNodes")
+            nnodes_text = fields[nnodes_col].strip()
             nnodes = int(nnodes_text) if nnodes_text else 0
-            elapsed_text = cell("ElapsedRaw")
+            elapsed_text = fields[elapsed_col].strip()
             elapsed = parse_elapsed(elapsed_text) if elapsed_text else 0.0
-            max_rss_text = cell("MaxRSS")
+            max_rss_text = fields[max_rss_col].strip()
             max_rss = parse_size(max_rss_text, default_multiplier=KiB) if max_rss_text else 0
-            ave_rss_text = cell("AveRSS")
+            ave_rss_text = fields[ave_rss_col].strip() if ave_rss_col is not None else ""
             ave_rss = parse_size(ave_rss_text, default_multiplier=KiB) if ave_rss_text else 0
-            submit = parse_timestamp(cell("Submit"))
-            start = parse_timestamp(cell("Start"))
-            end = parse_timestamp(cell("End"))
+            submit = self._timestamp(fields, submit_col)
+            start = self._timestamp(fields, start_col)
+            end = self._timestamp(fields, end_col)
         except (ConfigurationError, ValueError) as exc:
             self.report.skip(line_no, "malformed-field", f"{line!r}: {exc}")
             return None
@@ -370,7 +419,7 @@ class SacctReader:
             line_no=line_no,
             base_id=base_id,
             step=step,
-            state=cell("State"),
+            state=fields[state_col].strip(),
             nnodes=nnodes,
             elapsed_s=elapsed,
             max_rss_bytes=max_rss,

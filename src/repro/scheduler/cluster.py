@@ -15,8 +15,9 @@ and ``pool_capacity_gb`` bounds the mirrored pool's lease capacity.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..config.errors import SchedulingError
 from .job import Job
@@ -41,9 +42,11 @@ class Node:
 class Rack:
     """A rack: nodes plus one shared memory pool.
 
-    ``free_node_count`` is kept by :meth:`place` and :meth:`release`, so
-    capacity checks cost O(1) instead of a scan over the nodes.  Occupy and
-    vacate nodes only through those two methods.
+    :meth:`place` and :meth:`release` keep ``free_node_count`` and the
+    running jobs in node order, so capacity checks, co-runner sums and
+    releases cost no scan over the nodes.  Occupy and vacate nodes only
+    through those two methods.  ``pool_used_gb`` is the running jobs'
+    share of the pool; it reads exactly 0 once the last job has left.
     """
 
     rack_id: int
@@ -51,9 +54,15 @@ class Rack:
     pool_capacity_gb: float
     pool_used_gb: float = 0.0
     free_node_count: int = field(init=False, repr=False, compare=False)
+    #: Positions in ``nodes`` of the busy nodes, ascending; ``_running``
+    #: holds their jobs in the same order.
+    _busy_at: list[int] = field(init=False, repr=False, compare=False)
+    _running: list[Job] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.free_node_count = sum(1 for n in self.nodes if not n.busy)
+        self._busy_at = [i for i, n in enumerate(self.nodes) if n.busy]
+        self._running = [self.nodes[i].running for i in self._busy_at]
+        self.free_node_count = len(self.nodes) - len(self._busy_at)
 
     @property
     def free_nodes(self) -> list[Node]:
@@ -62,8 +71,11 @@ class Rack:
 
     @property
     def running_jobs(self) -> list[Job]:
-        """Jobs currently running in the rack."""
-        return [n.running for n in self.nodes if n.running is not None]
+        """Jobs currently running in the rack, in node order.
+
+        A snapshot: callers may release jobs while they iterate over it.
+        """
+        return list(self._running)
 
     @property
     def pool_free_gb(self) -> float:
@@ -75,10 +87,11 @@ class Rack:
 
         This is the interference a (prospective or running) job would see from
         its co-runners; the paper measures individual contributions with the
-        interference coefficient / induced LoI and schedulers sum them.
+        interference coefficient / induced LoI and schedulers sum them, in
+        node order.
         """
         total = 0.0
-        for job in self.running_jobs:
+        for job in self._running:
             if excluding is not None and job.job_id == excluding.job_id:
                 continue
             total += job.profile.induced_loi
@@ -99,29 +112,43 @@ class Rack:
                 f"rack {self.rack_id} cannot host job {job.job_id}"
             )
         if node is None:
-            node = next(n for n in self.nodes if not n.busy)
-        elif not any(n is node for n in self.nodes):
-            raise SchedulingError(
-                f"node {node.node_id} is not in rack {self.rack_id}"
-            )
-        elif node.busy:
-            raise SchedulingError(f"node {node.node_id} is busy")
+            position = next(i for i, n in enumerate(self.nodes) if not n.busy)
+        else:
+            position = next((i for i, n in enumerate(self.nodes) if n is node), None)
+            if position is None:
+                raise SchedulingError(
+                    f"node {node.node_id} is not in rack {self.rack_id}"
+                )
+            if node.busy:
+                raise SchedulingError(f"node {node.node_id} is busy")
+        node = self.nodes[position]
         node.running = job
         job.assigned_node = node.node_id
         job.assigned_rack = self.rack_id
         self.pool_used_gb += job.profile.pool_gb
         self.free_node_count -= 1
+        k = bisect_left(self._busy_at, position)
+        self._busy_at.insert(k, position)
+        self._running.insert(k, job)
         return node
 
     def release(self, job: Job) -> None:
         """Remove a finished job from its node and release its pool share."""
-        for node in self.nodes:
-            if node.running is not None and node.running.job_id == job.job_id:
-                node.running = None
-                self.pool_used_gb = max(self.pool_used_gb - job.profile.pool_gb, 0.0)
-                self.free_node_count += 1
-                return
-        raise SchedulingError(f"job {job.job_id} is not running in rack {self.rack_id}")
+        k = next((k for k, j in enumerate(self._running) if j.job_id == job.job_id), None)
+        if k is None:
+            raise SchedulingError(
+                f"job {job.job_id} is not running in rack {self.rack_id}"
+            )
+        position = self._busy_at.pop(k)
+        del self._running[k]
+        self.nodes[position].running = None
+        self.free_node_count += 1
+        if self._running:
+            self.pool_used_gb = max(self.pool_used_gb - job.profile.pool_gb, 0.0)
+        else:
+            # Float subtraction can leave a residue that would refuse a job
+            # sized to the whole pool.
+            self.pool_used_gb = 0.0
 
 
 @dataclass
@@ -163,10 +190,10 @@ class Cluster:
 
     @property
     def running_jobs(self) -> list[Job]:
-        """All jobs currently running anywhere in the cluster."""
+        """All jobs currently running anywhere in the cluster, rack by rack."""
         jobs: list[Job] = []
         for rack in self.racks:
-            jobs.extend(rack.running_jobs)
+            jobs += rack._running
         return jobs
 
     def rack_of(self, job: Job) -> Rack:

@@ -103,10 +103,36 @@ class ProgressModel(Protocol):
 def static_rate(job: Job, rack: Rack) -> float:
     """The paper's static progress rate: 1 / slowdown at the co-runners' LoI.
 
-    Shared by :class:`StaticCurveProgress` and the fabric-coupled model's
-    fallback path, so the static pricing formula exists exactly once.
+    The single-job entry point, used by the fabric-coupled model's fallback
+    path; :func:`static_rates` prices a whole rack through the same formula.
     """
-    seen_loi = rack.aggregate_loi(excluding=job)
+    return _rate_at(job, rack.aggregate_loi(excluding=job))
+
+
+def static_rates(rack: Rack) -> Dict[int, float]:
+    """:func:`static_rate` of every job running in ``rack``, in one pass.
+
+    Each job's ``induced_loi`` is read once.  A job's co-runner LoI is the
+    left fold, in node order, of the other jobs' LoIs that
+    ``rack.aggregate_loi(excluding=job)`` computes: the fold of the jobs on
+    earlier nodes, carried from job to job, then the jobs on later nodes.
+    Subtracting a job's own LoI from the rack total would change the bits.
+    """
+    jobs = rack.running_jobs
+    lois = [job.profile.induced_loi for job in jobs]
+    rates: Dict[int, float] = {}
+    before = 0.0
+    for k, job in enumerate(jobs):
+        seen = before
+        for loi in lois[k + 1:]:
+            seen += loi
+        rates[job.job_id] = _rate_at(job, min(seen, 100.0))
+        before += lois[k]
+    return rates
+
+
+def _rate_at(job: Job, seen_loi: float) -> float:
+    """The static pricing formula at a co-runner LoI already clipped at 100."""
     return 1.0 / max(job.profile.slowdown_at(seen_loi), 1.0)
 
 
@@ -121,7 +147,8 @@ class StaticCurveProgress:
 
     A job's rate depends only on who else runs in its rack, so the rates are
     cached per rack: :meth:`job_started` and :meth:`job_finished` drop their
-    rack's entry and :meth:`rates` prices only the racks without one.
+    rack's entry and :meth:`rates` prices only the racks without one, each
+    in one pass (:func:`static_rates`).
     """
 
     name: str = "static-curve"
@@ -147,9 +174,7 @@ class StaticCurveProgress:
         for rack in self.cluster.racks:
             rack_rates = self._rack_rates.get(rack.rack_id)
             if rack_rates is None:
-                rack_rates = self._rack_rates[rack.rack_id] = {
-                    job.job_id: static_rate(job, rack) for job in rack.running_jobs
-                }
+                rack_rates = self._rack_rates[rack.rack_id] = static_rates(rack)
             rates.update(rack_rates)
         return rates
 

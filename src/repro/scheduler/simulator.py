@@ -27,6 +27,7 @@ and the progress model's ``horizon()`` bounds how far one event may advance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -286,9 +287,12 @@ class ClusterSimulator:
         # Counted locally, published once when the run ends (see finally).
         n_events = n_started = n_finished = 0
         offers = declined = no_node = no_pool = 0
+        # Jobs running after the last event: the loop builds the running
+        # list once per event and counts retirements off it.
+        n_running = len(self.cluster.running_jobs)
 
         try:
-            while queue or cursor < len(order) or self.cluster.running_jobs:
+            while queue or cursor < len(order) or n_running:
                 n_events += 1
                 while cursor < len(order) and order[cursor].submit_time <= clock:
                     queue.append(order[cursor])
@@ -330,6 +334,7 @@ class ClusterSimulator:
 
                 next_arrival = order[cursor].submit_time if cursor < len(order) else None
                 running = self.cluster.running_jobs
+                n_running = len(running)
                 if not running:
                     # Jump to the next arrival.
                     if next_arrival is None:
@@ -345,9 +350,9 @@ class ClusterSimulator:
                 # arrives, or the progress model's rates expire (epoch / phase
                 # boundary).
                 finish_horizons = [
-                    remaining_work[j.job_id] / rates[j.job_id]
-                    for j in running
-                    if rates[j.job_id] > 0
+                    remaining_work[job.job_id] / rate
+                    for job in running
+                    if (rate := rates[job.job_id]) > 0
                 ]
                 next_event = min(finish_horizons) if finish_horizons else float("inf")
                 if next_arrival is not None:
@@ -356,26 +361,26 @@ class ClusterSimulator:
                 model_horizon = self.progress.horizon(clock)
                 if model_horizon is not None:
                     next_event = min(next_event, model_horizon)
-                if not np.isfinite(next_event):  # pragma: no cover - defensive
+                if not math.isfinite(next_event):  # pragma: no cover - defensive
                     raise SchedulingError("no progress possible: all rates are zero")
                 next_event = max(next_event, MIN_EVENT_STEP)
 
-                # Advance every running job by the elapsed interval.
+                # Advance every running job by the elapsed interval and
+                # retire the ones that finished.
                 self.progress.advance(next_event)
-                for job in running:
-                    remaining_work[job.job_id] -= rates[job.job_id] * next_event
                 clock += next_event
-
-                # Retire finished jobs.
                 retired = 0
                 for job in running:
-                    if remaining_work[job.job_id] <= 1e-6:
+                    left = remaining_work[job.job_id] - rates[job.job_id] * next_event
+                    remaining_work[job.job_id] = left
+                    if left <= 1e-6:
                         job.finish_time = clock
                         rack = self.cluster.rack_of(job)
                         rack.release(job)
                         self.progress.job_finished(job, rack, clock)
                         n_finished += 1
                         retired += 1
+                n_running -= retired
 
                 stalled = not finish_horizons and next_arrival is None
                 if retired or n_started > started_before or (

@@ -69,6 +69,40 @@ class TestParseTimestamp:
         with pytest.raises(ConfigurationError):
             parse_timestamp("yesterday")
 
+    # Python 3.10's datetime.fromisoformat rejects the first two forms and
+    # 3.11+ accepts all three; the grammar is the same on every version.
+    @pytest.mark.parametrize(
+        "text, same_as",
+        [
+            ("2024-03-01T00:05:00Z", "2024-03-01T00:05:00"),
+            ("2024-03-01T00:05:00.250Z", "2024-03-01T00:05:00.250"),
+            ("20240301T000500", None),
+            ("20240301", None),
+            ("2024-03-01T00:05:00.25", None),
+        ],
+    )
+    def test_one_grammar_on_every_python(self, text, same_as):
+        if same_as is None:
+            with pytest.raises(ConfigurationError, match="malformed timestamp"):
+                parse_timestamp(text)
+        else:
+            assert parse_timestamp(text) == parse_timestamp(same_as)
+
+    @pytest.mark.parametrize(
+        "submit, skipped",
+        [("2024-01-01T00:00:00Z", False), ("20240101T000000", True)],
+    )
+    def test_one_grammar_for_every_row(self, submit, skipped):
+        report = IngestReport()
+        lines = [HEADER, row("1", submit=submit), row("1.0", submit=submit)]
+        jobs = list(SacctReader(lines, report=report))
+        if skipped:
+            assert jobs == []
+            assert report.skipped_by_reason == {"malformed-field": 2}
+            assert "malformed timestamp" in report.examples[0].text
+        else:
+            assert [job.submit_unix for job in jobs] == [parse_timestamp("2024-01-01T00:00:00")]
+
 
 class TestFolding:
     def test_steps_fold_into_allocation(self):
@@ -288,6 +322,34 @@ class TestStreaming:
         jobs = sum(1 for _ in reader)
         assert jobs == n_jobs
         assert peak == steps_per_job + 1  # one allocation + its steps, never more
+
+    def test_timestamp_memo_holds_one_job(self):
+        """Each job's distinct timestamp strings are parsed once and dropped
+        with the job, so the memo is O(one job) like the row buffer."""
+        n_jobs, steps_per_job = 40, 5
+
+        def lines():
+            yield HEADER
+            for i in range(n_jobs):
+                for s in range(steps_per_job + 1):
+                    job_id = f"{i}.{s}" if s else str(i)
+                    hour = f"2024-01-{1 + i % 28:02d}T{s:02d}"
+                    yield row(job_id, submit=f"{hour}:00:00", start=f"{hour}:00:01",
+                              end=f"{hour}:00:02")
+
+        reader = SacctReader(lines())
+        peak = 0
+        parse_row = reader._parse_row
+
+        def spying_parse(line_no, line):
+            nonlocal peak
+            parsed = parse_row(line_no, line)
+            peak = max(peak, len(reader._stamps))
+            return parsed
+
+        reader._parse_row = spying_parse
+        assert sum(1 for _ in reader) == n_jobs
+        assert peak == 3 * (steps_per_job + 1)  # three cells per row of one job
 
     def test_consumes_a_generator_without_rewinding(self):
         consumed = iter([HEADER, row("1"), row("2")])

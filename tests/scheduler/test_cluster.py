@@ -78,6 +78,21 @@ def test_aggregate_loi_capped_at_100():
     assert rack.aggregate_loi() == 100.0
 
 
+def test_an_emptied_rack_leases_exactly_nothing():
+    """Float subtraction used to leave 4.26e-14 GB behind, which refused a
+    job sized to the whole pool."""
+    cluster = Cluster.build(n_racks=1, nodes_per_rack=3, pool_capacity_gb=384.0)
+    rack = cluster.racks[0]
+    jobs = [Job(job_id=i, profile=profile(pool=gb)) for i, gb in enumerate((115.1, 107.7, 45.6))]
+    for job in jobs:
+        rack.place(job)
+    for i in (0, 2, 1):
+        rack.release(jobs[i])
+    assert rack.pool_used_gb == 0.0
+    assert rack.can_host(Job(job_id=3, profile=profile(pool=384.0)))
+    assert cluster.placement_headroom_gb() == 384.0
+
+
 def test_release_unknown_job_rejected():
     cluster = Cluster.build(n_racks=1, nodes_per_rack=1)
     with pytest.raises(SchedulingError):

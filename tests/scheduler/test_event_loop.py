@@ -16,7 +16,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -251,7 +251,12 @@ def _profile(pool: float) -> JobProfile:
 
 def _rack_state(cluster):
     return [
-        (rack.pool_used_gb, rack.free_node_count, [n.running for n in rack.nodes])
+        (
+            rack.pool_used_gb,
+            rack.free_node_count,
+            [n.running for n in rack.nodes],
+            rack.running_jobs,
+        )
         for rack in cluster.racks
     ]
 
@@ -312,8 +317,14 @@ def test_free_node_count_and_headroom_track_every_place_and_release(shape, ops, 
                 assert _rack_state(cluster) == before
             else:
                 running.append(job)
+        scanned = []
         for each in cluster.racks:
             assert each.free_node_count == len(each.free_nodes)
+            # The kept running jobs are a node scan's, in node order.
+            on_nodes = [n.running for n in each.nodes if n.running is not None]
+            assert each.running_jobs == on_nodes
+            scanned += on_nodes
+        assert cluster.running_jobs == scanned
         assert cluster.free_nodes == sum(len(each.free_nodes) for each in cluster.racks)
         headroom = cluster.placement_headroom_gb()
         for pool_gb in probes:
@@ -338,24 +349,79 @@ def test_event_cost_follows_what_changed_not_the_job_count(policy, monkeypatch):
     The previous loop offered every waiting job at every event and re-priced
     every running job at every event; on this stream and a 2-core host it
     made about 4.3 million random-policy calls and 155,000 rate evaluations
-    in about 20 s.
+    in about 20 s.  A rate evaluation is one job priced by
+    :func:`~repro.scheduler.progress.static_rates`; every job is priced at
+    least once, after it starts.
     """
     profiles, arrivals = bench_stream(4000)
     evaluations = [0]
-    static_rate = progress_module.static_rate
+    static_rates = progress_module.static_rates
 
-    def counted(job, rack):
-        evaluations[0] += 1
-        return static_rate(job, rack)
+    def counted(rack):
+        rates = static_rates(rack)
+        evaluations[0] += len(rates)
+        return rates
 
-    monkeypatch.setattr(progress_module, "static_rate", counted)
+    monkeypatch.setattr(progress_module, "static_rates", counted)
     cluster = Cluster.build(n_racks=4, nodes_per_rack=8, pool_capacity_gb=64.0)
     recording = Recording(POLICIES[policy]())
     outcome = ClusterSimulator(cluster, recording, seed=0).run(profiles, arrivals)
     started = sum(1 for job in outcome.jobs if job.started)
     assert started == len(profiles)
     assert len(recording.calls) == started
-    assert evaluations[0] <= 2 * len(profiles) * 8
+    assert len(profiles) <= evaluations[0] <= 2 * len(profiles) * 8
+
+
+# -- one-pass rack pricing ---------------------------------------------------
+
+
+#: A curve whose slowdown is about 1e10 x LoI, so a rate keeps every bit of
+#: the co-runner LoI it was priced at.
+LINEAR_CURVE = SensitivityCurve(
+    workload="linear", config_label="50-50", loi_levels=(0.0, 100.0), runtimes=(1.0, 1e12)
+)
+
+
+@given(
+    nodes=st.integers(1, 16),
+    jobs=st.lists(
+        st.tuples(
+            st.integers(0, 15),
+            # Equal LoIs, LoIs that sum past 100, and LoIs whose sums round.
+            st.one_of(
+                st.sampled_from([0.0, 12.5, 12.5, 45.0, 70.0, 100.0]),
+                st.floats(0.0, 100.0),
+                st.integers(1, 700).map(lambda n: n / 97.0),
+            ),
+            st.integers(0, 6),
+        ),
+        max_size=16,
+    ),
+    released=st.lists(st.integers(0, 15), max_size=4),
+)
+@example(nodes=4, jobs=[(3, 45.0, 4), (1, 45.0, 5), (0, 45.0, 1), (2, 30.0, 2)], released=[])
+@example(nodes=3, jobs=[(0, 0.1, 6), (1, 0.2, 6), (2, 0.3, 6)], released=[])
+def test_one_pass_rack_pricing_equals_static_rate_per_job(nodes, jobs, released):
+    curves = (None,) + measured_curves() + (steep_curve(0.3), steep_curve(0.8), LINEAR_CURVE)
+    cluster = Cluster.build(n_racks=1, nodes_per_rack=nodes, pool_capacity_gb=1e6)
+    rack = cluster.racks[0]
+    placed = []
+    # Placed in draw order on the drawn nodes, so node order is not job order.
+    for job_id, (slot, loi, curve) in enumerate(jobs):
+        node = rack.nodes[slot % nodes]
+        if node.busy:
+            continue
+        profile = JobProfile(
+            workload="job", baseline_runtime=10.0, sensitivity=curves[curve], induced_loi=loi
+        )
+        job = Job(job_id=job_id, profile=profile)
+        rack.place(job, node=node)
+        placed.append(job)
+    for index in released:
+        if placed:
+            rack.release(placed.pop(index % len(placed)))
+    expected = {job.job_id: progress_module.static_rate(job, rack) for job in rack.running_jobs}
+    assert progress_module.static_rates(rack) == expected
 
 
 def test_a_nan_arrival_is_rejected():
