@@ -262,7 +262,11 @@ class IngestReport:
         return self.rows_read == self.rows_in_yielded_jobs + self.rows_skipped
 
     def skip(self, line_no: int, reason: str, text: str, rows: int = 1) -> None:
-        """Record ``rows`` rows skipped for ``reason`` (one example kept)."""
+        """Record ``rows`` rows skipped for ``reason`` (one example kept).
+
+        The example keeps the first 120 characters of ``text``; a text that
+        explains a row names the fault before quoting the row.
+        """
         self.skipped_by_reason[reason] = self.skipped_by_reason.get(reason, 0) + rows
         if len(self.examples) < self.max_examples:
             self.examples.append(SkippedRow(line_no=line_no, reason=reason, text=text[:120]))
@@ -410,10 +414,10 @@ class SacctReader:
             start = self._timestamp(fields, start_col)
             end = self._timestamp(fields, end_col)
         except (ConfigurationError, ValueError) as exc:
-            self.report.skip(line_no, "malformed-field", f"{line!r}: {exc}")
+            self.report.skip(line_no, "malformed-field", f"{exc}: {line!r}")
             return None
         if nnodes < 0:
-            self.report.skip(line_no, "malformed-field", f"{line!r}: negative NNodes")
+            self.report.skip(line_no, "malformed-field", f"negative NNodes: {line!r}")
             return None
         return _Row(
             line_no=line_no,

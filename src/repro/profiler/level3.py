@@ -48,6 +48,12 @@ class SensitivityCurve:
         # Interpolation and "the highest measured LoI" read the levels in order.
         if not all(b > a for a, b in zip(self.loi_levels, self.loi_levels[1:])):
             raise ProfilerError(f"LoI levels must increase, got {self.loi_levels}")
+        # :meth:`slowdown_at` prices every scheduled job: convert the tuples
+        # once.  Not fields, so equality, hashing and ``replace`` ignore them.
+        for name, values in (("_lois", self.loi_levels), ("_runtimes", self.runtimes)):
+            array = np.asarray(values, dtype=np.float64)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def baseline_runtime(self) -> float:
@@ -62,9 +68,7 @@ class SensitivityCurve:
 
     def slowdown_at(self, loi: float) -> float:
         """Interpolated relative slowdown (>= 1) at an arbitrary LoI."""
-        lois = np.asarray(self.loi_levels, dtype=np.float64)
-        runtimes = np.asarray(self.runtimes, dtype=np.float64)
-        runtime = float(np.interp(loi, lois, runtimes))
+        runtime = float(np.interp(loi, self._lois, self._runtimes))
         return runtime / self.baseline_runtime if self.baseline_runtime > 0 else 1.0
 
     @property

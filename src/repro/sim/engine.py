@@ -27,12 +27,16 @@ this run's prefetch switch and background traffic.  The profiler's prefetch
 on/off pair and its LoI sweep therefore place memory once and price the
 plan several times.
 
-The plans of one workload on different tier geometries, and its access
-profile, draw the same random page weights: each pass seeds its generator
-alike and draws over the same page counts in the same order.  Inside a
-:func:`sharing_draws` scope, which the multi-level profiler opens around its
-levels, each such draw is made once and handed out again (see
-:func:`_page_weights`).
+Uniform and hot/cold page weights are never drawn: those patterns describe
+their weights as runs (``page_runs``), the tier split sums tier slices of
+the runs with :func:`~repro.trace.patterns.pairwise_sum`, to the bits a
+dense slice sum gives, and the access profile adds each run's weight to its
+page slice.  The plans of one workload on different tier geometries, and
+its access profile, draw the same random (Zipf, gather) page weights: each
+pass seeds its generator alike and draws over the same page counts in the
+same order.  Inside a :func:`sharing_draws` scope, which the multi-level
+profiler opens around its levels, each such draw is made once and handed
+out again (see :func:`_page_weights`).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from ..memory.objects import AddressSpace, MemoryObject
 from ..memory.tiered import UNPLACED, TieredMemory
 from ..telemetry import metrics, trace_span
 from ..trace.access import PageAccessProfile
+from ..trace.patterns import Runs, expand_runs, pairwise_sum
 from ..workloads.base import PhaseSpec, WorkloadSpec
 from .interference import InterferenceSource, NoInterference
 from .perfmodel import PhaseInputs
@@ -106,27 +111,35 @@ class TierTraffic:
 
 
 def _tier_weights(
-    placement: np.ndarray, weights: np.ndarray, n_tiers: int
+    placement: np.ndarray, weights: Union[Runs, np.ndarray], n_tiers: int
 ) -> list[tuple[int, float]]:
     """(tier, summed page weight) for each tier holding some of an object's pages.
 
-    Pages that were freed (UNPLACED) no longer generate traffic: their share
-    comes last and goes to the local tier, as a freed-and-reused region's
-    would.  Under first-touch, local or remote placement the tier index never
-    decreases along an object's pages, so each tier's pages are one slice.
-    A slice sum adds the same weights in the same order as the masked sum,
-    hence gives the same bits, without gathering them.  Other placements
-    (interleaving) select each tier's weights with a mask.
+    ``weights`` are the object's runs or its dense per-page weights (see
+    :func:`_page_weights`).  Pages that were freed (UNPLACED) no longer
+    generate traffic: their share comes last and goes to the local tier, as
+    a freed-and-reused region's would.  Under first-touch, local or remote
+    placement the tier index never decreases along an object's pages, so
+    each tier's pages are one slice.  A slice sum adds the same weights in
+    the same order as the masked sum, hence gives the same bits, without
+    gathering them; :func:`~repro.trace.patterns.pairwise_sum` gives those
+    bits from the runs without expanding them.  Other placements
+    (interleaving) select each tier's weights with a mask, from expanded
+    runs.
     """
     if (placement[1:] >= placement[:-1]).all():
         edges = np.searchsorted(
             placement, np.arange(UNPLACED, n_tiers + 1, dtype=placement.dtype)
         ).tolist()
-        parts = [(tier, weights[edges[tier + 1] : edges[tier + 2]]) for tier in range(n_tiers)]
-        parts.append((0, weights[edges[0] : edges[1]]))
-    else:
-        parts = [(tier, weights[placement == tier]) for tier in range(n_tiers)]
-        parts.append((0, weights[placement == UNPLACED]))
+        bounds = [(tier, edges[tier + 1], edges[tier + 2]) for tier in range(n_tiers)]
+        bounds.append((0, edges[0], edges[1]))
+        if isinstance(weights, tuple):
+            return [(tier, pairwise_sum(weights, lo, hi)) for tier, lo, hi in bounds if hi > lo]
+        return [(tier, float(weights[lo:hi].sum())) for tier, lo, hi in bounds if hi > lo]
+    if isinstance(weights, tuple):
+        weights = expand_runs(weights)
+    parts = [(tier, weights[placement == tier]) for tier in range(n_tiers)]
+    parts.append((0, weights[placement == UNPLACED]))
     return [(tier, float(part.sum())) for tier, part in parts if len(part)]
 
 
@@ -178,19 +191,27 @@ def _frozen(state):
     return state
 
 
-def _page_weights(pattern, n_pages: int, rng: np.random.Generator) -> np.ndarray:
-    """``pattern.page_weights(n_pages, rng)``, shared inside a :func:`sharing_draws` scope.
+def _page_weights(
+    pattern, n_pages: int, rng: np.random.Generator
+) -> Union[Runs, np.ndarray]:
+    """The weights of ``pattern`` over ``n_pages`` pages: its runs, or a dense draw.
 
-    A draw is a pure function of the pattern, the page count and the
-    generator state before it, so that triple is the memo key.  A hit hands
-    out the stored read-only weights and moves the generator to the state
-    the draw left it in: bit for bit what drawing again would give, in any
-    call order.  Only draws that moved the generator are stored; uniform and
-    hot/cold weights are cheaper to redraw than to hold.  A pattern that
-    cannot be hashed draws afresh.
+    A pattern whose pages share a few weights (uniform, hot/cold) answers
+    with its ``page_runs``: its weights are never drawn, and runs hold
+    nothing worth sharing.  Any other pattern draws
+    ``pattern.page_weights(n_pages, rng)``, shared inside a
+    :func:`sharing_draws` scope.  A draw is a pure function of the pattern,
+    the page count and the generator state before it, so that triple is the
+    memo key.  A hit hands out the stored read-only weights and moves the
+    generator to the state the draw left it in: bit for bit what drawing
+    again would give, in any call order.  Only draws that moved the
+    generator are stored.  A pattern that cannot be hashed draws afresh.
     """
     registry = metrics()
     registry.counter("engine.draws").inc()
+    page_runs = getattr(pattern, "page_runs", None)
+    if page_runs is not None:
+        return page_runs(n_pages)
     memo = _draw_memo.get()
     if memo is None:
         return pattern.page_weights(n_pages, rng)
@@ -305,7 +326,14 @@ class ExecutionEngine:
                     continue
                 weights = _page_weights(obj.pattern, obj.n_pages, rng)
                 pages = slice(obj.first_page, obj.first_page + obj.n_pages)
-                counts[pages] += weights * traffic_lines
+                if isinstance(weights, tuple):
+                    # The same product per page as the dense weights give.
+                    first = obj.first_page
+                    for value, run_pages in weights:
+                        counts[first : first + run_pages] += value * traffic_lines
+                        first += run_pages
+                else:
+                    counts[pages] += weights * traffic_lines
                 touched[pages] = True
         return PageAccessProfile(np.flatnonzero(touched), counts[touched])
 

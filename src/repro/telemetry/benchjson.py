@@ -44,7 +44,7 @@ added ``trace_ingest`` — streaming :func:`repro.data.slurm.read_sacct`
 throughput on a synthetic ``sacct`` dump (``extra.rows_per_s`` is the
 recorded ingestion rate).  Version 6 added ``engine_profile_levels`` — the
 paper's three profiling levels through the execution engine, with the
-engine runs, plans and ``page_weights`` draws counted in ``extra``.  Older
+engine runs, plans and dense ``page_weights`` draws counted in ``extra``.  Older
 documents remain readable (each version
 must only cover its own groups), so the committed trajectory stays
 comparable across schema bumps.

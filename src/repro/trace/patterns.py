@@ -13,19 +13,41 @@ A workload kernel's traffic to a data object is described by an
   prefetcher-detectable sequential/strided streams (what the closed-form
   prefetch model prices).
 
+Patterns whose pages share a few weights (sequential, strided, random,
+blocked: one weight; hot/cold: two) also describe them as *runs*,
+``((weight, pages), ...)`` in page order (``page_runs``); their dense
+``page_weights`` is the expansion of those runs.  :func:`pairwise_sum` sums a
+slice of runs to the bits NumPy gives over the expanded slice, so a consumer
+that only needs slice sums (the engine's per-tier split) never builds the
+page-length array.  Zipf and gather weights spread a shuffled power law
+over the pages, nearly one distinct weight per page, so they are drawn
+dense, in place.
+
 Patterns are deterministic given a :class:`numpy.random.Generator`.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Protocol
+from itertools import accumulate
+from typing import Optional, Protocol
 
 import numpy as np
 
+#: ``((weight, pages), ...)`` in page order: the weights of a pattern whose
+#: pages share a few values.
+Runs = tuple[tuple[float, int], ...]
+
 
 class AccessPattern(Protocol):
-    """Protocol implemented by all access patterns."""
+    """Protocol implemented by all access patterns.
+
+    A pattern whose pages share a few weights may also define
+    ``page_runs(n_pages) -> Runs``, the runs its ``page_weights`` expands;
+    the engine then reads the runs and never draws the weights.
+    """
 
     #: Fraction of accesses that a stream prefetcher could cover (0..1).
     stream_fraction: float
@@ -42,10 +64,89 @@ class AccessPattern(Protocol):
 
 
 def _normalise(weights: np.ndarray) -> np.ndarray:
+    """Scale ``weights`` in place to sum to 1 (uniform if they sum to <= 0)."""
     total = weights.sum()
     if total <= 0:
-        return np.full(len(weights), 1.0 / max(len(weights), 1))
-    return weights / total
+        weights.fill(1.0 / max(len(weights), 1))
+    else:
+        weights /= total
+    return weights
+
+
+def expand_runs(runs: Runs) -> np.ndarray:
+    """The dense per-page weights that ``runs`` describe."""
+    values = np.array([value for value, _ in runs], dtype=np.float64)
+    return np.repeat(values, [pages for _, pages in runs])
+
+
+#: NumPy's pairwise summation sums at most this many float64 elements in one
+#: unrolled block and splits longer ranges (``PW_BLOCKSIZE``).
+_PAIRWISE_BLOCK = 128
+
+
+@functools.lru_cache(maxsize=4096)
+def _constant_sum(value: float, n: int) -> float:
+    """NumPy's pairwise sum of ``n`` (>= 1) copies of ``value``."""
+    if n > _PAIRWISE_BLOCK:
+        half = n // 16 * 8
+        return _constant_sum(value, half) + _constant_sum(value, n - half)
+    lanes, tail = divmod(n, 8)
+    if lanes:
+        # Eight accumulators each add ``lanes`` copies; the tree that joins
+        # eight equal partial sums doubles exactly, three times.
+        lane = value
+        for _ in range(lanes - 1):
+            lane += value
+        total = 8.0 * lane
+    else:
+        total = -0.0
+    for _ in range(tail):
+        total += value
+    return total
+
+
+def pairwise_sum(runs: Runs, start: int = 0, stop: Optional[int] = None) -> float:
+    """``float(np.add.reduce(expand_runs(runs)[start:stop]))`` without expanding.
+
+    NumPy adds a contiguous float64 range in pairs: a range longer than
+    :data:`_PAIRWISE_BLOCK` splits at ``n // 2`` rounded down to a multiple
+    of 8 and adds the two halves' sums; a shorter range is one block, summed
+    by eight accumulators (under 8 elements, by one loop from -0.0).  This
+    helper follows the same splits, so it adds the same numbers in the same
+    order.  A range inside one run depends only on (weight, length) and is
+    memoized by that pair; a block that spans a run edge is summed by NumPy
+    itself.  The cost is O(runs x log n), not O(n).  The memo cannot tell
+    0.0 from -0.0, but the sign of a zero partial sum never reaches the
+    result: NumPy adds the whole range to an initial 0.0, and so does this
+    helper.
+    """
+    ends = list(accumulate(pages for _, pages in runs))
+    total = ends[-1] if ends else 0
+    start, stop, _ = slice(start, stop).indices(total)
+    if stop <= start:
+        return 0.0
+    values = [value for value, _ in runs]
+
+    def segment(lo: int, hi: int) -> float:
+        run = bisect_right(ends, lo)
+        if hi <= ends[run]:
+            return _constant_sum(values[run], hi - lo)
+        if hi - lo <= _PAIRWISE_BLOCK:
+            block = []
+            while lo < hi:
+                end = min(ends[run], hi)
+                block.extend([values[run]] * (end - lo))
+                lo, run = end, run + 1
+            return float(np.add.reduce(np.array(block)))
+        half = lo + (hi - lo) // 16 * 8
+        return segment(lo, half) + segment(half, hi)
+
+    return 0.0 + segment(start, stop)
+
+
+def _uniform_runs(n_pages: int) -> Runs:
+    """Every page weighs the same."""
+    return ((1.0 / n_pages, n_pages),) if n_pages > 0 else ()
 
 
 @dataclass(frozen=True)
@@ -73,8 +174,11 @@ class SequentialPattern:
         start = int(rng.integers(0, n_lines - n_samples + 1))
         return np.arange(start, start + n_samples, dtype=np.int64)
 
+    def page_runs(self, n_pages: int) -> Runs:
+        return _uniform_runs(n_pages)
+
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n_pages, 1.0 / max(n_pages, 1))
+        return expand_runs(self.page_runs(n_pages))
 
 
 @dataclass(frozen=True)
@@ -102,8 +206,11 @@ class StridedPattern:
         offsets = (start + np.arange(n_samples, dtype=np.int64) * self.stride_lines) % n_lines
         return offsets
 
+    def page_runs(self, n_pages: int) -> Runs:
+        return _uniform_runs(n_pages)
+
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n_pages, 1.0 / max(n_pages, 1))
+        return expand_runs(self.page_runs(n_pages))
 
 
 @dataclass(frozen=True)
@@ -124,8 +231,11 @@ class RandomPattern:
             return np.empty(0, dtype=np.int64)
         return rng.integers(0, n_lines, size=n_samples, dtype=np.int64)
 
+    def page_runs(self, n_pages: int) -> Runs:
+        return _uniform_runs(n_pages)
+
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n_pages, 1.0 / max(n_pages, 1))
+        return expand_runs(self.page_runs(n_pages))
 
 
 @dataclass(frozen=True)
@@ -147,8 +257,10 @@ class ZipfPattern:
             raise ValueError("zipf alpha must be positive")
 
     def _rank_weights(self, n: int) -> np.ndarray:
-        ranks = np.arange(1, n + 1, dtype=np.float64)
-        return _normalise(ranks ** (-self.alpha))
+        weights = np.arange(1, n + 1, dtype=np.float64)
+        # ``**=`` keeps NumPy's scalar-exponent shortcuts (-1 is a reciprocal).
+        weights **= -self.alpha
+        return _normalise(weights)
 
     def sample_offsets(
         self, n_lines: int, n_samples: int, rng: np.random.Generator
@@ -207,13 +319,21 @@ class HotColdPattern:
         offsets[~hot_mask] = rng.integers(0, n_lines, size=n_samples - n_hot, dtype=np.int64)
         return offsets
 
-    def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
+    def page_runs(self, n_pages: int) -> Runs:
+        """The hot pages first, then the cold ones, scaled as :func:`_normalise` scales."""
         if n_pages <= 0:
-            return np.empty(0, dtype=np.float64)
+            return ()
         hot_pages = max(int(round(n_pages * self.hot_fraction)), 1)
-        weights = np.full(n_pages, (1.0 - self.hot_traffic) / max(n_pages, 1))
-        weights[:hot_pages] += self.hot_traffic / hot_pages
-        return _normalise(weights)
+        cold = (1.0 - self.hot_traffic) / n_pages
+        runs = ((cold + self.hot_traffic / hot_pages, hot_pages), (cold, n_pages - hot_pages))
+        runs = tuple(run for run in runs if run[1] > 0)
+        total = pairwise_sum(runs)
+        if total <= 0:
+            return _uniform_runs(n_pages)
+        return tuple((value / total, pages) for value, pages in runs)
+
+    def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
+        return expand_runs(self.page_runs(n_pages))
 
 
 @dataclass(frozen=True)
@@ -245,8 +365,11 @@ class BlockedPattern:
         offsets = (starts[:, None] + within[None, :]).reshape(-1)[:n_samples]
         return offsets
 
+    def page_runs(self, n_pages: int) -> Runs:
+        return _uniform_runs(n_pages)
+
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
-        return np.full(n_pages, 1.0 / max(n_pages, 1))
+        return expand_runs(self.page_runs(n_pages))
 
 
 @dataclass(frozen=True)
@@ -292,11 +415,10 @@ class GatherPattern:
     def page_weights(self, n_pages: int, rng: np.random.Generator) -> np.ndarray:
         if n_pages <= 0:
             return np.empty(0, dtype=np.float64)
-        uniform = np.full(n_pages, 1.0 / n_pages)
-        skewed = ZipfPattern(alpha=self.skew_alpha).page_weights(n_pages, rng)
-        return _normalise(
-            (1.0 - self.indexed_fraction) * uniform + self.indexed_fraction * skewed
-        )
+        weights = ZipfPattern(alpha=self.skew_alpha).page_weights(n_pages, rng)
+        weights *= self.indexed_fraction
+        weights += (1.0 - self.indexed_fraction) * (1.0 / n_pages)
+        return _normalise(weights)
 
 
 #: Registry of pattern names usable from configuration files / CLI.

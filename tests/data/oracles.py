@@ -84,10 +84,10 @@ class ColumnDictReader(SacctReader):
             start = parse_timestamp(cell("Start"))
             end = parse_timestamp(cell("End"))
         except (ConfigurationError, ValueError) as exc:
-            self.report.skip(line_no, "malformed-field", f"{line!r}: {exc}")
+            self.report.skip(line_no, "malformed-field", f"{exc}: {line!r}")
             return None
         if nnodes < 0:
-            self.report.skip(line_no, "malformed-field", f"{line!r}: negative NNodes")
+            self.report.skip(line_no, "malformed-field", f"negative NNodes: {line!r}")
             return None
         return _Row(
             line_no=line_no,

@@ -103,6 +103,23 @@ class TestParseTimestamp:
         else:
             assert [job.submit_unix for job in jobs] == [parse_timestamp("2024-01-01T00:00:00")]
 
+    def test_a_skipped_rows_example_keeps_its_whole_reason(self):
+        # The example is cut at 120 characters; the reason comes first, so
+        # the cut takes only the quoted row.
+        report = IngestReport()
+        bad = row("1", submit="20240101T000000")
+        assert list(SacctReader([HEADER, bad], report=report)) == []
+        (example,) = report.examples
+        reason = "malformed timestamp '20240101T000000': expected ISO like 2024-03-01T00:05:00"
+        assert example.text == f"{reason}: {bad!r}"[:120]
+        assert len(example.text) == 120
+
+    def test_a_negative_node_count_is_named_before_the_row(self):
+        report = IngestReport()
+        bad = row("1", nnodes=-2)
+        assert list(SacctReader([HEADER, bad], report=report)) == []
+        assert report.examples[0].text == f"negative NNodes: {bad!r}"[:120]
+
 
 class TestFolding:
     def test_steps_fold_into_allocation(self):

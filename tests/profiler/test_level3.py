@@ -1,9 +1,15 @@
 """Tests for Level-3 profiling (interference sensitivity and coefficient)."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import telemetry
 from repro.config.errors import ProfilerError
+from repro.profiler import level3
 from repro.profiler.level3 import Level3Profiler, SensitivityCurve
 from repro.profiler.profiler import MultiLevelProfiler
 from repro.scheduler.progress import fabric_job_profile
@@ -51,6 +57,53 @@ class TestSensitivityCurve:
     def test_slowdown_is_flat_beyond_the_last_level(self):
         curve = SensitivityCurve("w", "c", (0.0, 50.0), (2.0, 3.0))
         assert curve.slowdown_at(80.0) == curve.slowdown_at(50.0) == pytest.approx(1.5)
+
+    def test_slowdown_converts_no_tuple_per_call(self, monkeypatch):
+        curve = SensitivityCurve("w", "c", (0.0, 10.0, 20.0), (2.0, 2.5, 3.0))
+        converted = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def asarray(self, *args, **kwargs):
+                converted.append(args)
+                return np.asarray(*args, **kwargs)
+
+            array = asarray
+
+        monkeypatch.setattr(level3, "np", CountingNumpy())
+        for loi in (0.0, 5.0, 20.0, 35.0):
+            curve.slowdown_at(loi)
+        assert converted == []
+
+    @given(
+        levels=st.lists(st.floats(0.5, 100.0), min_size=1, max_size=6, unique=True),
+        runtimes=st.lists(st.floats(1e-3, 1e4), min_size=7, max_size=7),
+        lois=st.lists(st.floats(-10.0, 200.0), min_size=1, max_size=10),
+    )
+    def test_slowdown_is_the_per_call_conversion_it_replaces(self, levels, runtimes, lois):
+        levels = (0.0, *sorted(levels))
+        runtimes = tuple(runtimes[: len(levels)])
+        curve = SensitivityCurve("w", "c", levels, runtimes)
+        for loi in lois:
+            lois_array = np.asarray(curve.loi_levels, dtype=np.float64)
+            runtimes_array = np.asarray(curve.runtimes, dtype=np.float64)
+            expected = float(np.interp(loi, lois_array, runtimes_array)) / curve.baseline_runtime
+            assert curve.slowdown_at(loi) == expected
+
+    def test_curve_stays_a_plain_value(self):
+        curve = SensitivityCurve("w", "c", (0.0, 10.0, 20.0), (2.0, 2.5, 3.0))
+        twin = SensitivityCurve("w", "c", (0.0, 10.0, 20.0), (2.0, 2.5, 3.0))
+        assert curve == twin and hash(curve) == hash(twin)
+        assert repr(curve) == repr(twin)
+        copy = pickle.loads(pickle.dumps(curve))
+        assert copy == curve and copy.slowdown_at(15.0) == curve.slowdown_at(15.0)
+        slower = dataclasses.replace(curve, runtimes=(2.0, 3.0, 4.0))
+        assert slower != curve
+        assert slower.slowdown_at(10.0) == 1.5 and curve.slowdown_at(10.0) == 1.25
+        with pytest.raises(ValueError):
+            curve._lois[0] = 1.0
 
     def test_compute_bound_app_absorbs_interference(self, profiler, hypre_spec):
         hpl = build_workload("HPL", 1.0)

@@ -6,9 +6,10 @@ splits, and level 3's IC and LoI sweep at the 50% split.  Placement and the
 per-page weight draws happen once per (workload, tier geometry): four plans
 per application serve its eleven engine runs.  The four plans and the
 access profile consume the generator alike, so the profiler draws each
-random weight array once and shares it with the other four passes.  The
-draws are counted with the helper behind the ``engine_profile_levels`` rows
-of ``BENCH_cosim.json``.
+random weight array once and shares it with the other four passes.  Uniform
+and hot/cold weights are read as runs and never drawn.  The dense draws are
+counted with the helper behind the ``engine_profile_levels`` rows of
+``BENCH_cosim.json``.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def test_methodology_plans_each_geometry_once():
         # LoI-0 run is also the IC's run.
         assert registry.counter("engine.runs").value == 11, name
         # One pass of draws per plan, plus level 1's access profile: five in
-        # all.  A draw that consumes the generator is made once and shared.
+        # all.  A draw that consumes the generator is made once and shared;
+        # the others are runs, never drawn.
         consuming, other = _draws_per_pass(spec)
-        assert draws == consuming + 5 * other, name
+        assert draws == consuming, name
         assert registry.counter("engine.draws").value == 5 * (consuming + other), name
         assert registry.counter("engine.draws.shared").value == 4 * consuming, name

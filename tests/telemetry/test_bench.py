@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro import telemetry
 from repro.telemetry.benchjson import (
     BENCH_SCHEMA,
@@ -162,6 +164,33 @@ class TestHookCount:
             registry, hooks = bench.count_hook_calls(run)
             assert registry.counter("scheduler.jobs.finished").value == n_jobs
             assert hooks == 8
+
+
+class TestTelemetryOverhead:
+    def test_modes_alternate_and_hooks_are_counted_in_an_untimed_run(self, monkeypatch):
+        """The counting wrappers never slow a timed run, and both modes share the host's phases."""
+        bench = _bench_perf()
+        originals = {(owner, name): vars(owner)[name] for owner, name in bench.HOOK_METHODS}
+        runs = []
+        real_run = bench._run_cluster
+
+        def spy(*args):
+            counting = any(vars(owner)[name] is not method for (owner, name), method in originals.items())
+            runs.append((telemetry.enabled(), counting))
+            return real_run(*args)
+
+        monkeypatch.setattr(bench, "_run_cluster", spy)
+        try:
+            row, overhead = bench.bench_cluster_events(quick=True)
+        finally:
+            telemetry.disable()
+        assert bench.OVERHEAD_PAIRS >= 5
+        assert runs == [(True, True)] + [(False, False), (True, False)] * bench.OVERHEAD_PAIRS
+        assert row["repeats"] == bench.OVERHEAD_PAIRS
+        assert overhead["hook_calls"] == 8
+        assert row["min_s"] == overhead["disabled_wall_s"]
+        ratio = overhead["enabled_wall_s"] / overhead["disabled_wall_s"]
+        assert overhead["enabled_overhead_pct"] == pytest.approx((ratio - 1.0) * 100.0)
 
 
 class TestHarnessQuickRun:
