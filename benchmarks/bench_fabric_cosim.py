@@ -7,7 +7,7 @@ concurrently).
 """
 
 from repro.config.units import GiB
-from repro.fabric import MemoryPool, RackCoSimulator, uniform_tenants
+from repro.fabric import ClusterCoSimulator, ClusterFabric, uniform_tenants
 from repro.parallel import SweepRunner
 from repro.workloads import build_workload
 
@@ -18,29 +18,32 @@ POOL_FACTORS = (None, 4, 2)
 
 
 def run_point(workload, scale, factor, tenants):
-    """One sweep point: a full rack co-simulation, returned as a plain row.
+    """One sweep point: a full rack co-simulation (a 1-rack cluster run to
+    completion), returned as a plain row.
 
     Module-level and keyword-driven so :class:`repro.parallel.SweepRunner`
     can pickle it into worker processes and fingerprint its parameters.
     """
-    spec = build_workload(workload, scale)
-    lease = uniform_tenants(spec, 1)[0].lease_bytes
-    pool = None
-    if factor is not None:
-        pool = MemoryPool(min(factor, tenants) * lease + 1)
-    result = RackCoSimulator(uniform_tenants(spec, tenants), pool=pool).run()
+    rack = uniform_tenants(build_workload(workload, scale), tenants)
+    lease = rack[0].lease_bytes
+    capacity = (
+        sum(max(t.lease_bytes, 1) for t in rack)
+        if factor is None
+        else min(factor, tenants) * lease + 1
+    )
+    result = ClusterCoSimulator(
+        ClusterFabric(n_racks=1, nodes_per_rack=tenants), rack_pool_bytes=capacity
+    ).run_to_completion([(0, tenant) for tenant in rack])
+    finished = [t for t in result["tenants"] if t["runtime_s"] > 0]
     return {
         "pool": "unbounded" if factor is None else f"{factor}x-lease",
         "tenants": tenants,
-        "mean_runtime": result.mean_runtime,
-        "mean_slowdown": result.mean_slowdown,
-        "mean_wait": float(
-            sum(t.wait_time for t in result.finished_tenants)
-            / max(len(result.finished_tenants), 1)
-        ),
-        "makespan": result.makespan,
-        "max_leased_gb": result.max_leased_bytes / GiB,
-        "pool_gb": result.pool_capacity_bytes / GiB,
+        "mean_runtime": result["mean_runtime"],
+        "mean_slowdown": result["mean_slowdown"],
+        "mean_wait": float(sum(t["wait_s"] for t in finished) / max(len(finished), 1)),
+        "makespan": result["makespan"],
+        "max_leased_gb": result["max_leased_gb"] * 1e9 / GiB,
+        "pool_gb": result["pool_capacity_gb"] * 1e9 / GiB,
     }
 
 

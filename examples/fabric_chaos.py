@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Chaos-testing the fabric: fault injection, elastic leases, blast radius.
 
-The rack co-simulation of :mod:`repro.fabric` is deterministic all the way
-down, and that includes its failures: a :class:`FaultSchedule` fires port
+The rack co-simulation of :mod:`repro.fabric` (a rack is a 1-rack
+:class:`ClusterCoSimulator`) is deterministic all the way down, and that
+includes its failures: a :class:`FaultSchedule` fires port
 kills, degradations, lease revocations and capacity loss at exact simulated
 times, elastic pools shrink running tenants to admit newcomers at a modeled
 page-give-back migration cost, and every run summarises the damage as a
@@ -26,30 +27,46 @@ from __future__ import annotations
 
 from repro.config.errors import FabricError
 from repro.fabric import (
+    ClusterCoSimulator,
+    ClusterFabric,
     FaultEvent,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
+    TenantSpec,
     uniform_tenants,
 )
 from repro.workloads import build_workload
+
+
+def one_rack(tenants, pool_bytes=None, **kwargs) -> ClusterCoSimulator:
+    """A rack with a node per tenant and a pool of exactly their leases (or
+    ``pool_bytes``): a 1-rack cluster."""
+    return ClusterCoSimulator(
+        ClusterFabric(n_racks=1, nodes_per_rack=len(tenants)),
+        rack_pool_bytes=pool_bytes or sum(t.lease_bytes for t in tenants),
+        **kwargs,
+    )
+
+
+def on_rack(tenants):
+    return [(0, tenant) for tenant in tenants]
 
 
 def port_kill_blast_radius() -> None:
     print("=== 1. Port kill: blast radius vs clean baseline ===")
     spec = build_workload("XSBench", 1.0)
     tenants = uniform_tenants(spec, 2, local_fraction=0.5)
-    baseline = RackCoSimulator(tenants, seed=0).run()
+    baseline = one_rack(tenants, seed=0).run_to_completion(on_rack(tenants))
 
-    chaos = RackCoSimulator(uniform_tenants(spec, 2, local_fraction=0.5), seed=0)
+    chaos = one_rack(tenants, seed=0)
     chaos.inject_faults(
         FaultSchedule(
             (FaultEvent(time=5.0, kind="port-kill", port=0, duration=2.0),)
         )
     )
-    result = chaos.run()
-    report = result.blast_radius
-    print(f"  makespan: clean {baseline.makespan:.2f} s -> faulted {result.makespan:.2f} s")
+    result = chaos.run_to_completion(on_rack(tenants))
+    report = chaos.blast_radius()
+    print(f"  makespan: clean {baseline['makespan']:.2f} s -> "
+          f"faulted {result['makespan']:.2f} s")
     print(f"  stalled tenants: {report.stalled_tenants}")
     print(f"  total stall: {report.total_stall_seconds:.1f} s "
           f"(= kill window x {len(report.stalled_tenants)} tenants on the dead port)\n")
@@ -58,19 +75,21 @@ def port_kill_blast_radius() -> None:
 def lease_revocation() -> None:
     print("=== 2. Lease revocation: migration drain + re-admission ===")
     spec = build_workload("XSBench", 1.0)
-    sim = RackCoSimulator(uniform_tenants(spec, 2, local_fraction=0.5), seed=0)
+    tenants = uniform_tenants(spec, 2, local_fraction=0.5)
+    sim = one_rack(tenants, seed=0)
     # Revoke one tenant's lease at t=5; its 2 GB drain back at 1 GB/s.
     sim.inject_faults(
         FaultSchedule((FaultEvent(time=5.0, kind="lease-revoke", tenant="XSBench-1"),)),
         drain_bytes_per_s=1e9,
     )
-    result = sim.run()
-    impact = {t.name: t for t in result.blast_radius.tenants}["XSBench-1"]
+    sim.run_to_completion(on_rack(tenants))
+    report = sim.blast_radius()
+    impact = {t.name: t for t in report.tenants}["XSBench-1"]
     print(f"  migrated: {impact.migrated_bytes / 1e9:.1f} GB, "
           f"stall {impact.stall_seconds:.1f} s, "
           f"re-admission latency {impact.readmission_latency:.1f} s")
     print("  The un-revoked co-tenant is untouched: "
-          f"{ {t.name: t.stall_seconds for t in result.blast_radius.tenants} }\n")
+          f"{ {t.name: t.stall_seconds for t in report.tenants} }\n")
 
 
 def elastic_overcommit() -> None:
@@ -81,15 +100,14 @@ def elastic_overcommit() -> None:
     # that give-back is charged to the first tenant as a migration stall.
     tenants = uniform_tenants(spec, 2, local_fraction=0.5, stagger=5.0)
     lease = tenants[0].lease_bytes
-    pool = MemoryPool(int(1.5 * lease), elastic=True, min_lease_fraction=0.5)
-    sim = RackCoSimulator(tenants, pool=pool, seed=0)
-    result = sim.run()
-    report = result.blast_radius
+    sim = one_rack(tenants, pool_bytes=int(1.5 * lease), seed=0, overcommit=True)
+    result = sim.run_to_completion(on_rack(tenants))
+    report = sim.blast_radius()
     shrunk = {t.name: t for t in report.tenants}["XSBench-0"]
-    print(f"  pool {pool.capacity_bytes / 1e9:.1f} GB, leases 2 x {lease / 1e9:.1f} GB")
+    print(f"  pool {result['pool_capacity_gb']:.1f} GB, leases 2 x {lease / 1e9:.1f} GB")
     print(f"  XSBench-0 gave back {shrunk.migrated_bytes / 1e9:.1f} GB "
           f"and stalled {shrunk.stall_seconds:.3f} s while its pages drained")
-    print(f"  both finished: { {t.name: t.lease_state for t in result.tenants} }\n")
+    print(f"  both finished: { {t['name']: t['lease_state'] for t in result['tenants']} }\n")
 
 
 def seeded_chaos_and_rollback() -> None:
@@ -97,25 +115,25 @@ def seeded_chaos_and_rollback() -> None:
     spec = build_workload("XSBench", 1.0)
 
     def run_once():
-        sim = RackCoSimulator(uniform_tenants(spec, 2, local_fraction=0.5), seed=0)
+        tenants = uniform_tenants(spec, 2, local_fraction=0.5)
+        sim = one_rack(tenants, seed=0)
         sim.inject_faults(
             FaultSchedule.seeded(
                 seed=7, horizon=20.0, n_events=4,
                 kinds=("port-kill", "port-degrade"), n_ports=1,
             )
         )
-        return sim.run().blast_radius.summary()
+        return sim.run_to_completion(on_rack(tenants))["faults"]
 
     a, b = run_once(), run_once()
     print(f"  seeded run twice, identical reports: {a == b} "
           f"({a['faults_injected']} faults, {a['total_stall_seconds']:.2f} s stall)")
 
     # Checkpoints tolerate *pending* faults but refuse to cross *applied* ones.
-    sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=1.0)
-    from repro.fabric import TenantSpec
-
-    for i in range(2):
-        sim.admit(TenantSpec(name=f"job-{i}", workload=spec, local_fraction=0.5))
+    jobs = [TenantSpec(name=f"job-{i}", workload=spec, local_fraction=0.5) for i in range(2)]
+    sim = one_rack(jobs, epoch_seconds=1.0)
+    for job in jobs:
+        sim.admit(0, job)
     sim.inject_faults(
         FaultSchedule((FaultEvent(time=10.0, kind="port-kill", port=0, duration=2.0),))
     )

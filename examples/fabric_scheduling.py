@@ -3,8 +3,8 @@
 
 The rack-scale :class:`ClusterSimulator` usually prices co-location with the
 paper's static ``slowdown_at(LoI)`` curves.  This example couples it to the
-:mod:`repro.fabric` co-simulation instead: every rack gets its own
-incrementally-stepped :class:`RackCoSimulator`, each placed job becomes a
+:mod:`repro.fabric` co-simulation instead: every rack is a rack of one
+incrementally-stepped :class:`ClusterCoSimulator`, each placed job becomes a
 fabric tenant on its node, and job progress rates are the emergent per-epoch
 rates the shared pool ports resolve.
 
@@ -27,7 +27,7 @@ Run with::
 from __future__ import annotations
 
 from repro.casestudies.scheduling import CoupledSchedulingStudy
-from repro.fabric import RackCoSimulator, TenantSpec
+from repro.fabric import ClusterCoSimulator, ClusterFabric, TenantSpec
 from repro.scheduler import (
     Cluster,
     ClusterSimulator,
@@ -90,9 +90,11 @@ def placement_bakeoff() -> None:
 def checkpoint_rollover() -> None:
     print("=== 3. Epoch checkpoint / rollover (speculative stepping) ===")
     spec = build_workload("Hypre", 1.0)
-    sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=1.0)
+    sim = ClusterCoSimulator(
+        ClusterFabric(n_racks=1, nodes_per_rack=2), epoch_seconds=1.0
+    )
     for i in range(2):
-        sim.admit(TenantSpec(name=f"job-{i}", workload=spec, local_fraction=0.5))
+        sim.admit(0, TenantSpec(name=f"job-{i}", workload=spec, local_fraction=0.5))
     sim.step(5.0)
     checkpoint = sim.checkpoint()
     speculative = sim.step(20.0)  # step past an estimated completion ...

@@ -19,10 +19,7 @@ from ..data.top500 import memory_evolution
 from ..fabric import (
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     parse_fault_spec,
     uniform_tenants,
 )
@@ -249,67 +246,61 @@ def fabric_scenario(
     drain_bytes_per_s: Optional[float] = None,
     seed: int = 0,
 ) -> dict:
-    """``n_tenants`` tenants of ``workload`` on one rack, or on each rack of
-    an ``n_racks``-rack cluster (names prefixed ``rack<i>-``), run to the end.
+    """``n_tenants`` tenants of ``workload`` on each rack of an
+    ``n_racks``-rack cluster, run to the end.
 
     The one fabric scenario behind ``repro-dmem fabric`` and both fabric
     figures.  Each rack pool holds ``pool_capacity_bytes``, by default
     exactly its leases (a byte for a tenant that leases none), and is
-    elastic iff ``overcommit``.  Returns the ``summary``, the pool
-    ``timeline`` (one per ``rack<i>`` in a cluster) and every finished
-    tenant's ``tenant_background_loi``.
+    elastic iff ``overcommit``; tenants that do not fit spill into a
+    ``cluster_pool_bytes`` pool when one is given.  ``n_racks=None`` runs
+    one rack and names only the output: tenants keep their plain names
+    and the pool ``timeline`` is that rack's, where a cluster prefixes
+    names ``rack<i>-`` and keys one timeline per ``rack<i>``.  Returns the
+    ``summary``, the ``timeline`` and every finished tenant's
+    ``tenant_background_loi``.
     """
     spec = get_model(workload).build(scale)
     tenants = uniform_tenants(spec, n_tenants, local_fraction=local_fraction, stagger=stagger)
     if pool_capacity_bytes is None:
         pool_capacity_bytes = sum(max(t.lease_bytes, 1) for t in tenants)
-    if n_racks is None:
-        simulator = RackCoSimulator(
-            tenants,
-            pool=MemoryPool(pool_capacity_bytes, elastic=overcommit),
-            topology=FabricTopology(
-                n_nodes=n_tenants, n_ports=n_ports, port_capacity_scale=port_capacity_scale
-            ),
-            epoch_seconds=epoch_seconds,
-            seed=seed,
-        )
-    else:
-        fabric = ClusterFabric(
-            n_racks=n_racks,
-            nodes_per_rack=n_tenants,
-            n_ports=n_ports,
-            port_capacity_scale=port_capacity_scale,
-            uplink_capacity_scale=uplink_capacity_scale,
-        )
-        simulator = ClusterCoSimulator(
-            fabric,
-            rack_pool_bytes=pool_capacity_bytes,
-            cluster_pool_bytes=cluster_pool_bytes,
-            epoch_seconds=epoch_seconds,
-            seed=seed,
-            overcommit=overcommit,
-        )
+    fabric = ClusterFabric(
+        n_racks=n_racks or 1,
+        nodes_per_rack=n_tenants,
+        n_ports=n_ports,
+        port_capacity_scale=port_capacity_scale,
+        uplink_capacity_scale=uplink_capacity_scale,
+    )
+    simulator = ClusterCoSimulator(
+        fabric,
+        rack_pool_bytes=pool_capacity_bytes,
+        cluster_pool_bytes=cluster_pool_bytes,
+        epoch_seconds=epoch_seconds,
+        seed=seed,
+        overcommit=overcommit,
+    )
     if faults is not None:
         simulator.inject_faults(faults, drain_bytes_per_s=drain_bytes_per_s)
+    summary = simulator.run_to_completion(
+        [
+            (r, t if n_racks is None else replace(t, name=f"rack{r}-{t.name}"))
+            for r in range(fabric.n_racks)
+            for t in tenants
+        ]
+    )
     if n_racks is None:
-        result = source = simulator.run()
-        summary, timeline = result.summary(), result.telemetry.series()
-        finished = [outcome.name for outcome in result.finished_tenants]
+        timeline = simulator.rack_sim(0).telemetry.series()
     else:
-        source = simulator
-        summary = simulator.run_to_completion(
-            [(r, replace(t, name=f"rack{r}-{t.name}")) for r in range(n_racks) for t in tenants]
-        )
         timeline = {
             f"rack{r}": sim.telemetry.series() for r, sim in enumerate(simulator.rack_sims)
         }
-        # The closed loop withdraws a finished tenant; one that cannot run stays.
-        stranded = simulator.tenant_states
-        finished = [t["name"] for t in summary["tenants"] if t["name"] not in stranded]
+    # The closed loop withdraws a finished tenant; one that cannot run stays.
+    stranded = simulator.tenant_states
     backgrounds = {}
-    for name in finished:
-        times, lois = source.interference_for(name).loi_timeline()
-        backgrounds[name] = {"time": list(times), "loi": list(lois)}
+    for row in summary["tenants"]:
+        if row["name"] not in stranded:
+            times, lois = simulator.interference_for(row["name"]).loi_timeline()
+            backgrounds[row["name"]] = {"time": list(times), "loi": list(lois)}
     return {
         "timeline": timeline,
         "tenant_background_loi": backgrounds,
@@ -337,14 +328,14 @@ def figure_fabric_pool_timeline(
     instances of ``workload`` share one rack, plus each tenant's emergent
     background-interference timeline.
 
-    With ``n_racks > 1`` the same view is produced per rack from the
-    :class:`~repro.fabric.cluster.ClusterCoSimulator` (``n_tenants`` tenants
-    in *every* rack, ``rack<i>-`` name prefixes), run through the same closed
-    loop as the rack: each tenant is admitted at its arrival and returns its
-    lease when it finishes.  ``timeline`` then maps rack labels to series,
-    and spilled tenants' spine contention shows up in their background-LoI
-    timelines because rack co-simulators fold external offsets into the
-    frozen backgrounds.  ``cluster_pool_bytes`` applies only then.
+    With ``n_racks > 1`` the same view is produced per rack (``n_tenants``
+    tenants in *every* rack, ``rack<i>-`` name prefixes), run through the
+    same closed loop: each tenant is admitted at its arrival and returns its
+    lease when it finishes.  ``timeline`` then maps rack labels to series.
+    Tenants that do not fit their rack pool spill into a
+    ``cluster_pool_bytes`` pool, on one rack too, and their spine
+    contention shows up in their background-LoI timelines because the
+    racks fold external offsets into the frozen backgrounds.
     """
     return fabric_scenario(
         workload=workload,

@@ -606,15 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--cluster-pool-gb",
         type=nonnegative_float,
         default=0.0,
-        help="cluster-level spill pool capacity in GiB (0 disables spilling; "
-        "only with --cluster)",
+        help="cluster-level spill pool capacity in GiB (0 disables spilling)",
     )
     p_fabric.add_argument(
         "--uplink-scale",
         type=positive_float,
         default=4.0,
-        help="rack uplink capacity as a multiple of one node link "
-        "(only with --cluster)",
+        help="rack uplink capacity as a multiple of one node link",
     )
     _add_fault_args(p_fabric, "the rack (or every rack with --cluster)")
     p_fabric.set_defaults(func=cmd_fabric)

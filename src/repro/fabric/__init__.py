@@ -1,27 +1,28 @@
 """Rack-scale shared memory-pool fabric co-simulation.
 
-The fabric subsystem models a whole rack of the paper's target architecture
-(Figure 2): a shared :class:`MemoryPool` with capacity leasing and admission
-control, a :class:`FabricTopology` of per-node links feeding shared pool
-ports, and a :class:`RackCoSimulator` that advances all tenants in epochs so
-interference between them is emergent rather than injected.
+The fabric subsystem models racks of the paper's target architecture
+(Figure 2): a shared :class:`MemoryPool` per rack with capacity leasing and
+admission control, a :class:`FabricTopology` of per-node links feeding
+shared pool ports, and one co-simulator that advances all tenants in epochs
+so interference between them is emergent rather than injected.
 :class:`DynamicInterference` carries the derived background timelines back
 into the single-node execution engine.
 
-The co-simulator can also be driven incrementally — admit/withdraw tenants,
-step between external events, checkpoint and roll epochs back — which is how
+:mod:`repro.fabric.cluster` composes racks into a :class:`ClusterFabric`
+(uplinks + shared spine + hierarchical pools) stepped by a
+:class:`ClusterCoSimulator`, the one public fabric simulator: a standalone
+rack is a 1-rack cluster.  It runs its tenants to completion through one
+closed loop, or is driven incrementally — admit/withdraw tenants, step
+between external events, checkpoint and roll epochs back — which is how
 :mod:`repro.scheduler.progress` puts the fabric in the scheduling loop.  The
-units, epoch semantics and tenant↔job mapping of that coupling are documented
-in :mod:`repro.fabric.cosim`.
-
-Above the rack, :mod:`repro.fabric.cluster` composes racks into a
-:class:`ClusterFabric` (uplinks + shared spine + hierarchical pools) stepped
-by a :class:`ClusterCoSimulator`; the batched NumPy contention solver that
-makes it scale lives in :mod:`repro.fabric.solver`.
+units, epoch semantics and tenant↔job mapping of that coupling are
+documented in :mod:`repro.fabric.cosim`, whose per-rack co-simulator the
+cluster builds; the batched NumPy contention solver that makes it scale
+lives in :mod:`repro.fabric.solver`.
 
 Finally, :mod:`repro.fabric.faults` makes the whole stack chaos-testable: a
 deterministic :class:`FaultSchedule` of port-kill / port-degrade /
-lease-revoke / capacity-loss events injected into either co-simulator, elastic
+lease-revoke / capacity-loss events injected into the co-simulator, elastic
 (overcommitting) pools with modeled page give-back migration costs, and a
 :class:`BlastRadiusReport` quantifying the damage.  The failure model —
 units, determinism and recovery contracts — is documented in
@@ -36,8 +37,6 @@ from .cluster import (
 )
 from .cosim import (
     EpochCheckpoint,
-    RackCoSimResult,
-    RackCoSimulator,
     RackTelemetry,
     TenantOutcome,
     TenantSpec,
@@ -83,8 +82,6 @@ __all__ = [
     "FixedPointResult",
     "solve_fixed_point",
     "EpochCheckpoint",
-    "RackCoSimResult",
-    "RackCoSimulator",
     "RackTelemetry",
     "TenantOutcome",
     "TenantSpec",

@@ -10,9 +10,10 @@ This is the datacenter layer on top of the single-rack
   hierarchy), and batches whole-cluster contention resolution through the
   vectorized kernel in :mod:`repro.fabric.solver` — one NumPy solve for all
   racks instead of ``n_racks`` Python loops.
-* :class:`ClusterCoSimulator` steps every rack's incremental
-  :class:`~repro.fabric.cosim.RackCoSimulator` in **one stepping loop** on
-  one clock and one fault feed, with
+* :class:`ClusterCoSimulator`, the one public fabric simulator (a standalone
+  rack is its 1-rack case), builds one
+  :class:`~repro.fabric.cosim.RackCoSimulator` per rack and steps them in
+  **one stepping loop** on one clock and one fault feed, with
   hierarchical pools: a tenant that does not fit its rack's pool can spill
   into the cluster-level pool, and spilled tenants' pool traffic rides their
   rack's uplink onto the spine — cross-rack spine contention feeds back into
@@ -56,16 +57,17 @@ from ..telemetry import metrics, trace_span
 from .cosim import (
     EpochCheckpoint,
     RackCoSimulator,
+    TenantOutcome,
     TenantSpec,
-    _lockstep_racks,
+    _Lockstep,
     _TenantState,
+    baseline_run,
     roll_back,
-    run_closed_loop,
     step_racks,
 )
 from .faults import BlastRadiusReport, FaultSchedule
 from .interference import DynamicInterference
-from .pool import LEASE_GRANTED, LEASE_QUEUED, MemoryPool
+from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
 from .topology import ClusterSolve, FabricTopology, solve_racks
 
 
@@ -212,8 +214,16 @@ class ClusterCheckpoint:
     racks: tuple[EpochCheckpoint, ...]
 
 
+#: Most instants :meth:`ClusterCoSimulator.run_to_completion` visits before it
+#: gives up, so a mis-configured run ends with a clear error instead of spinning.
+_MAX_INSTANTS = 200_000
+
+
 class ClusterCoSimulator:
     """All racks' co-simulations stepped in lockstep and recoupled each epoch.
+
+    The one public fabric simulator: a standalone rack is a 1-rack cluster,
+    which never spills unless it has a cluster pool.
 
     Parameters
     ----------
@@ -225,12 +235,12 @@ class ClusterCoSimulator:
         (effectively unbounded, for callers doing their own admission).
     cluster_pool_bytes:
         Capacity of the cluster-level spill pool; 0/None disables spilling
-        (tenants that do not fit their rack pool queue there, exactly like a
-        standalone rack).
+        (tenants that do not fit their rack pool queue there).
     epoch_seconds:
         Cluster epoch (inter-rack recoupling period) and every rack's
-        co-simulation epoch.  None derives it from the first admitted
-        tenant's baseline runtime, for all racks at once.
+        co-simulation epoch.  None derives it for all racks at once: from
+        every arrival :meth:`run_to_completion` is handed, or else from the
+        first admitted tenant's baseline runtime.
     seed:
         Engine seed shared by all racks; baseline runs are memoized per
         workload (:func:`~repro.fabric.cosim.baseline_run`), so admitting the
@@ -264,17 +274,17 @@ class ClusterCoSimulator:
                     f"got {len(capacities)}"
                 )
         #: The racks' clock, epoch, fault feed and tenant -> rack map.
-        self._lockstep = _lockstep_racks(
-            fabric.racks,
-            [
-                MemoryPool(capacities[i], name=f"rack-{i}", elastic=overcommit)
-                for i in range(fabric.n_racks)
-            ],
-            fabric.testbed,
-            epoch_seconds,
-            seed,
+        self._lockstep = _Lockstep(epoch_seconds)
+        self.rack_sims: tuple[RackCoSimulator, ...] = tuple(
+            RackCoSimulator(
+                topology,
+                MemoryPool(capacities[i], name=f"rack-{i}", elastic=overcommit),
+                fabric.testbed,
+                seed,
+                self._lockstep,
+            )
+            for i, topology in enumerate(fabric.racks)
         )
-        self.rack_sims: tuple[RackCoSimulator, ...] = self._lockstep.racks
         self.cluster_pool = (
             MemoryPool(cluster_pool_bytes, name="cluster-pool")
             if cluster_pool_bytes
@@ -298,7 +308,15 @@ class ClusterCoSimulator:
         A lease event acts on the rack hosting its tenant when it fires (the
         rack it names, as a counted no-op, if none does), any other on the
         rack it names; events naming a rack the cluster lacks stay inert.
-        Otherwise as :meth:`~repro.fabric.cosim.RackCoSimulator.inject_faults`.
+        ``drain_bytes_per_s`` is the modeled page give-back rate, positive
+        and finite (:class:`FabricError` otherwise): when a lease is shrunk
+        or revoked, the reclaimed bytes drain back at this rate and the
+        drain time is charged against the tenant's progress as a stall
+        (migration debt).  Faults fire at exact simulated times during
+        :meth:`step` (the step sub-chunks at fault times), and each applied
+        fault forces an epoch rollover so the contention solve reflects the
+        damage immediately.  Injection is one-shot per simulator; an *empty*
+        schedule changes no output.
         """
         self._lockstep.arm(
             schedule, {i: i for i in range(self.fabric.n_racks)}, drain_bytes_per_s
@@ -354,16 +372,24 @@ class ClusterCoSimulator:
         }
 
     def interference_for(self, name: str) -> DynamicInterference:
-        """The background-bandwidth timeline of an admitted tenant or of one
-        :meth:`run_to_completion` retired, as
-        :meth:`RackCoSimResult.interference_for
-        <repro.fabric.cosim.RackCoSimResult.interference_for>` gives it."""
+        """The background-bandwidth timeline an admitted tenant, or one
+        :meth:`run_to_completion` retired, experienced on its pool port's
+        link, as an :class:`~repro.sim.interference.InterferenceSource` for
+        the engine."""
         state = self._retired.get(name) or self.tenant_states.get(name)
         if state is None or not state.background_times:
             raise FabricError(
                 f"tenant {name!r} never ran, so no interference timeline exists"
             )
         return state.interference()
+
+    def outcome(self, name: str) -> TenantOutcome:
+        """The statistics of an admitted tenant, or of one
+        :meth:`run_to_completion` retired, as they stand."""
+        state = self._retired.get(name) or self.tenant_states.get(name)
+        if state is None:
+            raise FabricError(f"no tenant named {name!r}")
+        return state.outcome()
 
     # -- tenant lifecycle -------------------------------------------------------------
 
@@ -572,30 +598,92 @@ class ClusterCoSimulator:
     def run_to_completion(
         self, arrivals: Sequence[tuple[int, TenantSpec]] = ()
     ) -> dict:
-        """Step until every tenant finishes (or can never run).
+        """Step until every tenant finishes (or can never run): the fabric's
+        one closed loop.
 
         ``arrivals`` are ``(rack, spec)`` admissions still to come: each is
         admitted on its rack's first free node at its exact ``spec.arrival``.
-        The cluster runs through the fabric's one closed loop
-        (:func:`~repro.fabric.cosim.run_closed_loop`), the same one
-        :meth:`RackCoSimulator.run <repro.fabric.cosim.RackCoSimulator.run>`
-        runs: a finished tenant is withdrawn the moment it finishes
-        (releasing rack- or cluster-pool capacity, which admits queued
-        tenants), and a tenant that can never run stays admitted.  Returns a
-        summary dict with per-tenant outcomes, each dated from the tenant's
-        first lease grant; a finished tenant reads ``granted``.  The closed
-        loop behind the ``fabric --cluster`` CLI and the cluster bench group.
+        With no epoch length set yet, ~1/40 of the longest baseline runtime
+        among them sets it (at least 1e-6 s).
+
+        At each instant, in this order: the faults that are due fire, the
+        arrivals that are due are admitted, the racks' leased pool bytes are
+        sampled, and every finished tenant is retired with :meth:`withdraw`
+        in admission order, which frees its node, returns its rack- or
+        cluster-pool lease (granting queued tenants in that same instant) and
+        re-solves its rack at once.  Then the cluster steps to its next rate
+        change, never past the next arrival or fault, or straight to that
+        arrival or fault when no tenant progresses.  With neither, the run is
+        *stranded*: the tenants still admitted stay where they stand, and one
+        whose lease is queued is rejected.
+
+        Returns a summary dict: the makespan, the means over the finished
+        tenants (in retirement order), the rack pools' total capacity and
+        the peak of their sampled leased bytes, and one row per tenant,
+        sorted by (rack, name) and dated from its first lease grant; a
+        finished tenant reads ``granted``, and a spilled tenant's rack-pool
+        ``lease_gb`` reads 0 (its lease lives in the cluster pool).  The closed loop behind
+        ``repro-dmem fabric`` and both fabric figures.
         """
+        lockstep = self._lockstep
         placed = {
             name: (rack, self.is_spilled(name))
-            for name, rack in self._lockstep.tenant_rack.items()
+            for name, rack in lockstep.tenant_rack.items()
         }
-
-        def admit(rack: int, spec: TenantSpec) -> None:
-            self.admit(rack, spec, time=spec.arrival)
-            placed[spec.name] = (rack, self.is_spilled(spec.name))
-
-        retired = run_closed_loop(self, self.rack_sims, arrivals, admit)[0]
+        pending = sorted(arrivals, key=lambda item: item[1].arrival)
+        cursor = 0
+        retired: dict[str, _TenantState] = {}
+        peak = 0
+        with trace_span("fabric.run", tenants=len(placed) + len(pending)):
+            if lockstep.epoch is None and pending:
+                testbed = self.fabric.testbed
+                runtimes = [
+                    spec.baseline_runtime
+                    or baseline_run(
+                        spec.workload, spec.local_fraction, testbed, self.seed
+                    ).total_runtime
+                    for _, spec in pending
+                ]
+                lockstep.epoch = max(max(runtimes) / 40.0, 1e-6)
+            for _ in range(_MAX_INSTANTS):
+                lockstep.apply_due_faults()
+                while (
+                    cursor < len(pending)
+                    and pending[cursor][1].arrival <= self.clock + 1e-12
+                ):
+                    rack, spec = pending[cursor]
+                    self.admit(rack, spec, time=spec.arrival)
+                    placed[spec.name] = (rack, self.is_spilled(spec.name))
+                    cursor += 1
+                peak = max(peak, sum(sim.pool.leased_bytes for sim in self.rack_sims))
+                for name, state in self.tenant_states.items():
+                    if state.finished:
+                        retired[name] = state
+                        self.withdraw(name)
+                if not lockstep.tenant_rack and cursor == len(pending):
+                    break
+                ahead = [lockstep.next_fault]
+                if cursor < len(pending):
+                    ahead.append(pending[cursor][1].arrival)
+                future = [t for t in ahead if t is not None and t > self.clock + 1e-12]
+                if any(sim.progressing() for sim in self.rack_sims):
+                    dt = self.horizon()
+                    if future:
+                        dt = min(dt, min(future) - self.clock)
+                    self.step(dt)
+                elif future:
+                    self.step(min(future) - self.clock)
+                else:
+                    for sim in self.rack_sims:
+                        for state in sim.tenant_states.values():
+                            if state.lease.state == LEASE_QUEUED:
+                                sim.pool.release(state.lease, time=self.clock)
+                                state.lease.state = LEASE_REJECTED
+                    break
+            else:
+                raise FabricError(
+                    f"the closed loop did not terminate within {_MAX_INSTANTS} instants"
+                )
         self._retired.update(retired)
         live = self.tenant_states
         rows = sorted(
@@ -608,9 +696,14 @@ class ClusterCoSimulator:
             "mean_slowdown": (
                 float(np.mean([o.slowdown for o in finished])) if finished else 1.0
             ),
+            "mean_runtime": (
+                float(np.mean([o.runtime for o in finished])) if finished else 0.0
+            ),
             "n_racks": self.fabric.n_racks,
             "nodes_per_rack": self.fabric.nodes_per_rack,
             "epoch_seconds": self.epoch_seconds,
+            "pool_capacity_gb": sum(sim.pool.capacity_bytes for sim in self.rack_sims) / 1e9,
+            "max_leased_gb": peak / 1e9,
             "spilled_tenants": sum(1 for row in rows if row[2]),
             "cluster_pool_gb": (
                 self.cluster_pool.capacity_bytes / 1e9
@@ -620,20 +713,23 @@ class ClusterCoSimulator:
             "tenants": [
                 {
                     "name": o.name,
+                    "workload": o.workload,
                     "rack": rack,
                     "node": o.node,
                     "spilled": spilled,
                     "lease_state": (
                         LEASE_GRANTED if o.finish_time is not None else o.lease_state
                     ),
+                    "lease_gb": o.lease_bytes / 1e9,
                     "wait_s": o.wait_time,
                     "runtime_s": o.runtime,
                     "baseline_s": o.baseline_runtime,
                     "slowdown": o.slowdown,
+                    "mean_background_gbs": o.mean_background_bandwidth / 1e9,
                 }
                 for rack, _, spilled, o in rows
             ],
         }
-        if self._lockstep.reports_faults:
+        if lockstep.reports_faults:
             summary["faults"] = self.blast_radius().summary()
         return summary

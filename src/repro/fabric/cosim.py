@@ -1,7 +1,7 @@
 """Rack co-simulation: tenants sharing a memory pool over a contended fabric.
 
 :class:`RackCoSimulator` closes the loop between the per-node execution engine
-and the rack: instead of injecting a configured Level of Interference, each
+and one rack: instead of injecting a configured Level of Interference, each
 tenant's effective pool bandwidth is **re-derived every epoch from what its
 co-runners are actually demanding** on the shared pool port.  Interference is
 emergent:
@@ -22,11 +22,14 @@ Baseline phase runtimes and traffic come from one interference-free
 (:func:`baseline_run`), so the co-simulation inherits the full
 cache/prefetch/placement behaviour of the single-node model.
 
-Coupling contract (used by :mod:`repro.scheduler.progress`)
------------------------------------------------------------
+Coupling contract (used by :mod:`repro.fabric.cluster`)
+-------------------------------------------------------
 
-Besides the closed-loop :meth:`RackCoSimulator.run`, the co-simulator can be
-driven **incrementally** by an external scheduler, one rack per simulator:
+A rack never runs on its own: the one public fabric simulator,
+:class:`~repro.fabric.cluster.ClusterCoSimulator`, builds one
+:class:`RackCoSimulator` per rack of its fabric (a standalone rack is its
+1-rack case) and drives them, for its closed loop and for the scheduler in
+:mod:`repro.scheduler.progress` alike:
 
 * **Units.**  Progress is measured in *baseline seconds*: one baseline second
   is the work the tenant completes per wall-clock second on an idle fabric.
@@ -42,27 +45,26 @@ driven **incrementally** by an external scheduler, one rack per simulator:
   :meth:`RackCoSimulator.horizon` in one go.  A rollover that would skip its
   solve changes no rate, so the horizon runs past it and the rollover is
   recorded in place, at its own time.
-* **Tenant ↔ job mapping.**  The scheduler maps each running job onto one
-  :class:`TenantSpec` (one tenant per occupied node); it calls
-  :meth:`RackCoSimulator.admit` when the job starts and
-  :meth:`RackCoSimulator.withdraw` when it retires the job.  Unlike
-  :meth:`run`, incremental stepping never releases pool leases on its own —
-  lease lifetime is exactly job lifetime, owned by the scheduler.
-* **Checkpoint / rollover.**  :meth:`RackCoSimulator.checkpoint` snapshots the
+* **Tenant ↔ job mapping.**  Each running job is one :class:`TenantSpec` (one
+  tenant per occupied node); :meth:`RackCoSimulator.admit` runs when the job
+  starts and :meth:`RackCoSimulator.withdraw` when the cluster retires it.  A
+  rack never releases a pool lease on its own — lease lifetime is exactly
+  job lifetime, owned by the cluster and whoever steps it.
+* **Checkpoint / rollback.**  :meth:`RackCoSimulator.checkpoint` snapshots the
   epoch state (clock, intra-epoch elapsed time, frozen backgrounds, per-tenant
-  phase progress); :meth:`RackCoSimulator.rollover` rolls the co-simulation
-  back to such a snapshot so speculative steps — e.g. stepping to an estimated
-  completion that an earlier arrival then invalidates — can be re-taken.
-  Checkpoints stay valid only while the tenant mix is unchanged.
-* **Faults.**  An injected :class:`~repro.fabric.faults.FaultSchedule`
-  (see :meth:`RackCoSimulator.inject_faults`) fires at exact simulated times:
-  :meth:`step` sub-chunks at fault times, each applied fault forces an epoch
-  rollover (dirtying the solver key), and the damage is summarised by
-  :meth:`RackCoSimulator.blast_radius`.  There is one code path with or
-  without faults: a fault-free chunk runs the same bookkeeping and finds
-  nothing to charge.  Rollback across an *applied* fault raises (pool/lease
-  state is not checkpointed), while rollback with faults merely pending is
-  bit-identical.  See ``docs/failure_model.md``.
+  phase progress); :func:`roll_back` rolls racks back to such snapshots so
+  speculative steps — e.g. stepping to an estimated completion that an
+  earlier arrival then invalidates — can be re-taken.  Checkpoints stay valid
+  only while the tenant mix is unchanged.
+* **Faults.**  An armed :class:`~repro.fabric.faults.FaultSchedule` fires at
+  exact simulated times: :func:`step_racks` sub-chunks at fault times, each
+  applied fault (:meth:`RackCoSimulator.apply_fault`) forces an epoch
+  rollover (dirtying the solver key), and the damage is summarised by the
+  blast radius.  There is one code path with or without faults: a fault-free
+  chunk runs the same bookkeeping and finds nothing to charge.  Rollback
+  across an *applied* fault raises (pool/lease state is not checkpointed),
+  while rollback with faults merely pending is bit-identical.  See
+  ``docs/failure_model.md``.
 
 Racks that step together share one :class:`_Lockstep`: one clock, one
 epoch length, one fault feed and one map of where each tenant lives.
@@ -74,7 +76,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -103,7 +105,6 @@ from .interference import DynamicInterference
 from .pool import (
     LEASE_GRANTED,
     LEASE_QUEUED,
-    LEASE_REJECTED,
     LEASE_REVOKED,
     Lease,
     MemoryPool,
@@ -328,8 +329,8 @@ class _TenantState:
         return self.phases_before[self.phase_index] + self.phase_elapsed
 
     def outcome(self) -> "TenantOutcome":
-        """The tenant's statistics as they stand: the one rendering behind
-        the rack's and the cluster's closed-loop results."""
+        """The tenant's statistics as they stand (what
+        :meth:`~repro.fabric.cluster.ClusterCoSimulator.outcome` reports)."""
         return TenantOutcome(
             name=self.spec.name,
             workload=self.spec.workload.name,
@@ -385,7 +386,7 @@ def _ends_within(state: _TenantState, rate: float, dt: float, used: float) -> bo
 
 @dataclass(frozen=True)
 class TenantOutcome:
-    """Final per-tenant statistics of one co-simulation run."""
+    """Per-tenant statistics of one co-simulation run."""
 
     name: str
     workload: str
@@ -530,89 +531,6 @@ class RackTelemetry:
         }
 
 
-@dataclass(frozen=True)
-class RackCoSimResult:
-    """Everything one rack co-simulation produced."""
-
-    tenants: tuple[TenantOutcome, ...]
-    telemetry: RackTelemetry
-    makespan: float
-    pool_capacity_bytes: int
-    max_leased_bytes: int
-    epoch_seconds: float
-    _interference: dict
-    #: Fault damage assessment; None when no fault schedule was armed, no
-    #: fault was applied and the pool is not elastic.
-    blast_radius: Optional[BlastRadiusReport] = None
-
-    @property
-    def finished_tenants(self) -> tuple[TenantOutcome, ...]:
-        """Tenants that ran to completion."""
-        return tuple(t for t in self.tenants if t.finish_time is not None)
-
-    @property
-    def mean_slowdown(self) -> float:
-        """Average slowdown of the finished tenants."""
-        finished = self.finished_tenants
-        if not finished:
-            return 1.0
-        return float(np.mean([t.slowdown for t in finished]))
-
-    @property
-    def mean_runtime(self) -> float:
-        """Average wall-clock execution time of the finished tenants."""
-        finished = self.finished_tenants
-        if not finished:
-            return 0.0
-        return float(np.mean([t.runtime for t in finished]))
-
-    def tenant(self, name: str) -> TenantOutcome:
-        """Look up one tenant's outcome by name."""
-        for outcome in self.tenants:
-            if outcome.name == name:
-                return outcome
-        raise KeyError(f"no tenant named {name!r}")
-
-    def interference_for(self, name: str) -> DynamicInterference:
-        """The background-bandwidth timeline a tenant experienced, as an
-        :class:`~repro.sim.interference.InterferenceSource` for the engine."""
-        try:
-            return self._interference[name]
-        except KeyError as exc:
-            raise FabricError(
-                f"tenant {name!r} never ran, so no interference timeline exists"
-            ) from exc
-
-    def summary(self) -> dict:
-        """Aggregate + per-tenant summary (CLI/benchmark friendly)."""
-        summary = {
-            "makespan": self.makespan,
-            "mean_slowdown": self.mean_slowdown,
-            "mean_runtime": self.mean_runtime,
-            "pool_capacity_gb": self.pool_capacity_bytes / 1e9,
-            "max_leased_gb": self.max_leased_bytes / 1e9,
-            "epoch_seconds": self.epoch_seconds,
-            "tenants": [
-                {
-                    "name": t.name,
-                    "workload": t.workload,
-                    "node": t.node,
-                    "lease_state": t.lease_state,
-                    "lease_gb": t.lease_bytes / 1e9,
-                    "wait_s": t.wait_time,
-                    "runtime_s": t.runtime,
-                    "baseline_s": t.baseline_runtime,
-                    "slowdown": t.slowdown,
-                    "mean_background_gbs": t.mean_background_bandwidth / 1e9,
-                }
-                for t in self.tenants
-            ],
-        }
-        if self.blast_radius is not None:
-            summary["faults"] = self.blast_radius.summary()
-        return summary
-
-
 #: The per-tenant state a checkpoint captures: phase progress and the fault
 #: bookkeeping.
 _CHECKPOINTED = (
@@ -631,16 +549,15 @@ _CHECKPOINTED = (
 
 @dataclass(frozen=True)
 class EpochCheckpoint:
-    """Snapshot of an incrementally-driven co-simulation's epoch state.
+    """Snapshot of one rack's epoch state.
 
-    Captures everything :meth:`RackCoSimulator.step` mutates — the simulated
-    clock, how far into the current epoch the simulation is, the epoch's
-    frozen per-node backgrounds and every tenant's phase progress — but *not*
-    the tenant mix or the pool's lease table: those only change through
+    Captures everything stepping mutates — the simulated clock, how far into
+    the current epoch the simulation is, the epoch's frozen per-node
+    backgrounds and every tenant's phase progress — but *not* the tenant mix
+    or the pool's lease table: those only change through
     :meth:`RackCoSimulator.admit` / :meth:`RackCoSimulator.withdraw`, which
     invalidate the checkpoint.  Produced by
-    :meth:`RackCoSimulator.checkpoint`, consumed by
-    :meth:`RackCoSimulator.rollover`.
+    :meth:`RackCoSimulator.checkpoint`, consumed by :func:`roll_back`.
     """
 
     clock: float
@@ -657,7 +574,7 @@ class EpochCheckpoint:
     solve_key: Optional[tuple] = None
     #: Fault-layer mutation count at snapshot time.  Applying a fault (or
     #: re-requesting a revoked lease) mutates pool/lease state a checkpoint
-    #: does not capture, so :meth:`RackCoSimulator.rollover` refuses a
+    #: does not capture, so :func:`roll_back` refuses a
     #: checkpoint whose count no longer matches — rollback is bit-identical
     #: only while faults are merely *pending*.
     fault_epoch: int = 0
@@ -667,10 +584,9 @@ class EpochCheckpoint:
 
 
 class _Lockstep:
-    """What racks stepping in lockstep share: a standalone
-    :class:`RackCoSimulator` owns one, a
-    :class:`~repro.fabric.cluster.ClusterCoSimulator` one for all its racks
-    (:func:`_lockstep_racks`).  Each rack keeps only its time into its epoch.
+    """What racks stepping in lockstep share: a
+    :class:`~repro.fabric.cluster.ClusterCoSimulator` owns one for all its
+    racks.  Each rack keeps only its time into its epoch.
     """
 
     def __init__(self, epoch: Optional[float]) -> None:
@@ -761,117 +677,57 @@ class _Lockstep:
 class RackCoSimulator:
     """Epoch-driven co-simulation of tenants sharing one rack's memory pool.
 
+    Internal to the fabric: only a
+    :class:`~repro.fabric.cluster.ClusterCoSimulator` builds one, per rack of
+    its fabric, and drives it through the coupling contract in the module
+    docstring.
+
     Parameters
     ----------
-    tenants:
-        The tenants to co-schedule (unique names required).
-    pool:
-        The shared memory pool; None builds one big enough for all tenants.
     topology:
-        The fabric wiring; None builds a single-port fabric with one node per
-        tenant (tenant ``i`` runs on node ``i``).
+        The rack's fabric wiring.
+    pool:
+        The rack's shared memory pool.
     testbed:
-        Platform description used for per-node engines and default fabric.
-    epoch_seconds:
-        Co-simulation step; None picks ~1/40 of the longest baseline runtime.
+        Platform description used for the per-node performance models.
     seed:
-        Seed for the per-tenant execution engines.
+        Seed for the tenants' baseline engine runs.
+    lockstep:
+        The state shared with the racks stepping in lockstep with this one;
+        the rack joins it as its next rack.
     """
 
     def __init__(
         self,
-        tenants: Sequence[TenantSpec],
-        pool: Optional[MemoryPool] = None,
-        topology: Optional[FabricTopology] = None,
-        testbed: TestbedConfig = SKYLAKE_EMULATION,
-        epoch_seconds: Optional[float] = None,
-        seed: int = 0,
-    ) -> None:
-        if not tenants:
-            raise FabricError("the rack needs at least one tenant")
-        names = [t.name for t in tenants]
-        if len(set(names)) != len(names):
-            raise FabricError("tenant names must be unique")
-        if pool is None:
-            pool = MemoryPool(capacity_bytes=sum(max(t.lease_bytes, 1) for t in tenants))
-        self._setup(
-            tuple(tenants), len(tenants), pool, topology, testbed, seed,
-            _Lockstep(epoch_seconds),
-        )
-
-    @classmethod
-    def incremental(
-        cls,
-        n_nodes: int,
-        pool: Optional[MemoryPool] = None,
-        topology: Optional[FabricTopology] = None,
-        testbed: TestbedConfig = SKYLAKE_EMULATION,
-        epoch_seconds: Optional[float] = None,
-        seed: int = 0,
-    ) -> "RackCoSimulator":
-        """An empty co-simulator an external scheduler drives tenant by tenant.
-
-        Unlike the closed-loop constructor there is no up-front tenant list: the
-        caller :meth:`admit`\\ s tenants as its jobs start, :meth:`step`\\ s the
-        rack between its own events and :meth:`withdraw`\\ s tenants it
-        retires.  ``pool`` defaults to an effectively unbounded pool (the
-        caller is assumed to do its own capacity admission);
-        ``epoch_seconds`` defaults to ~1/40 of the first admitted tenant's
-        baseline runtime.
-        """
-        if n_nodes <= 0:
-            raise FabricError("the rack needs at least one node")
-        if pool is None:
-            pool = MemoryPool(capacity_bytes=1 << 62)
-        sim = cls.__new__(cls)
-        sim._setup((), n_nodes, pool, topology, testbed, seed, _Lockstep(epoch_seconds))
-        return sim
-
-    def _setup(
-        self,
-        tenants: tuple[TenantSpec, ...],
-        n_nodes: int,
+        topology: FabricTopology,
         pool: MemoryPool,
-        topology: Optional[FabricTopology],
         testbed: TestbedConfig,
         seed: int,
         lockstep: _Lockstep,
     ) -> None:
-        """The setup every constructor shares: ``n_nodes`` nodes on
-        ``topology`` (one port by default), the next rack of ``lockstep``,
-        and the state behind the incremental (scheduler-driven) API."""
-        self.tenants = tenants
         self.testbed = testbed
-        self.topology = (
-            topology
-            if topology is not None
-            else FabricTopology(n_nodes=n_nodes, n_ports=1, testbed=testbed)
-        )
-        if self.topology.n_nodes < n_nodes:
-            raise FabricError(
-                f"fabric has {self.topology.n_nodes} nodes but {n_nodes} are needed"
-            )
+        self.topology = topology
         self.pool = pool
         self.seed = int(seed)
         self._lockstep = lockstep
         self._index = len(lockstep.racks)
         lockstep.racks += (self,)
-        self._inc_states: dict[str, _TenantState] = {}
-        self._inc_epoch_elapsed = 0.0
-        self._inc_backgrounds: dict[int, float] = {}
-        self._inc_telemetry = RackTelemetry()
+        self._states: dict[str, _TenantState] = {}
+        self._epoch_elapsed = 0.0
+        self._backgrounds: dict[int, float] = {}
+        self._telemetry = RackTelemetry()
         #: External (outside-the-rack) background per node, bytes/s.
-        self._inc_offsets: dict[int, float] = {}
+        self._offsets: dict[int, float] = {}
         #: Signature of the epoch state the current backgrounds were resolved
         #: for — when the next rollover poses the identical problem, the
         #: fixed-point solve is skipped (see :func:`roll_over`).
-        self._inc_solve_key: Optional[tuple] = None
+        self._solve_key: Optional[tuple] = None
         #: True while a rollover now would skip its solve: its demand
-        #: signature still equals ``_inc_solve_key`` and no revoked tenant
+        #: signature still equals ``_solve_key`` and no revoked tenant
         #: waits for its lease.  Every rollover sets it; whatever changes a
         #: signature input outside a rollover clears it.  A clean rack's
         #: epoch ends are not step boundaries (see :meth:`_chunk_bound`).
-        self._inc_clean = False
+        self._clean = False
         #: Applied faults and lease re-requests, which checkpoints cannot undo.
         self._fault_mutations = 0
         #: Residual capacity per degraded port (killed = 0.0); absent = healthy.
@@ -912,55 +768,6 @@ class RackCoSimulator:
         state.rate_background = background
         return state.rate
 
-    # -- main loop ------------------------------------------------------------------
-
-    def run(self) -> RackCoSimResult:
-        """Co-simulate all tenants to completion (or rejection).
-
-        Runs the rack through the fabric's one closed loop
-        (:func:`run_closed_loop`): tenant ``i`` is admitted on node ``i`` at
-        its arrival time, a finished tenant is withdrawn the moment it
-        finishes (returning its lease, which grants queued tenants in that
-        same instant), and scheduled faults fire at their own times.  Whoever
-        is still queued once nothing runs, arrives or fires is rejected.
-        Afterwards only the tenants that never finished are still admitted.
-        """
-        lockstep = self._lockstep
-        if self._inc_states or lockstep.clock > 0.0:
-            raise FabricError(
-                "run() needs a fresh simulator: it cannot follow incremental "
-                "admissions or another run"
-            )
-        with trace_span("fabric.run", tenants=len(self.tenants)):
-            if lockstep.epoch is None:
-                # ~1/40 of the longest baseline runtime across all tenants
-                # (baseline runs are memoized, so the admissions reuse them).
-                runtimes = [
-                    s.baseline_runtime or self._baseline(s).total_runtime for s in self.tenants
-                ]
-                lockstep.epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
-            retired, max_leased = run_closed_loop(
-                self,
-                (self,),
-                list(enumerate(self.tenants)),
-                lambda node, spec: self.admit(spec, node=node, time=spec.arrival),
-            )
-        states = [
-            retired.get(spec.name) or self._inc_states[spec.name] for spec in self.tenants
-        ]
-        return RackCoSimResult(
-            tenants=tuple(state.outcome() for state in states),
-            telemetry=self._inc_telemetry,
-            makespan=max((s.finish_time for s in states if s.finished), default=0.0),
-            pool_capacity_bytes=self.pool.capacity_bytes,
-            max_leased_bytes=max_leased,
-            epoch_seconds=lockstep.epoch,
-            _interference={
-                s.spec.name: s.interference() for s in states if s.background_times
-            },
-            blast_radius=self.blast_radius() if lockstep.reports_faults else None,
-        )
-
     def _advance(
         self, state: _TenantState, background: float, dt: float
     ) -> Optional[float]:
@@ -989,46 +796,42 @@ class RackCoSimulator:
             return used
         return None
 
-    # -- incremental (scheduler-driven) API -------------------------------------------
+    # -- the cluster's API ------------------------------------------------------------
     #
-    # The methods below let an external event loop — the cluster scheduler in
-    # :mod:`repro.scheduler.progress` — drive one rack's co-simulation between
-    # its own events instead of running it to completion.  See the module
-    # docstring ("Coupling contract") for units and epoch semantics.
+    # The methods below let the cluster drive one rack's co-simulation between
+    # its own events.  See the module docstring ("Coupling contract") for units
+    # and epoch semantics.
 
     @property
     def clock(self) -> float:
-        """Simulated time of the incrementally-driven co-simulation, seconds."""
+        """Simulated time of the co-simulation, seconds: the lockstep's clock."""
         return self._lockstep.clock
 
     @property
     def telemetry(self) -> RackTelemetry:
-        """Epoch-rollover telemetry of the incrementally-driven co-simulation."""
-        return self._inc_telemetry
+        """Epoch-rollover telemetry of the rack."""
+        return self._telemetry
 
     @property
     def tenant_states(self) -> Mapping[str, _TenantState]:
         """Live per-tenant state, keyed by tenant name: a read-only view that
         follows later admissions and withdrawals."""
-        return MappingProxyType(self._inc_states)
+        return MappingProxyType(self._states)
 
-    def admit(
-        self, spec: TenantSpec, node: Optional[int] = None, time: Optional[float] = None
-    ) -> "Lease":
-        """Admit one tenant into the running co-simulation.
+    def admit(self, spec: TenantSpec, node: Optional[int] = None) -> "Lease":
+        """Admit one tenant into the running co-simulation at the current clock.
 
         Profiles the tenant interference-free (:func:`baseline_run`),
         requests its pool lease and rolls the epoch over so the new tenant's
         demand is part of the resolved backgrounds immediately.  ``node`` is
-        the rack-local node index (first free node when omitted); ``time``
-        may fast-forward an idle rack but can never move the clock backwards.
-        Returns the tenant's lease so the caller can see whether it was
-        granted or queued.
+        the rack-local node index (first free node when omitted).  Returns
+        the tenant's lease so the caller can see whether it was granted or
+        queued.
         """
         lockstep = self._lockstep
         if spec.name in lockstep.tenant_rack:
             raise FabricError(f"tenant {spec.name!r} is already admitted")
-        occupied = {s.node for s in self._inc_states.values()}
+        occupied = {s.node for s in self._states.values()}
         if node is None:
             free = [n for n in range(self.topology.n_nodes) if n not in occupied]
             if not free:
@@ -1040,17 +843,12 @@ class RackCoSimulator:
             )
         elif node in occupied:
             raise FabricError(f"node {node} already hosts a tenant")
-        if time is not None:
-            if time < self.clock - 1e-9:
-                raise FabricError("cannot admit a tenant in the past")
-            if time > self.clock:
-                self.step(time - self.clock)
         metrics().counter("fabric.cosim.admitted").inc()
         state = self._new_tenant(spec, node)
         if lockstep.epoch is None:
             lockstep.epoch = max(state.baseline_runtime / 40.0, 1e-6)
         state.lease = self.pool.request(spec.name, spec.lease_bytes, time=self.clock)
-        self._inc_states[spec.name] = state
+        self._states[spec.name] = state
         lockstep.tenant_rack[spec.name] = self._index
         if self.pool.elastic:
             # An overcommitting pool may have shrunk co-tenants to fit the
@@ -1059,20 +857,19 @@ class RackCoSimulator:
         roll_over((self,), self._solve_alone, force=True)
         return state.lease
 
-    def withdraw(self, name: str, time: Optional[float] = None) -> None:
-        """Remove a tenant (finished or cancelled) and return its lease.
+    def withdraw(self, name: str) -> None:
+        """Remove a tenant (finished or cancelled) at the current clock and
+        return its lease.
 
         Releasing the lease admits queued co-tenants in FIFO order; the epoch
         is rolled over so the departed tenant's demand stops interfering in
-        the same instant.  The tenant's fault impact stays in
-        :meth:`blast_radius`.
+        the same instant.  The tenant's fault impact stays in the blast
+        radius.
         """
-        if name not in self._inc_states:
+        if name not in self._states:
             raise FabricError(f"no admitted tenant named {name!r}")
-        if time is not None and time > self.clock:
-            self.step(time - self.clock)
         metrics().counter("fabric.cosim.withdrawn").inc()
-        state = self._inc_states.pop(name)
+        state = self._states.pop(name)
         del self._lockstep.tenant_rack[name]
         self._lockstep.withdrawn[name] = state.impact()
         if state.lease is not None and state.lease.state in (LEASE_GRANTED, LEASE_QUEUED):
@@ -1097,21 +894,21 @@ class RackCoSimulator:
             )
         if bandwidth < 0:
             raise FabricError("background offset must be >= 0")
-        old = self._inc_offsets.get(node, 0.0)
+        old = self._offsets.get(node, 0.0)
         if bandwidth > 0:
-            self._inc_offsets[node] = float(bandwidth)
+            self._offsets[node] = float(bandwidth)
         else:
-            self._inc_offsets.pop(node, None)
+            self._offsets.pop(node, None)
         delta = float(bandwidth) - old
         if delta == 0.0:
             return
-        self._inc_clean = False
-        if node in self._inc_backgrounds:
-            self._inc_backgrounds[node] += delta
-            for state in self._inc_states.values():
+        self._clean = False
+        if node in self._backgrounds:
+            self._backgrounds[node] += delta
+            for state in self._states.values():
                 if state.node != node or not state.running:
                     continue
-                background = self._inc_backgrounds[node]
+                background = self._backgrounds[node]
                 if (
                     state.background_times
                     and state.background_times[-1] >= self.clock - 1e-12
@@ -1139,7 +936,7 @@ class RackCoSimulator:
         """Offered pool bandwidth per node of the currently running tenants."""
         return {
             s.node: s.current_offered_bandwidth()
-            for s in self._inc_states.values()
+            for s in self._states.values()
             if s.running
         }
 
@@ -1155,13 +952,13 @@ class RackCoSimulator:
         """
         rates: dict[str, float] = {}
         scales = self._port_scales
-        for name, state in self._inc_states.items():
+        for name, state in self._states.items():
             if state.running:
                 if state.migration_debt > 0.0 or (scales and self._on_killed_port(state)):
                     rates[name] = 0.0
                 elif state.phase_index < len(state.phases):
                     rates[name] = self._progress_rate(
-                        state, self._inc_backgrounds.get(state.node, 0.0)
+                        state, self._backgrounds.get(state.node, 0.0)
                     )
             elif not state.finished and state.revoked_at is not None and (
                 state.readmit_latency is None
@@ -1188,8 +985,8 @@ class RackCoSimulator:
                 "or admit a tenant first"
             )
         bound = self._rate_change()[0]
-        if not self._inc_clean or bound == math.inf:
-            bound = min(bound, max(epoch - self._inc_epoch_elapsed, 1e-12))
+        if not self._clean or bound == math.inf:
+            bound = min(bound, max(epoch - self._epoch_elapsed, 1e-12))
         return max(bound, 1e-12)
 
     def progressing(self) -> bool:
@@ -1214,7 +1011,7 @@ class RackCoSimulator:
         if nxt is not None:
             bound = max(nxt - self.clock, 1e-12)
         scales = self._port_scales
-        for state in self._inc_states.values():
+        for state in self._states.values():
             if not state.running or state.phase_index >= len(state.phases):
                 continue
             if state.migration_debt > 0.0 or (scales and self._on_killed_port(state)):
@@ -1225,13 +1022,15 @@ class RackCoSimulator:
                 # Otherwise stalled; debt owed behind a killed port waits for
                 # the port restore, a fault time that bounds the walk already.
                 continue
-            rate = self._progress_rate(state, self._inc_backgrounds.get(state.node, 0.0))
+            rate = self._progress_rate(state, self._backgrounds.get(state.node, 0.0))
             if rate > 0:
                 remaining = state.runtimes[state.phase_index] - state.phase_elapsed
                 bound = min(bound, max(remaining, 0.0) / rate)
                 moving = True
         return bound, moving
 
+    # No caller in the library: perfbench/layers.py binds it and the lockstep
+    # oracle in tests/fabric/oracles.py steps each rack through it.
     def step(self, dt: float) -> dict[str, float]:
         """Advance the co-simulation ``dt`` wall-seconds.
 
@@ -1262,9 +1061,9 @@ class RackCoSimulator:
         epoch = self._lockstep.epoch
         if epoch is None:
             return math.inf
-        if self._inc_clean:
+        if self._clean:
             return max(self._rate_change()[0], 1e-12)
-        return max(epoch - self._inc_epoch_elapsed, 0.0)
+        return max(epoch - self._epoch_elapsed, 0.0)
 
     def step_frozen(self, dt: float) -> dict[str, float]:
         """Advance ``dt`` wall-seconds under the current frozen backgrounds.
@@ -1286,22 +1085,22 @@ class RackCoSimulator:
         registry = metrics()
         registry.counter("fabric.cosim.step_calls").inc()
         registry.counter("fabric.cosim.stepped_seconds").inc(dt)
-        done = {name: 0.0 for name in self._inc_states}
+        done = {name: 0.0 for name in self._states}
         epoch = self._lockstep.epoch
         if dt <= 1e-15 or epoch is None:
             # With no epoch length nothing was ever admitted: no work happens.
             return done
-        running = [s for s in self._inc_states.values() if s.running]
-        left = max(epoch - self._inc_epoch_elapsed, 0.0)
+        running = [s for s in self._states.values() if s.running]
+        left = max(epoch - self._epoch_elapsed, 0.0)
         if dt > left + 1e-12:
-            if not self._inc_clean:
+            if not self._clean:
                 raise FabricError(
                     "step_frozen cannot cross the epoch end of a rack whose "
                     "rollover would re-solve; roll the epoch over first"
                 )
             elapsed = self._skip_rollovers(running, left, dt)
         else:
-            elapsed = self._inc_epoch_elapsed + dt
+            elapsed = self._epoch_elapsed + dt
         scales = self._port_scales
         for state in running:
             # Only a faulted port or migration debt costs a tenant wall time.
@@ -1312,16 +1111,16 @@ class RackCoSimulator:
             index = state.phase_index
             before = state.completed_baseline_seconds
             used = self._advance(
-                state, self._inc_backgrounds.get(state.node, 0.0), avail
+                state, self._backgrounds.get(state.node, 0.0), avail
             )
             done[state.spec.name] += state.completed_baseline_seconds - before
             if state.phase_index != index:
                 # A new phase offers a new demand, a finish none at all.
-                self._inc_clean = False
+                self._clean = False
             if used is not None and state.finish_time is None:
                 state.finish_time = self.clock + (dt - avail) + used
-        if len(running) < len(self._inc_states):
-            for state in self._inc_states.values():
+        if len(running) < len(self._states):
+            for state in self._states.values():
                 # Between revocation and re-grant (the lease is REVOKED or
                 # back in the queue) the tenant makes no progress: all of
                 # that wall time is fault-induced stall.
@@ -1332,7 +1131,7 @@ class RackCoSimulator:
                     and not state.running
                 ):
                     self._record_stall(state, dt)
-        self._inc_epoch_elapsed = elapsed
+        self._epoch_elapsed = elapsed
         return done
 
     def _skip_rollovers(
@@ -1366,66 +1165,33 @@ class RackCoSimulator:
         """Whether the current epoch has fully elapsed (a rollover is due)."""
         return (
             self._lockstep.epoch is not None
-            and self._inc_epoch_elapsed >= self._lockstep.epoch - 1e-12
+            and self._epoch_elapsed >= self._lockstep.epoch - 1e-12
         )
 
     def checkpoint(self) -> EpochCheckpoint:
-        """Snapshot the epoch state for a later :meth:`rollover`."""
+        """Snapshot the epoch state for a later :func:`roll_back`."""
         metrics().counter("fabric.cosim.checkpoints").inc()
-        ordered = sorted(self._inc_states.items())
+        ordered = sorted(self._states.items())
         return EpochCheckpoint(
             clock=self.clock,
-            epoch_elapsed=self._inc_epoch_elapsed,
-            backgrounds=tuple(sorted(self._inc_backgrounds.items())),
+            epoch_elapsed=self._epoch_elapsed,
+            backgrounds=tuple(sorted(self._backgrounds.items())),
             tenants=tuple(
                 (name, *(getattr(s, field) for field in _CHECKPOINTED))
                 for name, s in ordered
             ),
             histories=tuple((name, len(s.background_times)) for name, s in ordered),
-            offsets=tuple(sorted(self._inc_offsets.items())),
-            solve_key=self._inc_solve_key,
-            clean=self._inc_clean,
+            offsets=tuple(sorted(self._offsets.items())),
+            solve_key=self._solve_key,
+            clean=self._clean,
             fault_epoch=self._fault_mutations,
         )
-
-    def rollover(self, checkpoint: EpochCheckpoint) -> None:
-        """Roll the co-simulation back to a previously captured checkpoint.
-
-        Restores the clock, the intra-epoch elapsed time, the frozen
-        backgrounds and every tenant's phase progress, and trims background /
-        telemetry timelines recorded after the checkpoint.  Only legal while
-        the tenant mix is unchanged — :meth:`admit` and :meth:`withdraw`
-        mutate the pool's lease table, which a checkpoint deliberately does
-        not capture.
-        """
-        roll_back((self,), (checkpoint,))
 
     # -- fault injection / elastic leasing --------------------------------------------
     #
     # The failure model these methods implement is documented in
     # ``docs/failure_model.md``.  The armed schedule lives in the lockstep
     # state (:class:`_Lockstep`), port health and fault bookkeeping here.
-
-    def inject_faults(
-        self,
-        schedule: FaultSchedule,
-        rack: int = 0,
-        drain_bytes_per_s: Optional[float] = None,
-    ) -> None:
-        """Arm a fault schedule against this rack.
-
-        ``rack`` selects which of the schedule's events apply (standalone
-        racks use the default 0).  ``drain_bytes_per_s`` is the modeled page
-        give-back rate, positive and finite (:class:`FabricError`
-        otherwise): when a lease is shrunk or revoked, the reclaimed
-        bytes drain back at this rate and the drain time is charged against
-        the tenant's progress as a stall (migration debt).  Faults fire at
-        exact simulated times during :meth:`step` (the step sub-chunks at
-        fault times), and each applied fault forces an epoch rollover so the
-        contention solve reflects the damage immediately.  Injection is
-        one-shot per simulator; an *empty* schedule changes no output.
-        """
-        self._lockstep.arm(schedule, {rack: self._index}, drain_bytes_per_s)
 
     def port_health(self, port: int) -> float:
         """Residual capacity fraction of a pool port: 1.0 healthy, 0.0 killed."""
@@ -1461,7 +1227,7 @@ class RackCoSimulator:
             else:
                 self._port_scales.pop(event.port, None)
         elif kind in (FAULT_LEASE_REVOKE, FAULT_LEASE_SHRINK):
-            state = self._inc_states.get(event.tenant)
+            state = self._states.get(event.tenant)
             if state is not None and state.running:
                 if kind == FAULT_LEASE_REVOKE:
                     self.pool.revoke(state.lease, time=self.clock)
@@ -1485,10 +1251,10 @@ class RackCoSimulator:
         records = self.pool.consume_reclaims()
         if not records:
             return
-        self._inc_clean = False
+        self._clean = False
         registry = metrics()
         for record in records:
-            state = self._inc_states.get(record.tenant)
+            state = self._states.get(record.tenant)
             if state is None:
                 continue
             state.migration_debt += record.nbytes / self._lockstep.drain_bytes_per_s
@@ -1515,7 +1281,7 @@ class RackCoSimulator:
         blast radius is the migration drain.
         """
         changed = False
-        for name, state in self._inc_states.items():
+        for name, state in self._states.items():
             if (
                 state.lease is not None
                 and state.lease.state == LEASE_REVOKED
@@ -1528,7 +1294,7 @@ class RackCoSimulator:
                 changed = True
         if changed:
             self._consume_pool_reclaims()
-        for state in self._inc_states.values():
+        for state in self._states.values():
             if (
                 state.revoked_at is not None
                 and state.readmit_latency is None
@@ -1583,14 +1349,9 @@ class RackCoSimulator:
             and not self._on_killed_port(state)
         )
 
-    def blast_radius(self) -> BlastRadiusReport:
-        """Damage assessment so far of every rack in lockstep with this one
-        (deterministic), live tenants plus withdrawn ones."""
-        return self._lockstep.blast_radius()
-
     def _state_of(self, name: str) -> _TenantState:
         try:
-            return self._inc_states[name]
+            return self._states[name]
         except KeyError as exc:
             raise FabricError(f"no admitted tenant named {name!r}") from exc
 
@@ -1612,7 +1373,7 @@ class RackCoSimulator:
         degrading a port can never be skipped as "unchanged".
         """
         self._retry_revoked()
-        running = [s for s in self._inc_states.values() if s.running]
+        running = [s for s in self._states.values() if s.running]
         demands = {
             s.node: s.current_offered_bandwidth()
             for s in running
@@ -1620,7 +1381,7 @@ class RackCoSimulator:
         }
         solve_key = (
             tuple(sorted(demands.items())),
-            tuple(sorted(self._inc_offsets.items())),
+            tuple(sorted(self._offsets.items())),
             tuple(sorted(self._port_scales.items())),
         )
         return running, demands, solve_key
@@ -1632,9 +1393,9 @@ class RackCoSimulator:
         solve_key: tuple,
     ) -> None:
         """Freeze new epoch backgrounds from a resolved allocation."""
-        self._inc_backgrounds = {
+        self._backgrounds = {
             s.node: self.topology.background_for(s.node, delivered)
-            + self._inc_offsets.get(s.node, 0.0)
+            + self._offsets.get(s.node, 0.0)
             for s in running
         }
         if self._port_scales:
@@ -1644,17 +1405,17 @@ class RackCoSimulator:
                 port = self.topology.port_of(s.node)
                 scale = self._port_scales.get(port, 1.0)
                 if scale < 1.0:
-                    self._inc_backgrounds[s.node] += (
+                    self._backgrounds[s.node] += (
                         1.0 - scale
                     ) * self.topology.ports[port].data_capacity
-        self._inc_solve_key = solve_key
+        self._solve_key = solve_key
 
     def _complete_rollover(
         self, running: list[_TenantState], demands: Mapping[int, float]
     ) -> None:
         """Restart the epoch, record background history + telemetry and
         settle whether the next rollover would skip its solve."""
-        self._inc_epoch_elapsed = 0.0
+        self._epoch_elapsed = 0.0
         load = None
         if running:
             ports = {self.topology.port_of(s.node) for s in running}
@@ -1665,10 +1426,10 @@ class RackCoSimulator:
         self._record_rollover(running, self.clock, load)
         # The signature was just taken, so only a revoked tenant that
         # _retry_revoked would act on can make the next rollover re-solve.
-        self._inc_clean = not any(
+        self._clean = not any(
             (s.revoked_at is not None and s.readmit_latency is None)
             or (s.lease.state == LEASE_REVOKED and not s.finished)
-            for s in self._inc_states.values()
+            for s in self._states.values()
         )
 
     def _record_rollover(
@@ -1684,7 +1445,7 @@ class RackCoSimulator:
         rollover of a clean rack would compute again.
         """
         for state in running:
-            background = self._inc_backgrounds[state.node]
+            background = self._backgrounds[state.node]
             if state.background_times and state.background_times[-1] >= time - 1e-12:
                 state.background_bandwidths[-1] = background
             else:
@@ -1693,9 +1454,9 @@ class RackCoSimulator:
         if running:
             sample = self.pool.sample(time)
             if load is None:
-                self._inc_telemetry.repeat(sample)
+                self._telemetry.repeat(sample)
             else:
-                self._inc_telemetry.record(sample, *load)
+                self._telemetry.record(sample, *load)
 
 
 def roll_over(
@@ -1705,9 +1466,9 @@ def roll_over(
 ) -> None:
     """Roll the epoch over on every rack that is due (every rack with ``force``).
 
-    The fabric's one epoch rollover: a standalone rack rolls itself over as a
-    batch of one, a :class:`~repro.fabric.cluster.ClusterCoSimulator` rolls
-    all its due racks over together.  Each rolled rack collects its running
+    The fabric's one epoch rollover: a rack rolls itself over as a batch of
+    one when a tenant comes, goes or is hit by a fault, and
+    :func:`step_racks` rolls all the due racks over together.  Each rolled rack collects its running
     tenants' demands.  When neither they, the external offsets nor the port
     health changed since the rack's last solve, the solve is skipped — it
     would reproduce the backgrounds already frozen.  Every other rolled rack
@@ -1727,7 +1488,7 @@ def roll_over(
         registry.counter("fabric.cosim.epoch_rollovers").inc()
         running, demands, solve_key = rack._epoch_demands()
         rolled.append((rack, running, demands))
-        if force or solve_key != rack._inc_solve_key:
+        if force or solve_key != rack._solve_key:
             registry.counter("fabric.cosim.epoch_resolves").inc()
             dirty.append((index, rack, running, demands, solve_key))
         else:
@@ -1750,10 +1511,11 @@ def step_racks(
     end of ``dt``, at the next fault or at the nearest rack's
     :meth:`~RackCoSimulator._chunk_bound`; every rack advances through
     :meth:`~RackCoSimulator.step_frozen`, the racks' one clock moves on, then
-    :func:`roll_over` rolls the due racks over with ``solve``.  Returns each
-    tenant's baseline seconds."""
+    :func:`roll_over` rolls the due racks over with ``solve``.  A
+    :class:`~repro.fabric.cluster.ClusterCoSimulator` steps all its racks
+    through it.  Returns each tenant's baseline seconds."""
     lockstep = racks[0]._lockstep
-    done = {name: 0.0 for rack in racks for name in rack._inc_states}
+    done = {name: 0.0 for rack in racks for name in rack._states}
     end = lockstep.clock + dt
     remaining = float(dt)
     while remaining > 1e-15:
@@ -1780,7 +1542,7 @@ def roll_back(
     if len(checkpoints) != len(racks):
         raise FabricError("checkpoint does not match the rack count")
     for rack, checkpoint in zip(racks, checkpoints):
-        if {entry[0] for entry in checkpoint.tenants} != set(rack._inc_states):
+        if {entry[0] for entry in checkpoint.tenants} != set(rack._states):
             raise FabricError(
                 "checkpoint does not match the current tenant mix; checkpoints "
                 "are invalidated by admit() and withdraw()"
@@ -1793,126 +1555,17 @@ def roll_back(
             )
     for rack, checkpoint in zip(racks, checkpoints):
         rack._lockstep.clock = checkpoint.clock
-        rack._inc_epoch_elapsed = checkpoint.epoch_elapsed
-        rack._inc_backgrounds = dict(checkpoint.backgrounds)
-        rack._inc_offsets = dict(checkpoint.offsets)
-        rack._inc_solve_key = checkpoint.solve_key
-        rack._inc_clean = checkpoint.clean
+        rack._epoch_elapsed = checkpoint.epoch_elapsed
+        rack._backgrounds = dict(checkpoint.backgrounds)
+        rack._offsets = dict(checkpoint.offsets)
+        rack._solve_key = checkpoint.solve_key
+        rack._clean = checkpoint.clean
         for name, *values in checkpoint.tenants:
             for field, value in zip(_CHECKPOINTED, values):
-                setattr(rack._inc_states[name], field, value)
+                setattr(rack._states[name], field, value)
         for name, length in checkpoint.histories:
-            state = rack._inc_states[name]
+            state = rack._states[name]
             del state.background_times[length:]
             del state.background_bandwidths[length:]
-        rack._inc_telemetry.trim_after(checkpoint.clock)
+        rack._telemetry.trim_after(checkpoint.clock)
         metrics().counter("fabric.cosim.rollbacks").inc()
-
-
-#: Most instants :func:`run_closed_loop` visits before it gives up, so a
-#: mis-configured run ends with a clear error instead of spinning.
-_MAX_INSTANTS = 200_000
-
-
-class LoopSimulator(Protocol):
-    """What :func:`run_closed_loop` steps: a :class:`RackCoSimulator` or a
-    :class:`~repro.fabric.cluster.ClusterCoSimulator`."""
-
-    @property
-    def clock(self) -> float: ...
-
-    @property
-    def tenant_states(self) -> Mapping[str, _TenantState]: ...
-
-    def horizon(self) -> float: ...
-
-    def step(self, dt: float) -> dict[str, float]: ...
-
-    def withdraw(self, name: str, time: Optional[float] = None) -> None: ...
-
-
-def run_closed_loop(
-    sim: LoopSimulator,
-    racks: Sequence[RackCoSimulator],
-    arrivals: Sequence[tuple[int, TenantSpec]],
-    admit: Callable[[int, TenantSpec], object],
-) -> tuple[dict[str, _TenantState], int]:
-    """Run ``sim`` until every tenant has finished or can never run.
-
-    The fabric's one closed loop: :meth:`RackCoSimulator.run` drives a rack
-    through it as a batch of one, and
-    :meth:`ClusterCoSimulator.run_to_completion
-    <repro.fabric.cluster.ClusterCoSimulator.run_to_completion>` drives a
-    cluster of ``racks``.  ``arrivals`` are the ``(place, spec)`` admissions
-    still to come; ``admit(place, spec)`` puts one on the fabric at
-    ``spec.arrival``, so placement stays with the simulator.
-
-    At each instant, in this order: the faults that are due fire, the
-    arrivals that are due are admitted, the racks' leased pool bytes are
-    sampled, and every finished tenant is retired with ``sim.withdraw``
-    in admission order, which frees its node, returns its lease and
-    re-solves its rack at once.  Then ``sim`` steps to its next rate
-    change, never past the next arrival or fault, or straight to that
-    arrival or fault when no tenant progresses.  With neither, the run is
-    *stranded*: the tenants still admitted stay where they stand, and one
-    whose lease is queued is rejected.
-
-    Returns the retired tenants' states by name, in retirement order, and
-    the peak of the sampled leased bytes.
-    """
-    lockstep = racks[0]._lockstep
-    pending = sorted(arrivals, key=lambda item: item[1].arrival)
-    cursor = 0
-    retired: dict[str, _TenantState] = {}
-    peak = 0
-    for _ in range(_MAX_INSTANTS):
-        lockstep.apply_due_faults()
-        while (
-            cursor < len(pending) and pending[cursor][1].arrival <= sim.clock + 1e-12
-        ):
-            admit(*pending[cursor])
-            cursor += 1
-        peak = max(peak, sum(rack.pool.leased_bytes for rack in racks))
-        finished = [(n, s) for n, s in sim.tenant_states.items() if s.finished]
-        for name, state in finished:
-            retired[name] = state
-            sim.withdraw(name)
-        if not sim.tenant_states and cursor == len(pending):
-            return retired, peak
-        ahead = [lockstep.next_fault]
-        if cursor < len(pending):
-            ahead.append(pending[cursor][1].arrival)
-        future = [t for t in ahead if t is not None and t > sim.clock + 1e-12]
-        if any(rack.progressing() for rack in racks):
-            dt = sim.horizon()
-            if future:
-                dt = min(dt, min(future) - sim.clock)
-            sim.step(dt)
-        elif future:
-            sim.step(min(future) - sim.clock)
-        else:
-            for rack in racks:
-                for state in rack.tenant_states.values():
-                    if state.lease.state == LEASE_QUEUED:
-                        rack.pool.release(state.lease, time=rack.clock)
-                        state.lease.state = LEASE_REJECTED
-            return retired, peak
-    raise FabricError(
-        f"the closed loop did not terminate within {_MAX_INSTANTS} instants"
-    )
-
-
-def _lockstep_racks(
-    topologies: Sequence[FabricTopology],
-    pools: Sequence[MemoryPool],
-    testbed: TestbedConfig,
-    epoch_seconds: Optional[float],
-    seed: int,
-) -> _Lockstep:
-    """A :class:`~repro.fabric.cluster.ClusterCoSimulator`'s racks: one
-    empty rack per topology and pool, all on one new lockstep state."""
-    lockstep = _Lockstep(epoch_seconds)
-    for topology, pool in zip(topologies, pools):
-        rack = RackCoSimulator.__new__(RackCoSimulator)
-        rack._setup((), topology.n_nodes, pool, topology, testbed, seed, lockstep)
-    return lockstep

@@ -6,9 +6,8 @@ degrade mid-run, leases are revoked or shrunk while their tenants execute,
 and whole slabs of pool capacity disappear.  Faults are *data*, not
 callbacks — a :class:`FaultSchedule` is a sorted tuple of
 :class:`FaultEvent` values at simulated times, injected once into a
-:class:`~repro.fabric.cosim.RackCoSimulator` or a
-:class:`~repro.fabric.cluster.ClusterCoSimulator` before stepping begins.  A
-cluster's racks share one fault feed: a port or pool-capacity event acts on
+:class:`~repro.fabric.cluster.ClusterCoSimulator` (one rack or many) before
+stepping begins.  A cluster's racks share one fault feed: a port or pool-capacity event acts on
 the rack it names, and a lease event on the rack hosting its tenant when it
 fires.
 
@@ -34,8 +33,8 @@ of faults.
   seconds) paid as stall time before the tenant progresses again.
 * Shrunk leases keep running with the smaller grant; only the migration debt
   of the reclaimed bytes is charged.
-* :meth:`~repro.fabric.cosim.RackCoSimulator.checkpoint` /
-  :meth:`~repro.fabric.cosim.RackCoSimulator.rollover` remain bit-identical
+* :meth:`~repro.fabric.cluster.ClusterCoSimulator.checkpoint` /
+  :meth:`~repro.fabric.cluster.ClusterCoSimulator.rollover` remain bit-identical
   while faults are merely *pending*; rolling back across an *applied* fault
   raises, because fault application mutates pool/lease state the checkpoint
   does not capture (same contract as admit/withdraw).
@@ -344,9 +343,9 @@ class TenantImpact:
 class BlastRadiusReport:
     """Aggregate damage assessment of a faulted co-simulation.
 
-    Built by :meth:`~repro.fabric.cosim.RackCoSimulator.blast_radius` (or the
-    cluster aggregate) after stepping; the per-tenant impacts are sorted by
-    tenant name so equal simulations produce equal reports.
+    Built by :meth:`~repro.fabric.cluster.ClusterCoSimulator.blast_radius`
+    after stepping; the per-tenant impacts are sorted by tenant name so
+    equal simulations produce equal reports.
     """
 
     faults_injected: int

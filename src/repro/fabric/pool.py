@@ -13,9 +13,9 @@ The pool only manages *capacity*; bandwidth contention on the way to the pool
 is the :class:`~repro.fabric.topology.FabricTopology`'s job.
 
 Units and coupling: capacities and leases are **bytes**; timestamps are
-simulated seconds supplied by whoever drives the pool (the batch
-:meth:`~repro.fabric.cosim.RackCoSimulator.run` loop, or a scheduler stepping
-the rack incrementally).  When the scheduler couples jobs to fabric tenants,
+simulated seconds supplied by whoever drives the pool (the closed loop of
+:meth:`~repro.fabric.cluster.ClusterCoSimulator.run_to_completion`, or a
+scheduler stepping the cluster incrementally).  When the scheduler couples jobs to fabric tenants,
 one lease mirrors one job's ``pool_gb`` reservation and lives exactly as long
 as the job — the pool never expires leases on its own.
 

@@ -10,8 +10,8 @@ bandwidth demands, and the contention-induced waiting time comes from the same
 saturation).
 
 The topology is stateless: callers pass the current per-node demand map and
-get back background bandwidth, utilisation and link shares.  The
-:class:`~repro.fabric.cosim.RackCoSimulator` drives it epoch by epoch, and
+get back background bandwidth, utilisation and link shares.  Each rack of a
+:class:`~repro.fabric.cluster.ClusterCoSimulator` drives it epoch by epoch, and
 placement policies reuse the same resolution to *project* the pressure a
 prospective tenant would add (statelessness is what makes such what-if
 queries free of side effects).

@@ -7,8 +7,8 @@ each other through the shared pool link, jobs in different racks do not.
 
 This module tracks *capacity* (nodes and pool GB) and the static LoI proxy
 (:meth:`Rack.aggregate_loi`).  When the fabric is coupled in
-(:mod:`repro.scheduler.progress`), each :class:`Rack` is mirrored by one
-:class:`~repro.fabric.cosim.RackCoSimulator`: the rack-local position of a
+(:mod:`repro.scheduler.progress`), each :class:`Rack` is mirrored by one rack
+of a :class:`~repro.fabric.cluster.ClusterCoSimulator`: the rack-local position of a
 node in :attr:`Rack.nodes` is the fabric node index its job's tenant runs on,
 and ``pool_capacity_gb`` bounds the mirrored pool's lease capacity.
 """

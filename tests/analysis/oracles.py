@@ -4,10 +4,12 @@
 :func:`repro.analysis.figure_blast_radius` once each built the fabric
 scenario (N tenants of one workload on a rack, or on every rack of a
 cluster) themselves.  Their bodies live on here, unchanged apart from
-returning the CLI's output instead of printing it, as the reference the one
-shared scenario is held to (``test_fabric_scenario.py``).  They had drifted
-apart in four places, which the differential grid leaves out and which
-``test_fabric_scenario.py`` pins one by one:
+returning the CLI's output instead of printing it and from running a
+standalone rack as the 1-rack cluster it now is, through the closed loop
+its ``run()`` had (``fabric/oracles.py``'s ``rack_run_oracle``), as the
+reference the one shared scenario is held to (``test_fabric_scenario.py``).
+They had drifted apart in four places, which the differential grid leaves
+out and which ``test_fabric_scenario.py`` pins one by one:
 
 * the blast-radius baseline ran a rigid pool under ``overcommit``;
 * the CLI sized a default elastic pool ``sum(lease_bytes)``, zero when every
@@ -23,18 +25,36 @@ import argparse
 from dataclasses import replace
 from typing import Any, Optional, Sequence
 
+from fabric.oracles import rack_run_oracle
+from fabric.racks import one_rack
 from repro.config.units import gb_per_s, gib
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     parse_fault_spec,
     uniform_tenants,
 )
 from repro.workloads.registry import build_workload, get_model
+
+#: The summary keys a cluster printed before it gained the rack's.
+CLUSTER_KEYS = (
+    "makespan", "mean_slowdown", "n_racks", "nodes_per_rack", "epoch_seconds",
+    "spilled_tenants", "cluster_pool_gb", "tenants", "faults",
+)
+CLUSTER_ROW_KEYS = (
+    "name", "rack", "node", "spilled", "lease_state", "wait_s", "runtime_s",
+    "baseline_s", "slowdown",
+)
+
+
+def cluster_summary(summary: dict) -> dict:
+    """A cluster's ``summary`` on the keys it printed before it gained the rack's."""
+    printed = {key: summary[key] for key in CLUSTER_KEYS if key in summary}
+    printed["tenants"] = [
+        {key: row[key] for key in CLUSTER_ROW_KEYS} for row in summary["tenants"]
+    ]
+    return printed
 
 
 def cmd_fabric(args: argparse.Namespace) -> Any:
@@ -76,31 +96,28 @@ def cmd_fabric(args: argparse.Namespace) -> Any:
             for rack in range(args.cluster)
             for tenant in tenants
         ]
-        return simulator.run_to_completion(arrivals)
+        return cluster_summary(simulator.run_to_completion(arrivals))
     if args.pool_gb is not None:
-        pool = MemoryPool(int(gib(args.pool_gb)), elastic=args.overcommit)
+        pool_bytes = int(gib(args.pool_gb))
     elif args.overcommit:
-        pool = MemoryPool(sum(t.lease_bytes for t in tenants), elastic=True)
+        pool_bytes = sum(t.lease_bytes for t in tenants)
     else:
-        pool = None
-    topology = FabricTopology(
-        n_nodes=args.tenants,
+        pool_bytes = None
+    simulator = one_rack(
+        tenants,
+        pool_bytes=pool_bytes,
         n_ports=args.ports,
         port_capacity_scale=args.port_capacity_scale,
-    )
-    simulator = RackCoSimulator(
-        tenants,
-        pool=pool,
-        topology=topology,
         epoch_seconds=args.epoch_seconds,
         seed=args.seed,
+        overcommit=args.overcommit,
     )
     if schedule is not None:
         simulator.inject_faults(schedule, drain_bytes_per_s=drain)
-    result = simulator.run()
-    output = result.summary()
+    result = rack_run_oracle(simulator, tenants)
+    output = result["summary"]
     if args.timeline:
-        output["timeline"] = result.telemetry.series()
+        output["timeline"] = result["telemetry"]
     return output
 
 
@@ -129,12 +146,14 @@ def figure_fabric_pool_timeline(
             cluster_pool_bytes=cluster_pool_bytes,
             seed=seed,
         )
-        summary = simulator.run_to_completion(
-            [
-                (rack, replace(t, name=f"rack{rack}-{t.name}"))
-                for rack in range(n_racks)
-                for t in tenants
-            ]
+        summary = cluster_summary(
+            simulator.run_to_completion(
+                [
+                    (rack, replace(t, name=f"rack{rack}-{t.name}"))
+                    for rack in range(n_racks)
+                    for t in tenants
+                ]
+            )
         )
         backgrounds = {}
         for tenant in summary["tenants"]:
@@ -149,19 +168,19 @@ def figure_fabric_pool_timeline(
             "tenant_background_loi": backgrounds,
             "summary": summary,
         }
-    pool = (
-        MemoryPool(pool_capacity_bytes) if pool_capacity_bytes is not None else None
+    result = rack_run_oracle(
+        one_rack(tenants, pool_bytes=pool_capacity_bytes, n_ports=n_ports, seed=seed),
+        tenants,
     )
-    topology = FabricTopology(n_nodes=n_tenants, n_ports=n_ports)
-    result = RackCoSimulator(tenants, pool=pool, topology=topology, seed=seed).run()
     backgrounds = {}
-    for outcome in result.finished_tenants:
-        times, lois = result.interference_for(outcome.name).loi_timeline()
-        backgrounds[outcome.name] = {"time": list(times), "loi": list(lois)}
+    for name, outcome in result["outcomes"].items():
+        if outcome.finish_time is not None:
+            times, lois = result["timelines"][name].loi_timeline()
+            backgrounds[name] = {"time": list(times), "loi": list(lois)}
     return {
-        "timeline": result.telemetry.series(),
+        "timeline": result["telemetry"],
         "tenant_background_loi": backgrounds,
-        "summary": result.summary(),
+        "summary": result["summary"],
     }
 
 
@@ -186,34 +205,16 @@ def figure_blast_radius(
         spec, n_tenants, local_fraction=local_fraction, stagger=stagger
     )
 
-    def make_pool() -> Optional[MemoryPool]:
-        if pool_capacity_bytes is None and not overcommit:
-            return None
-        capacity = (
-            pool_capacity_bytes
-            if pool_capacity_bytes is not None
-            else sum(max(t.lease_bytes, 1) for t in tenants)
-        )
-        return MemoryPool(capacity, elastic=overcommit)
-
-    def make_sim() -> RackCoSimulator:
-        return RackCoSimulator(
+    def make_sim(overcommit: bool) -> ClusterCoSimulator:
+        return one_rack(
             tenants,
-            pool=make_pool(),
-            topology=FabricTopology(n_nodes=n_tenants, n_ports=n_ports),
+            pool_bytes=pool_capacity_bytes,
+            n_ports=n_ports,
             seed=seed,
+            overcommit=overcommit,
         )
 
-    baseline = RackCoSimulator(
-        tenants,
-        pool=(
-            MemoryPool(pool_capacity_bytes)
-            if pool_capacity_bytes is not None
-            else None
-        ),
-        topology=FabricTopology(n_nodes=n_tenants, n_ports=n_ports),
-        seed=seed,
-    ).run()
+    baseline = rack_run_oracle(make_sim(False), tenants)["summary"]
 
     if faults is not None:
         events = [
@@ -223,17 +224,17 @@ def figure_blast_radius(
     elif fault_seed is not None:
         schedule = FaultSchedule.seeded(
             seed=fault_seed,
-            horizon=baseline.makespan,
+            horizon=baseline["makespan"],
             n_events=n_fault_events,
             n_ports=n_ports,
         )
     else:
         schedule = FaultSchedule([])
 
-    sim = make_sim()
+    sim = make_sim(overcommit)
     sim.inject_faults(schedule, drain_bytes_per_s=drain_bytes_per_s)
-    faulted = sim.run()
-    report = faulted.blast_radius
+    result = rack_run_oracle(sim, tenants)
+    faulted = result["summary"]
     return {
         "schedule": [
             {
@@ -247,15 +248,15 @@ def figure_blast_radius(
             for e in schedule.events
         ],
         "baseline": {
-            "makespan": baseline.makespan,
-            "mean_slowdown": baseline.mean_slowdown,
+            "makespan": baseline["makespan"],
+            "mean_slowdown": baseline["mean_slowdown"],
         },
         "faulted": {
-            "makespan": faulted.makespan,
-            "mean_slowdown": faulted.mean_slowdown,
+            "makespan": faulted["makespan"],
+            "mean_slowdown": faulted["mean_slowdown"],
         },
-        "makespan_delta": faulted.makespan - baseline.makespan,
-        "blast_radius": report.summary() if report is not None else None,
-        "timeline": faulted.telemetry.series(),
-        "summary": faulted.summary(),
+        "makespan_delta": faulted["makespan"] - baseline["makespan"],
+        "blast_radius": faulted.get("faults"),
+        "timeline": result["telemetry"],
+        "summary": faulted,
     }

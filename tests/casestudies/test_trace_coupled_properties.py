@@ -33,7 +33,8 @@ from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config.errors import SchedulingError
 from repro.config.units import GiB
 from repro.data.slurm import synthesize_sacct_lines
-from repro.fabric import FaultSchedule, RackCoSimulator
+from repro.fabric import FaultSchedule
+from repro.fabric.cosim import RackCoSimulator
 
 FAULT_KINDS = ("port-degrade", "port-kill", "lease-shrink", "lease-revoke")
 

@@ -22,10 +22,10 @@ paths it used to ship next to them live on here, as differential oracles:
 * :func:`fixed_stride_run` — the rack's fixed-stride batch loop, which admits
   arrivals and grants queued leases only at epoch boundaries;
 * :func:`rack_run_oracle` and :func:`cluster_loop_oracle` — the two closed
-  loops :meth:`RackCoSimulator.run` and
-  :meth:`ClusterCoSimulator.run_to_completion` ran before both drove
-  :func:`~repro.fabric.cosim.run_closed_loop`: the rack released finished
-  leases itself under one forced rollover, and the cluster dated a tenant
+  loops a standalone rack's ``run()`` and
+  :meth:`ClusterCoSimulator.run_to_completion` ran before the fabric had
+  one: the rack stepped itself, kept its finished tenants and released
+  their leases under one forced rollover, and the cluster dated a tenant
   from its latest lease grant and withdrew the tenants it stranded;
 * :class:`PhaseProfile`, :func:`profile_tenant` and :func:`unit_time` — a
   tenant's reference phases as a cached copy of the baseline run, each phase
@@ -44,13 +44,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.config.errors import FabricError
-from repro.fabric import (
-    ClusterCoSimulator,
-    DynamicInterference,
-    RackCoSimResult,
-    SolveDiagnostics,
-    TenantOutcome,
-)
+from repro.fabric import ClusterCoSimulator, SolveDiagnostics
 from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run, roll_over
 from repro.fabric.pool import (
     LEASE_GRANTED,
@@ -195,12 +189,12 @@ def resolve_every_rollover(racks):
     for rack in racks:
 
         def collect(rack=rack, collect=rack._epoch_demands):
-            rack._inc_solve_key = None
+            rack._solve_key = None
             return collect()
 
         def complete(running, demands, rack=rack, complete=rack._complete_rollover):
             complete(running, demands)
-            rack._inc_clean = False
+            rack._clean = False
 
         rack._epoch_demands = collect
         rack._complete_rollover = complete
@@ -227,23 +221,23 @@ def _epoch_chunk_bound(self) -> float:
     epoch = self._lockstep.epoch
     if epoch is None:
         return math.inf
-    return max(epoch - self._inc_epoch_elapsed, 0.0)
+    return max(epoch - self._epoch_elapsed, 0.0)
 
 
 def _epoch_horizon(self) -> float:
     epoch = self._lockstep.epoch
     if epoch is None:
         raise FabricError("the co-simulation has no epoch length yet")
-    bound = max(epoch - self._inc_epoch_elapsed, 1e-12)
+    bound = max(epoch - self._epoch_elapsed, 1e-12)
     nxt = self._lockstep.next_fault
     if nxt is not None:
         bound = min(bound, max(nxt - self.clock, 1e-12))
-    for state in self._inc_states.values():
+    for state in self._states.values():
         if self._draining(state):
             bound = min(bound, max(state.migration_debt, 1e-12))
     for name, rate in self.progress_rates().items():
         if rate > 0:
-            state = self._inc_states[name]
+            state = self._states[name]
             remaining = state.phases[state.phase_index].runtime - state.phase_elapsed
             bound = min(bound, max(remaining, 0.0) / rate)
     return max(bound, 1e-12)
@@ -255,22 +249,22 @@ def _epoch_step_frozen(self, dt: float) -> dict[str, float]:
     registry = metrics()
     registry.counter("fabric.cosim.step_calls").inc()
     registry.counter("fabric.cosim.stepped_seconds").inc(dt)
-    done = {name: 0.0 for name in self._inc_states}
+    done = {name: 0.0 for name in self._states}
     epoch = self._lockstep.epoch
     if dt <= 1e-15 or epoch is None:
         return done
-    if dt > max(epoch - self._inc_epoch_elapsed, 0.0) + 1e-12:
+    if dt > max(epoch - self._epoch_elapsed, 0.0) + 1e-12:
         raise FabricError("step_frozen cannot cross an epoch boundary")
-    for state in [s for s in self._inc_states.values() if s.running]:
+    for state in [s for s in self._states.values() if s.running]:
         avail = self._fault_chunk_available(state, dt)
         if avail <= 0.0:
             continue
         before = state.completed_baseline_seconds
-        used = self._advance(state, self._inc_backgrounds.get(state.node, 0.0), avail)
+        used = self._advance(state, self._backgrounds.get(state.node, 0.0), avail)
         done[state.spec.name] += state.completed_baseline_seconds - before
         if used is not None and state.finish_time is None:
             state.finish_time = self.clock + (dt - avail) + used
-    for state in self._inc_states.values():
+    for state in self._states.values():
         if (
             state.revoked_at is not None
             and state.readmit_latency is None
@@ -278,7 +272,7 @@ def _epoch_step_frozen(self, dt: float) -> dict[str, float]:
             and not state.running
         ):
             self._record_stall(state, dt)
-    self._inc_epoch_elapsed += dt
+    self._epoch_elapsed += dt
     return done
 
 
@@ -359,7 +353,7 @@ def fresh_clean(rack: RackCoSimulator) -> bool:
     would build now equals the last solve's.  With no revoked tenant the
     signature's own revoked-lease retry does nothing, so this changes no state.
     """
-    if rack._inc_solve_key is None:
+    if rack._solve_key is None:
         return False
     if any(
         (s.revoked_at is not None and s.readmit_latency is None)
@@ -367,20 +361,23 @@ def fresh_clean(rack: RackCoSimulator) -> bool:
         for s in rack.tenant_states.values()
     ):
         return False
-    return rack._epoch_demands()[2] == rack._inc_solve_key
+    return rack._epoch_demands()[2] == rack._solve_key
 
 
-def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
-    """Run ``sim``'s tenants with the fixed-stride batch loop.
+def fixed_stride_run(sim: ClusterCoSimulator, tenants) -> tuple[dict, int]:
+    """Run ``tenants`` on the 1-rack cluster ``sim`` with the fixed-stride
+    batch loop.
 
     Every iteration is one epoch: arrivals that came due are admitted at its
     start, the contention is solved once, every running tenant advances one
     epoch, and a finished tenant's lease returns at the epoch's end, so a
-    queued tenant starts at the next boundary.  Returns ``({name: (start,
-    finish)}, epochs recorded)``; only fault-free, non-elastic runs.
+    queued tenant starts at the next boundary.  Tenant ``i`` runs on node
+    ``i``.  Returns ``({name: (start, finish)}, epochs recorded)``; only
+    fault-free, non-elastic runs.
     """
-    states = [sim._new_tenant(spec, i) for i, spec in enumerate(sim.tenants)]
-    epoch = sim._lockstep.epoch
+    rack = sim.rack_sim(0)
+    states = [rack._new_tenant(spec, i) for i, spec in enumerate(tenants)]
+    epoch = sim.epoch_seconds
     if epoch is None:
         epoch = max(max(s.baseline_runtime for s in states) / 40.0, 1e-6)
     clock = 0.0
@@ -388,7 +385,7 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
     for _ in range(MAX_EPOCHS):
         for state in states:
             if state.lease is None and state.spec.arrival <= clock:
-                state.lease = sim.pool.request(
+                state.lease = rack.pool.request(
                     state.spec.name, state.spec.lease_bytes, time=clock
                 )
         running = [s for s in states if s.running]
@@ -401,19 +398,19 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
                 continue
             for state in states:
                 if state.lease is not None and state.lease.state == LEASE_QUEUED:
-                    sim.pool.release(state.lease, time=clock)
+                    rack.pool.release(state.lease, time=clock)
                     state.lease.state = LEASE_REJECTED
             break
         demands = {s.node: s.current_offered_bandwidth() for s in running}
-        delivered = sim.topology.resolve(demands)
+        delivered = rack.topology.resolve(demands)
         epochs += 1
         end = clock + epoch
         for state in running:
-            background = sim.topology.background_for(state.node, delivered)
-            used = sim._advance(state, background, epoch)
+            background = rack.topology.background_for(state.node, delivered)
+            used = rack._advance(state, background, epoch)
             if used is not None:
                 state.finish_time = clock + used
-                sim.pool.release(state.lease, time=end)
+                rack.pool.release(state.lease, time=end)
         clock = end
     else:
         raise AssertionError("fixed-stride oracle did not terminate")
@@ -424,91 +421,105 @@ def fixed_stride_run(sim: RackCoSimulator) -> tuple[dict, int]:
     return times, epochs
 
 
-def rack_run_oracle(sim: RackCoSimulator) -> RackCoSimResult:
-    """Run ``sim``'s tenants with the closed loop ``run()`` had of its own.
+def rack_run_oracle(sim: ClusterCoSimulator, tenants) -> dict:
+    """Run ``tenants`` on the 1-rack cluster ``sim`` with the closed loop a
+    standalone rack's ``run()`` had before the fabric had one.
 
-    Tenant ``i`` is admitted on node ``i`` at its arrival.  Finished tenants
-    stay admitted: their leases are released in place, with one forced
-    rollover for all of them, and the outcomes, timelines and blast radius
-    are built from the states still on the rack.
+    The rack steps itself and rolls over alone.  With no epoch length set,
+    ~1/40 of the longest baseline among ``tenants`` sets it.  Each tenant is
+    admitted on the first free node at its arrival.  Finished tenants stay
+    admitted, so no node is reused: their leases are released in place,
+    with one forced rollover for all of them.  Whoever is still queued once
+    nothing runs, arrives or fires is rejected.
+
+    Returns plain values: each tenant's ``outcome``, the ``summary`` that
+    ``run()`` printed (rows in list order, a finished lease ``released``,
+    the means taken in release order), the ``telemetry`` series and every
+    interference ``timeline``.
     """
-    lockstep = sim._lockstep
+    rack = sim.rack_sim(0)
+    lockstep = rack._lockstep
     if lockstep.epoch is None:
-        runtimes = [sim._baseline(spec).total_runtime for spec in sim.tenants]
+        runtimes = [
+            spec.baseline_runtime or rack._baseline(spec).total_runtime for spec in tenants
+        ]
         lockstep.epoch = max(max(runtimes, default=0.0) / 40.0, 1e-6)
-    pending = sorted(range(len(sim.tenants)), key=lambda i: sim.tenants[i].arrival)
+    pending = sorted(tenants, key=lambda spec: spec.arrival)
+    released: list[str] = []
     max_leased = 0
     for _ in range(MAX_EPOCHS):
         lockstep.apply_due_faults()
-        while pending and sim.tenants[pending[0]].arrival <= sim.clock + 1e-12:
-            idx = pending.pop(0)
-            spec = sim.tenants[idx]
-            sim.admit(spec, node=idx, time=spec.arrival)
-        max_leased = max(max_leased, sim.pool.leased_bytes)
-        states = list(sim.tenant_states.values())
+        while pending and pending[0].arrival <= rack.clock + 1e-12:
+            spec = pending.pop(0)
+            if spec.arrival > rack.clock:
+                rack.step(spec.arrival - rack.clock)
+            rack.admit(spec)
+        max_leased = max(max_leased, rack.pool.leased_bytes)
+        states = list(rack.tenant_states.values())
         finished = [s for s in states if s.finished and s.lease.state == LEASE_GRANTED]
         for state in finished:
-            sim.pool.release(state.lease, time=sim.clock)
+            rack.pool.release(state.lease, time=rack.clock)
+            released.append(state.spec.name)
         if finished:
-            roll_over((sim,), sim._solve_alone, force=True)
+            roll_over((rack,), rack._solve_alone, force=True)
         if not pending and states and all(s.finished for s in states):
             break
-        targets = [sim.tenants[pending[0]].arrival] if pending else []
+        targets = [pending[0].arrival] if pending else []
         if lockstep.next_fault is not None:
             targets.append(lockstep.next_fault)
-        future = [t for t in targets if t > sim.clock + 1e-12]
-        if sim.progressing():
-            dt = sim.horizon()
+        future = [t for t in targets if t > rack.clock + 1e-12]
+        if rack.progressing():
+            dt = rack.horizon()
             if future:
-                dt = min(dt, min(future) - sim.clock)
-            sim.step(dt)
+                dt = min(dt, min(future) - rack.clock)
+            rack.step(dt)
         elif future:
-            sim.step(min(future) - sim.clock)
+            rack.step(min(future) - rack.clock)
         else:
             for state in states:
                 if state.lease.state == LEASE_QUEUED and not state.finished:
-                    sim.pool.release(state.lease, time=sim.clock)
+                    rack.pool.release(state.lease, time=rack.clock)
                     state.lease.state = LEASE_REJECTED
             break
     else:
         raise AssertionError("rack run oracle did not terminate")
-    ordered = [sim.tenant_states[spec.name] for spec in sim.tenants]
-    return RackCoSimResult(
-        tenants=tuple(
-            TenantOutcome(
-                name=s.spec.name,
-                workload=s.spec.workload.name,
-                node=s.node,
-                arrival=s.spec.arrival,
-                start_time=s.start_time,
-                finish_time=s.finish_time,
-                baseline_runtime=s.baseline_runtime,
-                lease_bytes=s.spec.lease_bytes,
-                lease_state=s.lease.state,
-                mean_background_bandwidth=(
-                    float(np.mean(s.background_bandwidths))
-                    if s.background_bandwidths
-                    else 0.0
-                ),
-            )
-            for s in ordered
-        ),
-        telemetry=sim.telemetry,
-        makespan=max((s.finish_time for s in ordered if s.finished), default=0.0),
-        pool_capacity_bytes=sim.pool.capacity_bytes,
-        max_leased_bytes=max_leased,
-        epoch_seconds=lockstep.epoch,
-        _interference={
-            s.spec.name: DynamicInterference(
-                s.background_times,
-                s.background_bandwidths,
-                link=sim.topology.link_of(s.node),
-            )
-            for s in ordered
-            if s.background_times
+    outcomes = {spec.name: rack.tenant_states[spec.name].outcome() for spec in tenants}
+    done = [outcomes[name] for name in released]
+    summary = {
+        "makespan": max((o.finish_time for o in done), default=0.0),
+        "mean_slowdown": float(np.mean([o.slowdown for o in done])) if done else 1.0,
+        "mean_runtime": float(np.mean([o.runtime for o in done])) if done else 0.0,
+        "pool_capacity_gb": rack.pool.capacity_bytes / 1e9,
+        "max_leased_gb": max_leased / 1e9,
+        "epoch_seconds": lockstep.epoch,
+        "tenants": [
+            {
+                "name": o.name,
+                "workload": o.workload,
+                "node": o.node,
+                "lease_state": o.lease_state,
+                "lease_gb": o.lease_bytes / 1e9,
+                "wait_s": o.wait_time,
+                "runtime_s": o.runtime,
+                "baseline_s": o.baseline_runtime,
+                "slowdown": o.slowdown,
+                "mean_background_gbs": o.mean_background_bandwidth / 1e9,
+            }
+            for o in outcomes.values()
+        ],
+    }
+    if lockstep.reports_faults:
+        summary["faults"] = lockstep.blast_radius().summary()
+    return {
+        "outcomes": outcomes,
+        "summary": summary,
+        "telemetry": rack.telemetry.series(),
+        "timelines": {
+            name: state.interference()
+            for name, state in rack.tenant_states.items()
+            if state.background_times
         },
-        blast_radius=sim.blast_radius() if lockstep.reports_faults else None,
-    )
+    }
 
 
 def cluster_loop_oracle(sim: ClusterCoSimulator, arrivals=()) -> tuple[dict, dict]:

@@ -1,15 +1,20 @@
 """The fabric's one closed loop against the two loops it replaced.
 
-:func:`repro.fabric.cosim.run_closed_loop` drives both
-:meth:`RackCoSimulator.run` and :meth:`ClusterCoSimulator.run_to_completion`.
-``oracles.rack_run_oracle`` and ``oracles.cluster_loop_oracle`` are the loops
-each of them used to have of its own.
+:meth:`ClusterCoSimulator.run_to_completion` is the fabric's one closed
+loop, and a standalone rack is its 1-rack case.  ``oracles.rack_run_oracle``
+and ``oracles.cluster_loop_oracle`` are the loops a rack's ``run()`` and the
+cluster used to have of their own.
 
-* A rack run is bit-identical to its oracle on every output: the tenant
-  outcomes, the peak leased bytes, the epoch, the telemetry, every
-  interference timeline and the blast radius.  Only its counters move: it
-  withdraws each finished tenant, so tenants finishing in one instant cost
-  one forced rollover each.
+* A 1-rack cluster whose tenants are listed in arrival order is
+  bit-identical to the rack oracle on every output both report: the tenant
+  outcomes, the makespan, the means, the pool capacity, the peak leased
+  bytes, the epoch, the telemetry, every interference timeline and the
+  blast radius.  The cluster reads a finished tenant's lease as
+  ``granted`` (the rack read ``released``) and withdraws each finished
+  tenant, so tenants finishing in one instant cost one forced rollover
+  each.  Listed out of arrival order, each tenant still takes the first
+  free node when it arrives, where ``run()`` put tenant ``i`` on node
+  ``i``.
 * A cluster run equals its oracle to 1e-12 relative, except where the loop
   meant to change: a tenant is dated from its first lease grant (the oracle
   dated a revoked tenant from its re-grant), due faults fire before the loop
@@ -26,17 +31,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from racks import on_rack, one_rack
 from repro import telemetry
 from repro.config.errors import FabricError
 from repro.config.units import GiB
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultEvent,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     TenantSpec,
     uniform_tenants,
 )
@@ -48,32 +51,62 @@ APPS = sorted(WORKLOADS)
 FAULT_KINDS = ("port-kill", "port-degrade", "lease-shrink", "lease-revoke")
 
 
-def rack_outputs(result) -> dict:
-    """Every output of a rack run, in plain values compared with ``==``."""
+#: The top-level and tenant-row summary keys a rack's ``run()`` printed.
+RACK_KEYS = (
+    "makespan", "mean_slowdown", "mean_runtime", "pool_capacity_gb", "max_leased_gb",
+    "epoch_seconds", "faults",
+)
+RACK_ROW_KEYS = (
+    "name", "workload", "node", "lease_state", "lease_gb", "wait_s", "runtime_s",
+    "baseline_s", "slowdown", "mean_background_gbs",
+)
+
+
+def run_outputs(outcomes, summary, series, interference_for) -> dict:
+    """Every output of a rack run, in plain values compared with ``==``:
+    the outcomes, the summary keys a rack printed (rows by name, a finished
+    tenant's lease ``granted``), the telemetry series and the timelines."""
+    rows = {}
+    for row in summary["tenants"]:
+        row = {key: row[key] for key in RACK_ROW_KEYS}
+        if outcomes[row["name"]].finish_time is not None:
+            row["lease_state"] = "granted"
+        rows[row["name"]] = row
     timelines = {}
-    for tenant in result.tenants:
+    for name in outcomes:
         try:
-            timeline = result.interference_for(tenant.name)
-        except FabricError:
+            timeline = interference_for(name)
+        except (FabricError, KeyError):
             continue
-        timelines[tenant.name] = (
+        timelines[name] = (
             timeline.times.tolist(),
             timeline.bandwidths.tolist(),
             timeline.loi_timeline()[1].tolist(),
         )
     return {
-        "tenants": result.tenants,
-        "makespan": result.makespan,
-        "pool_capacity_bytes": result.pool_capacity_bytes,
-        "max_leased_bytes": result.max_leased_bytes,
-        "epoch_seconds": result.epoch_seconds,
-        "telemetry": result.telemetry.series(),
+        "outcomes": outcomes,
+        "summary": {**{key: summary.get(key) for key in RACK_KEYS}, "tenants": rows},
+        "telemetry": series,
         "timelines": timelines,
-        "blast_radius": (
-            None if result.blast_radius is None else result.blast_radius.summary()
-        ),
-        "summary": result.summary(),
     }
+
+
+def cluster_run(sim: ClusterCoSimulator, tenants) -> dict:
+    """``run_outputs`` of ``tenants`` run to completion on the 1-rack ``sim``."""
+    summary = sim.run_to_completion(on_rack(tenants))
+    outcomes = {spec.name: sim.outcome(spec.name) for spec in tenants}
+    return run_outputs(
+        outcomes, summary, sim.rack_sim(0).telemetry.series(), sim.interference_for
+    )
+
+
+def oracle_run(sim: ClusterCoSimulator, tenants) -> dict:
+    """``run_outputs`` of ``oracles.rack_run_oracle``."""
+    oracle = oracles.rack_run_oracle(sim, tenants)
+    return run_outputs(
+        oracle["outcomes"], oracle["summary"], oracle["telemetry"],
+        oracle["timelines"].__getitem__,
+    )
 
 
 def with_counters(run):
@@ -94,8 +127,9 @@ def with_counters(run):
 
 @st.composite
 def rack_scenarios(draw):
-    """A rack factory: 2-5 tenants with unsorted arrivals on 1-2 ports, a
-    tight or elastic pool, maybe an oversized lease, and maybe faults."""
+    """A 1-rack factory: 2-5 tenants with unsorted arrivals on 1-2 ports, a
+    tight or elastic pool, maybe an oversized lease, and maybe faults.
+    ``build()`` returns the rack and its tenants."""
     n = draw(st.integers(2, 5))
     apps = draw(st.lists(st.sampled_from(APPS), min_size=n, max_size=n))
     arrivals = draw(st.lists(st.floats(0.0, 4.0), min_size=n, max_size=n))
@@ -133,7 +167,7 @@ def rack_scenarios(draw):
     )
     schedule = draw(st.one_of(explicit, seeded))
 
-    def build() -> RackCoSimulator:
+    def build() -> tuple[ClusterCoSimulator, list[TenantSpec]]:
         tenants = [
             TenantSpec(name=name, workload=WORKLOADS[app], arrival=arrival)
             for name, app, arrival in zip(names, apps, arrivals)
@@ -145,18 +179,15 @@ def rack_scenarios(draw):
                 name=names[-1], workload=WORKLOADS[apps[-1]], arrival=arrivals[-1],
                 pool_bytes=capacity + 1,
             )
-        pool = (
-            MemoryPool(capacity)
-            if floor is None
-            else MemoryPool(capacity, elastic=True, min_lease_fraction=floor)
+        sim = one_rack(
+            tenants, pool_bytes=capacity, n_ports=ports, seed=seed,
+            overcommit=floor is not None,
         )
-        sim = RackCoSimulator(
-            tenants, pool=pool, topology=FabricTopology(n_nodes=n, n_ports=ports),
-            seed=seed,
-        )
+        if floor is not None:
+            sim.rack_sim(0).pool.min_lease_fraction = floor
         if schedule is not None:
             sim.inject_faults(schedule)
-        return sim
+        return sim, tenants
 
     return build
 
@@ -269,36 +300,51 @@ def assert_cluster_matches_oracle(build, arrivals) -> None:
                 assert_close(new[key], old[key])
 
 
-class TestRackRunBitIdenticalToItsOracle:
+def by_arrival(tenants):
+    return sorted(tenants, key=lambda spec: spec.arrival)
+
+
+class TestOneRackIsBitIdenticalToTheRackOracle:
     @given(build=rack_scenarios())
     def test_every_output(self, build):
-        assert rack_outputs(build().run()) == rack_outputs(oracles.rack_run_oracle(build()))
+        """Tenants listed in arrival order, run with ``run()``'s epoch."""
+        sim, tenants = build()
+        tenants = by_arrival(tenants)
+        assert cluster_run(sim, tenants) == oracle_run(build()[0], tenants)
 
     def test_simultaneous_finishes_roll_over_once_each(self):
         """Four identical tenants finish in one instant: the oracle released
         their leases under one forced rollover, the loop withdraws each."""
         tenants = uniform_tenants(WORKLOADS["XSBench"], 4)
-        sim = RackCoSimulator(tenants)
-        result, counts = with_counters(sim.run)
-        oracle, oracle_counts = with_counters(
-            lambda: oracles.rack_run_oracle(RackCoSimulator(tenants))
-        )
-        assert rack_outputs(result) == rack_outputs(oracle)
-        assert len({t.finish_time for t in result.tenants}) == 1
+        sim = one_rack(tenants)
+        result, counts = with_counters(lambda: cluster_run(sim, tenants))
+        oracle, oracle_counts = with_counters(lambda: oracle_run(one_rack(tenants), tenants))
+        assert result == oracle
+        assert len({o.finish_time for o in result["outcomes"].values()}) == 1
         assert counts == (48, 9)
         assert oracle_counts == (45, 6)
         # Every tenant finished and was withdrawn, so the rack is empty.
         assert dict(sim.tenant_states) == {}
-        assert all(t.lease_state == "released" for t in result.tenants)
+        assert all(o.lease_state == "released" for o in result["outcomes"].values())
 
-    def test_a_rack_runs_once(self):
-        """A run withdraws its finished tenants, so an empty rack must not
-        pass for a fresh one."""
-        sim = RackCoSimulator(uniform_tenants(WORKLOADS["XSBench"], 2))
-        sim.run()
-        assert dict(sim.tenant_states) == {}
-        with pytest.raises(FabricError, match="fresh simulator"):
-            sim.run()
+    def test_each_arrival_takes_the_first_free_node(self):
+        """Listed out of arrival order on a 2-port rack: ``a`` arrives first
+        and takes node 0 (port 0), ``b`` node 1 (port 1), and ``c``, arriving
+        once both finished, node 0 again.  ``run()`` put tenant ``i`` on node
+        ``i``, so ``b`` on port 0."""
+        late = 200.0
+        tenants = [
+            TenantSpec(name="b", workload=WORKLOADS["XSBench"], arrival=10.0),
+            TenantSpec(name="a", workload=WORKLOADS["XSBench"]),
+            TenantSpec(name="c", workload=WORKLOADS["XSBench"], arrival=late),
+        ]
+        sim = one_rack(tenants, nodes=2, n_ports=2)
+        summary = sim.run_to_completion(on_rack(tenants))
+        assert {t["name"]: t["node"] for t in summary["tenants"]} == {"a": 0, "b": 1, "c": 0}
+        ports = sim.rack_sim(0).topology
+        assert [ports.port_of(sim.outcome(name).node) for name in "abc"] == [0, 1, 0]
+        assert sim.outcome("b").finish_time < late
+        assert sim.outcome("c").start_time == late
 
     def test_a_stranded_run_keeps_its_last_telemetry_row(self):
         """A port killed for good strands both tenants at t=5: they stay
@@ -307,20 +353,20 @@ class TestRackRunBitIdenticalToItsOracle:
         schedule = FaultSchedule((FaultEvent(time=5.0, kind="port-kill", port=0),))
 
         def build():
-            sim = RackCoSimulator(tenants)
+            sim = one_rack(tenants)
             sim.inject_faults(schedule)
             return sim
 
         sim = build()
-        result = sim.run()
-        assert rack_outputs(result) == rack_outputs(oracles.rack_run_oracle(build()))
-        series = result.telemetry.series()
+        result = cluster_run(sim, tenants)
+        assert result == oracle_run(build(), tenants)
+        series = sim.rack_sim(0).telemetry.series()
         assert series["time"][-1] == 5.0
         assert series["leased_gb"][-1] == pytest.approx(
             2 * tenants[0].lease_bytes / 1e9, rel=1e-12
         )
         assert series["active_tenants"][-1] == 2
-        assert [t.finish_time for t in result.tenants] == [None, None]
+        assert [o.finish_time for o in result["outcomes"].values()] == [None, None]
         assert sorted(sim.tenant_states) == [t.name for t in tenants]
 
 
@@ -335,9 +381,9 @@ class TestClusterRunMatchesItsOracle:
         tenants = [TenantSpec(name=f"t{i}", workload=WORKLOADS["XSBench"]) for i in range(2)]
         lease = tenants[0].lease_bytes
         schedule = FaultSchedule((FaultEvent(time=5.0, kind="lease-revoke", tenant="t1"),))
-        rack = RackCoSimulator(tenants, pool=MemoryPool(2 * lease), epoch_seconds=0.5)
+        rack = one_rack(tenants, pool_bytes=2 * lease, epoch_seconds=0.5)
         rack.inject_faults(schedule, drain_bytes_per_s=1e9)
-        expected = rack.run().tenant("t1")
+        expected = oracles.rack_run_oracle(rack, tenants)["outcomes"]["t1"]
 
         def build():
             sim = ClusterCoSimulator(

@@ -13,7 +13,7 @@ Three properties the scheduler integration depends on:
   re-solve at every rollover (``oracles.resolve_every_rollover``).
 
 The cluster's closed loop is held to the rack's own: a 1-rack cluster run to
-completion agrees with :meth:`RackCoSimulator.run` on every tenant.
+completion agrees with ``oracles.rack_run_oracle`` on every tenant.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import resolve_every_rollover
+from oracles import rack_run_oracle, resolve_every_rollover
+from racks import one_rack
 from repro import telemetry
 from repro.config.errors import FabricError
 from repro.fabric import (
@@ -30,8 +31,6 @@ from repro.fabric import (
     ClusterFabric,
     FaultEvent,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     TenantSpec,
     uniform_tenants,
 )
@@ -349,9 +348,9 @@ class TestClosedLoopMatchesTheRack:
         ]
         capacity = sum(sorted(t.lease_bytes for t in tenants)[-leases_fit:])
         epoch = stagger / 25.0
-        rack = RackCoSimulator(
-            tenants, pool=MemoryPool(capacity), epoch_seconds=epoch
-        ).run()
+        rack = rack_run_oracle(
+            one_rack(tenants, pool_bytes=capacity, epoch_seconds=epoch), tenants
+        )
         cluster = ClusterCoSimulator(
             ClusterFabric(n_racks=1, nodes_per_rack=len(tenants)),
             rack_pool_bytes=capacity,
@@ -360,8 +359,9 @@ class TestClosedLoopMatchesTheRack:
         summary = cluster.run_to_completion([(0, spec) for spec in tenants])
         got = {t["name"]: t for t in summary["tenants"]}
         assert sorted(got) == sorted(t.name for t in tenants)
-        assert any(outcome.wait_time > 0 for outcome in rack.tenants)
-        for outcome in rack.tenants:
+        outcomes = rack["outcomes"].values()
+        assert any(outcome.wait_time > 0 for outcome in outcomes)
+        for outcome in outcomes:
             # The rack releases a finished tenant's lease; the cluster
             # reports the lease its finished tenant held.
             assert outcome.lease_state == "released"
@@ -372,7 +372,7 @@ class TestClosedLoopMatchesTheRack:
             assert got[outcome.name]["runtime_s"] == pytest.approx(
                 outcome.runtime, rel=1e-12
             )
-        assert summary["makespan"] == pytest.approx(rack.makespan, rel=1e-12)
+        assert summary["makespan"] == pytest.approx(rack["summary"]["makespan"], rel=1e-12)
 
     def test_arrivals_after_an_idle_gap_and_a_rejection(self):
         spec = build_workload("XSBench")

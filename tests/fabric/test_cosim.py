@@ -1,19 +1,15 @@
-"""Tests for the rack co-simulator and the dynamic-interference feedback loop."""
+"""Tests for the rack co-simulation (a 1-rack cluster) and the
+dynamic-interference feedback loop."""
 
 import math
 
 import numpy as np
 import pytest
 
+from racks import one_rack, run_rack
 from repro.config.errors import FabricError
 from repro.config.units import MiB
-from repro.fabric import (
-    DynamicInterference,
-    FabricTopology,
-    MemoryPool,
-    RackCoSimulator,
-    TenantSpec,
-)
+from repro.fabric import DynamicInterference, TenantSpec
 from repro.fabric.pool import LEASE_REJECTED
 from repro.interconnect.link import RemoteLink
 from repro.config import SKYLAKE_EMULATION
@@ -49,9 +45,9 @@ def tenants(n, spec=None, **kwargs):
 
 
 class TestValidation:
-    def test_needs_tenants(self):
+    def test_needs_nodes(self):
         with pytest.raises(FabricError):
-            RackCoSimulator([])
+            one_rack([])
 
     def test_unique_names(self):
         spec = bandwidth_hungry_spec()
@@ -60,11 +56,11 @@ class TestValidation:
             TenantSpec(name="same", workload=spec),
         ]
         with pytest.raises(FabricError):
-            RackCoSimulator(duplicated)
+            run_rack(duplicated)
 
     def test_more_tenants_than_nodes(self):
         with pytest.raises(FabricError):
-            RackCoSimulator(tenants(3), topology=FabricTopology(n_nodes=2))
+            run_rack(tenants(3), nodes=2)
 
     def test_tenant_spec_validation(self):
         spec = bandwidth_hungry_spec()
@@ -73,13 +69,13 @@ class TestValidation:
         with pytest.raises(FabricError):
             TenantSpec(name="x", workload=spec, arrival=-1.0)
         with pytest.raises(FabricError):
-            RackCoSimulator(tenants(1), epoch_seconds=0.0)
+            one_rack(tenants(1), epoch_seconds=0.0)
 
 
 class TestEmergentInterference:
     def test_single_tenant_matches_baseline(self):
-        result = RackCoSimulator(tenants(1)).run()
-        outcome = result.tenants[0]
+        sim, _ = run_rack(tenants(1))
+        outcome = sim.outcome("t0")
         assert outcome.slowdown == pytest.approx(1.0, rel=1e-3)
         assert outcome.mean_background_bandwidth == 0.0
 
@@ -87,8 +83,8 @@ class TestEmergentInterference:
         """The acceptance demo: >= 4 tenants on one port, emergent slowdown."""
         runtimes = []
         for n in (1, 2, 3, 4, 5, 6):
-            result = RackCoSimulator(tenants(n)).run()
-            runtimes.append(result.mean_runtime)
+            _, summary = run_rack(tenants(n))
+            runtimes.append(summary["mean_runtime"])
         assert all(b >= a - 1e-9 for a, b in zip(runtimes, runtimes[1:]))
         # Degradation is substantial and still strictly growing at 4+ tenants.
         assert runtimes[3] > runtimes[2] * 1.05
@@ -96,20 +92,16 @@ class TestEmergentInterference:
         assert runtimes[-1] > runtimes[0] * 1.5
 
     def test_co_runners_see_each_other(self):
-        result = RackCoSimulator(tenants(3)).run()
-        for outcome in result.tenants:
+        sim, _ = run_rack(tenants(3))
+        for outcome in map(sim.outcome, ("t0", "t1", "t2")):
             assert outcome.mean_background_bandwidth > 0
             assert outcome.slowdown > 1.0
 
     def test_separate_ports_do_not_interfere(self):
-        shared = RackCoSimulator(
-            tenants(2), topology=FabricTopology(n_nodes=2, n_ports=1)
-        ).run()
-        isolated = RackCoSimulator(
-            tenants(2), topology=FabricTopology(n_nodes=2, n_ports=2)
-        ).run()
-        assert isolated.mean_slowdown == pytest.approx(1.0, rel=1e-3)
-        assert shared.mean_slowdown > isolated.mean_slowdown
+        _, shared = run_rack(tenants(2), n_ports=1)
+        _, isolated = run_rack(tenants(2), n_ports=2)
+        assert isolated["mean_slowdown"] == pytest.approx(1.0, rel=1e-3)
+        assert shared["mean_slowdown"] > isolated["mean_slowdown"]
 
 
 class TestStretchedBaseline:
@@ -117,25 +109,25 @@ class TestStretchedBaseline:
 
     def test_alone_it_runs_its_own_baseline(self):
         spec = bandwidth_hungry_spec()
-        engine = RackCoSimulator(tenants(1, spec)).run().tenants[0].baseline_runtime
-        result = RackCoSimulator(tenants(1, spec, baseline_runtime=3 * engine)).run()
-        outcome = result.tenants[0]
+        engine = run_rack(tenants(1, spec))[0].outcome("t0").baseline_runtime
+        sim, summary = run_rack(tenants(1, spec, baseline_runtime=3 * engine))
+        outcome = sim.outcome("t0")
         assert outcome.baseline_runtime == 3 * engine
         assert outcome.runtime == pytest.approx(3 * engine, rel=1e-9)
         assert outcome.slowdown == pytest.approx(1.0, rel=1e-9)
         # The derived epoch reads the stretched baseline too.
-        assert result.epoch_seconds == pytest.approx(3 * engine / 40.0)
+        assert summary["epoch_seconds"] == pytest.approx(3 * engine / 40.0)
 
     def test_phases_keep_their_offered_bandwidth_and_rates(self):
         spec = bandwidth_hungry_spec()
-        sim = RackCoSimulator.incremental(n_nodes=2)
-        sim.admit(TenantSpec(name="engine", workload=spec), node=0)
-        sim.admit(TenantSpec(name="job", workload=spec, baseline_runtime=1000.0), node=1)
+        sim = one_rack(nodes=2)
+        sim.admit(0, TenantSpec(name="engine", workload=spec), node=0)
+        sim.admit(0, TenantSpec(name="job", workload=spec, baseline_runtime=1000.0), node=1)
         engine, job = sim.tenant_states["engine"], sim.tenant_states["job"]
         assert job.current_offered_bandwidth() == engine.current_offered_bandwidth()
         rates = sim.progress_rates()
         assert rates["job"] == rates["engine"]
-        assert sim.baseline_runtime_of("job") == 1000.0
+        assert sim.rack_sim(0).baseline_runtime_of("job") == 1000.0
         assert sum(job.runtimes) == pytest.approx(1000.0, rel=1e-12)
 
     def test_validation(self):
@@ -147,43 +139,40 @@ class TestPoolAdmission:
     def test_leases_never_exceed_capacity(self):
         spec = bandwidth_hungry_spec()
         lease = TenantSpec(name="x", workload=spec, local_fraction=0.5).lease_bytes
-        pool = MemoryPool(2 * lease + 1)
-        result = RackCoSimulator(tenants(5), pool=pool).run()
-        assert result.max_leased_bytes <= pool.capacity_bytes
-        samples = result.telemetry.leased_bytes
-        assert max(samples) <= pool.capacity_bytes
+        capacity = 2 * lease + 1
+        sim, summary = run_rack(tenants(5), pool_bytes=capacity)
+        assert summary["max_leased_gb"] <= capacity / 1e9
+        samples = sim.rack_sim(0).telemetry.leased_bytes
+        assert max(samples) <= capacity
 
     def test_queued_tenants_run_after_release(self):
         spec = bandwidth_hungry_spec()
         lease = TenantSpec(name="x", workload=spec, local_fraction=0.5).lease_bytes
-        pool = MemoryPool(2 * lease + 1)
-        result = RackCoSimulator(tenants(4), pool=pool).run()
-        waits = sorted(t.wait_time for t in result.finished_tenants)
-        assert len(result.finished_tenants) == 4
+        sim, summary = run_rack(tenants(4), pool_bytes=2 * lease + 1)
+        finished = [o for o in map(sim.outcome, ("t0", "t1", "t2", "t3")) if o.finish_time]
+        waits = sorted(t.wait_time for t in finished)
+        assert len(finished) == 4
         assert waits[0] == 0.0 and waits[1] == 0.0
         assert waits[2] > 0.0 and waits[3] > 0.0
-        assert result.makespan > max(t.runtime for t in result.finished_tenants)
+        assert summary["makespan"] > max(t.runtime for t in finished)
 
     def test_oversized_tenant_rejected(self):
         spec = bandwidth_hungry_spec()
         lease = TenantSpec(name="x", workload=spec, local_fraction=0.5).lease_bytes
-        pool = MemoryPool(lease // 2)
-        result = RackCoSimulator(tenants(1), pool=pool).run()
-        outcome = result.tenants[0]
+        sim, _ = run_rack(tenants(1), pool_bytes=lease // 2)
+        outcome = sim.outcome("t0")
         assert outcome.lease_state == LEASE_REJECTED
         assert outcome.finish_time is None
         with pytest.raises(FabricError):
-            result.interference_for("t0")
+            sim.interference_for("t0")
 
     def test_capped_pool_trades_interference_for_waiting(self):
         spec = bandwidth_hungry_spec()
         lease = TenantSpec(name="x", workload=spec, local_fraction=0.5).lease_bytes
-        all_at_once = RackCoSimulator(tenants(4)).run()
-        two_at_a_time = RackCoSimulator(
-            tenants(4), pool=MemoryPool(2 * lease + 1)
-        ).run()
-        assert two_at_a_time.mean_slowdown < all_at_once.mean_slowdown
-        assert max(t.wait_time for t in two_at_a_time.finished_tenants) > 0
+        _, all_at_once = run_rack(tenants(4))
+        _, two_at_a_time = run_rack(tenants(4), pool_bytes=2 * lease + 1)
+        assert two_at_a_time["mean_slowdown"] < all_at_once["mean_slowdown"]
+        assert max(t["wait_s"] for t in two_at_a_time["tenants"]) > 0
 
 
 class TestStaggeredArrivals:
@@ -193,10 +182,10 @@ class TestStaggeredArrivals:
             TenantSpec(name="early", workload=spec, local_fraction=0.5, arrival=0.0),
             TenantSpec(name="late", workload=spec, local_fraction=0.5, arrival=50.0),
         ]
-        result = RackCoSimulator(specs).run()
-        late = result.tenant("late")
+        sim, _ = run_rack(specs)
+        late = sim.outcome("late")
         assert late.start_time is not None and late.start_time >= 50.0
-        assert result.tenant("early").start_time == 0.0
+        assert sim.outcome("early").start_time == 0.0
 
 
 class TestDynamicInterferenceAdapter:
@@ -232,14 +221,14 @@ class TestDynamicInterferenceAdapter:
         """Replaying the fabric-derived background through the ordinary engine
         yields the same runtime the co-simulation predicted."""
         spec = bandwidth_hungry_spec()
-        result = RackCoSimulator(tenants(3, spec=spec)).run()
-        dyn = result.interference_for("t0")
+        sim, _ = run_rack(tenants(3, spec=spec))
+        dyn = sim.interference_for("t0")
         platform = Platform.pooled(spec.footprint_bytes, 0.5)
         engine = ExecutionEngine(platform, seed=0)
         idle = engine.run(spec)
         replay = engine.run(spec, interference=dyn)
         assert replay.total_runtime > idle.total_runtime
-        cosim_runtime = result.tenant("t0").runtime
+        cosim_runtime = sim.outcome("t0").runtime
         assert replay.total_runtime == pytest.approx(cosim_runtime, rel=0.05)
         assert replay.interference_loi == pytest.approx(dyn.mean_loi())
 
@@ -248,29 +237,28 @@ class TestIncrementalStepping:
     """The scheduler-facing API: admit/withdraw/step/checkpoint/rollover."""
 
     def _incremental(self, n=3, epoch_seconds=None, **kwargs):
-        return RackCoSimulator.incremental(
-            n_nodes=n, epoch_seconds=epoch_seconds, **kwargs
-        )
+        return one_rack(nodes=n, epoch_seconds=epoch_seconds, **kwargs)
 
     def test_matches_batch_run(self):
         """Admitting everyone at t=0 and stepping to completion reproduces
-        the batch run() exactly (same epochs, same backgrounds)."""
+        the closed loop exactly (same epochs, same backgrounds)."""
         specs = tenants(3)
-        batch = RackCoSimulator(specs).run()
-        inc = self._incremental(3, epoch_seconds=batch.epoch_seconds)
+        batch, summary = run_rack(specs)
+        inc = self._incremental(3, epoch_seconds=summary["epoch_seconds"])
         for i, spec in enumerate(specs):
-            lease = inc.admit(spec, node=i)
+            lease = inc.admit(0, spec, node=i)
             assert lease.state == "granted"
-        inc.step(batch.makespan * 2)
-        for outcome in batch.finished_tenants:
-            state = inc.tenant_states[outcome.name]
+        inc.step(summary["makespan"] * 2)
+        for spec in specs:
+            state = inc.tenant_states[spec.name]
+            outcome = batch.outcome(spec.name)
             assert state.finish_time == pytest.approx(outcome.finish_time, abs=1e-9)
 
     def test_step_returns_baseline_seconds(self):
         spec = bandwidth_hungry_spec()
         inc = self._incremental(1)
-        inc.admit(TenantSpec(name="solo", workload=spec, local_fraction=0.5))
-        total = inc.baseline_runtime_of("solo")
+        inc.admit(0, TenantSpec(name="solo", workload=spec, local_fraction=0.5))
+        total = inc.rack_sim(0).baseline_runtime_of("solo")
         done = inc.step(total / 2)
         # Alone on the port: one wall second is one baseline second.
         assert done["solo"] == pytest.approx(total / 2, rel=1e-9)
@@ -283,32 +271,33 @@ class TestIncrementalStepping:
         record their telemetry sample."""
         epoch = 0.2
         inc = self._incremental(2, epoch_seconds=epoch)
+        rack = inc.rack_sim(0)
         for spec in tenants(2):
-            inc.admit(spec)
-        inc.set_background_offset(0, 1e9)  # an outside change: dirty
-        assert 0 < inc.horizon() <= epoch
-        inc.step(inc.horizon())  # the rollover there re-solves: clean
-        start, samples = inc.clock, len(inc.telemetry)
-        horizon = inc.horizon()
+            inc.admit(0, spec)
+        rack.set_background_offset(0, 1e9)  # an outside change: dirty
+        assert 0 < rack.horizon() <= epoch
+        inc.step(rack.horizon())  # the rollover there re-solves: clean
+        start, samples = inc.clock, len(rack.telemetry)
+        horizon = rack.horizon()
         assert horizon > epoch
         rates_before = inc.progress_rates()
         for fraction in (0.5, 1 - 1e-9):
             inc.step(start + horizon * fraction - inc.clock)
             assert inc.progress_rates() == rates_before
             crossed = math.floor(horizon * fraction / epoch)
-            assert len(inc.telemetry) == samples + crossed
+            assert len(rack.telemetry) == samples + crossed
         assert crossed >= 2
 
     def test_tenant_states_is_a_read_only_live_view(self):
         inc = self._incremental(2)
         specs = tenants(2)
-        inc.admit(specs[0])
-        view = inc.tenant_states
+        inc.admit(0, specs[0])
+        view = inc.rack_sim(0).tenant_states
         with pytest.raises(TypeError):
             view["intruder"] = view[specs[0].name]
         with pytest.raises(TypeError):
             del view[specs[0].name]
-        inc.admit(specs[1])
+        inc.admit(0, specs[1])
         assert list(view) == [spec.name for spec in specs]
         inc.withdraw(specs[0].name)
         assert list(view) == [specs[1].name]
@@ -317,20 +306,20 @@ class TestIncrementalStepping:
         specs = tenants(2)
         inc = self._incremental(2)
         for spec in specs:
-            inc.admit(spec)
+            inc.admit(0, spec)
         contended = inc.progress_rates()["t0"]
         inc.withdraw("t1")
         alone = inc.progress_rates()["t0"]
         assert alone > contended
         assert alone == pytest.approx(1.0, rel=1e-9)
-        assert inc.pool.leased_bytes == specs[0].lease_bytes
+        assert inc.rack_sim(0).pool.leased_bytes == specs[0].lease_bytes
 
     def test_withdraw_admits_queued_tenant(self):
         spec = bandwidth_hungry_spec()
         lease_bytes = TenantSpec(name="x", workload=spec, local_fraction=0.5).lease_bytes
-        inc = self._incremental(2, pool=MemoryPool(lease_bytes + 1))
-        first = inc.admit(TenantSpec(name="a", workload=spec, local_fraction=0.5))
-        second = inc.admit(TenantSpec(name="b", workload=spec, local_fraction=0.5))
+        inc = self._incremental(2, pool_bytes=lease_bytes + 1)
+        first = inc.admit(0, TenantSpec(name="a", workload=spec, local_fraction=0.5))
+        second = inc.admit(0, TenantSpec(name="b", workload=spec, local_fraction=0.5))
         assert first.state == "granted" and second.state == "queued"
         assert "b" not in inc.progress_rates()
         inc.withdraw("a")
@@ -342,7 +331,7 @@ class TestIncrementalStepping:
         reproduces the speculative step bit for bit."""
         inc = self._incremental(3, epoch_seconds=0.05)
         for spec in tenants(3):
-            inc.admit(spec)
+            inc.admit(0, spec)
         inc.step(0.1)
         checkpoint = inc.checkpoint()
         first = inc.step(0.7)
@@ -363,33 +352,34 @@ class TestIncrementalStepping:
     def test_rollover_trims_recorded_timelines(self):
         inc = self._incremental(2, epoch_seconds=0.05)
         for spec in tenants(2):
-            inc.admit(spec)
+            inc.admit(0, spec)
+        telemetry = inc.rack_sim(0).telemetry
         checkpoint = inc.checkpoint()
-        telemetry_len = len(inc.telemetry.times)
+        telemetry_len = len(telemetry.times)
         inc.step(0.5)
-        assert len(inc.telemetry.times) > telemetry_len
+        assert len(telemetry.times) > telemetry_len
         inc.rollover(checkpoint)
-        assert len(inc.telemetry.times) == telemetry_len
+        assert len(telemetry.times) == telemetry_len
         state = inc.tenant_states["t0"]
-        assert len(state.background_times) == dict(checkpoint.histories)["t0"]
+        assert len(state.background_times) == dict(checkpoint.racks[0].histories)["t0"]
 
     def test_checkpoint_invalidated_by_membership_change(self):
         specs = tenants(2)
         inc = self._incremental(2)
-        inc.admit(specs[0])
+        inc.admit(0, specs[0])
         checkpoint = inc.checkpoint()
-        inc.admit(specs[1])
+        inc.admit(0, specs[1])
         with pytest.raises(FabricError):
             inc.rollover(checkpoint)
 
     def test_admit_validation(self):
         spec = bandwidth_hungry_spec()
         inc = self._incremental(1)
-        inc.admit(TenantSpec(name="a", workload=spec, local_fraction=0.5))
+        inc.admit(0, TenantSpec(name="a", workload=spec, local_fraction=0.5))
         with pytest.raises(FabricError):  # duplicate name
-            inc.admit(TenantSpec(name="a", workload=spec, local_fraction=0.5))
+            inc.admit(0, TenantSpec(name="a", workload=spec, local_fraction=0.5))
         with pytest.raises(FabricError):  # no free node
-            inc.admit(TenantSpec(name="b", workload=spec, local_fraction=0.5))
+            inc.admit(0, TenantSpec(name="b", workload=spec, local_fraction=0.5))
         with pytest.raises(FabricError):  # unknown tenant
             inc.withdraw("nope")
         with pytest.raises(FabricError):  # negative step
@@ -398,32 +388,31 @@ class TestIncrementalStepping:
     def test_admit_in_the_past_rejected(self):
         spec = bandwidth_hungry_spec()
         inc = self._incremental(2)
-        inc.admit(TenantSpec(name="a", workload=spec, local_fraction=0.5))
+        inc.admit(0, TenantSpec(name="a", workload=spec, local_fraction=0.5))
         inc.step(1.0)
         with pytest.raises(FabricError, match="in the past"):
             inc.admit(
-                TenantSpec(name="b", workload=spec, local_fraction=0.5), time=0.5
+                0, TenantSpec(name="b", workload=spec, local_fraction=0.5), time=0.5
             )
 
 
 class TestResultReporting:
     def test_summary_structure(self):
-        result = RackCoSimulator(tenants(2)).run()
-        summary = result.summary()
+        _, summary = run_rack(tenants(2))
         assert summary["makespan"] > 0
         assert len(summary["tenants"]) == 2
         row = summary["tenants"][0]
         assert {"name", "slowdown", "wait_s", "runtime_s", "lease_state"} <= set(row)
 
     def test_telemetry_series(self):
-        result = RackCoSimulator(tenants(2)).run()
-        series = result.telemetry.series()
+        sim, _ = run_rack(tenants(2))
+        series = sim.rack_sim(0).telemetry.series()
         lengths = {len(v) for v in series.values()}
         assert len(lengths) == 1 and lengths.pop() > 0
         assert max(series["max_port_utilization"]) > 0
         assert all(np.diff(series["time"]) > 0)
 
     def test_unknown_tenant_lookup(self):
-        result = RackCoSimulator(tenants(1)).run()
-        with pytest.raises(KeyError):
-            result.tenant("nope")
+        sim, _ = run_rack(tenants(1))
+        with pytest.raises(FabricError, match="no tenant named"):
+            sim.outcome("nope")

@@ -11,20 +11,19 @@ import math
 
 import pytest
 
+from racks import on_rack, one_rack, run_rack
 from repro.config.errors import FabricError
 from repro.config.units import MiB
 from repro.fabric import (
     DEFAULT_DRAIN_BYTES_PER_S,
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultEvent,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     TenantSpec,
     parse_fault_spec,
 )
+from repro.fabric.cosim import RackCoSimulator
 from repro.memory.objects import MemoryObject
 from repro.trace.patterns import SequentialPattern
 from repro.workloads.base import PhaseSpec, WorkloadSpec
@@ -75,6 +74,19 @@ def drain_then_kill(duration=None):
             FaultEvent(time=0.2, kind="port-kill", port=0, duration=duration),
         )
     )
+
+
+def run_faulted(specs, schedule, drain_bytes_per_s=None, **kwargs):
+    """``specs`` run to completion on their 1-rack cluster (seed 0) under
+    ``schedule``: the rack and its summary."""
+    sim = one_rack(specs, seed=0, **kwargs)
+    sim.inject_faults(schedule, drain_bytes_per_s=drain_bytes_per_s)
+    return sim, sim.run_to_completion(on_rack(specs))
+
+
+def outcomes(sim, n):
+    """The outcomes of tenants ``t0`` .. ``t<n-1>``, by name."""
+    return {f"t{i}": sim.outcome(f"t{i}") for i in range(n)}
 
 
 def one_tenant_per_port_cluster():
@@ -144,24 +156,25 @@ class TestParseFaultSpec:
 
 class TestEmptyScheduleIsInvisible:
     def test_outputs_bit_identical_to_uninjected_run(self):
-        plain = RackCoSimulator(tenants(3), seed=0).run()
-        injected_sim = RackCoSimulator(tenants(3), seed=0)
-        injected_sim.inject_faults(FaultSchedule(()))
-        injected = injected_sim.run()
-        assert injected.makespan == plain.makespan
-        assert injected.tenants == plain.tenants
-        assert injected.telemetry.series() == plain.telemetry.series()
-        assert plain.blast_radius is None
-        assert "faults" not in plain.summary()
+        plain_sim, plain = run_rack(tenants(3), seed=0)
+        injected_sim, injected = run_faulted(tenants(3), FaultSchedule(()))
+        assert injected["makespan"] == plain["makespan"]
+        assert injected == plain
+        assert outcomes(injected_sim, 3) == outcomes(plain_sim, 3)
+        assert (
+            injected_sim.rack_sim(0).telemetry.series()
+            == plain_sim.rack_sim(0).telemetry.series()
+        )
+        assert "faults" not in plain
 
     def test_incremental_rates_identical(self):
-        a = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)
-        b = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)
+        a = one_rack(nodes=2, epoch_seconds=0.5)
+        b = one_rack(nodes=2, epoch_seconds=0.5)
         b.inject_faults(FaultSchedule(()))
         spec = pool_hungry_spec()
         for sim in (a, b):
             for i in range(2):
-                sim.admit(TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
+                sim.admit(0, TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
         for _ in range(5):
             assert a.step(0.7) == b.step(0.7)
         assert a.progress_rates() == b.progress_rates()
@@ -180,19 +193,18 @@ class TestSeededDeterminism:
 
     def test_seeded_runs_bit_identical(self):
         def run():
-            sim = RackCoSimulator(tenants(2), seed=0)
-            sim.inject_faults(
+            sim, summary = run_faulted(
+                tenants(2),
                 FaultSchedule.seeded(
                     seed=7, horizon=1.0, n_events=3,
                     kinds=("port-kill", "port-degrade"), n_ports=1,
-                )
+                ),
             )
-            result = sim.run()
             return (
-                result.makespan,
-                result.tenants,
-                result.blast_radius.summary(),
-                result.telemetry.series(),
+                summary["makespan"],
+                outcomes(sim, 2),
+                summary["faults"],
+                sim.rack_sim(0).telemetry.series(),
             )
 
         assert run() == run()
@@ -200,32 +212,28 @@ class TestSeededDeterminism:
 
 class TestPortFaults:
     def test_kill_stalls_for_exactly_the_window(self):
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(kill_schedule(time=0.3, duration=0.2))
-        result = sim.run()
-        report = result.blast_radius
+        sim, _ = run_faulted(tenants(2), kill_schedule(time=0.3, duration=0.2))
+        report = sim.blast_radius()
         assert report.faults_injected == 2  # kill + paired restore
         assert set(report.stalled_tenants) == {"t0", "t1"}
         assert report.total_stall_seconds == pytest.approx(0.4)
 
     def test_kill_extends_makespan_by_the_window(self):
-        clean = RackCoSimulator(tenants(2), seed=0).run()
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(kill_schedule(time=0.3, duration=0.2))
-        assert sim.run().makespan == pytest.approx(clean.makespan + 0.2)
+        _, clean = run_rack(tenants(2), seed=0)
+        _, faulted = run_faulted(tenants(2), kill_schedule(time=0.3, duration=0.2))
+        assert faulted["makespan"] == pytest.approx(clean["makespan"] + 0.2)
 
     def test_degrade_slows_without_stalling(self):
-        clean = RackCoSimulator(tenants(2), seed=0).run()
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(
+        _, clean = run_rack(tenants(2), seed=0)
+        sim, result = run_faulted(
+            tenants(2),
             FaultSchedule(
                 (FaultEvent(time=0.2, kind="port-degrade", port=0, scale=0.5,
                             duration=0.5),)
-            )
+            ),
         )
-        result = sim.run()
-        assert result.makespan > clean.makespan
-        assert result.blast_radius.total_stall_seconds == 0.0
+        assert result["makespan"] > clean["makespan"]
+        assert sim.blast_radius().total_stall_seconds == 0.0
 
     def test_debt_behind_killed_port_does_not_pin_the_horizon(self, cluster_steps):
         """A tenant behind a killed port owes its drain but cannot pay it.
@@ -285,12 +293,10 @@ class TestPortFaults:
         assert steps < 2 * max(runtimes.values()) / epoch < oracle_steps
 
     def test_debt_behind_a_port_that_never_returns_is_a_permanent_stall(self):
-        """Debt nobody can pay is no progress: both run loops stop, not spin."""
-        rack = RackCoSimulator(
-            tenants(2), topology=FabricTopology(n_nodes=2, n_ports=2), seed=0
-        )
-        rack.inject_faults(drain_then_kill())
-        finish = {t.name: t.finish_time for t in rack.run().tenants}
+        """Debt nobody can pay is no progress: the loop stops, not spins, on a
+        pool of exactly the leases and on an unbounded one."""
+        rack, _ = run_faulted(tenants(2), drain_then_kill(), n_ports=2)
+        finish = {name: o.finish_time for name, o in outcomes(rack, 2).items()}
         assert finish["t0"] is None and finish["t1"] is not None
         cluster = one_tenant_per_port_cluster()
         cluster.inject_faults(drain_then_kill())
@@ -300,7 +306,7 @@ class TestPortFaults:
         assert summary["faults"]["stalled_tenants"] == ["t0"]
 
     def test_inject_twice_refused(self):
-        sim = RackCoSimulator(tenants(1), seed=0)
+        sim = one_rack(tenants(1), seed=0)
         sim.inject_faults(kill_schedule())
         with pytest.raises(FabricError):
             sim.inject_faults(kill_schedule())
@@ -308,7 +314,7 @@ class TestPortFaults:
     @pytest.mark.parametrize("drain", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "make_sim",
-        [lambda: RackCoSimulator(tenants(2), seed=0), one_tenant_per_port_cluster],
+        [lambda: one_rack(tenants(2), seed=0), one_tenant_per_port_cluster],
         ids=["rack", "cluster"],
     )
     def test_drain_rate_must_be_finite(self, make_sim, drain):
@@ -320,30 +326,29 @@ class TestPortFaults:
 class TestRevokeAndShrinkAccounting:
     def test_revoke_charges_migration_exactly_once(self):
         drain = 1e9
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(
+        sim, _ = run_faulted(
+            tenants(2),
             FaultSchedule(
                 (FaultEvent(time=0.4, kind="lease-revoke", tenant="t1"),)
             ),
             drain_bytes_per_s=drain,
         )
-        result = sim.run()
-        impact = {t.name: t for t in result.blast_radius.tenants}["t1"]
+        impact = {t.name: t for t in sim.blast_radius().tenants}["t1"]
         lease_bytes = tenants(2)[1].lease_bytes
         assert impact.migrated_bytes == lease_bytes
         assert impact.stall_seconds == pytest.approx(lease_bytes / drain)
         assert impact.revocations == 1
         assert impact.readmission_latency is not None
         # The pool's reclaim log was drained exactly once.
-        assert sim.pool.consume_reclaims() == ()
+        assert sim.rack_sim(0).pool.consume_reclaims() == ()
 
     def test_withdrawn_tenant_stays_in_the_blast_radius(self):
-        sim = RackCoSimulator.incremental(n_nodes=2, seed=0)
+        sim = one_rack(nodes=2, seed=0)
         sim.inject_faults(
             FaultSchedule((FaultEvent(time=1.0, kind="lease-revoke", tenant="t1"),))
         )
         for spec in tenants(2):
-            sim.admit(spec)
+            sim.admit(0, spec)
         sim.step(1.5)
         before = sim.blast_radius()
         sim.withdraw("t1", time=2.0)
@@ -355,40 +360,40 @@ class TestRevokeAndShrinkAccounting:
         assert after.tenants[1].stall_seconds >= before.tenants[1].stall_seconds > 0
 
     def test_revoked_tenant_keeps_original_start_time(self):
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(
-            FaultSchedule((FaultEvent(time=0.4, kind="lease-revoke", tenant="t1"),))
+        sim, _ = run_faulted(
+            tenants(2),
+            FaultSchedule((FaultEvent(time=0.4, kind="lease-revoke", tenant="t1"),)),
         )
-        outcome = {t.name: t for t in sim.run().tenants}["t1"]
+        outcome = sim.outcome("t1")
         assert outcome.wait_time == 0.0
         assert outcome.slowdown > 1.0
 
     def test_leased_bytes_never_negative_under_capacity_loss(self):
-        sim = RackCoSimulator(tenants(3), seed=0)
-        sim.inject_faults(
+        sim, _ = run_faulted(
+            tenants(3),
             FaultSchedule(
                 (FaultEvent(time=0.4, kind="pool-capacity-loss",
                             nbytes=2 * tenants(1)[0].lease_bytes),)
-            )
+            ),
         )
-        sim.run()
-        assert sim.pool.leased_bytes >= 0
-        assert sim.pool.leased_bytes <= sim.pool.capacity_bytes
+        pool = sim.rack_sim(0).pool
+        assert pool.leased_bytes >= 0
+        assert pool.leased_bytes <= pool.capacity_bytes
 
     def test_shrink_keeps_tenant_running(self):
         shrink = tenants(1)[0].lease_bytes // 4
-        sim = RackCoSimulator(tenants(2), seed=0)
-        sim.inject_faults(
+        sim, summary = run_faulted(
+            tenants(2),
             FaultSchedule(
                 (FaultEvent(time=0.4, kind="lease-shrink", tenant="t0",
                             nbytes=shrink),)
-            )
+            ),
         )
-        result = sim.run()
-        impact = {t.name: t for t in result.blast_radius.tenants}["t0"]
+        impact = {t.name: t for t in sim.blast_radius().tenants}["t0"]
         assert impact.migrated_bytes == shrink
         assert impact.revocations == 0
-        assert all(t.lease_state == "released" for t in result.tenants)
+        assert all(o.lease_state == "released" for o in outcomes(sim, 2).values())
+        assert all(t["lease_state"] == "granted" for t in summary["tenants"])
 
 
 class TestLeaseFaultsFollowTheirTenant:
@@ -436,42 +441,39 @@ class TestElasticOvercommit:
     def test_admission_by_shrinking(self):
         specs = tenants(2, stagger=0.3)
         lease = specs[0].lease_bytes
-        pool = MemoryPool(int(1.5 * lease), elastic=True, min_lease_fraction=0.5)
-        sim = RackCoSimulator(specs, pool=pool, seed=0)
-        result = sim.run()
-        report = result.blast_radius
+        capacity = int(1.5 * lease)
+        sim, _ = run_rack(specs, pool_bytes=capacity, overcommit=True, seed=0)
+        assert sim.rack_sim(0).pool.min_lease_fraction == 0.5
+        report = sim.blast_radius()
         shrunk = {t.name: t for t in report.tenants}["t0"]
         # t0 gave back exactly the bytes t1 was missing, charged once.
-        assert shrunk.migrated_bytes == lease - (pool.capacity_bytes - lease)
+        assert shrunk.migrated_bytes == lease - (capacity - lease)
         assert shrunk.stall_seconds > 0.0
-        assert all(t.finish_time is not None for t in result.tenants)
+        assert all(o.finish_time is not None for o in outcomes(sim, 2).values())
 
     def test_rigid_pool_queues_instead(self):
         specs = tenants(2, stagger=0.3)
         lease = specs[0].lease_bytes
-        pool = MemoryPool(int(1.5 * lease), elastic=False)
-        sim = RackCoSimulator(specs, pool=pool, seed=0)
-        result = sim.run()
-        waits = {t.name: t.wait_time for t in result.tenants}
+        sim, _ = run_rack(specs, pool_bytes=int(1.5 * lease), seed=0)
+        waits = {name: o.wait_time for name, o in outcomes(sim, 2).items()}
         assert waits["t1"] > 0.0  # waited for t0 to release
 
     def test_floor_respected(self):
         # Even full reclaim cannot fit a third full lease: it must queue.
         specs = tenants(3, stagger=0.3)
         lease = specs[0].lease_bytes
-        pool = MemoryPool(2 * lease, elastic=True, min_lease_fraction=0.9)
-        sim = RackCoSimulator(specs, pool=pool, seed=0)
-        result = sim.run()
-        assert sim.pool.leased_bytes >= 0
-        waits = {t.name: t.wait_time for t in result.tenants}
+        sim = one_rack(specs, pool_bytes=2 * lease, overcommit=True, seed=0)
+        sim.rack_sim(0).pool.min_lease_fraction = 0.9
+        sim.run_to_completion(on_rack(specs))
+        assert sim.rack_sim(0).pool.leased_bytes >= 0
+        waits = {name: o.wait_time for name, o in outcomes(sim, 3).items()}
         assert waits["t2"] > 0.0
 
     def test_an_elastic_pool_reports_a_blast_radius_even_unharmed(self):
         """Racks and clusters share one rule: an armed schedule, an applied
         fault or an elastic pool gives the result a blast radius."""
-        roomy = MemoryPool(1 << 40, elastic=True)
-        rack = RackCoSimulator(tenants(2), pool=roomy, seed=0).run()
-        assert rack.blast_radius.faults_injected == 0
+        _, rack = run_rack(tenants(2), pool_bytes=1 << 40, overcommit=True, seed=0)
+        assert rack["faults"]["faults_injected"] == 0
 
         def cluster(overcommit):
             sim = ClusterCoSimulator(
@@ -485,10 +487,10 @@ class TestElasticOvercommit:
 
 class TestCheckpointContract:
     def _armed_sim(self):
-        sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)
+        sim = one_rack(nodes=2, epoch_seconds=0.5)
         spec = pool_hungry_spec()
         for i in range(2):
-            sim.admit(TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
+            sim.admit(0, TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
         sim.inject_faults(kill_schedule(time=0.6, duration=0.2))
         return sim
 
@@ -524,14 +526,14 @@ class TestCheckpointContract:
 
 class TestSchedulerVisibility:
     def test_killed_port_reports_zero_rates_and_health(self):
-        sim = RackCoSimulator.incremental(n_nodes=2, epoch_seconds=0.5)
+        sim = one_rack(nodes=2, epoch_seconds=0.5)
         spec = pool_hungry_spec()
         for i in range(2):
-            sim.admit(TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
+            sim.admit(0, TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5))
         sim.inject_faults(
             FaultSchedule((FaultEvent(time=0.3, kind="port-kill", port=0),))
         )
-        assert sim.port_health(0) == 1.0
+        assert sim.rack_sim(0).port_health(0) == 1.0
         sim.step(0.5)
-        assert sim.port_health(0) == 0.0
+        assert sim.rack_sim(0).port_health(0) == 0.0
         assert all(rate == 0.0 for rate in sim.progress_rates().values())

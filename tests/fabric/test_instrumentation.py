@@ -4,13 +4,13 @@ import warnings
 
 import pytest
 
+from racks import run_rack
 from repro import telemetry
 from repro.config.errors import FabricError
 from repro.fabric import (
     FabricConvergenceWarning,
     FabricTopology,
     MemoryPool,
-    RackCoSimulator,
     SolveDiagnostics,
     uniform_tenants,
 )
@@ -134,10 +134,10 @@ class TestRackTelemetryAdapter:
     def test_record_feeds_registry_gauges(self, telemetry_on):
         spec = build_workload("XSBench")
         tenants = uniform_tenants(spec, 2, local_fraction=0.5)
-        sim = RackCoSimulator(tenants)
-        result = sim.run()
-        assert len(result.telemetry) > 0
-        assert len(result.telemetry.times) == len(result.telemetry.leased_bytes)
+        sim, _ = run_rack(tenants)
+        timeline = sim.rack_sim(0).telemetry
+        assert len(timeline) > 0
+        assert len(timeline.times) == len(timeline.leased_bytes)
         registry = telemetry.registry()
         assert registry.counter("fabric.cosim.epoch_rollovers").value > 0
         assert registry.counter("fabric.solve.calls").value > 0
@@ -148,7 +148,7 @@ class TestRackTelemetryAdapter:
         telemetry.disable()
         spec = build_workload("XSBench")
         tenants = uniform_tenants(spec, 2, local_fraction=0.5)
-        result = RackCoSimulator(tenants).run()
+        sim, _ = run_rack(tenants)
         # The timeline is simulation output, not optional observability.
-        assert len(result.telemetry) > 0
-        assert result.telemetry.series()["time"]
+        assert len(sim.rack_sim(0).telemetry) > 0
+        assert sim.rack_sim(0).telemetry.series()["time"]

@@ -23,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from racks import one_rack, run_rack
 from repro import telemetry
 from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config import SKYLAKE_EMULATION
@@ -30,14 +31,11 @@ from repro.config.units import GiB
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     TenantSpec,
 )
 from repro.fabric import cosim
-from repro.fabric.cosim import baseline_run
+from repro.fabric.cosim import RackCoSimulator, baseline_run
 from repro.scheduler import ClusterSimulator, FabricCoupledProgress, make_policy
 from repro.sim.perfmodel import PerformanceModel
 from repro.workloads import build_workload, workload_names
@@ -236,16 +234,17 @@ def rack_run():
         for i, name in enumerate(names)
     ]
     leases = [spec.lease_bytes for spec in tenants]
-    result = RackCoSimulator(
+    sim, _ = run_rack(
         tenants,
-        pool=MemoryPool(max(int(0.6 * sum(leases)), max(leases))),
-        topology=FabricTopology(n_nodes=4, n_ports=2, port_capacity_scale=2.0),
+        pool_bytes=max(int(0.6 * sum(leases)), max(leases)),
+        n_ports=2,
+        port_capacity_scale=2.0,
         seed=1,
-    ).run()
+    )
     return [
         (t.name, t.start_time, t.finish_time, t.lease_state, t.baseline_runtime,
          t.mean_background_bandwidth)
-        for t in result.tenants
+        for t in (sim.outcome(spec.name) for spec in tenants)
     ]
 
 
@@ -256,8 +255,9 @@ class TestIdleFabricBound:
     def test_latency_bound_phase_is_clamped_at_one(self, load, unclamped):
         # The perf model prices XSBench's second phase (scale 1) slightly
         # faster under heavy background than idle; the rate must not follow.
-        sim = RackCoSimulator.incremental(n_nodes=1)
-        sim.admit(TenantSpec(name="xs", workload=WORKLOADS["XSBench"]))
+        cluster = one_rack(nodes=1)
+        cluster.admit(0, TenantSpec(name="xs", workload=WORKLOADS["XSBench"]))
+        sim = cluster.rack_sim(0)
         state = sim.tenant_states["xs"]
         state.phase_index = 1
         background = load * sim.topology.link_of(0).data_capacity
@@ -281,14 +281,11 @@ class TestPhasesMatchTheProfileOracle:
     )
     def test_phase_numbers_match(self, app, local_fraction, scale, seed, backgrounds):
         spec = TenantSpec(name="t", workload=WORKLOADS[app], local_fraction=local_fraction)
-        sim = RackCoSimulator.incremental(
-            n_nodes=2,
-            topology=FabricTopology(n_nodes=2, port_capacity_scale=scale),
-            seed=seed,
-        )
+        cluster = one_rack(nodes=2, port_capacity_scale=scale, seed=seed)
+        sim = cluster.rack_sim(0)
         cache: dict = {}  # one oracle entry, built on node 0, serves node 1 too
         for node, name in enumerate(("t", "twin")):
-            sim.admit(replace(spec, name=name), node=node)
+            cluster.admit(0, replace(spec, name=name), node=node)
             state = sim.tenant_states[name]
             oracle = SimpleNamespace(spec=state.spec, node=node)
             oracles.profile_tenant(sim, oracle, cache)
@@ -313,7 +310,7 @@ class TestPhasesMatchTheProfileOracle:
     def test_same_finish_times_as_under_the_oracle(self, scenario, monkeypatch):
         expected = scenario()
         oracles.use_phase_profiles(monkeypatch)
-        sim = RackCoSimulator.incremental(n_nodes=1)
-        sim.admit(TenantSpec(name="probe", workload=WORKLOADS["HPL"]))
+        sim = one_rack(nodes=1)
+        sim.admit(0, TenantSpec(name="probe", workload=WORKLOADS["HPL"]))
         assert isinstance(sim.tenant_states["probe"].phases[0], oracles.PhaseProfile)
         assert scenario() == expected

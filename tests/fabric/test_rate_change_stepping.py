@@ -28,20 +28,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from racks import run_rack
 from repro import telemetry
 from repro.casestudies.scheduling import CoupledSchedulingStudy
 from repro.config.units import GiB
-from repro.fabric import cluster
 from repro.fabric import (
     ClusterCoSimulator,
     ClusterFabric,
-    FabricTopology,
     FaultSchedule,
-    MemoryPool,
-    RackCoSimulator,
     TenantSpec,
 )
-from repro.fabric.cosim import run_closed_loop
+from repro.fabric.cosim import RackCoSimulator
 from repro.scheduler import ClusterSimulator, FabricCoupledProgress, make_policy
 from repro.workloads import build_workload, workload_names
 
@@ -114,18 +111,18 @@ def observe(scenario, oracle: Oracle | None = None) -> Observed:
             step_frozen = RackCoSimulator.step_frozen
 
             def checked_step_frozen(self, dt):
-                assert self._inc_clean == oracles.fresh_clean(self)
+                assert self._clean == oracles.fresh_clean(self)
                 done = step_frozen(self, dt)
-                assert self._inc_clean == oracles.fresh_clean(self)
+                assert self._clean == oracles.fresh_clean(self)
                 return done
 
             patch.setattr(RackCoSimulator, "step_frozen", checked_step_frozen)
         withdraw = RackCoSimulator.withdraw
 
-        def recording_withdraw(self, name, time=None):
+        def recording_withdraw(self, name):
             state = self.tenant_states[name]
             histories[name] = (state.background_times, state.background_bandwidths)
-            return withdraw(self, name, time)
+            return withdraw(self, name)
 
         patch.setattr(RackCoSimulator, "withdraw", recording_withdraw)
         cluster_step = ClusterCoSimulator.step
@@ -204,7 +201,7 @@ def assert_matches(library: Observed, oracle: Observed, scheme: Oracle) -> None:
 
 
 def rack_run(apps, arrivals, pool_share, ports, seed):
-    """A rack ``run()`` with staggered arrivals on a tight pool."""
+    """A 1-rack run with staggered arrivals on a tight pool."""
 
     def scenario():
         tenants = [
@@ -215,19 +212,19 @@ def rack_run(apps, arrivals, pool_share, ports, seed):
             for i, (app, arrival) in enumerate(zip(apps, arrivals))
         ]
         leases = [spec.lease_bytes for spec in tenants]
-        sim = RackCoSimulator(
+        sim, summary = run_rack(
             tenants,
-            pool=MemoryPool(max(int(pool_share * sum(leases)), max(leases))),
-            topology=FabricTopology(n_nodes=len(tenants), n_ports=ports),
+            pool_bytes=max(int(pool_share * sum(leases)), max(leases)),
+            n_ports=ports,
             seed=seed,
         )
-        result = sim.run()
+        outcomes = [sim.outcome(spec.name) for spec in tenants]
         times = {
             t.name: (t.start_time, t.finish_time, t.wait_time, t.runtime)
-            for t in result.tenants
+            for t in outcomes
         }
-        exact = [(t.name, t.lease_state) for t in result.tenants]
-        return Observed(times, result.makespan, exact), [sim]
+        exact = [(t.name, t.lease_state) for t in outcomes]
+        return Observed(times, summary["makespan"], exact), list(sim.rack_sims)
 
     return scenario
 
@@ -265,17 +262,8 @@ def cluster_run(n_racks, apps, arrivals, pool_share, seed, faults=None):
         )
         if faults is not None:
             sim.inject_faults(faults([spec.name for _, spec in tenants]))
-        retired = {}
-
-        def recording_loop(*args):
-            states, peak = run_closed_loop(*args)
-            retired.update(states)
-            return states, peak
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cluster, "run_closed_loop", recording_loop)
-            summary = sim.run_to_completion(tenants)
-        outcomes = [s.outcome() for s in (*retired.values(), *sim.tenant_states.values())]
+        summary = sim.run_to_completion(tenants)
+        outcomes = [sim.outcome(spec.name) for _, spec in tenants]
         times = {
             o.name: (o.start_time, o.finish_time, o.wait_time, o.runtime) for o in outcomes
         }

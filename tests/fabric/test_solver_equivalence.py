@@ -219,7 +219,8 @@ def test_incremental_skip_equivalence_under_churn(seed, churn, xsbench_spec):
     every rollover: bit-identical trajectories."""
     from dataclasses import replace
 
-    from repro.fabric import RackCoSimulator, uniform_tenants
+    from racks import one_rack
+    from repro.fabric import uniform_tenants
 
     rng = np.random.default_rng(seed)
     tenants = uniform_tenants(xsbench_spec, 3, local_fraction=0.5)
@@ -230,12 +231,12 @@ def test_incremental_skip_equivalence_under_churn(seed, churn, xsbench_spec):
     for reference in (False, True):
         telemetry.enable(reset=True)
         try:
-            sim = RackCoSimulator.incremental(n_nodes=4, seed=0)
+            sim = one_rack(nodes=4, seed=0)
             if reference:
-                resolve_every_rollover([sim])
+                resolve_every_rollover(sim.rack_sims)
             for tenant in tenants:
-                sim.admit(replace(tenant, arrival=0.0))
-            dt = sim.baseline_runtime_of(tenants[0].name) / 40
+                sim.admit(0, replace(tenant, arrival=0.0))
+            dt = sim.rack_sim(0).baseline_runtime_of(tenants[0].name) / 40
             withdrawn = set()
             samples = []
             for step in range(8):

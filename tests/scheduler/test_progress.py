@@ -150,21 +150,22 @@ class TestFabricCoupledProgress:
         assert coupled.makespan > static.makespan * 1.2
 
     def test_matches_batch_rack_cosimulation(self, spec, profile):
-        """Scheduling 3 identical jobs onto one rack reproduces the batch
-        RackCoSimulator's makespan: same fabric, same epochs, same answer."""
-        from repro.fabric import RackCoSimulator, TenantSpec
+        """Scheduling 3 identical jobs onto one rack reproduces the closed
+        loop's makespan: same fabric, same epochs, same answer."""
+        from fabric.racks import run_rack
+        from repro.fabric import TenantSpec
 
-        batch = RackCoSimulator(
+        _, batch = run_rack(
             [
                 TenantSpec(name=f"t{i}", workload=spec, local_fraction=0.5)
                 for i in range(3)
             ]
-        ).run()
+        )
         cluster = Cluster.build(n_racks=1, nodes_per_rack=3, pool_capacity_gb=64.0)
         coupled = ClusterSimulator(
             cluster, RandomPlacement(), seed=0, progress=coupled_progress(spec)
         ).run([profile] * 3)
-        assert coupled.makespan == pytest.approx(batch.makespan, rel=1e-6)
+        assert coupled.makespan == pytest.approx(batch["makespan"], rel=1e-6)
 
     def test_isolated_ports_remove_the_divergence(self, spec, profile):
         """One pool port per node: emergent contention disappears again."""

@@ -132,6 +132,46 @@ def test_fabric_cluster_admits_tenants_at_their_arrival(capsys):
     ] == [0.0, 13.33, 26.67]
 
 
+def test_fabric_cluster_pool_spills_a_single_rack_too(capsys):
+    """``--cluster-pool-gb`` applies to one rack as to a 1-rack cluster: the
+    second tenant, which the 2 GiB rack pool cannot fit, spills into the
+    cluster pool and runs at once instead of queueing behind the first."""
+    argv = [
+        "--json", "fabric", "--workload", "XSBench", "--tenants", "2",
+        "--pool-gb", "2", "--cluster-pool-gb", "4",
+    ]
+    assert main(argv) == 0
+    rack = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--cluster", "1"]) == 0
+    cluster = json.loads(capsys.readouterr().out)
+    assert round(rack["makespan"], 2) == round(cluster["makespan"], 2) == 33.34
+    assert rack["spilled_tenants"] == cluster["spilled_tenants"] == 1
+    assert rack["cluster_pool_gb"] == cluster["cluster_pool_gb"] == 4 * 1.073741824
+    # The spilled tenant leases nothing from the rack pool.
+    spilled = [(t["spilled"], t["wait_s"], t["lease_gb"]) for t in rack["tenants"]]
+    assert spilled == [(False, 0.0, 2.0), (True, 0.0, 0.0)]
+
+
+def test_fabric_uplink_scale_reaches_a_single_rack(capsys):
+    """``--uplink-scale`` sizes the uplink spilled tenants' traffic shares,
+    on one rack too: the two Hypre tenants the rack pool cannot fit spill,
+    and a narrower uplink slows them, not the tenant the rack pool holds."""
+    argv = [
+        "--json", "fabric", "--workload", "Hypre", "--tenants", "3",
+        "--pool-gb", "1.2", "--cluster-pool-gb", "8",
+    ]
+    runtimes = []
+    for scale in ("4", "1"):
+        assert main(argv + ["--uplink-scale", scale]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["spilled_tenants"] == 2
+        runtimes.append({t["name"]: t["runtime_s"] for t in data["tenants"]})
+    wide, narrow = runtimes
+    assert narrow["Hypre-0"] == wide["Hypre-0"]
+    for name in ("Hypre-1", "Hypre-2"):
+        assert narrow[name] > 2 * wide[name]
+
+
 class TestNumericFlagHardening:
     """Malformed numeric flags fail with an argparse diagnostic, never a
     traceback (the repro.data.slurm error style, applied CLI-wide)."""

@@ -2,7 +2,7 @@
 
 :meth:`~repro.fabric.cosim.RackCoSimulator.step_frozen` is the one place
 tenants advance, and :func:`~repro.fabric.cosim.step_racks` is the one loop
-that calls it: a standalone rack's ``step`` and a cluster's ``step`` both run
+that calls it: a cluster's ``step`` and each rack's own ``step`` both run
 through it.  A second caller under ``src/`` would be a second stepping loop,
 which this test refuses.  Find callers by hand with
 ``grep -rn 'step_frozen(' src/``.

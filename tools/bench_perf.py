@@ -6,8 +6,9 @@ and the overhead of the telemetry layer itself:
 
 1. ``fabric_solver`` — :meth:`FabricTopology.resolve_detailed` under
    all-nodes-overloaded demand, at small/medium/large rack wirings;
-2. ``rack_cosim_step`` — epoch stepping of an incrementally driven
-   :class:`RackCoSimulator` with co-located tenants;
+2. ``rack_cosim_step`` — epoch stepping of one rack with co-located
+   tenants, through the rack's own ``step`` (the rack of a 1-rack
+   :class:`ClusterCoSimulator`);
 3. ``cluster_events`` — :class:`ClusterSimulator` event throughput on a
    synthetic job stream (static progress, no fabric coupling), run once
    with telemetry disabled and once enabled so both overheads are recorded;
@@ -85,7 +86,7 @@ from repro.config.units import GiB  # noqa: E402
 from repro.fabric.cluster import ClusterCoSimulator, ClusterFabric  # noqa: E402
 from repro.fabric.faults import FaultSchedule  # noqa: E402
 from repro.fabric.topology import FabricTopology  # noqa: E402
-from repro.fabric.cosim import RackCoSimulator, TenantSpec, uniform_tenants  # noqa: E402
+from repro.fabric.cosim import TenantSpec, uniform_tenants  # noqa: E402
 from repro.scheduler.cluster import Cluster  # noqa: E402
 from repro.scheduler.job import JobProfile  # noqa: E402
 from repro.scheduler.simulator import ClusterSimulator  # noqa: E402
@@ -157,14 +158,20 @@ def bench_fabric_solver(quick: bool) -> list[dict]:
 
 
 def bench_rack_cosim_step(quick: bool) -> dict:
-    """Epoch stepping of one rack with co-located identical tenants."""
+    """Epoch stepping of one rack with co-located identical tenants.
+
+    The tenants are admitted to a 1-rack cluster with an unbounded pool,
+    and the rack's own ``step`` (``rack_sim(0).step``) is timed, so the row
+    times the per-rack stepping loop it always timed.
+    """
     n_tenants = 4
     steps = 60 if quick else 300
     spec = build_workload("XSBench")
     tenants = uniform_tenants(spec, n_tenants, local_fraction=0.5)
-    sim = RackCoSimulator.incremental(n_nodes=n_tenants)
+    cluster = ClusterCoSimulator(ClusterFabric(n_racks=1, nodes_per_rack=n_tenants))
     for tenant in tenants:
-        sim.admit(tenant)
+        cluster.admit(0, tenant)
+    sim = cluster.rack_sim(0)
     # Step one epoch at a time; the baseline is ~40 epochs long, so scale the
     # epoch down to keep every tenant running for the whole measurement.
     epoch = sim.baseline_runtime_of(tenants[0].name) / (steps * 4)
@@ -473,17 +480,20 @@ def bench_fault_injection(quick: bool) -> list[dict]:
       time (a faulted port or migration debt, which would call
       ``_fault_chunk_available``) and whether some tenant does not run
       (which would scan for tenants waiting on a revoked lease).  The row
-      times the same stepping loop as ``rack_cosim_step`` with no faults
-      injected, counts its chunks, measures one chunk's bookkeeping
+      times the same stepping loop as ``rack_cosim_step`` (the rack's own
+      ``step``, reached through ``rack_sim(0)`` of a 1-rack cluster) with no
+      faults injected, counts its chunks, measures one chunk's bookkeeping
       standalone, and records ``extra.disabled_overhead_pct`` = chunks x
       bookkeeping cost / wall time — the < 2% acceptance bound of
       ``docs/failure_model.md``.
-    * ``fault_injection.seeded_chaos`` — wall time of a batch chaos run under
-      a seeded port-fault schedule; the blast radius and the stepping work
-      (:func:`stepping_counts`) go into ``extra`` so the scenario's
-      determinism is visible in the trajectory.  The scenario
-      config is identical in quick and full runs (only repeats differ), so
-      the two document kinds stay comparable on this row.
+    * ``fault_injection.seeded_chaos`` — wall time of a closed-loop chaos
+      run of a 1-rack cluster (``run_to_completion``, a pool of exactly the
+      leases) under a seeded port-fault schedule; the blast radius and the
+      stepping work (:func:`stepping_counts`) go into ``extra`` so the
+      scenario's determinism is visible in the trajectory.  The run steps
+      through the cluster, so ``cluster_steps`` counts its steps.  The
+      scenario config is identical in quick and full runs (only repeats
+      differ), so the two document kinds stay comparable on this row.
     """
     n_tenants = 4
     steps = 60 if quick else 300
@@ -491,18 +501,20 @@ def bench_fault_injection(quick: bool) -> list[dict]:
     tenants = uniform_tenants(spec, n_tenants, local_fraction=0.5)
 
     def stepped():
-        sim = RackCoSimulator.incremental(n_nodes=n_tenants)
+        cluster = ClusterCoSimulator(ClusterFabric(n_racks=1, nodes_per_rack=n_tenants))
         for tenant in tenants:
-            sim.admit(tenant)
-        return sim, sim.baseline_runtime_of(tenants[0].name) / (steps * 4)
+            cluster.admit(0, tenant)
+        return cluster
 
-    sim, epoch = stepped()
+    cluster = stepped()
+    sim = cluster.rack_sim(0)
+    epoch = sim.baseline_runtime_of(tenants[0].name) / (steps * 4)
     start = time.perf_counter()
     for _ in range(steps):
         sim.step(epoch)
     step_wall = time.perf_counter() - start
     with telemetry.isolated(True) as registry:
-        counted, _ = stepped()
+        counted = stepped().rack_sim(0)
         calls = registry.counter("fabric.cosim.step_calls").value
         for _ in range(steps):
             counted.step(epoch)
@@ -533,7 +545,7 @@ def bench_fault_injection(quick: bool) -> list[dict]:
 
     net_s = _timeit(bookkeeping, 3)["min_s"] - _timeit(walk, 3)["min_s"]
     bookkeeping_ns = max(net_s, 0.0) / loops * 1e9
-    assert sim.blast_radius().total_stall_seconds == 0.0
+    assert cluster.blast_radius().total_stall_seconds == 0.0
     disabled_overhead_pct = chunks * bookkeeping_ns / (step_wall * 1e9) * 100.0
 
     rows = [
@@ -568,16 +580,18 @@ def bench_fault_injection(quick: bool) -> list[dict]:
     repeats = 3 if quick else 10
 
     def chaos_run():
-        chaos = RackCoSimulator(
-            uniform_tenants(spec, n_tenants, local_fraction=0.5), seed=0
+        chaos = ClusterCoSimulator(
+            ClusterFabric(n_racks=1, nodes_per_rack=n_tenants),
+            rack_pool_bytes=sum(max(t.lease_bytes, 1) for t in tenants),
+            seed=0,
         )
         chaos.inject_faults(schedule)
-        return chaos.run()
+        return chaos.run_to_completion([(0, tenant) for tenant in tenants])
 
     with telemetry.isolated(True) as registry:
         result = chaos_run()
     timing = _timeit(chaos_run, repeats)
-    report = result.blast_radius
+    report = result["faults"]
     rows.append(
         {
             "name": "fault_injection.seeded_chaos",
@@ -591,10 +605,10 @@ def bench_fault_injection(quick: bool) -> list[dict]:
             },
             **timing,
             "extra": {
-                "faults_injected": report.faults_injected,
-                "stalled_tenants": len(report.stalled_tenants),
-                "total_stall_seconds": report.total_stall_seconds,
-                "makespan_s": result.makespan,
+                "faults_injected": report["faults_injected"],
+                "stalled_tenants": len(report["stalled_tenants"]),
+                "total_stall_seconds": report["total_stall_seconds"],
+                "makespan_s": result["makespan"],
                 **stepping_counts(registry),
             },
         }
@@ -678,13 +692,16 @@ def _sweep_point(workload: str, scale: float, tenants: int, request: int) -> dic
     from the parameters before fingerprinting so repeated requests share one
     fingerprint (and therefore one execution).
     """
-    spec = build_workload(workload, scale)
-    result = RackCoSimulator(uniform_tenants(spec, tenants)).run()
+    rack = uniform_tenants(build_workload(workload, scale), tenants)
+    result = ClusterCoSimulator(
+        ClusterFabric(n_racks=1, nodes_per_rack=tenants),
+        rack_pool_bytes=sum(max(t.lease_bytes, 1) for t in rack),
+    ).run_to_completion([(0, tenant) for tenant in rack])
     return {
         "tenants": tenants,
-        "mean_runtime": result.mean_runtime,
-        "mean_slowdown": result.mean_slowdown,
-        "makespan": result.makespan,
+        "mean_runtime": result["mean_runtime"],
+        "mean_slowdown": result["mean_slowdown"],
+        "makespan": result["makespan"],
     }
 
 
