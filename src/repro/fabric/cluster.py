@@ -357,6 +357,11 @@ class ClusterCoSimulator:
         """Whether a tenant's pool lease lives in the cluster-level pool."""
         return name in self._spilled
 
+    def _spill_bytes(self, name: str) -> int:
+        """The bytes of a tenant's cluster-pool lease (0 for a rack-pool tenant)."""
+        lease = self._spilled.get(name)
+        return lease.nbytes if lease is not None else 0
+
     @property
     def tenant_names(self) -> tuple[str, ...]:
         """Names of all currently admitted tenants, in admission order."""
@@ -622,12 +627,13 @@ class ClusterCoSimulator:
         the peak of their sampled leased bytes, and one row per tenant,
         sorted by (rack, name) and dated from its first lease grant; a
         finished tenant reads ``granted``, and a spilled tenant's rack-pool
-        ``lease_gb`` reads 0 (its lease lives in the cluster pool).  The closed loop behind
-        ``repro-dmem fabric`` and both fabric figures.
+        ``lease_gb`` reads 0 while its ``spill_gb`` holds its cluster-pool
+        lease (0 for a rack-pool tenant), as granted at admission.  The
+        closed loop behind ``repro-dmem fabric`` and both fabric figures.
         """
         lockstep = self._lockstep
         placed = {
-            name: (rack, self.is_spilled(name))
+            name: (rack, self._spill_bytes(name))
             for name, rack in lockstep.tenant_rack.items()
         }
         pending = sorted(arrivals, key=lambda item: item[1].arrival)
@@ -653,7 +659,7 @@ class ClusterCoSimulator:
                 ):
                     rack, spec = pending[cursor]
                     self.admit(rack, spec, time=spec.arrival)
-                    placed[spec.name] = (rack, self.is_spilled(spec.name))
+                    placed[spec.name] = (rack, self._spill_bytes(spec.name))
                     cursor += 1
                 peak = max(peak, sum(sim.pool.leased_bytes for sim in self.rack_sims))
                 for name, state in self.tenant_states.items():
@@ -687,8 +693,8 @@ class ClusterCoSimulator:
         self._retired.update(retired)
         live = self.tenant_states
         rows = sorted(
-            (rack, name, spilled, (retired.get(name) or live[name]).outcome())
-            for name, (rack, spilled) in placed.items()
+            (rack, name, spill, (retired.get(name) or live[name]).outcome())
+            for name, (rack, spill) in placed.items()
         )
         finished = [state.outcome() for state in retired.values()]
         summary = {
@@ -704,7 +710,7 @@ class ClusterCoSimulator:
             "epoch_seconds": self.epoch_seconds,
             "pool_capacity_gb": sum(sim.pool.capacity_bytes for sim in self.rack_sims) / 1e9,
             "max_leased_gb": peak / 1e9,
-            "spilled_tenants": sum(1 for row in rows if row[2]),
+            "spilled_tenants": sum(1 for row in rows if row[2] > 0),
             "cluster_pool_gb": (
                 self.cluster_pool.capacity_bytes / 1e9
                 if self.cluster_pool is not None
@@ -716,18 +722,19 @@ class ClusterCoSimulator:
                     "workload": o.workload,
                     "rack": rack,
                     "node": o.node,
-                    "spilled": spilled,
+                    "spilled": spill > 0,
                     "lease_state": (
                         LEASE_GRANTED if o.finish_time is not None else o.lease_state
                     ),
                     "lease_gb": o.lease_bytes / 1e9,
+                    "spill_gb": spill / 1e9,
                     "wait_s": o.wait_time,
                     "runtime_s": o.runtime,
                     "baseline_s": o.baseline_runtime,
                     "slowdown": o.slowdown,
                     "mean_background_gbs": o.mean_background_bandwidth / 1e9,
                 }
-                for rack, _, spilled, o in rows
+                for rack, _, spill, o in rows
             ],
         }
         if lockstep.reports_faults:

@@ -138,17 +138,22 @@ class TieredMemory:
           :class:`AllocationError` if it does not fit,
         * ``interleave`` spreads pages round-robin over all tiers with space.
 
-        Returns the tier index of each of the object's pages.  Touching an
-        already-placed object is a no-op (idempotent, like re-initialising an
-        array in place).  A wholly unplaced object is placed as a ``range``,
-        one slice write per tier; interleaving and a partly placed object
-        take an index array of the unplaced pages.
+        Returns the tier index of each of the object's pages, a copy.
+        Touching an already-placed object is a no-op (idempotent, like
+        re-initialising an array in place).  A wholly unplaced object is
+        placed as a ``range``, one slice write per tier; interleaving and a
+        partly placed object take an index array of the unplaced pages.
         """
+        self._place(obj)
+        return self.placement_of(obj)
+
+    def _place(self, obj: MemoryObject) -> None:
+        """:meth:`touch` without building its return value."""
         pages = self._pages(obj)
         is_unplaced = self._page_tier[pages] == UNPLACED
         n_unplaced = int(np.count_nonzero(is_unplaced))
         if n_unplaced == 0:
-            return self.placement_of(obj)
+            return
         if n_unplaced == obj.n_pages and obj.placement != PLACEMENT_INTERLEAVE:
             unplaced = range(pages.start, pages.stop)
         else:
@@ -164,7 +169,6 @@ class TieredMemory:
             self._place_first_touch(unplaced)
         else:  # pragma: no cover - validated at object construction
             raise PlacementError(f"unknown placement policy {obj.placement!r}")
-        return self.placement_of(obj)
 
     def _place_first_touch(self, pages: np.ndarray | range) -> None:
         remaining = pages
@@ -201,7 +205,7 @@ class TieredMemory:
         object first.
         """
         for obj in objects:
-            self.touch(obj)
+            self._place(obj)
 
     # -- freeing and migration --------------------------------------------------
 
@@ -260,8 +264,18 @@ class TieredMemory:
         return slice(obj.first_page, obj.first_page + obj.n_pages)
 
     def placement_of(self, obj: MemoryObject) -> np.ndarray:
-        """Tier index of each page of ``obj`` (UNPLACED for untouched pages)."""
-        return self._page_tier[self._pages(obj)].copy()
+        """Tier index of each page of ``obj`` (UNPLACED for untouched pages), a copy."""
+        return self.placement_view(obj).copy()
+
+    def placement_view(self, obj: MemoryObject) -> np.ndarray:
+        """:meth:`placement_of` as a read-only view into the page table.
+
+        No copy is made, so the view follows every later placement change;
+        read it before placing, freeing or migrating pages.
+        """
+        view = self._page_tier[self._pages(obj)]
+        view.flags.writeable = False
+        return view
 
     def page_tiers(self) -> np.ndarray:
         """Tier index of every page in the address space."""

@@ -25,7 +25,7 @@ from ..cache.hierarchy import CacheHierarchyModel
 from ..sim.engine import ExecutionEngine
 from ..sim.platform import Platform
 from ..sim.results import RunResult
-from ..trace.footprint import ScalingCurve, scaling_curve_from_profile
+from ..trace.footprint import ScalingCurve, scaling_curve_from_pieces
 from ..workloads.base import WorkloadSpec
 
 
@@ -83,6 +83,11 @@ class Level1Profile:
         ]
 
 
+def _scaling_curve(engine: ExecutionEngine, spec: WorkloadSpec) -> ScalingCurve:
+    """The bandwidth-capacity scaling curve of ``spec``'s access counts, read as pieces."""
+    return scaling_curve_from_pieces([piece for _, piece in engine.access_pieces(spec)])
+
+
 class Level1Profiler:
     """Runs a workload on a local-only platform and extracts Level-1 metrics."""
 
@@ -95,8 +100,7 @@ class Level1Profiler:
         engine = ExecutionEngine(self.platform, seed=self.seed)
         with_pf = engine.run(spec, prefetch_enabled=True)
         without_pf = engine.run(spec, prefetch_enabled=False)
-        profile = engine.access_profile(spec)
-        curve = scaling_curve_from_profile(profile)
+        curve = _scaling_curve(engine, spec)
 
         phases = tuple(
             PhaseCharacteristics(
@@ -154,11 +158,7 @@ class Level1Profiler:
         panel of Figure 6.
         """
         engine = ExecutionEngine(self.platform, seed=self.seed)
-        curves = {}
-        for spec in specs:
-            profile = engine.access_profile(spec)
-            curves[spec.input_label] = scaling_curve_from_profile(profile)
-        return curves
+        return {spec.input_label: _scaling_curve(engine, spec) for spec in specs}
 
     def prefetch_timeline(
         self, spec: WorkloadSpec, steps_per_phase: int = 40

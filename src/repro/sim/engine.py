@@ -30,13 +30,14 @@ plan several times.
 Uniform and hot/cold page weights are never drawn: those patterns describe
 their weights as runs (``page_runs``), the tier split sums tier slices of
 the runs with :func:`~repro.trace.patterns.pairwise_sum`, to the bits a
-dense slice sum gives, and the access profile adds each run's weight to its
-page slice.  The plans of one workload on different tier geometries, and
-its access profile, draw the same random (Zipf, gather) page weights: each
-pass seeds its generator alike and draws over the same page counts in the
-same order.  Inside a :func:`sharing_draws` scope, which the multi-level
-profiler opens around its levels, each such draw is made once and handed
-out again (see :func:`_page_weights`).
+dense slice sum gives, and the access counts
+(:meth:`ExecutionEngine.access_pieces`) stay runs, which the Level-1 curve
+reads without expanding them.  The plans of one workload on different tier
+geometries, and its access counts, draw the same random (Zipf, gather) page
+weights: each pass seeds its generator alike and draws over the same page
+counts in the same order.  Inside a :func:`sharing_draws` scope, which the
+multi-level profiler opens around its levels, each such draw is made once
+and handed out again (see :func:`_page_weights`).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from ..memory.objects import AddressSpace, MemoryObject
 from ..memory.tiered import UNPLACED, TieredMemory
 from ..telemetry import metrics, trace_span
 from ..trace.access import PageAccessProfile
-from ..trace.patterns import Runs, expand_runs, pairwise_sum
+from ..trace.patterns import Piece, Runs, expand_runs, pairwise_sum
 from ..workloads.base import PhaseSpec, WorkloadSpec
 from .interference import InterferenceSource, NoInterference
 from .perfmodel import PhaseInputs
@@ -141,6 +142,52 @@ def _tier_weights(
     parts = [(tier, weights[placement == tier]) for tier in range(n_tiers)]
     parts.append((0, weights[placement == UNPLACED]))
     return [(tier, float(part.sum())) for tier, part in parts if len(part)]
+
+
+#: One object's access counts so far: runs in page order, or a dense array.
+_Counts = Union[list[tuple[float, int]], np.ndarray]
+
+
+def _add_counts(
+    acc: Optional[_Counts], weights: Union[Runs, np.ndarray], traffic_lines: float
+) -> _Counts:
+    """One object's counts after adding ``weights * traffic_lines`` to ``acc``.
+
+    ``acc`` is None before the object's first traffic (every count 0.0).
+    Runs plus runs stay runs, cut at both sides' edges; anything with a
+    dense side is dense.  Each page gets ``count + weight * traffic_lines``,
+    the float a page-length array gets.
+    """
+    if isinstance(weights, tuple):
+        products = [(value * traffic_lines, pages) for value, pages in weights]
+        if acc is None:
+            return [(0.0 + product, pages) for product, pages in products]
+        if isinstance(acc, np.ndarray):
+            first = 0
+            for product, pages in products:
+                acc[first : first + pages] += product
+                first += pages
+            return acc
+        merged = []
+        theirs = iter(products)
+        product, left = 0.0, 0
+        for count, pages in acc:
+            while pages:
+                if not left:
+                    product, left = next(theirs)
+                taken = min(pages, left)
+                merged.append((count + product, taken))
+                pages -= taken
+                left -= taken
+        return merged
+    if acc is None:
+        acc = weights * traffic_lines
+        acc += 0.0
+        return acc
+    if not isinstance(acc, np.ndarray):
+        acc = expand_runs(acc)
+    acc += weights * traffic_lines
+    return acc
 
 
 @dataclass(frozen=True)
@@ -295,15 +342,20 @@ class ExecutionEngine:
             interference,
         )
 
-    def access_profile(self, spec: WorkloadSpec, phases: Optional[Sequence[str]] = None) -> PageAccessProfile:
-        """Aggregate page-level access counts of a run (for the Figure-6 curves).
+    def access_pieces(
+        self, spec: WorkloadSpec, phases: Optional[Sequence[str]] = None
+    ) -> list[tuple[int, Piece]]:
+        """Each touched object's page-level access counts, in page order.
 
-        The profile is placement-independent: it reflects how the workload
-        spreads its traffic over its own footprint, which is what the
-        bandwidth-capacity scaling curve visualises.  Every object owns one
-        contiguous page range, so its counts are added by slice into one
-        dense array over the address space; a page is in the profile when
-        some traffic targeted its object, even with a zero weight.
+        Returns ``(first page, piece)`` pairs: a run ``(count, pages)`` for
+        pages that share a count, a dense array otherwise.  An object whose
+        traffic comes only from runs (uniform, hot/cold weights) stays runs;
+        any dense draw (Zipf, gather) makes it one array.  Each phase adds
+        its traffic to the counts, starting from 0.0, with the products and
+        additions a page-length array would get, in phase order, from the
+        same draws.  :meth:`access_profile` is the expansion;
+        :func:`~repro.trace.footprint.scaling_curve_from_pieces` reads the
+        pieces as they are.
         """
         rng = np.random.default_rng(self.seed)
         space = AddressSpace(
@@ -312,8 +364,7 @@ class ExecutionEngine:
         )
         objects = {o.name: o for o in space.register_all(spec.fresh_objects())}
         selected = set(phases) if phases is not None else None
-        counts = np.zeros(space.total_pages, dtype=np.float64)
-        touched = np.zeros(space.total_pages, dtype=bool)
+        counts: dict[str, _Counts] = {}
         for phase in spec.phases:
             if selected is not None and phase.name not in selected:
                 continue
@@ -325,17 +376,38 @@ class ExecutionEngine:
                 if traffic_lines <= 0 or obj.n_pages == 0:
                     continue
                 weights = _page_weights(obj.pattern, obj.n_pages, rng)
-                pages = slice(obj.first_page, obj.first_page + obj.n_pages)
-                if isinstance(weights, tuple):
-                    # The same product per page as the dense weights give.
-                    first = obj.first_page
-                    for value, run_pages in weights:
-                        counts[first : first + run_pages] += value * traffic_lines
-                        first += run_pages
-                else:
-                    counts[pages] += weights * traffic_lines
-                touched[pages] = True
-        return PageAccessProfile(np.flatnonzero(touched), counts[touched])
+                counts[name] = _add_counts(counts.get(name), weights, traffic_lines)
+        pieces: list[tuple[int, Piece]] = []
+        for obj in sorted((objects[name] for name in counts), key=lambda o: o.first_page):
+            acc = counts[obj.name]
+            if isinstance(acc, np.ndarray):
+                pieces.append((obj.first_page, acc))
+                continue
+            first = obj.first_page
+            for run in acc:
+                pieces.append((first, run))
+                first += run[1]
+        return pieces
+
+    def access_profile(self, spec: WorkloadSpec, phases: Optional[Sequence[str]] = None) -> PageAccessProfile:
+        """Aggregate page-level access counts of a run (for the Figure-6 curves).
+
+        The profile is placement-independent: it reflects how the workload
+        spreads its traffic over its own footprint, which is what the
+        bandwidth-capacity scaling curve visualises.  It is the expansion of
+        :meth:`access_pieces`: a page is in the profile when some traffic
+        targeted its object, even with a zero weight.
+        """
+        expanded = [
+            (first, np.full(piece[1], piece[0]) if isinstance(piece, tuple) else piece)
+            for first, piece in self.access_pieces(spec, phases)
+        ]
+        if not expanded:
+            return PageAccessProfile(np.empty(0, dtype=np.int64), np.empty(0))
+        return PageAccessProfile(
+            np.concatenate([np.arange(first, first + len(counts)) for first, counts in expanded]),
+            np.concatenate([counts for _, counts in expanded]),
+        )
 
     def l2_timeline(
         self,
@@ -451,7 +523,7 @@ class ExecutionEngine:
             traffic = phase.dram_bytes * fraction
             if traffic <= 0 or obj.n_pages == 0:
                 continue
-            placement = memory.placement_of(obj)
+            placement = memory.placement_view(obj)
             weights = _page_weights(obj.pattern, obj.n_pages, rng)
             for tier, weight in _tier_weights(placement, weights, n_tiers):
                 per_tier[tier] += traffic * weight

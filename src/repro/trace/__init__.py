@@ -5,6 +5,7 @@ from .footprint import (
     ScalingCurve,
     hot_page_order,
     scaling_curve_from_counts,
+    scaling_curve_from_pieces,
     scaling_curve_from_profile,
     working_set_pages,
 )
@@ -27,6 +28,7 @@ __all__ = [
     "ScalingCurve",
     "hot_page_order",
     "scaling_curve_from_counts",
+    "scaling_curve_from_pieces",
     "scaling_curve_from_profile",
     "working_set_pages",
     "PATTERNS",

@@ -17,8 +17,9 @@ Patterns whose pages share a few weights (sequential, strided, random,
 blocked: one weight; hot/cold: two) also describe them as *runs*,
 ``((weight, pages), ...)`` in page order (``page_runs``); their dense
 ``page_weights`` is the expansion of those runs.  :func:`pairwise_sum` sums a
-slice of runs to the bits NumPy gives over the expanded slice, so a consumer
-that only needs slice sums (the engine's per-tier split) never builds the
+slice of a sequence of *pieces*, runs and dense arrays, to the bits NumPy
+gives over the expanded slice, so a consumer that only needs slice sums (the
+engine's per-tier split, the Level-1 curve's total) never builds the
 page-length array.  Zipf and gather weights spread a shuffled power law
 over the pages, nearly one distinct weight per page, so they are drawn
 dense, in place.
@@ -32,13 +33,17 @@ import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Sequence, Union
 
 import numpy as np
 
 #: ``((weight, pages), ...)`` in page order: the weights of a pattern whose
 #: pages share a few values.
 Runs = tuple[tuple[float, int], ...]
+
+#: A stretch of per-page values: a constant run ``(value, pages)`` or a dense
+#: float64 array.
+Piece = Union[tuple[float, int], np.ndarray]
 
 
 class AccessPattern(Protocol):
@@ -105,39 +110,57 @@ def _constant_sum(value: float, n: int) -> float:
     return total
 
 
-def pairwise_sum(runs: Runs, start: int = 0, stop: Optional[int] = None) -> float:
-    """``float(np.add.reduce(expand_runs(runs)[start:stop]))`` without expanding.
+def piece_length(piece: Piece) -> int:
+    """How many pages ``piece`` covers."""
+    return piece[1] if isinstance(piece, tuple) else len(piece)
 
-    NumPy adds a contiguous float64 range in pairs: a range longer than
-    :data:`_PAIRWISE_BLOCK` splits at ``n // 2`` rounded down to a multiple
-    of 8 and adds the two halves' sums; a shorter range is one block, summed
-    by eight accumulators (under 8 elements, by one loop from -0.0).  This
-    helper follows the same splits, so it adds the same numbers in the same
-    order.  A range inside one run depends only on (weight, length) and is
-    memoized by that pair; a block that spans a run edge is summed by NumPy
-    itself.  The cost is O(runs x log n), not O(n).  The memo cannot tell
-    0.0 from -0.0, but the sign of a zero partial sum never reaches the
-    result: NumPy adds the whole range to an initial 0.0, and so does this
-    helper.
+
+def pairwise_sum(pieces: Sequence[Piece], start: int = 0, stop: Optional[int] = None) -> float:
+    """``float(np.add.reduce(expanded[start:stop]))`` without expanding.
+
+    ``pieces`` are runs and dense arrays in order; ``expanded`` is their
+    concatenation.  NumPy adds a contiguous float64 range in pairs: a range
+    longer than :data:`_PAIRWISE_BLOCK` splits at ``n // 2`` rounded down to
+    a multiple of 8 and adds the two halves' sums; a shorter range is one
+    block, summed by eight accumulators (under 8 elements, by one loop from
+    -0.0).  This helper follows the same splits, so it adds the same numbers
+    in the same order.  A range inside one run depends only on (value,
+    length) and is memoized by that pair; a range inside one dense array,
+    and a block that spans a piece edge, are summed by NumPy itself.  A
+    dense piece may be a reversed view: NumPy sums a slice of it in the
+    view's order, as it sums the whole view.  The cost is O(pieces x log n)
+    plus NumPy's sums of the dense ranges.  Neither the memo nor NumPy's own
+    sum of a range keeps the sign of a zero partial sum, but that sign never
+    reaches the result: NumPy adds the whole range to an initial 0.0, and so
+    does this helper.
     """
-    ends = list(accumulate(pages for _, pages in runs))
+    ends = list(accumulate(piece_length(piece) for piece in pieces))
     total = ends[-1] if ends else 0
     start, stop, _ = slice(start, stop).indices(total)
     if stop <= start:
         return 0.0
-    values = [value for value, _ in runs]
+
+    def values(index: int, lo: int, hi: int) -> np.ndarray:
+        piece = pieces[index]
+        if isinstance(piece, tuple):
+            return np.full(hi - lo, piece[0])
+        offset = ends[index] - len(piece)
+        return piece[lo - offset : hi - offset]
 
     def segment(lo: int, hi: int) -> float:
-        run = bisect_right(ends, lo)
-        if hi <= ends[run]:
-            return _constant_sum(values[run], hi - lo)
+        index = bisect_right(ends, lo)
+        if hi <= ends[index]:
+            piece = pieces[index]
+            if isinstance(piece, tuple):
+                return _constant_sum(piece[0], hi - lo)
+            return float(np.add.reduce(values(index, lo, hi)))
         if hi - lo <= _PAIRWISE_BLOCK:
             block = []
             while lo < hi:
-                end = min(ends[run], hi)
-                block.extend([values[run]] * (end - lo))
-                lo, run = end, run + 1
-            return float(np.add.reduce(np.array(block)))
+                end = min(ends[index], hi)
+                block.append(values(index, lo, end))
+                lo, index = end, index + 1
+            return float(np.add.reduce(np.concatenate(block)))
         half = lo + (hi - lo) // 16 * 8
         return segment(lo, half) + segment(half, hi)
 

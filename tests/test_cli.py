@@ -152,6 +152,20 @@ def test_fabric_cluster_pool_spills_a_single_rack_too(capsys):
     assert spilled == [(False, 0.0, 2.0), (True, 0.0, 0.0)]
 
 
+def test_fabric_rows_report_the_cluster_pool_lease(capsys):
+    """A spilled tenant's cluster-pool lease outlives its withdrawal: the row
+    reads it as ``spill_gb``, next to the rack-pool ``lease_gb``."""
+    argv = [
+        "--json", "fabric", "--workload", "XSBench", "--tenants", "2",
+        "--pool-gb", "2", "--cluster-pool-gb", "4",
+    ]
+    for extra in ([], ["--cluster", "1"]):
+        assert main(argv + extra) == 0
+        rows = json.loads(capsys.readouterr().out)["tenants"]
+        leases = [(t["spilled"], t["lease_gb"], t["spill_gb"]) for t in rows]
+        assert leases == [(False, 2.0, 0.0), (True, 0.0, 2.0)], extra
+
+
 def test_fabric_uplink_scale_reaches_a_single_rack(capsys):
     """``--uplink-scale`` sizes the uplink spilled tenants' traffic shares,
     on one rack too: the two Hypre tenants the rack pool cannot fit spill,
