@@ -17,8 +17,9 @@ between external events, checkpoint and roll epochs back — which is how
 :mod:`repro.scheduler.progress` puts the fabric in the scheduling loop.  The
 units, epoch semantics and tenant↔job mapping of that coupling are
 documented in :mod:`repro.fabric.cosim`, whose per-rack co-simulator the
-cluster builds; the batched NumPy contention solver that makes it scale
-lives in :mod:`repro.fabric.solver`.
+cluster builds.  Contention has one rule: each pool port's data capacity is
+split max-min fair among its nodes' demands
+(:meth:`FabricTopology.resolve`).
 
 Finally, :mod:`repro.fabric.faults` makes the whole stack chaos-testable: a
 deterministic :class:`FaultSchedule` of port-kill / port-degrade /
@@ -33,7 +34,6 @@ from .cluster import (
     ClusterCheckpoint,
     ClusterCoSimulator,
     ClusterFabric,
-    ClusterSolve,
 )
 from .cosim import (
     EpochCheckpoint,
@@ -69,18 +69,12 @@ from .pool import (
     PoolSample,
     ReclaimRecord,
 )
-from .solver import FixedPointResult, solve_fixed_point
-from .topology import FabricConvergenceWarning, FabricTopology, SolveDiagnostics
+from .topology import FabricTopology
 
 __all__ = [
-    "FabricConvergenceWarning",
-    "SolveDiagnostics",
     "ClusterCheckpoint",
     "ClusterCoSimulator",
     "ClusterFabric",
-    "ClusterSolve",
-    "FixedPointResult",
-    "solve_fixed_point",
     "EpochCheckpoint",
     "RackTelemetry",
     "TenantOutcome",

@@ -7,9 +7,8 @@ This is the datacenter layer on top of the single-rack
   FabricTopology` racks with per-rack **uplinks** and one shared **spine**
   (both ordinary :class:`~repro.interconnect.link.RemoteLink` models, so the
   capacity/overhead/queueing math is the same at every level of the
-  hierarchy), and batches whole-cluster contention resolution through the
-  vectorized kernel in :mod:`repro.fabric.solver` — one NumPy solve for all
-  racks instead of ``n_racks`` Python loops.
+  hierarchy), and resolves whole-cluster contention in one call: each
+  rack's ports split their capacity max-min fair, rack by rack.
 * :class:`ClusterCoSimulator`, the one public fabric simulator (a standalone
   rack is its 1-rack case), builds one
   :class:`~repro.fabric.cosim.RackCoSimulator` per rack and steps them in
@@ -21,11 +20,11 @@ This is the datacenter layer on top of the single-rack
   (:meth:`~repro.fabric.cosim.RackCoSimulator.set_background_offset`).
 
 Scaling comes from three mechanisms, each held to a slow reference path by
-the test suite: one batched vectorized solve for every rack due a rollover,
-the racks' dirty-epoch skip (a rack whose demand vector is unchanged is not
-re-solved at rollover, and its epoch end is no step boundary), and each
-tenant's memoized progress rate (the perf model re-runs only when the
-tenant's phase or its epoch background changes).
+the test suite: one solve call for every rack due a rollover, the racks'
+dirty-epoch skip (a rack whose demand vector is unchanged is not re-solved
+at rollover, and its epoch end is no step boundary), and each tenant's
+memoized progress rate (the perf model re-runs only when the tenant's phase
+or its epoch background changes).
 
 Spine coupling model
 --------------------
@@ -68,7 +67,7 @@ from .cosim import (
 from .faults import BlastRadiusReport, FaultSchedule
 from .interference import DynamicInterference
 from .pool import LEASE_GRANTED, LEASE_QUEUED, LEASE_REJECTED, MemoryPool
-from .topology import ClusterSolve, FabricTopology, solve_racks
+from .topology import FabricTopology, solve_racks
 
 
 class ClusterFabric:
@@ -151,41 +150,29 @@ class ClusterFabric:
     # -- whole-cluster demand resolution ---------------------------------------------
 
     def resolve_all(
-        self,
-        demands: Sequence[Mapping[int, float]],
-        iterations: int = 64,
-        damping: Optional[float] = None,
-        tolerance: float = 1e6,
-    ) -> ClusterSolve:
+        self, demands: Sequence[Mapping[int, float]]
+    ) -> tuple[dict[int, float], ...]:
         """Resolve every rack's port contention in one call.
 
         ``demands[i]`` is rack ``i``'s demand map (rack-local node ->
-        offered bytes/s).  All racks go through one batched fixed-point solve
-        (:meth:`resolve_racks`) — this is the cluster-scale hot path the
-        ``solver_vectorized`` benchmark group times.
+        offered bytes/s), and the ``i``-th returned map is what its nodes
+        deliver.  This is :meth:`resolve_racks` on every rack, the 100-rack
+        sweep the ``solver_vectorized`` benchmark group times.
         """
-        return self.resolve_racks(
-            range(self.n_racks), demands, iterations, damping, tolerance
-        )
+        return self.resolve_racks(range(self.n_racks), demands)
 
     def resolve_racks(
-        self,
-        indices: Sequence[int],
-        demands: Sequence[Mapping[int, float]],
-        iterations: int = 64,
-        damping: Optional[float] = None,
-        tolerance: float = 1e6,
-    ) -> ClusterSolve:
-        """One batched NumPy solve across a subset of racks' demand maps.
+        self, indices: Sequence[int], demands: Sequence[Mapping[int, float]]
+    ) -> tuple[dict[int, float], ...]:
+        """Resolve a subset of racks' port contention in one call.
 
-        ``demands[i]`` belongs to rack ``indices[i]``; the returned
-        :class:`ClusterSolve` carries diagnostics in the same order.  This is
-        :func:`~repro.fabric.topology.solve_racks` on those racks' topologies,
-        the kernel behind both :meth:`resolve_all` (all racks) and the
-        cluster stepper's batched epoch rollover (the racks due a re-solve).
+        ``demands[i]`` belongs to rack ``indices[i]``, and so does the
+        ``i``-th returned delivered map.  This is
+        :func:`~repro.fabric.topology.solve_racks` on those racks'
+        topologies, behind both :meth:`resolve_all` (all racks) and the
+        cluster stepper's epoch rollover (the racks due a re-solve).
         """
-        racks = [self.rack(index) for index in indices]
-        return solve_racks(racks, demands, iterations, damping, tolerance)
+        return solve_racks([self.rack(index) for index in indices], demands)
 
     def describe(self) -> dict:
         """Summary of the cluster wiring."""
@@ -481,7 +468,7 @@ class ClusterCoSimulator:
         with trace_span("fabric.cluster.step", racks=self.fabric.n_racks):
             while remaining > 1e-15:
                 piece = min(remaining, self._next_recoupling() - self.clock)
-                piece_done = step_racks(self.rack_sims, piece, self._resolve_racks)
+                piece_done = step_racks(self.rack_sims, piece, self.fabric.resolve_racks)
                 for name, amount in piece_done.items():
                     done[name] += amount
                 if self.clock >= self._epoch_end - 1e-12:
@@ -496,13 +483,6 @@ class ClusterCoSimulator:
         """The next cluster epoch end while a recoupling has work (a spilled
         tenant or a stale offset), else infinity: it would move no offset."""
         return self._epoch_end if self._spilled or self._offset_nodes else math.inf
-
-    def _resolve_racks(
-        self, indices: Sequence[int], demands: Sequence[Mapping[int, float]]
-    ) -> tuple[dict[int, float], ...]:
-        """:func:`~repro.fabric.cosim.roll_over`'s solve for the due racks:
-        one batched :meth:`ClusterFabric.resolve_racks` call."""
-        return self.fabric.resolve_racks(indices, demands).delivered
 
     def _recouple(self) -> None:
         """Refresh spilled tenants' uplink/spine background offsets.

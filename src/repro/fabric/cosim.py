@@ -720,7 +720,7 @@ class RackCoSimulator:
         self._offsets: dict[int, float] = {}
         #: Signature of the epoch state the current backgrounds were resolved
         #: for — when the next rollover poses the identical problem, the
-        #: fixed-point solve is skipped (see :func:`roll_over`).
+        #: contention solve is skipped (see :func:`roll_over`).
         self._solve_key: Optional[tuple] = None
         #: True while a rollover now would skip its solve: its demand
         #: signature still equals ``_solve_key`` and no revoked tenant
@@ -1075,7 +1075,7 @@ class RackCoSimulator:
         caller, :func:`step_racks`, moves the clock on and rolls the epoch
         over once it is due at the chunk's end (:func:`roll_over`), which
         lets a :class:`~repro.fabric.cluster.ClusterCoSimulator` batch every rack's
-        re-solve into one vectorized call.  A tenant on a killed port stalls
+        re-solve into one solve call.  A tenant on a killed port stalls
         for the whole chunk, one owing migration debt pays it down first,
         and a revoked tenant waiting for its lease stalls too.  Returns the
         baseline seconds each tenant completed.

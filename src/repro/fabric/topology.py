@@ -4,13 +4,14 @@ Every compute node reaches the rack's memory pool through its own node link
 (bounded by the testbed's per-node sustainable remote bandwidth) into one of a
 small number of shared **pool ports**.  A port is where interference becomes
 emergent: its utilisation is computed from *all* concurrent tenants' offered
-bandwidth demands, and the contention-induced waiting time comes from the same
+bandwidth demands, the contention-induced waiting time comes from the same
 :mod:`repro.interconnect.queueing` models the single-node simulator uses
 (Section 3.2's M/M/1 explanation of why contention keeps growing past counter
-saturation).
+saturation), and its data capacity is split max-min fair among the demands
+(:meth:`FabricTopology.resolve`).
 
 The topology is stateless: callers pass the current per-node demand map and
-get back background bandwidth, utilisation and link shares.  Each rack of a
+get back delivered bandwidth, background and utilisation.  Each rack of a
 :class:`~repro.fabric.cluster.ClusterCoSimulator` drives it epoch by epoch, and
 placement policies reuse the same resolution to *project* the pressure a
 prospective tenant would add (statelessness is what makes such what-if
@@ -33,50 +34,15 @@ lifted the very next resolve is indistinguishable from a never-faulted one
 
 from __future__ import annotations
 
-import warnings
-from collections import Counter
-from dataclasses import dataclass, replace
+import math
+from dataclasses import replace
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from ..config.errors import FabricError
 from ..config.testbed import SKYLAKE_EMULATION, TestbedConfig
-from ..interconnect.link import LinkShare, RemoteLink
+from ..interconnect.link import RemoteLink
 from ..interconnect.queueing import QueueingModel
 from ..telemetry import metrics, trace_span
-from .solver import solve_fixed_point
-
-
-class FabricConvergenceWarning(RuntimeWarning):
-    """The damped fixed-point solver exhausted its iteration budget."""
-
-
-@dataclass(frozen=True)
-class SolveDiagnostics:
-    """What one fixed-point contention resolution actually did.
-
-    Attributes
-    ----------
-    delivered:
-        Resolved per-node delivered bandwidth, bytes/s (the solver's answer).
-    iterations:
-        Fixed-point iterations executed before convergence (or the budget).
-    converged:
-        Whether the final update moved every node by less than the tolerance.
-    residual:
-        The last iteration's largest per-node update, bytes/s — 0 exactly
-        when no node moved, below the tolerance when ``converged``.
-    damping:
-        The damping factor actually used (derived from the sharing degree
-        when the caller did not pass one).
-    """
-
-    delivered: dict[int, float]
-    iterations: int
-    converged: bool
-    residual: float
-    damping: float
 
 
 class FabricTopology:
@@ -171,52 +137,37 @@ class FabricTopology:
             if n != node
         )
 
-    def resolve(
-        self,
-        demands: Mapping[int, float],
-        iterations: int = 64,
-        damping: float | None = None,
-        tolerance: float = 1e6,
-    ) -> dict[int, float]:
-        """Delivered bandwidth per node under mutual port contention, bytes/s.
+    def resolve(self, demands: Mapping[int, float]) -> dict[int, float]:
+        """Delivered bandwidth per node under port contention, bytes/s.
 
-        Convenience wrapper over :meth:`resolve_detailed` for callers that
-        only want the allocation; the full convergence diagnostics (and the
-        non-convergence warning) live there.
+        Each port's data capacity is split max-min fair among its nodes'
+        demands, each clipped to its node link: a node offering at most the
+        port's :func:`water_level` gets its demand, and every node offering
+        more gets that level.  So every node gets at least ``min(demand,
+        C / k)`` on a port of capacity ``C`` shared by ``k`` nodes, and no
+        port delivers more than its capacity.  This is :func:`solve_racks`
+        on a batch of one rack.
         """
-        return self.resolve_detailed(demands, iterations, damping, tolerance).delivered
+        return solve_racks((self,), (demands,))[0]
 
-    def resolve_detailed(
-        self,
-        demands: Mapping[int, float],
-        iterations: int = 64,
-        damping: float | None = None,
-        tolerance: float = 1e6,
-    ) -> SolveDiagnostics:
-        """Resolve port contention and report what the solver did.
+    # The same solve under a second name, kept because
+    # ``perfbench/layers.py`` times the solver layer through both names.
+    resolve_detailed = resolve
 
-        Every node's delivered bandwidth depends on how much its co-runners
-        actually move (not on what they merely ask for: a throttled co-runner
-        stops eating capacity it cannot use), so the allocation is resolved
-        with a damped fixed point.  Symmetric overload converges to a fair
-        share of the port's data capacity, which is how real coherent fabrics
-        behave under saturation.  This is :func:`solve_racks` on a batch of
-        one rack; see there for the damping rule, the tolerance and the
-        non-convergence warning.
-        """
-        return solve_racks((self,), (demands,), iterations, damping, tolerance).racks[0]
-
-    def share_for(self, node: int, demands: Mapping[int, float]) -> LinkShare:
-        """Resolve port contention from one node's perspective.
-
-        The node's own demand competes with the background from its
-        co-runners; the returned :class:`LinkShare` carries the available
-        bandwidth, total port utilisation and queueing delay.
-        """
-        link = self.link_of(node)
-        return link.share(
-            self._node_demand(node, demands), self.background_for(node, demands)
-        )
+    def _max_min_shares(self, demands: Mapping[int, float]) -> dict[int, float]:
+        """This rack's solve: every port's capacity split max-min fair."""
+        offers: dict[int, tuple[int, float]] = {}
+        by_port: dict[int, list[float]] = {}
+        for node in demands:
+            port = self.port_of(node)
+            offer = self._node_demand(node, demands)
+            offers[node] = (port, offer)
+            by_port.setdefault(port, []).append(offer)
+        levels = {
+            port: water_level(sorted(values), self.ports[port].data_capacity)
+            for port, values in by_port.items()
+        }
+        return {node: min(offer, levels[port]) for node, (port, offer) in offers.items()}
 
     def port_utilization(self, port: int, demands: Mapping[int, float]) -> float:
         """Utilisation of a pool port under the given demands (can exceed 1)."""
@@ -238,125 +189,48 @@ class FabricTopology:
         }
 
 
-@dataclass(frozen=True)
-class ClusterSolve:
-    """One batched contention resolution across racks.
+def water_level(offers: Sequence[float], capacity: float) -> float:
+    """The max-min fair level of one port, or ``math.inf`` when every offer fits.
 
-    ``racks[i]`` is rack ``i``'s :class:`SolveDiagnostics`.  The batch-level
-    fields aggregate: ``iterations`` is the batch's shared global count,
-    ``converged`` requires every rack to have converged, ``residual`` is the
-    largest per-rack residual.
+    ``offers`` are the port's link-clipped demands in ascending order.  Each
+    offer at or below the returned level is delivered in full and each offer
+    above it gets the level, which splits ``capacity`` max-min fair (water
+    filling; Bertsekas & Gallager, *Data Networks*, 2nd ed., §6.5.2).  The
+    walk gives the smallest offer its demand while it is at most an equal
+    share of what is left, and the first offer above that share sets the
+    level for itself and every larger one.
     """
-
-    racks: tuple[SolveDiagnostics, ...]
-    iterations: int
-    converged: bool
-    residual: float
-
-    @property
-    def delivered(self) -> tuple[dict[int, float], ...]:
-        """Per-rack delivered-bandwidth maps (rack-local node -> bytes/s)."""
-        return tuple(diag.delivered for diag in self.racks)
+    if math.fsum(offers) <= capacity:
+        return math.inf
+    left, level = capacity, 0.0
+    for remaining, offer in zip(range(len(offers), 0, -1), offers):
+        # The level never falls along the walk; the max keeps rounding from
+        # letting it, so no throttled node gets less than a delivered offer.
+        level = max(level, left / remaining)
+        if offer > level:
+            return level
+        left -= offer
+    return math.inf
 
 
 def solve_racks(
-    racks: Sequence[FabricTopology],
-    demands: Sequence[Mapping[int, float]],
-    iterations: int = 64,
-    damping: float | None = None,
-    tolerance: float = 1e6,
-) -> ClusterSolve:
-    """Resolve several racks' port contention in one batched fixed-point solve.
+    racks: Sequence[FabricTopology], demands: Sequence[Mapping[int, float]]
+) -> tuple[dict[int, float], ...]:
+    """Resolve several racks' port contention: one delivered map per rack.
 
     ``demands[i]`` is ``racks[i]``'s demand map (rack-local node -> offered
-    bytes/s).  Racks are independent sub-problems (each node contends only on
-    its own rack's ports), so all racks flatten into one array and a single
-    :func:`~repro.fabric.solver.solve_fixed_point` call.  Both
-    :meth:`FabricTopology.resolve_detailed` (one rack) and
-    :meth:`ClusterFabric.resolve_racks <repro.fabric.cluster.ClusterFabric.
-    resolve_racks>` (many) are this function.
-
-    A node's update direction couples to the sum of its co-runners' values,
-    so the iteration map has a slope of about ``-(k - 1)`` for ``k`` nodes
-    sharing a port; each rack's default damping of ``1/k`` for its largest
-    sharing degree cancels that slope and makes the iteration contract (an
-    explicit ``damping`` overrides it for every rack).  ``tolerance`` is the
-    convergence threshold in bytes/s (1 MB/s by default — far below any
-    bandwidth that matters here).
-
-    The batch iterates until *every* rack converges, so each rack reports the
-    batch's iteration count and already-converged racks keep contracting
-    toward the same fixed point (their values stay within solver tolerance of
-    an early-stopped solve of their own).  A batch in which some rack
-    exhausts the budget emits one :class:`FabricConvergenceWarning` and adds
-    the number of such racks to the ``fabric.solve.nonconverged`` counter,
-    so silent non-convergence cannot skew results unnoticed.
+    bytes/s).  Racks are independent (each node contends only on its own
+    rack's ports), so each is solved on its own and its answer is the same
+    alone or in any batch.  Both :meth:`FabricTopology.resolve` (one rack)
+    and :meth:`ClusterFabric.resolve_racks <repro.fabric.cluster.
+    ClusterFabric.resolve_racks>` (many) are this function, which records
+    one ``fabric.solve`` span and one ``fabric.solve.calls`` count per call.
     """
     if len(demands) != len(racks):
         raise FabricError(f"expected {len(racks)} demand maps, got {len(demands)}")
-    if damping is not None and not 0.0 < damping <= 1.0:
-        raise FabricError("damping must be in (0, 1]")
-    offered: list[float] = []
-    port_index: list[int] = []
-    capacity: list[float] = []
-    node_bandwidth: list[float] = []
-    damping_arr: list[float] = []
-    rack_dampings: list[float] = []
-    slices: list[tuple[int, int]] = []
-    port_offset = 0
-    for rack, rack_demands in zip(racks, demands):
-        ports = [rack.port_of(node) for node in rack_demands]
-        max_sharing = max(Counter(ports).values(), default=1)
-        rack_damping = damping if damping is not None else 1.0 / max_sharing
-        start = len(offered)
-        offered.extend(rack._node_demand(node, rack_demands) for node in rack_demands)
-        port_index.extend(port_offset + port for port in ports)
-        # All ports of one rack are built identically.
-        capacity.extend([rack.ports[0].data_capacity] * len(ports))
-        node_bandwidth.extend([rack.ports[0].node_bandwidth] * len(ports))
-        damping_arr.extend([rack_damping] * len(ports))
-        rack_dampings.append(rack_damping)
-        slices.append((start, len(offered)))
-        port_offset += rack.n_ports
-    with trace_span("fabric.solve", racks=len(racks), nodes=len(offered)):
-        result = solve_fixed_point(
-            np.asarray(offered),
-            np.asarray(port_index, dtype=np.intp),
-            capacity=np.asarray(capacity),
-            node_bandwidth=np.asarray(node_bandwidth),
-            min_share=RemoteLink.MIN_SHARE,
-            damping=np.asarray(damping_arr),
-            iterations=iterations,
-            tolerance=tolerance,
+    with trace_span("fabric.solve", racks=len(racks), nodes=sum(map(len, demands))):
+        delivered = tuple(
+            rack._max_min_shares(rack_demands) for rack, rack_demands in zip(racks, demands)
         )
-    registry = metrics()
-    registry.counter("fabric.solve.calls").inc()
-    registry.histogram("fabric.solve.iterations").observe(result.iterations)
-    diagnostics = []
-    for rack_demands, rack_damping, (start, stop) in zip(demands, rack_dampings, slices):
-        residual = float(result.delta[start:stop].max()) if stop > start else 0.0
-        diagnostics.append(
-            SolveDiagnostics(
-                delivered=dict(zip(rack_demands, result.delivered[start:stop].tolist())),
-                iterations=result.iterations,
-                converged=result.converged or residual < tolerance,
-                residual=residual,
-                damping=rack_damping,
-            )
-        )
-    nonconverged = sum(1 for diag in diagnostics if not diag.converged)
-    if nonconverged:
-        registry.counter("fabric.solve.nonconverged").inc(nonconverged)
-        warnings.warn(
-            f"contention solve did not converge on {nonconverged} rack(s) within "
-            f"{result.iterations} iterations (worst residual {result.residual:.3g} "
-            f"bytes/s, tolerance {tolerance:.3g}); results reflect the last iterate",
-            FabricConvergenceWarning,
-            stacklevel=3,
-        )
-    return ClusterSolve(
-        racks=tuple(diagnostics),
-        iterations=result.iterations,
-        converged=result.converged,
-        residual=result.residual,
-    )
+    metrics().counter("fabric.solve.calls").inc()
+    return delivered

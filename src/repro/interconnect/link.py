@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config.errors import ConfigurationError
 from ..config.testbed import TestbedConfig
 from .queueing import QueueingModel, MM1QueueingModel
@@ -82,8 +80,10 @@ class RemoteLink:
         contention keeps growing after the measured traffic saturates.
     """
 
-    #: Minimum fraction of the shared capacity always left to a contributor,
-    #: so extreme oversubscription degrades but never deadlocks the model.
+    #: Minimum fraction of the shared capacity :meth:`share` always leaves
+    #: its one contributor, so extreme oversubscription degrades but never
+    #: deadlocks the single-node model.  The fabric's port solve needs no
+    #: floor: max-min sharing gives each node at least an equal share.
     MIN_SHARE = 0.1
 
     def __init__(self, testbed: TestbedConfig, queueing: QueueingModel | None = None) -> None:
@@ -178,12 +178,6 @@ class RemoteLink:
             utilization=offered_utilization,
             queueing_delay=queueing_delay,
         )
-
-    def effective_remote_bandwidth(
-        self, own_data_bandwidth: float, background_data_bandwidth: float = 0.0
-    ) -> float:
-        """Bandwidth available for remote streaming under contention (bytes/s)."""
-        return self.share(own_data_bandwidth, background_data_bandwidth).available_bandwidth
 
     def latency_under_load(self, total_offered_data_bandwidth: float) -> float:
         """Effective remote access latency when the link carries a total load."""

@@ -8,7 +8,7 @@ renderer behind ``repro-dmem telemetry report``.
 Telemetry is **disabled by default** and compiled down to a no-op fast path:
 :func:`metrics` hands out a shared no-op registry and :func:`trace_span`
 returns a shared no-op context manager, so instrumented hot paths (the
-scheduler event loop, the fixed-point solver) pay one flag check per call
+scheduler event loop, the contention solve) pay one flag check per call
 site.  ``tools/bench_perf.py`` measures that disabled-mode overhead and
 records it in ``BENCH_cosim.json``.
 

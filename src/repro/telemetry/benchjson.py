@@ -32,7 +32,7 @@ Document shape (version 6)::
 
 Version 2 added the cluster-scale groups (``cluster_fabric`` — epoch
 stepping of the whole-cluster co-simulator — and ``solver_vectorized`` —
-batched NumPy vs scalar contention solving at 100 racks).  Version 3 added
+one contention solve call across 100 racks).  Version 3 added
 ``fault_injection`` — the disabled-path cost of the fault layer (its
 ``extra.disabled_overhead_pct`` is the < 2% acceptance bound of
 ``docs/failure_model.md``) plus a seeded chaos scenario.  Version 4 added

@@ -1,15 +1,15 @@
 """Process-wide metrics registry: counters, gauges, histograms, timeseries.
 
 One :class:`MetricsRegistry` per process is the single surface every
-subsystem reports through — the fixed-point solver's iteration counts, the
-pool's admission decisions, the scheduler's event throughput.  Instrument
-handles are get-or-create by name, so instrumented code never needs to
-thread registry objects around::
+subsystem reports through — the fabric's contention solves and port
+utilisation, the pool's admission decisions, the scheduler's event
+throughput.  Instrument handles are get-or-create by name, so instrumented
+code never needs to thread registry objects around::
 
     from repro.telemetry import metrics
 
     metrics().counter("fabric.solve.calls").inc()
-    metrics().histogram("fabric.solve.iterations").observe(n)
+    metrics().histogram("fabric.port.utilization").observe(utilization)
 
 Telemetry is **off by default**.  While disabled, :func:`metrics` returns a
 shared no-op registry whose instruments discard everything; the cost of an
@@ -24,7 +24,7 @@ Instrument types
 =============  ====================================================
 Counter        monotonically increasing count (events, admissions)
 Gauge          last-written value (leased bytes, queue depth)
-Histogram      distribution of observations (iterations, latencies)
+Histogram      distribution of observations (utilisations, latencies)
 TimeSeries     rows of (time, columns) — simulation-output timelines
 =============  ====================================================
 

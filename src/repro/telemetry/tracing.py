@@ -1,6 +1,6 @@
 """Span-based tracing with monotonic timing and parent/child nesting.
 
-A *span* brackets one unit of work — a fixed-point solve, a baseline
+A *span* brackets one unit of work — a contention solve, a baseline
 profiling run, a whole scheduler event loop — and records its wall-clock
 duration plus arbitrary attributes::
 

@@ -3,11 +3,18 @@
 The library keeps one solver, one cluster loop and one rack driver.  The
 paths it used to ship next to them live on here, as differential oracles:
 
-* :func:`solve_scalar` — the pure-Python damped fixed point that
-  :func:`repro.fabric.solver.solve_fixed_point` computes on flat arrays;
+* :func:`solve_bisection` — the max-min fair split of each port that
+  :meth:`FabricTopology.resolve` computes in one sorted walk, found here by
+  bisecting on the port's water level;
+* :func:`solve_scalar` — the damped fixed point the fabric solved port
+  contention with before it had one exact rule.  Its answer depends on its
+  damping wherever two nodes of a port are throttled, and its 10% floor
+  lets eleven or more nodes take more than the port has, so it is an
+  oracle only where its fixed point is unique;
 * :func:`lockstep` — a cluster stepper that advances every rack through its
   own :meth:`RackCoSimulator.step`, so each rack rolls its epochs over and
-  resolves them alone (through :func:`solve_scalar` unless told otherwise);
+  resolves them alone (through :func:`solve_bisection` unless told
+  otherwise);
 * :func:`resolve_every_rollover` — racks that re-solve at every epoch
   rollover instead of skipping a solve whose inputs did not change;
 * :func:`epoch_stepping` — racks that stop at every epoch end, clean or
@@ -44,7 +51,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.config.errors import FabricError
-from repro.fabric import ClusterCoSimulator, SolveDiagnostics
+from repro.fabric import ClusterCoSimulator
 from repro.fabric.cosim import RackCoSimulator, _TenantState, baseline_run, roll_over
 from repro.fabric.pool import (
     LEASE_GRANTED,
@@ -52,7 +59,6 @@ from repro.fabric.pool import (
     LEASE_REJECTED,
     LEASE_REVOKED,
 )
-from repro.fabric.solver import BACKOFF_IMPROVEMENT, BACKOFF_WINDOW
 from repro.sim.perfmodel import PerformanceModel, PhaseInputs
 from repro.telemetry import metrics
 
@@ -60,37 +66,77 @@ from repro.telemetry import metrics
 MAX_EPOCHS = 200_000
 
 
+def solve_bisection(topology, demands: Mapping[int, float]) -> dict[int, float]:
+    """:meth:`FabricTopology.resolve` by bisection on each port's water level.
+
+    A port whose link-clipped demands fit its data capacity delivers them.
+    Otherwise the level ``L`` solves ``sum(min(d, L)) == capacity``; the sum
+    grows with ``L``, so halving ``[0, max(d)]`` a hundred times pins ``L``
+    to the float, and every node gets ``min(d, L)``.
+    """
+    offers = {n: topology._node_demand(n, demands) for n in demands}
+    delivered = {}
+    for port in {topology.port_of(n) for n in offers}:
+        nodes = [n for n in offers if topology.port_of(n) == port]
+        capacity = topology.ports[port].data_capacity
+        level = math.inf
+        if math.fsum(offers[n] for n in nodes) > capacity:
+            low, high = 0.0, max(offers[n] for n in nodes)
+            for _ in range(100):
+                mid = 0.5 * (low + high)
+                if math.fsum(min(offers[n], mid) for n in nodes) > capacity:
+                    high = mid
+                else:
+                    low = mid
+            level = low
+        for n in nodes:
+            delivered[n] = min(offers[n], level)
+    return {n: delivered[n] for n in demands}
+
+
+#: :func:`solve_scalar`'s damping backoff: every ``BACKOFF_WINDOW``
+#: iterations it checks whether the residual at least halved
+#: (``BACKOFF_IMPROVEMENT``) since the previous window and, if not, halves
+#: the fraction of the old value it keeps.
+BACKOFF_WINDOW = 8
+BACKOFF_IMPROVEMENT = 0.5
+
+
+@dataclass(frozen=True)
+class ScalarSolve:
+    """What :func:`solve_scalar` computed, and whether it converged."""
+
+    delivered: dict[int, float]
+    converged: bool
+
+
 def solve_scalar(
     topology,
     demands: Mapping[int, float],
     iterations: int = 64,
-    damping: Optional[float] = None,
     tolerance: float = 1e6,
-) -> SolveDiagnostics:
-    """:meth:`FabricTopology.resolve_detailed`, one node at a time.
+) -> ScalarSolve:
+    """The damped fixed point, one node at a time.
 
-    Same default damping (one over the largest port sharing degree) and the
-    same adaptive damping backoff as the NumPy kernel; the two rules must
-    never drift, or the equivalence suite loses its meaning.  Emits neither
-    the non-convergence warning nor telemetry.
+    Each iteration moves every node a damping fraction of the way to
+    ``min(demand, available)``, where ``available`` is
+    :meth:`RemoteLink.share`'s: the port's capacity minus what the node's
+    co-runners deliver, never below ``MIN_SHARE`` of it and never above the
+    node link.  The damping starts at one over the largest number of nodes
+    on one port and backs off toward 1 when the residual stalls.  It stops
+    when no node moves by ``tolerance`` bytes/s, or after ``iterations``.
     """
-    if damping is None:
-        max_sharing = max(
-            (
-                sum(1 for other in demands if topology.port_of(other) == topology.port_of(node))
-                for node in demands
-            ),
-            default=1,
-        )
-        damping = 1.0 / max(max_sharing, 1)
-    rate = damping
+    max_sharing = max(
+        (
+            sum(1 for other in demands if topology.port_of(other) == topology.port_of(node))
+            for node in demands
+        ),
+        default=1,
+    )
+    rate = 1.0 / max_sharing
     delivered = {n: topology._node_demand(n, demands) for n in demands}
-    max_delta = 0.0
-    converged = False
-    used = 0
     window_residual: Optional[float] = None
-    for _ in range(max(int(iterations), 1)):
-        used += 1
+    for used in range(1, max(int(iterations), 1) + 1):
         max_delta = 0.0
         updated: dict[int, float] = {}
         for node in delivered:
@@ -107,19 +153,12 @@ def solve_scalar(
             updated[node] = new_value
         delivered = updated
         if max_delta < tolerance:
-            converged = True
-            break
+            return ScalarSolve(delivered=delivered, converged=True)
         if used % BACKOFF_WINDOW == 0:
             if window_residual is not None and max_delta > BACKOFF_IMPROVEMENT * window_residual:
                 rate = 1.0 - 0.5 * (1.0 - rate)
             window_residual = max_delta
-    return SolveDiagnostics(
-        delivered=delivered,
-        iterations=used,
-        converged=converged,
-        residual=max_delta,
-        damping=damping,
-    )
+    return ScalarSolve(delivered=delivered, converged=False)
 
 
 def lockstep(cluster, scalar: bool = True):
@@ -128,7 +167,7 @@ def lockstep(cluster, scalar: bool = True):
     Racks advance in chunks bounded by the cluster epoch and by the next
     fault of their one feed, which the cluster fires; each rack sub-chunks
     at its own epoch ends and rolls itself over with a solve of its own.
-    With ``scalar`` those solves go through :func:`solve_scalar`, and
+    With ``scalar`` those solves go through :func:`solve_bisection`, and
     ``cluster.scalar_solves`` counts them, so a test can prove the oracle did
     not quietly run the library's solver.
     Call it before the first admission (admissions solve too).  Returns
@@ -137,9 +176,9 @@ def lockstep(cluster, scalar: bool = True):
     if scalar:
         cluster.scalar_solves = 0
 
-        def resolve(topology, demands, *args, **kwargs):
+        def resolve(topology, demands):
             cluster.scalar_solves += 1
-            return solve_scalar(topology, demands, *args, **kwargs).delivered
+            return solve_bisection(topology, demands)
 
         for topology in cluster.fabric.racks:
             topology.resolve = types.MethodType(resolve, topology)
@@ -324,7 +363,7 @@ def _every_epoch_step(self, dt: float) -> dict[str, float]:
             self._lockstep.clock += chunk
             if epoch is not None:
                 elapsed += chunk
-        roll_over(self.rack_sims, self._resolve_racks)
+        roll_over(self.rack_sims, self.fabric.resolve_racks)
         if epoch is not None and elapsed >= epoch - 1e-12:
             metrics().counter("fabric.cluster.epochs").inc()
             elapsed = 0.0

@@ -1,19 +1,10 @@
-"""Tests for solver diagnostics, the convergence warning and fabric telemetry."""
-
-import warnings
+"""Tests for the fabric's telemetry: solve and pool counters, rack timelines."""
 
 import pytest
 
 from racks import run_rack
 from repro import telemetry
-from repro.config.errors import FabricError
-from repro.fabric import (
-    FabricConvergenceWarning,
-    FabricTopology,
-    MemoryPool,
-    SolveDiagnostics,
-    uniform_tenants,
-)
+from repro.fabric import ClusterFabric, MemoryPool, uniform_tenants
 from repro.fabric.cosim import RackTelemetry
 from repro.workloads import build_workload
 
@@ -31,74 +22,21 @@ def telemetry_on():
         telemetry.tracer().reset()
 
 
-class TestSolveDiagnostics:
-    def test_uncontended_solve_converges(self):
-        topo = FabricTopology(n_nodes=2, n_ports=2)  # one node per port
-        diag = topo.resolve_detailed({0: 1 * GB, 1: 1 * GB})
-        assert isinstance(diag, SolveDiagnostics)
-        assert diag.converged
-        assert diag.iterations >= 1
-        assert diag.residual < 1e6
-        assert diag.delivered == topo.resolve({0: 1 * GB, 1: 1 * GB})
-
-    def test_empty_demands_converge_trivially(self):
-        diag = FabricTopology(n_nodes=2).resolve_detailed({})
-        assert diag.converged and diag.delivered == {}
-
-    def test_contended_solve_reports_iterations(self):
-        topo = FabricTopology(n_nodes=4, n_ports=1)
-        bw = topo.testbed.remote_bandwidth
-        diag = topo.resolve_detailed({n: bw for n in range(4)})
-        assert diag.converged
-        assert diag.iterations > 1
-        assert diag.damping == pytest.approx(0.25)
-
-    def test_nonconvergence_warns_and_reports(self):
-        topo = FabricTopology(n_nodes=4, n_ports=1)
-        bw = topo.testbed.remote_bandwidth
-        demands = {n: bw for n in range(4)}
-        # Undamped updates on a 4-way shared port oscillate; a two-iteration
-        # budget cannot converge and must say so instead of staying silent.
-        with pytest.warns(FabricConvergenceWarning):
-            diag = topo.resolve_detailed(demands, iterations=2, damping=1.0)
-        assert not diag.converged
-        assert diag.iterations == 2
-        assert diag.residual >= 1e6
-
-    def test_resolve_wrapper_propagates_warning(self):
-        topo = FabricTopology(n_nodes=4, n_ports=1)
-        bw = topo.testbed.remote_bandwidth
-        with pytest.warns(FabricConvergenceWarning):
-            topo.resolve({n: bw for n in range(4)}, iterations=2, damping=1.0)
-
-    def test_converged_solve_does_not_warn(self):
-        topo = FabricTopology(n_nodes=2, n_ports=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FabricConvergenceWarning)
-            topo.resolve_detailed({0: 1 * GB})
-
-    def test_invalid_damping_rejected(self):
-        topo = FabricTopology(n_nodes=2)
-        with pytest.raises(FabricError):
-            topo.resolve_detailed({0: 1 * GB}, damping=0.0)
-        with pytest.raises(FabricError):
-            topo.resolve_detailed({0: 1 * GB}, damping=1.5)
-
-
 class TestSolverTelemetry:
-    def test_counters_and_histogram(self, telemetry_on):
-        topo = FabricTopology(n_nodes=4, n_ports=1)
-        bw = topo.testbed.remote_bandwidth
-        demands = {n: bw for n in range(4)}
-        topo.resolve_detailed(demands)
-        with pytest.warns(FabricConvergenceWarning):
-            topo.resolve_detailed(demands, iterations=2, damping=1.0)
-        registry = telemetry.registry()
-        assert registry.counter("fabric.solve.calls").value == 2
-        assert registry.counter("fabric.solve.nonconverged").value == 1
-        assert registry.histogram("fabric.solve.iterations").count == 2
-        spans = [s.name for s in telemetry.tracer().spans]
-        assert spans.count("fabric.solve") == 2
+    def test_one_count_and_span_per_solve_call(self, telemetry_on):
+        """A batch of racks is one solve call, however many racks it holds."""
+        fabric = ClusterFabric(n_racks=3, nodes_per_rack=4, n_ports=2)
+        bw = fabric.testbed.remote_bandwidth
+        fabric.resolve_all([{n: bw for n in range(4)}] * 3)
+        fabric.racks[0].resolve({0: bw})
+        fabric.racks[1].resolve_detailed({0: bw, 1: bw})
+        assert telemetry.registry().counter("fabric.solve.calls").value == 3
+        spans = [s for s in telemetry.tracer().spans if s.name == "fabric.solve"]
+        assert [(s.attrs["racks"], s.attrs["nodes"]) for s in spans] == [
+            (3, 12),
+            (1, 1),
+            (1, 2),
+        ]
 
     def test_pool_admission_counters(self, telemetry_on):
         pool = MemoryPool(capacity_bytes=10 * GB)

@@ -1,9 +1,13 @@
 """Tests for the fabric topology and its contention resolution."""
 
+import math
+import warnings
+
 import pytest
 
 from repro.config.errors import FabricError
 from repro.fabric import FabricTopology
+from repro.fabric.topology import water_level
 
 GB = 10**9
 
@@ -80,28 +84,20 @@ class TestBackgroundAndUtilisation:
         assert all(w >= 0 for w in waits)
         assert all(b >= a - 1e-15 for a, b in zip(waits, waits[1:]))
 
-    def test_share_for_degrades_with_background(self):
-        topo = FabricTopology(n_nodes=3, n_ports=1)
-        alone = topo.share_for(0, {0: 20 * GB})
-        crowded = topo.share_for(0, {0: 20 * GB, 1: 25 * GB, 2: 25 * GB})
-        assert crowded.available_bandwidth < alone.available_bandwidth
-        assert crowded.queueing_delay > alone.queueing_delay
-
 
 class TestResolve:
     def test_symmetric_overload_converges_to_fair_share(self):
-        topo = FabricTopology(n_nodes=8, n_ports=1)
+        topo = FabricTopology(n_nodes=16, n_ports=1)
         capacity = topo.ports[0].data_capacity
-        for n in (3, 4, 5, 8):
+        for n in (3, 4, 5, 8, 11, 16):
             delivered = topo.resolve({i: 28 * GB for i in range(n)})
             for value in delivered.values():
-                assert value == pytest.approx(capacity / n, rel=0.02)
+                assert value == pytest.approx(capacity / n, rel=1e-12)
 
     def test_underloaded_port_delivers_full_demand(self):
         topo = FabricTopology(n_nodes=2, n_ports=1)
         delivered = topo.resolve({0: 5 * GB, 1: 5 * GB})
-        assert delivered[0] == pytest.approx(5 * GB, rel=1e-3)
-        assert delivered[1] == pytest.approx(5 * GB, rel=1e-3)
+        assert delivered == {0: 5 * GB, 1: 5 * GB}
 
     def test_resolve_per_port_independence(self):
         topo = FabricTopology(n_nodes=4, n_ports=2)
@@ -109,19 +105,65 @@ class TestResolve:
         delivered = topo.resolve(
             {0: 30 * GB, 2: 30 * GB, 1: 2 * GB, 3: 2 * GB}
         )
-        assert delivered[1] == pytest.approx(2 * GB, rel=1e-3)
-        assert delivered[3] == pytest.approx(2 * GB, rel=1e-3)
+        assert delivered[1] == 2 * GB
+        assert delivered[3] == 2 * GB
         assert delivered[0] < 30 * GB
 
-    def test_total_delivered_bounded_by_capacity_region(self):
-        topo = FabricTopology(n_nodes=8, n_ports=1)
+    @pytest.mark.parametrize("n", [8, 11, 12, 16])
+    def test_total_delivered_bounded_by_capacity(self, n):
+        topo = FabricTopology(n_nodes=n, n_ports=1)
         capacity = topo.ports[0].data_capacity
-        delivered = topo.resolve({i: 34 * GB for i in range(8)})
-        # The fixed point may slightly exceed the ideal fair share but stays
-        # in the neighbourhood of the port's data capacity.
-        assert sum(delivered.values()) <= capacity * 1.1
+        delivered = topo.resolve({i: topo.testbed.remote_bandwidth for i in range(n)})
+        assert sum(delivered.values()) <= capacity * (1 + 1e-12)
 
-    def test_invalid_damping(self):
-        topo = FabricTopology(n_nodes=2)
+    def test_small_offer_is_not_throttled_below_its_fair_share(self):
+        topo = FabricTopology(n_nodes=3, n_ports=1)
+        capacity = topo.ports[0].data_capacity
+        # The 0.9 C offer is clipped to the node link, 0.6 C.
+        delivered = topo.resolve({0: 0.2 * capacity, 1: 0.6 * capacity, 2: 0.9 * capacity})
+        assert delivered[0] == pytest.approx(0.2 * capacity, rel=1e-12)
+        assert delivered[1] == pytest.approx(0.4 * capacity, rel=1e-12)
+        assert delivered[2] == pytest.approx(0.4 * capacity, rel=1e-12)
+
+    def test_unknown_node_rejected(self):
         with pytest.raises(FabricError):
-            topo.resolve({0: GB}, damping=1.5)
+            FabricTopology(n_nodes=2).resolve({2: GB})
+
+    def test_empty_demands_resolve_to_empty(self):
+        topo = FabricTopology(n_nodes=2)
+        assert topo.resolve({}) == {}
+        assert topo.resolve_detailed({}) == {}
+
+    def test_resolve_detailed_gives_the_resolve_answer(self):
+        topo = FabricTopology(n_nodes=4, n_ports=1)
+        demands = {0: 2 * GB, 1: 20 * GB, 2: 28 * GB, 3: 28 * GB}
+        assert topo.resolve_detailed(demands) == topo.resolve(demands)
+
+    def test_negative_demand_delivers_nothing(self):
+        topo = FabricTopology(n_nodes=2, n_ports=1)
+        assert topo.resolve({0: -5 * GB, 1: 5 * GB}) == {0: 0.0, 1: 5 * GB}
+
+    def test_sixteen_full_links_per_port_fill_it_without_a_warning(self):
+        topo = FabricTopology(n_nodes=32, n_ports=2)
+        bw = topo.testbed.remote_bandwidth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delivered = topo.resolve({n: bw for n in range(32)})
+        for port in range(2):
+            capacity = topo.ports[port].data_capacity
+            on_port = [delivered[n] for n in topo.nodes_on_port(port)]
+            assert math.fsum(on_port) == pytest.approx(capacity, rel=1e-12)
+            assert set(on_port) == {on_port[0]}
+
+
+class TestWaterLevel:
+    def test_offers_that_fit_have_no_level(self):
+        assert water_level([], 10.0) == math.inf
+        assert water_level([1.0, 2.0, 7.0], 10.0) == math.inf
+
+    def test_equal_offers_split_the_port_equally(self):
+        assert water_level([5.0] * 4, 10.0) == 2.5
+
+    def test_an_offer_below_an_equal_share_is_kept_whole(self):
+        # 1 is below an equal third of 10, so the other two split the 9 left.
+        assert water_level([1.0, 6.0, 6.0], 10.0) == 4.5

@@ -92,9 +92,6 @@ class TestShare:
     def test_zero_offered_slowdown_is_one(self, link):
         assert link.share(0.0, 0.0).slowdown == 1.0
 
-    def test_effective_remote_bandwidth_helper(self, link):
-        assert link.effective_remote_bandwidth(10e9, 0.0) == pytest.approx(link.node_bandwidth)
-
     def test_latency_under_load_monotone(self, link):
         latencies = [link.latency_under_load(bw) for bw in (0.0, 10e9, 30e9, 60e9)]
         assert all(b >= a for a, b in zip(latencies, latencies[1:]))

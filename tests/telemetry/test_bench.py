@@ -101,6 +101,17 @@ class TestValidateBench:
         assert validate_bench({"schema": BENCH_SCHEMA})
 
 
+def assert_ports_within_capacity(document):
+    """Every contention-solve row delivers at most its ports' capacity."""
+    rows = [
+        b for b in document["benchmarks"]
+        if b["group"] in ("fabric_solver", "solver_vectorized")
+    ]
+    assert len(rows) == 4
+    for row in rows:
+        assert 0.0 < row["extra"]["max_port_load"] <= 1.0 + 1e-12, row["name"]
+
+
 class TestCommittedDocument:
     def test_bench_cosim_json_at_repo_root_is_valid(self):
         path = REPO_ROOT / "BENCH_cosim.json"
@@ -111,6 +122,7 @@ class TestCommittedDocument:
         overhead = data["telemetry_overhead"]
         # The acceptance bound the instrumentation must keep honouring.
         assert overhead["disabled_overhead_pct"] < 2.0
+        assert_ports_within_capacity(data)
 
 
 class TestHookCount:
@@ -213,6 +225,7 @@ class TestHarnessQuickRun:
         assert data["quick"] is True
         groups = {b["group"] for b in data["benchmarks"]}
         assert groups == set(REQUIRED_GROUPS)
+        assert_ports_within_capacity(data)
 
     def test_check_mode_validates_existing_file(self, tmp_path):
         path = tmp_path / "doc.json"

@@ -5,7 +5,9 @@ Times the hot paths every "made it faster" claim must be measured against,
 and the overhead of the telemetry layer itself:
 
 1. ``fabric_solver`` — :meth:`FabricTopology.resolve_detailed` under
-   all-nodes-overloaded demand, at small/medium/large rack wirings;
+   all-nodes-overloaded demand, at small/medium/large rack wirings
+   (``extra.max_port_load`` is the largest per-port delivered total over
+   the port's capacity, at most 1);
 2. ``rack_cosim_step`` — epoch stepping of one rack with co-located
    tenants, through the rack's own ``step`` (the rack of a 1-rack
    :class:`ClusterCoSimulator`);
@@ -15,7 +17,7 @@ and the overhead of the telemetry layer itself:
    full runs add the same stream at 4,000 and 40,000 jobs
    (``cluster_events.jobs4000`` / ``.jobs40000``) as a scaling series;
 4. ``solver_vectorized`` — the 100-rack contention sweep through
-   :meth:`ClusterFabric.resolve_all`, one batched NumPy solve;
+   :meth:`ClusterFabric.resolve_all`, one solve call;
 5. ``cluster_fabric`` — epoch stepping of the whole-cluster
    :class:`ClusterCoSimulator` with tenants in every rack, plus
    ``cluster_fabric.closed_loop``: ``run_to_completion`` of a seeded 8-rack
@@ -70,13 +72,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import statistics
 import sys
 import time
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -127,33 +129,33 @@ def _timeit(fn, repeats: int) -> dict:
     }
 
 
-def bench_fabric_solver(quick: bool) -> list[dict]:
-    """Fixed-point contention solves, every node demanding its full link."""
-    from repro.fabric.topology import FabricConvergenceWarning
+def max_port_load(topology: FabricTopology, delivered: dict) -> float:
+    """The largest per-port total delivered, as a fraction of port capacity."""
+    load: list[list[float]] = [[] for _ in range(topology.n_ports)]
+    for node, value in delivered.items():
+        load[topology.port_of(node)].append(value)
+    return max(
+        math.fsum(values) / port.data_capacity
+        for values, port in zip(load, topology.ports)
+    )
 
+
+def bench_fabric_solver(quick: bool) -> list[dict]:
+    """Max-min contention solves, every node demanding its full link."""
     repeats = 10 if quick else 50
     rows = []
     for label, n_nodes, n_ports in RACK_WIRINGS:
         topology = FabricTopology(n_nodes=n_nodes, n_ports=n_ports)
         demands = {n: topology.testbed.remote_bandwidth for n in range(n_nodes)}
-        # Full-link demand on every node deliberately includes oversubscribed
-        # cases; whether the budget sufficed is recorded in ``extra``, so the
-        # per-call warning is just noise here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FabricConvergenceWarning)
-            diag = topology.resolve_detailed(demands)
-            timing = _timeit(lambda: topology.resolve_detailed(demands), repeats)
+        delivered = topology.resolve_detailed(demands)
+        timing = _timeit(lambda: topology.resolve_detailed(demands), repeats)
         rows.append(
             {
                 "name": f"fabric_solver.{label}",
                 "group": "fabric_solver",
                 "config": {"n_nodes": n_nodes, "n_ports": n_ports},
                 **timing,
-                "extra": {
-                    "iterations": diag.iterations,
-                    "converged": diag.converged,
-                    "residual_bytes_s": diag.residual,
-                },
+                "extra": {"max_port_load": max_port_load(topology, delivered)},
             }
         )
     return rows
@@ -199,14 +201,12 @@ def bench_rack_cosim_step(quick: bool) -> dict:
 
 
 def bench_solver_vectorized(quick: bool) -> dict:
-    """Batched-NumPy cluster contention solving, 100-rack sweep.
+    """Cluster contention solving, 100-rack sweep.
 
     Every node demands its full link (the oversubscribed worst case), and
     all racks' demand maps are resolved in one :meth:`ClusterFabric.resolve_all`
     call.
     """
-    from repro.fabric.topology import FabricConvergenceWarning
-
     repeats = 10 if quick else 30
     fabric = ClusterFabric(
         n_racks=SWEEP_RACKS, nodes_per_rack=SWEEP_NODES, n_ports=SWEEP_PORTS
@@ -215,10 +215,8 @@ def bench_solver_vectorized(quick: bool) -> dict:
     demands = [
         {n: bandwidth for n in range(SWEEP_NODES)} for _ in range(SWEEP_RACKS)
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FabricConvergenceWarning)
-        solve = fabric.resolve_all(demands)
-        timing = _timeit(lambda: fabric.resolve_all(demands), repeats)
+    delivered = fabric.resolve_all(demands)
+    timing = _timeit(lambda: fabric.resolve_all(demands), repeats)
     return {
         "name": "solver_vectorized.vectorized",
         "group": "solver_vectorized",
@@ -229,9 +227,10 @@ def bench_solver_vectorized(quick: bool) -> dict:
         },
         **timing,
         "extra": {
-            "iterations": solve.iterations,
-            "converged": solve.converged,
-            "residual_bytes_s": solve.residual,
+            "max_port_load": max(
+                max_port_load(rack, rack_delivered)
+                for rack, rack_delivered in zip(fabric.racks, delivered)
+            )
         },
     }
 
@@ -424,7 +423,6 @@ def bench_trace_replay_coupled(quick: bool) -> dict:
     """
     from repro.casestudies.scheduling import CoupledSchedulingStudy
     from repro.data.slurm import read_sacct
-    from repro.fabric.topology import FabricConvergenceWarning
 
     lines = (REPO_ROOT / TRACE_COUPLED_FIXTURE).read_text().splitlines(keepends=True)
     schedule = FaultSchedule.seeded(
@@ -441,11 +439,9 @@ def bench_trace_replay_coupled(quick: bool) -> dict:
         )
         return study.replay(lines)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FabricConvergenceWarning)
-        with telemetry.isolated(True) as registry:
-            result = run()
-        timing = _timeit(run, 1 if quick else 3)
+    with telemetry.isolated(True) as registry:
+        result = run()
+    timing = _timeit(run, 1 if quick else 3)
     coupled = result.coupled.coupled
     return {
         "name": "cluster_fabric.trace_replay_coupled",
