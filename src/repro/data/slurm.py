@@ -115,6 +115,8 @@ def parse_elapsed(text: str) -> float:
     >>> parse_elapsed("42")
     42.0
     """
+    if isinstance(text, str) and text.isascii() and text.isdigit():
+        return float(text)  # ElapsedRaw; the grammar below gives the same float
     cleaned = text.strip() if isinstance(text, str) else ""
     if not cleaned:
         raise ConfigurationError("empty elapsed string (expected D-HH:MM:SS or seconds)")
@@ -442,23 +444,54 @@ class SacctReader:
         a folded value is never below any constituent step's — the invariant
         the property suite pins.  Returns ``None`` (after recording a skip
         covering the *whole group*) for jobs that cannot be replayed.
+
+        One pass over the rows, in row order, keeping a value only when it
+        compares ``>`` (``<`` for the earliest timestamps) with the one kept
+        so far: the comparisons builtin ``max`` and ``min`` make, so a NaN
+        elapsed wins exactly where ``max`` would keep it.
         """
-        allocation = next((row for row in group if not row.step), group[0])
+        first = group[0]
+        allocation = None
+        steps = 0
+        nnodes, elapsed = first.nnodes, first.elapsed_s
+        max_rss, ave_rss = first.max_rss_bytes, first.ave_rss_bytes
+        submit = start = end = None
+        for row in group:
+            if row.step:
+                steps += 1
+            elif allocation is None:
+                allocation = row
+            if row.nnodes > nnodes:
+                nnodes = row.nnodes
+            if row.elapsed_s > elapsed:
+                elapsed = row.elapsed_s
+            if row.max_rss_bytes > max_rss:
+                max_rss = row.max_rss_bytes
+            if row.ave_rss_bytes > ave_rss:
+                ave_rss = row.ave_rss_bytes
+            stamp = row.submit_unix
+            if stamp is not None and (submit is None or stamp < submit):
+                submit = stamp
+            stamp = row.start_unix
+            if stamp is not None and (start is None or stamp < start):
+                start = stamp
+            stamp = row.end_unix
+            if stamp is not None and (end is None or stamp > end):
+                end = stamp
+        if allocation is None:
+            allocation = first
         state = allocation.state.split()[0] if allocation.state else ""
-        submits = [r.submit_unix for r in group if r.submit_unix is not None]
-        starts = [r.start_unix for r in group if r.start_unix is not None]
-        ends = [r.end_unix for r in group if r.end_unix is not None]
         job = TraceJob(
             job_id=allocation.base_id,
             state=state,
-            nnodes=max(row.nnodes for row in group),
-            elapsed_s=max(row.elapsed_s for row in group),
-            max_rss_bytes=max(row.max_rss_bytes for row in group),
-            ave_rss_bytes=max(row.ave_rss_bytes for row in group),
-            submit_unix=min(submits) if submits else None,
-            start_unix=min(starts) if starts else None,
-            end_unix=max(ends) if ends else None,
-            steps_folded=sum(1 for row in group if row.step),
+            nnodes=nnodes,
+            elapsed_s=elapsed,
+            max_rss_bytes=max_rss,
+            ave_rss_bytes=ave_rss,
+            submit_unix=submit,
+            start_unix=start,
+            end_unix=end,
+            steps_folded=steps,
             rows_folded=len(group),
         )
         if state in _UNFINISHED_STATES:

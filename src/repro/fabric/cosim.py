@@ -367,6 +367,10 @@ class _TenantState:
         )
 
 
+#: 1e-12 as ``(numerator, power-of-two denominator)``, for :func:`_ends_within`.
+_SLACK_RATIO = (1e-12).as_integer_ratio()
+
+
 def _ends_within(state: _TenantState, rate: float, dt: float, used: float) -> bool:
     """Whether the current phase of ``state``, which floats put just past the
     ``dt - used`` wall-seconds left of a chunk, ends within 1e-12 s of them.
@@ -374,14 +378,23 @@ def _ends_within(state: _TenantState, rate: float, dt: float, used: float) -> bo
     Its exact residue decides: rounding it could cut a phase at the end of a
     chunk it outlasts by more, depending on how the chunk was cut up.  Past
     ~500 s of phase and chunk, a few ulps near 1e-12 s and floats decide.
+
+    The exact test ``runtime - elapsed <= (dt - used + 1e-12) * rate`` is
+    made in integers.  Every float is ``n / 2**k``, so the five summands are
+    scaled to their largest denominator and both sides are multiplied by
+    the rate's denominator; no step rounds.
     """
     runtime, elapsed = state.runtimes[state.phase_index], state.phase_elapsed
     if runtime / rate + dt > 500.0:
         return (runtime - elapsed) / rate <= (dt - used) + 1e-12
-    from fractions import Fraction  # rarely reached: spare every run the import
-
-    left = Fraction(dt) - Fraction(used) + Fraction(1e-12)
-    return Fraction(runtime) - Fraction(elapsed) <= left * Fraction(rate)
+    (r, r_d), (e, e_d), (t, t_d), (u, u_d), (q, q_d) = (
+        x.as_integer_ratio() for x in (runtime, elapsed, dt, used, rate)
+    )
+    s, s_d = _SLACK_RATIO
+    d = max(r_d, e_d, t_d, u_d, s_d)
+    residue = r * (d // r_d) - e * (d // e_d)
+    left = t * (d // t_d) - u * (d // u_d) + s * (d // s_d)
+    return residue * q_d <= left * q
 
 
 @dataclass(frozen=True)

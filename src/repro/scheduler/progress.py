@@ -105,7 +105,11 @@ def static_rate(job: Job, rack: Rack) -> float:
 
     The single-job entry point, used by the fabric-coupled model's fallback
     path; :func:`static_rates` prices a whole rack through the same formula.
+    A job without a sensitivity curve has slowdown 1 at every LoI, so it runs
+    at 1.0 and its co-runners' LoIs are not summed.
     """
+    if job.profile.sensitivity is None:
+        return 1.0
     return _rate_at(job, rack.aggregate_loi(excluding=job))
 
 
@@ -117,16 +121,21 @@ def static_rates(rack: Rack) -> Dict[int, float]:
     ``rack.aggregate_loi(excluding=job)`` computes: the fold of the jobs on
     earlier nodes, carried from job to job, then the jobs on later nodes.
     Subtracting a job's own LoI from the rack total would change the bits.
+    Only a job with a sensitivity curve folds its later co-runners; one
+    without runs at 1.0, so a rack of curve-less jobs costs O(jobs).
     """
     jobs = rack.running_jobs
     lois = [job.profile.induced_loi for job in jobs]
     rates: Dict[int, float] = {}
     before = 0.0
     for k, job in enumerate(jobs):
-        seen = before
-        for loi in lois[k + 1:]:
-            seen += loi
-        rates[job.job_id] = _rate_at(job, min(seen, 100.0))
+        if job.profile.sensitivity is None:
+            rates[job.job_id] = 1.0
+        else:
+            seen = before
+            for loi in lois[k + 1:]:
+                seen += loi
+            rates[job.job_id] = _rate_at(job, min(seen, 100.0))
         before += lois[k]
     return rates
 
@@ -148,7 +157,9 @@ class StaticCurveProgress:
     A job's rate depends only on who else runs in its rack, so the rates are
     cached per rack: :meth:`job_started` and :meth:`job_finished` drop their
     rack's entry and :meth:`rates` prices only the racks without one, each
-    in one pass (:func:`static_rates`).
+    in one pass (:func:`static_rates`).  The merged map is kept too, and
+    handed out again until a start or finish drops a rack; callers read it
+    and must not change it.
     """
 
     name: str = "static-curve"
@@ -156,18 +167,26 @@ class StaticCurveProgress:
     _rack_rates: Dict[int, Dict[int, float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _merged: Optional[Dict[int, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def bind(self, cluster: Cluster) -> None:
         self.cluster = cluster
         self._rack_rates = {}
+        self._merged = None
 
     def job_started(self, job: Job, rack: Rack, clock: float) -> None:
         self._rack_rates.pop(rack.rack_id, None)
+        self._merged = None
 
     def job_finished(self, job: Job, rack: Rack, clock: float) -> None:
         self._rack_rates.pop(rack.rack_id, None)
+        self._merged = None
 
     def rates(self, clock: float) -> Dict[int, float]:
+        if self._merged is not None:
+            return self._merged
         if self.cluster is None:
             raise SchedulingError("progress model is not bound to a cluster")
         rates: Dict[int, float] = {}
@@ -176,6 +195,7 @@ class StaticCurveProgress:
             if rack_rates is None:
                 rack_rates = self._rack_rates[rack.rack_id] = static_rates(rack)
             rates.update(rack_rates)
+        self._merged = rates
         return rates
 
     def horizon(self, clock: float) -> Optional[float]:

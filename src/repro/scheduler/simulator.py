@@ -280,7 +280,8 @@ class ClusterSimulator:
         order = sorted(jobs, key=lambda j: j.submit_time)
         cursor = 0
         queue: list[Job] = []
-        remaining_work = {j.job_id: j.profile.baseline_runtime for j in jobs}
+        # Baseline-seconds left per job, indexed by job id.
+        remaining_work = [p.baseline_runtime for p in profiles]
         self.progress.bind(self.cluster)
         clock = 0.0
         idle_events = 0

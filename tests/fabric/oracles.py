@@ -38,7 +38,10 @@ paths it used to ship next to them live on here, as differential oracles:
   tenant's reference phases as a cached copy of the baseline run, each phase
   carrying its idle unit time priced once per cache, where the library reads
   :func:`~repro.fabric.cosim.baseline_run`'s phases directly;
-  :func:`use_phase_profiles` runs the co-simulator on them.
+  :func:`use_phase_profiles` runs the co-simulator on them;
+* :func:`ends_within_fraction` — the phase-end slack test
+  ``cosim._ends_within`` made in :class:`fractions.Fraction` arithmetic,
+  where the library cross-multiplies the floats' integer ratios.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
@@ -756,3 +760,18 @@ def use_phase_profiles(monkeypatch) -> None:
     monkeypatch.setattr(
         _TenantState, "current_offered_bandwidth", current_offered_bandwidth
     )
+
+
+def ends_within_fraction(
+    runtime: float, elapsed: float, rate: float, dt: float, used: float
+) -> bool:
+    """Whether a phase with ``runtime - elapsed`` baseline-seconds left, run at
+    ``rate``, ends within 1e-12 s of the ``dt - used`` wall-seconds left.
+
+    Floats decide past ~500 s of phase and chunk; below that the residue
+    decides exactly, in :class:`~fractions.Fraction` arithmetic.
+    """
+    if runtime / rate + dt > 500.0:
+        return (runtime - elapsed) / rate <= (dt - used) + 1e-12
+    left = Fraction(dt) - Fraction(used) + Fraction(1e-12)
+    return Fraction(runtime) - Fraction(elapsed) <= left * Fraction(rate)

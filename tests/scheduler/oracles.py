@@ -11,7 +11,10 @@ replaced did none of that, and lives on here:
 * :class:`ScanRack` — capacity checks rebuild the free-node list by scanning
   every node instead of reading the rack's free-node count;
 * :class:`RescanProgress` — static rates recomputed for every running job at
-  every event.
+  every event, each through :func:`fold_rate`;
+* :func:`fold_rate` — the static rate with the co-runner LoIs folded for
+  every job, where the library skips the fold for a job without a
+  sensitivity curve.
 
 The tests load this file by path (``tests/fabric/oracles.py`` already owns
 the module name ``oracles``).
@@ -26,7 +29,7 @@ import numpy as np
 from repro.config.errors import SchedulingError
 from repro.scheduler.cluster import Cluster, Rack
 from repro.scheduler.job import Job, JobProfile
-from repro.scheduler.progress import StaticCurveProgress, static_rate
+from repro.scheduler.progress import StaticCurveProgress
 from repro.scheduler.simulator import MAX_IDLE_EVENTS, MIN_EVENT_STEP, ScheduleOutcome
 from repro.telemetry import metrics
 
@@ -51,6 +54,11 @@ def scan_cluster(n_racks: int, nodes_per_rack: int, pool_capacity_gb: float) -> 
     )
 
 
+def fold_rate(job: Job, rack: Rack) -> float:
+    """1 / slowdown at the sum of the job's co-runners' LoIs, curve or not."""
+    return 1.0 / max(job.profile.slowdown_at(rack.aggregate_loi(excluding=job)), 1.0)
+
+
 class RescanProgress(StaticCurveProgress):
     """Static-curve rates, recomputed for every running job at every event."""
 
@@ -58,7 +66,7 @@ class RescanProgress(StaticCurveProgress):
         if self.cluster is None:
             raise SchedulingError("progress model is not bound to a cluster")
         return {
-            job.job_id: static_rate(job, self.cluster.rack_of(job))
+            job.job_id: fold_rate(job, self.cluster.rack_of(job))
             for job in self.cluster.running_jobs
         }
 

@@ -401,6 +401,11 @@ LINEAR_CURVE = SensitivityCurve(
 )
 @example(nodes=4, jobs=[(3, 45.0, 4), (1, 45.0, 5), (0, 45.0, 1), (2, 30.0, 2)], released=[])
 @example(nodes=3, jobs=[(0, 0.1, 6), (1, 0.2, 6), (2, 0.3, 6)], released=[])
+# A rack of curve-less jobs, whose co-runners sum past 100.
+@example(nodes=4, jobs=[(0, 70.0, 0), (1, 45.0, 0), (2, 12.5, 0), (3, 100.0, 0)], released=[1])
+# Signed zeros: a curve sees exactly 0.0 whichever zero its co-runners inject.
+@example(nodes=4, jobs=[(0, -0.0, 6), (1, 0.0, 6), (2, -0.0, 0), (3, -0.0, 5)], released=[])
+@example(nodes=3, jobs=[(0, 0.0, 0), (1, -0.0, 6), (2, 0.0, 6)], released=[])
 def test_one_pass_rack_pricing_equals_static_rate_per_job(nodes, jobs, released):
     curves = (None,) + measured_curves() + (steep_curve(0.3), steep_curve(0.8), LINEAR_CURVE)
     cluster = Cluster.build(n_racks=1, nodes_per_rack=nodes, pool_capacity_gb=1e6)
@@ -420,7 +425,8 @@ def test_one_pass_rack_pricing_equals_static_rate_per_job(nodes, jobs, released)
     for index in released:
         if placed:
             rack.release(placed.pop(index % len(placed)))
-    expected = {job.job_id: progress_module.static_rate(job, rack) for job in rack.running_jobs}
+    expected = {job.job_id: oracles.fold_rate(job, rack) for job in rack.running_jobs}
+    assert {job.job_id: progress_module.static_rate(job, rack) for job in rack.running_jobs} == expected
     assert progress_module.static_rates(rack) == expected
 
 

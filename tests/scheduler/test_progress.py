@@ -100,6 +100,29 @@ class TestStaticCurveProgress:
         with pytest.raises(SchedulingError):
             StaticCurveProgress().rates(0.0)
 
+    def test_rates_are_merged_again_only_after_a_start_or_finish(self):
+        sensitive, noisy = self._profiles()[:2]
+        cluster = Cluster.build(n_racks=2, nodes_per_rack=2, pool_capacity_gb=500.0)
+        model = StaticCurveProgress()
+        model.bind(cluster)
+        jobs = [Job(job_id=i, profile=p) for i, p in enumerate((sensitive, noisy))]
+        racks = cluster.racks
+        for job in jobs:
+            racks[0].place(job)
+            model.job_started(job, racks[0], 0.0)
+        first = model.rates(0.0)
+        assert model.rates(1.0) is first
+        assert first[0] < 1.0 and first[1] == 1.0
+
+        racks[0].release(jobs[1])
+        model.job_finished(jobs[1], racks[0], 2.0)
+        second = model.rates(2.0)
+        assert second is not first and second == {0: 1.0}
+        assert model.rates(3.0) is second
+
+        model.bind(cluster)
+        assert model.rates(4.0) == second and model.rates(4.0) is not second
+
 
 class TestFabricCoupledProgress:
     def test_a_job_lasts_its_own_baseline_not_its_workloads(self, spec):

@@ -201,8 +201,23 @@ class TestTelemetryOverhead:
         assert row["repeats"] == bench.OVERHEAD_PAIRS
         assert overhead["hook_calls"] == 8
         assert row["min_s"] == overhead["disabled_wall_s"]
-        ratio = overhead["enabled_wall_s"] / overhead["disabled_wall_s"]
-        assert overhead["enabled_overhead_pct"] == pytest.approx((ratio - 1.0) * 100.0)
+        assert overhead["enabled_wall_s"] > 0
+
+    def test_each_mode_prices_its_hooks_over_the_fastest_disabled_run(self):
+        """Hook count x one hook's cost in that mode, not a difference of two walls."""
+        bench = _bench_perf()
+        try:
+            _, overhead = bench.bench_cluster_events(quick=True)
+        finally:
+            telemetry.disable()
+        assert not telemetry.enabled()
+        wall_ns = overhead["disabled_wall_s"] * 1e9
+        for mode in ("noop", "enabled"):
+            hook_ns = max(overhead[f"{mode}_span_ns"], overhead[f"{mode}_counter_ns"])
+            pct = "disabled_overhead_pct" if mode == "noop" else "enabled_overhead_pct"
+            assert overhead[pct] == pytest.approx(overhead["hook_calls"] * hook_ns / wall_ns * 100.0)
+        # Recording costs more than the flag check it replaces.
+        assert overhead["enabled_span_ns"] > overhead["noop_span_ns"]
 
 
 class TestHarnessQuickRun:
